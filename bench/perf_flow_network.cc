@@ -122,6 +122,7 @@ mfc::PerfScenario Measure(const char* name, size_t repeats, const ChurnSpec& spe
     s.items = r.events;
   }
   s.extras.emplace_back("reallocs", static_cast<double>(r.stats.reallocs));
+  s.extras.emplace_back("skipped_reallocs", static_cast<double>(r.stats.skipped_reallocs));
   s.extras.emplace_back("full_reallocs", static_cast<double>(r.stats.full_reallocs));
   s.extras.emplace_back("flows_touched", static_cast<double>(r.stats.flows_touched));
   s.extras.emplace_back("links_touched", static_cast<double>(r.stats.links_touched));

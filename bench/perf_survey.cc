@@ -5,6 +5,11 @@
 // identity check across allocator rewrites: same commit-to-commit counts or
 // the speedup is measuring different work.
 //
+// The headline also records the flow-network work behind it (reallocs: water-
+// filling passes run; skipped_reallocs: events an exactness certificate
+// resolved without one; flows_touched: flows those passes visited), counted
+// on an untimed replay of the same sites.
+//
 // Three non-headline scenarios ride along: the rank3 band re-run as a 2-way
 // interleaved shard partition (whose summed breakdown must equal the
 // headline's single-process run — the shard-equivalence contract of
@@ -21,11 +26,42 @@
 #include <cstring>
 
 #include "bench/perf_util.h"
+#include "src/core/experiment_runner.h"
 #include "src/core/population.h"
 #include "src/core/supervisor.h"
 #include "src/core/survey.h"
 
 namespace {
+
+// Replays site |index| of a fig9 band untimed with the steps, options and
+// seeds of RunSiteExperiment (src/core/experiment_runner.cc), keeping the
+// deployment so its flow-network counters can be added to |work|. Returns the
+// verdict so the caller can check it matches the timed run's.
+mfc::ExperimentResult ReplayForNetworkWork(mfc::Cohort cohort, uint64_t survey_seed,
+                                           size_t index, mfc::FlowNetworkStats& work) {
+  mfc::ExperimentConfig config;  // as RunSurveyCohortParallel builds it
+  config.threshold = mfc::Millis(100);
+  config.crowd_step = 5;
+  config.max_crowd = 85;
+  config.min_clients = 50;
+  const mfc::SiteInstance instance = mfc::SampleSiteAt(survey_seed, cohort, index);
+  const uint64_t seed = mfc::SiteExperimentSeed(survey_seed, cohort, index);
+  mfc::DeploymentOptions options;
+  options.seed = seed;
+  options.fleet_size = std::max<size_t>(config.min_clients, 85);
+  options.background_rps = instance.background_rps;
+  mfc::Deployment deployment(instance, options);
+  mfc::StageObjects objects = deployment.ObjectsFromContent();
+  mfc::Coordinator coordinator(deployment.Testbed(), config, seed ^ 0x9e3779b9);
+  deployment.StartBackground();
+  mfc::ExperimentResult result = coordinator.Run(objects, {mfc::StageKind::kLargeObject});
+  deployment.StopBackground();
+  const mfc::FlowNetworkStats& net = deployment.Testbed().Wan().Flows().Stats();
+  work.reallocs += net.reallocs;
+  work.skipped_reallocs += net.skipped_reallocs;
+  work.flows_touched += net.flows_touched;
+  return result;
+}
 
 // Re-exec target for the supervised scenario: run one 4-way shard of the
 // rank3 band and write its breakdown counts where the parent can fold them.
@@ -93,12 +129,14 @@ int main(int argc, char** argv) {
   all.items_unit = "sites";
   all.items = 4 * sites_per_band;
   mfc::SurveyBreakdown breakdowns[4];
+  std::vector<mfc::ExperimentResult> verdicts[4];
   for (size_t rep = 0; rep < args.repeats; ++rep) {
     mfc::PerfTimer timer;
     uint64_t seed = 900;
     for (int band = 0; band < 4; ++band) {
       mfc::SurveyBreakdown b = mfc::RunSurveyCohortParallel(
-          kBands[band], mfc::StageKind::kLargeObject, sites_per_band, 85, seed++, jobs);
+          kBands[band], mfc::StageKind::kLargeObject, sites_per_band, 85, seed++, jobs,
+          rep == 0 ? &verdicts[band] : nullptr);
       if (rep == 0) {
         breakdowns[band] = b;
       } else if (!(b == breakdowns[band])) {
@@ -108,6 +146,23 @@ int main(int argc, char** argv) {
     }
     all.wall_seconds.push_back(timer.Seconds());
   }
+  mfc::FlowNetworkStats work;
+  for (int band = 0; band < 4; ++band) {
+    for (size_t i = 0; i < sites_per_band; ++i) {
+      const mfc::StageResult& timed = verdicts[band][i].stages.at(0);
+      const mfc::StageResult replayed =
+          ReplayForNetworkWork(kBands[band], 900 + band, i, work).stages.at(0);
+      if (replayed.stopped != timed.stopped ||
+          replayed.stopping_crowd_size != timed.stopping_crowd_size) {
+        fprintf(stderr, "network-work replay of %s site %zu gave another verdict\n",
+                kBandNames[band], i);
+        return 1;
+      }
+    }
+  }
+  all.extras.emplace_back("reallocs", static_cast<double>(work.reallocs));
+  all.extras.emplace_back("skipped_reallocs", static_cast<double>(work.skipped_reallocs));
+  all.extras.emplace_back("flows_touched", static_cast<double>(work.flows_touched));
   // Breakdown counts double as a cross-allocator result fingerprint.
   for (int band = 0; band < 4; ++band) {
     const mfc::SurveyBreakdown& b = breakdowns[band];
@@ -179,11 +234,11 @@ int main(int argc, char** argv) {
     mfc::PerfTimer timer;
     mfc::SupervisorOptions opt;
     opt.shards = 4;
-    opt.command = [&](size_t shard) {
+    opt.command = [&](size_t shard, bool sequential) {
       return std::vector<std::string>{
           self_exe, "--supervised-worker=" + std::to_string(shard),
           "--worker-sites=" + std::to_string(sites_per_band),
-          "--worker-jobs=" + std::to_string(jobs),
+          "--worker-jobs=" + std::to_string(sequential ? 1 : jobs),
           "--worker-out=" + worker_prefix + std::to_string(shard)};
     };
     for (size_t shard = 0; shard < 4; ++shard) {

@@ -133,8 +133,12 @@ struct ShardState {
   double last_activity = 0.0;
   uint64_t journal_size = 0;
   uint64_t heartbeat_size = 0;
-  size_t journaled_at_crash = 0;  // durable records at the previous crash
-  bool kill_sent = false;         // SIGKILL issued, waiting for the reap
+  uint64_t journal_at_launch = 0;  // journal bytes when the attempt started
+  bool kill_sent = false;          // SIGKILL issued, waiting for the reap
+  // The next launch (and, while running, the current one) runs one site at
+  // a time: set by a crash without journal progress, cleared by a crash
+  // with progress or by a quarantine.
+  bool sequential = false;
 };
 
 }  // namespace
@@ -205,7 +209,7 @@ SupervisorResult SurveySupervisor::Run() {
 
   auto launch = [&](size_t index) {
     ShardState& shard = shards[index];
-    std::vector<std::string> args = opt.command(index);
+    std::vector<std::string> args = opt.command(index, shard.sequential);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& arg : args) {
@@ -246,9 +250,10 @@ SupervisorResult SurveySupervisor::Run() {
     shard.kill_sent = false;
     shard.last_activity = MonotonicSeconds();
     shard.journal_size = FileSize(opt.journal_paths[index]);
+    shard.journal_at_launch = shard.journal_size;
     shard.heartbeat_size = FileSize(heartbeat_path(index));
-    logf("supervisor: shard %zu pid %d started (attempt %zu)\n", index,
-         static_cast<int>(pid), shard.launches);
+    logf("supervisor: shard %zu pid %d started (attempt %zu%s)\n", index,
+         static_cast<int>(pid), shard.launches, shard.sequential ? ", sequential" : "");
   };
 
   auto schedule_restart = [&](size_t index) {
@@ -334,7 +339,9 @@ SupervisorResult SurveySupervisor::Run() {
         break;
     }
 
-    // Retryable crash.
+    // Retryable crash. Progress means this attempt grew the journal (read
+    // before any quarantine record is appended below).
+    const bool progressed = FileSize(opt.journal_paths[index]) > shard.journal_at_launch;
     ++shard.crashes;
     ++result.shards[index].crashes;
     totals.crashes += 1;
@@ -352,9 +359,15 @@ SupervisorResult SurveySupervisor::Run() {
       suspect = NextPendingSite(data);
       journaled = data.cohorts.size() + data.sites.size() + data.quarantines.size();
     }
-    // (An unreadable/absent journal counts as zero progress with no suspect.)
+    // (An unreadable/absent journal gives no suspect.)
 
-    if (tracker.ObserveCrash(index, suspect, journaled)) {
+    // Only a sequential worker's crash pins its suspect: a parallel worker
+    // may have died on any site in flight, including one a healthy thread
+    // was still running. So a parallel crash blames nobody, and one without
+    // journal progress makes the next launch sequential.
+    const bool exact = shard.sequential;
+    shard.sequential = !progressed;
+    if (exact && tracker.ObserveCrash(index, suspect, journaled)) {
       JournalQuarantineRecord record;
       record.cohort_ordinal = suspect->first;
       record.site_index = suspect->second;
@@ -370,14 +383,14 @@ SupervisorResult SurveySupervisor::Run() {
         totals.quarantined += 1;
         tracker.Reset(index);
         shard.failures = 0;  // the quarantine unblocks the shard
+        shard.sequential = false;
       } else {
         logf("supervisor: shard %zu quarantine append failed: %s\n", index,
              append_error.c_str());
       }
     }
 
-    shard.failures = journaled > shard.journaled_at_crash ? 1 : shard.failures + 1;
-    shard.journaled_at_crash = journaled;
+    shard.failures = progressed ? 1 : shard.failures + 1;
     if (shard.failures >= opt.retry.max_attempts) {
       shard.phase = ShardState::Phase::kFailed;
       permanent_error = "shard " + std::to_string(index) + " crashed " +

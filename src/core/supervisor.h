@@ -9,8 +9,9 @@
 // runs a per-shard state machine:
 //
 //   running → (crash)  backoff → restarting(--resume) → running
+//           → (crash, no journal growth) backoff → restarting(--jobs=1)
 //           → (hang)   SIGKILL → backoff → restarting → running
-//           → (K same-suspect crashes) quarantining → restarting → running
+//           → (K same-suspect --jobs=1 crashes) quarantining → restarting
 //           → (exit 0) done                 — all shards done → caller merges
 //
 // Crash restarts reuse RetryPolicy's bounded exponential backoff with a
@@ -21,7 +22,10 @@
 // progress is poisoned: the supervisor appends a quarantine record to the
 // dead worker's journal (AppendQuarantineRecord) and the restarted worker
 // skips the site (src/core/survey.cc), surfacing it in the merged report
-// instead of wedging the run forever.
+// instead of wedging the run forever. Blame is exact: a worker running
+// several sites at once cannot say which one crashed it, so after a crash
+// without journal progress the shard restarts sequential (--jobs=1) until
+// its journal grows, and only crashes of sequential workers count toward K.
 //
 // Workers that exit with a usage or journal/merge config error (rc 2 / 3 —
 // see the README exit-code table) are never restarted: the same argv would
@@ -75,7 +79,8 @@ double SupervisorBackoffSeconds(const RetryPolicy& policy, size_t attempt, uint6
 // The prime suspect for a worker crash: the lowest-indexed site of the
 // journal's earliest incomplete cohort that is neither journaled nor
 // quarantined — exactly the site a --jobs=1 worker was executing when it
-// died (with more jobs, the earliest of the sites possibly in flight).
+// died. (With more jobs it is only the earliest of the sites possibly in
+// flight, which is why the supervisor blames sequential crashes only.)
 // nullopt when the journal holds no cohort record yet (the worker died in
 // startup — nothing to blame) or every site is accounted for.
 std::optional<std::pair<size_t, size_t>> NextPendingSite(const JournalFileData& data);
@@ -117,8 +122,10 @@ struct SupervisorOptions {
   size_t shards = 1;
   // Builds the worker argv for one shard (argv[0] must be an executable
   // path); invoked on every launch, including restarts. Workers must resume
-  // from their journals, so the same argv is correct every time.
-  std::function<std::vector<std::string>(size_t shard)> command;
+  // from their journals, so the same argv is correct every time. When
+  // |sequential| is set the worker must run one site at a time (--jobs=1),
+  // so that a crash blames exactly the site it was executing.
+  std::function<std::vector<std::string>(size_t shard, bool sequential)> command;
   // One journal path per shard (required): progress + quarantine target.
   std::vector<std::string> journal_paths;
   // Optional worker --stats-stream paths: their growth is the heartbeat that
@@ -132,7 +139,8 @@ struct SupervisorOptions {
   // A live worker whose journal and heartbeat files both stop growing for
   // this long is considered hung and SIGKILLed (then restarted).
   double hang_timeout = 30.0;
-  // Consecutive same-suspect crashes before that site is quarantined.
+  // Consecutive same-suspect crashes of sequential workers before that site
+  // is quarantined.
   size_t quarantine_after = 3;
   // Derives backoff jitter; also reported in logs for reproducibility.
   uint64_t seed = 1;

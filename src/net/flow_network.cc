@@ -12,6 +12,11 @@ namespace {
 
 constexpr double kByteEpsilon = 1e-6;   // flows with fewer remaining bytes are done
 constexpr double kRateEpsilon = 1e-9;
+// A link is tight above capacity * (1 - kUnsaturatedSlack). The slack is
+// orders of magnitude above the rounding of any member sum or residual
+// chain (about n * 2^-52 relative for n members), so a network with no tight
+// link provably water-fills in cap rounds only (DESIGN.md §10).
+constexpr double kUnsaturatedSlack = 1e-9;
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 }  // namespace
@@ -50,6 +55,7 @@ uint32_t FlowNetwork::AcquireSlot() {
 
 void FlowNetwork::ReleaseSlot(uint32_t slot) {
   Flow& flow = flows_[slot];
+  off_cap_flows_ -= OffCap(flow);
   flow.active = false;
   flow.generation++;
   flow.path.clear();
@@ -62,6 +68,7 @@ void FlowNetwork::ReleaseSlot(uint32_t slot) {
 FlowId FlowNetwork::StartFlow(std::vector<LinkId> path, double bytes, double rtt, TcpParams tcp,
                               std::function<void()> on_complete) {
   SimTime now = loop_.Now();
+  const bool unsaturated = Unsaturated();
   uint32_t slot = AcquireSlot();
   Flow& flow = flows_[slot];
   flow.path = std::move(path);
@@ -97,9 +104,18 @@ FlowId FlowNetwork::StartFlow(std::vector<LinkId> path, double bytes, double rtt
     flow.rate_cap = kInfinity;
     flow.next_double = kTimeInfinity;
   }
+  off_cap_flows_ += OffCap(flow);
   ++live_;
   component_cache_full_ = false;  // membership changed
-  ReallocateFor(flows_[slot].path, slot);
+  changed_scratch_.assign(1, slot);
+  if (!TryCapsOnly(unsaturated, flows_[slot].path, changed_scratch_)) {
+    ReallocateFor(flows_[slot].path, slot);
+  }
+  if (flows_[slot].rate == 0.0) {
+    // Never re-anchored, so never keyed: a zero-byte flow is still due at
+    // the next timer through the early heap.
+    UpdateCompletionKey(slot);
+  }
   ScheduleNext();
   return PackId(slot, flows_[slot].generation);
 }
@@ -109,6 +125,7 @@ void FlowNetwork::AbortFlow(FlowId id) {
   if (slot == UINT32_MAX) {
     return;
   }
+  const bool unsaturated = Unsaturated();
   seed_scratch_ = flows_[slot].path;
   DetachFromLinks(slot);
   finish_heap_.Remove(slot);
@@ -117,7 +134,10 @@ void FlowNetwork::AbortFlow(FlowId id) {
   ReleaseSlot(slot);
   --live_;
   component_cache_full_ = false;  // membership changed
-  ReallocateFor(seed_scratch_);
+  changed_scratch_.clear();
+  if (!TryCapsOnly(unsaturated, seed_scratch_, changed_scratch_)) {
+    ReallocateFor(seed_scratch_);
+  }
   ScheduleNext();
 }
 
@@ -145,38 +165,50 @@ double FlowNetwork::FlowRate(FlowId id) const {
   return slot == UINT32_MAX ? 0.0 : flows_[slot].rate;
 }
 
-void FlowNetwork::AdvanceFlow(Flow& flow, SimTime now) {
-  double dt = now - flow.advanced;
-  if (dt > 0.0) {
-    double moved = flow.rate * dt;
-    flow.remaining = std::max(0.0, flow.remaining - moved);
-  }
-  flow.advanced = now;
+double FlowNetwork::FlowRateCap(FlowId id) const {
+  uint32_t slot = ResolveId(id);
+  return slot == UINT32_MAX ? 0.0 : flows_[slot].rate_cap;
 }
 
-void FlowNetwork::MaterializeLink(Link& link, SimTime now) {
+bool FlowNetwork::OffCap(const Flow& flow) {
+  return !(flow.rate == flow.rate_cap && flow.rate_cap < kInfinity);
+}
+
+bool FlowNetwork::Tight(const Link& link) {
+  return link.agg_rate > link.capacity * (1.0 - kUnsaturatedSlack);
+}
+
+void FlowNetwork::SetRate(uint32_t slot, double rate, SimTime now) {
+  Flow& flow = flows_[slot];
+  double dt = now - flow.advanced;
+  if (dt > 0.0) {
+    flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
+  }
+  flow.advanced = now;
+  off_cap_flows_ -= OffCap(flow);
+  flow.rate = rate;
+  off_cap_flows_ += OffCap(flow);
+  UpdateCompletionKey(slot);
+}
+
+void FlowNetwork::SetLinkRate(Link& link, double agg, SimTime now) {
+  if (agg == link.agg_rate) {
+    return;
+  }
   double dt = now - link.cum_update;
   if (dt > 0.0) {
-    // Per-member accumulation (not agg_rate * dt): matches the historical
-    // per-flow advance arithmetic and costs nothing extra — every member is
-    // being visited by this pass anyway.
-    for (uint32_t slot : link.members) {
-      link.cumulative_bytes += flows_[slot].rate * dt;
-    }
+    link.cumulative_bytes += link.agg_rate * dt;
   }
   link.cum_update = now;
+  tight_links_ -= Tight(link);
+  link.agg_rate = agg;
+  tight_links_ += Tight(link);
 }
 
 void FlowNetwork::DetachFromLinks(uint32_t slot) {
-  SimTime now = loop_.Now();
   Flow& flow = flows_[slot];
   for (size_t i = 0; i < flow.path.size(); ++i) {
     Link& link = links_[flow.path[i]];
-    // Commit bytes earned at the old aggregate before the membership (and
-    // hence the aggregate) changes; otherwise the interval since the last
-    // event would be lost for this link.
-    MaterializeLink(link, now);
-    link.agg_rate -= flow.rate;
     uint32_t pos = flow.member_pos[i];
     assert(pos < link.members.size() && link.members[pos] == slot);
     uint32_t moved = link.members.back();
@@ -193,10 +225,48 @@ void FlowNetwork::DetachFromLinks(uint32_t slot) {
         }
       }
     }
-    if (link.members.empty()) {
-      link.agg_rate = 0.0;  // kill subtraction residue on idle links
+  }
+}
+
+bool FlowNetwork::TryCapsOnly(bool unsaturated, const std::vector<LinkId>& touched,
+                              const std::vector<uint32_t>& changed) {
+  if (force_full_ || !unsaturated) {
+    return false;
+  }
+  for (uint32_t slot : changed) {
+    if (!(flows_[slot].rate_cap < kInfinity)) {
+      return false;
     }
   }
+  // Before the event every member sat at its cap, so the caps are the rates
+  // the pass would hand out; their sum in member order is exactly the
+  // aggregate a refresh would compute afterwards.
+  ++visit_epoch_;
+  link_sums_.clear();
+  for (LinkId l : touched) {
+    Link& link = links_[l];
+    if (link.visit == visit_epoch_) {
+      continue;
+    }
+    link.visit = visit_epoch_;
+    double sum = 0.0;
+    for (uint32_t member : link.members) {
+      sum += flows_[member].rate_cap;
+    }
+    if (sum > link.capacity * (1.0 - kUnsaturatedSlack)) {
+      return false;
+    }
+    link_sums_.emplace_back(l, sum);
+  }
+  SimTime now = loop_.Now();
+  for (uint32_t slot : changed) {
+    SetRate(slot, flows_[slot].rate_cap, now);
+  }
+  for (const auto& [l, sum] : link_sums_) {
+    SetLinkRate(links_[l], sum, now);
+  }
+  stats_.skipped_reallocs++;
+  return true;
 }
 
 void FlowNetwork::CollectComponent(const std::vector<LinkId>& seed_links, uint32_t seed_flow) {
@@ -265,17 +335,6 @@ void FlowNetwork::CollectComponent(const std::vector<LinkId>& seed_links, uint32
   std::sort(dirty_links_.begin(), dirty_links_.end());
 }
 
-void FlowNetwork::RefreshLinkAggregates() {
-  for (LinkId li : dirty_links_) {
-    Link& link = links_[li];
-    double agg = 0.0;
-    for (uint32_t slot : link.members) {
-      agg += flows_[slot].rate;
-    }
-    link.agg_rate = agg;
-  }
-}
-
 void FlowNetwork::CompletionKeys(const Flow& flow, double* finish, double* early) {
   if (flow.rate > kRateEpsilon) {
     *finish = flow.advanced + flow.remaining / flow.rate;
@@ -298,7 +357,6 @@ void FlowNetwork::UpdateCompletionKey(uint32_t slot) {
 }
 
 void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t seed_flow) {
-  SimTime now = loop_.Now();
   if (!component_cache_full_ || force_full_) {
     CollectComponent(seed_links, seed_flow);
   }
@@ -313,18 +371,15 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
   if (dirty_flows_.size() == live_) {
     stats_.full_reallocs++;
   }
-  // Commit elapsed bytes at the old rates before anything changes.
   for (LinkId li : dirty_links_) {
     Link& link = links_[li];
-    MaterializeLink(link, now);
     link.residual = link.capacity;
     link.unfixed = 0;
   }
   for (uint32_t slot : dirty_flows_) {
     Flow& flow = flows_[slot];
-    AdvanceFlow(flow, now);
     flow.fixed = false;
-    flow.rate = 0.0;
+    flow.new_rate = 0.0;
     for (LinkId l : flow.path) {
       links_[l].unfixed++;
     }
@@ -385,10 +440,10 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
   double share_lb = -kInfinity;
   auto fix_flow = [&](Flow& flow, double rate) {
     flow.fixed = true;
-    flow.rate = std::max(rate, 0.0);
+    flow.new_rate = std::max(rate, 0.0);
     for (LinkId l : flow.path) {
       Link& link = links_[l];
-      link.residual = std::max(0.0, link.residual - flow.rate);
+      link.residual = std::max(0.0, link.residual - flow.new_rate);
       link.unfixed--;
       if (use_share_heap) {
         if (link.unfixed == 0) {
@@ -499,26 +554,38 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
     }
   }
 
-  RefreshLinkAggregates();
-  if (dirty_flows_.size() == live_) {
-    // Full pass: every live flow's keys changed, so rebuild both completion
-    // heaps wholesale (O(n) heapify over flat scratch) instead of 2n sifts.
-    finish_scratch_.clear();
-    early_scratch_.clear();
-    for (uint32_t slot : dirty_flows_) {
-      const Flow& flow = flows_[slot];
-      double finish;
-      double early;
-      CompletionKeys(flow, &finish, &early);
-      finish_scratch_.push_back({finish, flow.seq, slot});
-      early_scratch_.push_back({early, flow.seq, slot});
+  // Commit: only flows whose rate changed are re-anchored and re-keyed, and
+  // only their links (plus the seeds, whose membership changed) get a fresh
+  // aggregate. A flow or link whose value is bit-identical keeps its anchor,
+  // exactly as under the forced-full oracle.
+  SimTime now = loop_.Now();
+  ++visit_epoch_;
+  refresh_scratch_.clear();
+  auto mark = [&](LinkId l) {
+    if (links_[l].visit != visit_epoch_) {
+      links_[l].visit = visit_epoch_;
+      refresh_scratch_.push_back(l);
     }
-    finish_heap_.Assign(finish_scratch_);
-    early_heap_.Assign(early_scratch_);
-  } else {
-    for (uint32_t slot : dirty_flows_) {
-      UpdateCompletionKey(slot);
+  };
+  for (LinkId l : seed_links) {
+    mark(l);
+  }
+  for (uint32_t slot : dirty_flows_) {
+    Flow& flow = flows_[slot];
+    if (flow.new_rate != flow.rate) {
+      SetRate(slot, flow.new_rate, now);
+      for (LinkId l : flow.path) {
+        mark(l);
+      }
     }
+  }
+  for (LinkId l : refresh_scratch_) {
+    Link& link = links_[l];
+    double agg = 0.0;
+    for (uint32_t member : link.members) {
+      agg += flows_[member].rate;
+    }
+    SetLinkRate(link, agg, now);
   }
   // A pass that covered every live flow leaves dirty sets a doubling-only
   // event can reuse verbatim; any membership change clears the flag.
@@ -557,6 +624,7 @@ void FlowNetwork::ScheduleNext() {
 void FlowNetwork::OnTimer() {
   SimTime now = loop_.Now();
   SimDuration quantum = TimeQuantum(now);
+  const bool unsaturated = Unsaturated();
   // A flow is complete when its bytes are gone, or when the residual would
   // take less than one representable clock tick to drain (the clock can no
   // longer advance by that little; see TimeQuantum). Everything with a
@@ -609,9 +677,13 @@ void FlowNetwork::OnTimer() {
   // Slow-start doublings due at this instant (completed flows were already
   // pulled out of the doubling heap above, matching the historical
   // complete-else-double scan).
+  changed_scratch_.clear();
+  bool all_link_bound = true;
   while (!double_heap_.Empty() && double_heap_.TopKey() <= now + 1e-12) {
     uint32_t slot = double_heap_.TopItem();
     Flow& flow = flows_[slot];
+    all_link_bound = all_link_bound && flow.rate < flow.rate_cap;
+    off_cap_flows_ -= OffCap(flow);
     flow.cwnd *= 2.0;
     flow.rate_cap = flow.cwnd / flow.rtt;
     // Stop doubling once the cap exceeds anything the path could give (the
@@ -624,12 +696,22 @@ void FlowNetwork::OnTimer() {
       flow.next_double = now + flow.rtt;
       double_heap_.Update(slot, flow.next_double, flow.seq);
     }
+    off_cap_flows_ += OffCap(flow);
+    changed_scratch_.push_back(slot);
     for (LinkId l : flow.path) {
       seed_scratch_.push_back(l);
     }
   }
 
-  ReallocateFor(seed_scratch_);
+  if (!force_full_ && due.empty() && all_link_bound) {
+    // Link-bound doubling certificate (DESIGN.md §10): each doubling flow
+    // was fixed in a link round with its old cap above that round's share
+    // plus kRateEpsilon, so a larger cap changes no round's decision, cap
+    // cohort or fix order — the pass would reproduce every rate.
+    stats_.skipped_reallocs++;
+  } else if (!TryCapsOnly(unsaturated, seed_scratch_, changed_scratch_)) {
+    ReallocateFor(seed_scratch_);
+  }
   ScheduleNext();
   for (auto& cb : done) {
     if (cb) {

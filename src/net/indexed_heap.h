@@ -100,57 +100,6 @@ class IndexedMinHeap {
     nodes_.clear();
   }
 
-  // One entry for Assign(); mirrors Update()'s (item, key, seq) triple.
-  struct Entry {
-    double key;
-    uint64_t seq;
-    uint32_t item;
-  };
-
-  // Replaces the whole heap with |entries| in O(n) (Floyd heapify) — cheaper
-  // and flatter than n sifted Update() calls when every key changed anyway.
-  // Items must be distinct. The position index is written once at the end,
-  // so heapify moves are plain 24-byte copies.
-  void Assign(const std::vector<Entry>& entries) {
-    for (const Node& node : nodes_) {
-      pos_[node.item] = kAbsent;
-    }
-    nodes_.clear();
-    nodes_.reserve(entries.size());
-    uint32_t max_item = 0;
-    for (const Entry& e : entries) {
-      nodes_.push_back(Node{e.key, e.seq, e.item});
-      max_item = e.item > max_item ? e.item : max_item;
-    }
-    if (!entries.empty() && max_item >= pos_.size()) {
-      pos_.resize(max_item + 1, kAbsent);
-    }
-    size_t n = nodes_.size();
-    for (size_t i = n / 2; i-- > 0;) {
-      Node node = nodes_[i];
-      size_t j = i;
-      for (;;) {
-        size_t child = 2 * j + 1;
-        if (child >= n) {
-          break;
-        }
-        if (child + 1 < n && nodes_[child + 1].Before(nodes_[child])) {
-          ++child;
-        }
-        if (!nodes_[child].Before(node)) {
-          break;
-        }
-        nodes_[j] = nodes_[child];
-        j = child;
-      }
-      nodes_[j] = node;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      assert(pos_[nodes_[i].item] == kAbsent && "duplicate item in Assign");
-      pos_[nodes_[i].item] = static_cast<uint32_t>(i);
-    }
-  }
-
  private:
   struct Node {
     double key;

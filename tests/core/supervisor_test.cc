@@ -142,7 +142,7 @@ TEST(QuarantineTrackerTest, BlamesOnlyRepeatedNoProgressCrashes) {
 SupervisorOptions ShellOptions(size_t shards, std::string script) {
   SupervisorOptions opt;
   opt.shards = shards;
-  opt.command = [script](size_t shard) {
+  opt.command = [script](size_t shard, bool /*sequential*/) {
     return std::vector<std::string>{"/bin/sh", "-c", script,
                                     "worker" + std::to_string(shard)};
   };
@@ -174,7 +174,7 @@ TEST(SurveySupervisorTest, RetryableCrashIsRestartedUntilSuccess) {
     remove(TempPath("sup_marker_worker" + std::to_string(j)).c_str());
   }
   SupervisorOptions opt = ShellOptions(2, "exit 1");
-  opt.command = [](size_t shard) {
+  opt.command = [](size_t shard, bool /*sequential*/) {
     std::string marker = TempPath("sup_marker_worker" + std::to_string(shard));
     return std::vector<std::string>{
         "/bin/sh", "-c",
@@ -221,6 +221,60 @@ TEST(SurveySupervisorTest, HungWorkerIsKilledAndCounted) {
   EXPECT_FALSE(result.ok);
   EXPECT_GE(result.hang_kills, 2u);
   EXPECT_NE(result.error.find("hung"), std::string::npos) << result.error;
+}
+
+// A fresh one-shard journal (header + cohort record over |servers| sites), so
+// crashes have a suspect: site 0.
+std::string JournalWithCohort(const std::string& name, size_t servers) {
+  std::string path = TempPath(name);
+  remove(path.c_str());
+  std::string error;
+  auto journal = SurveyJournal::Open(path, "supervisor_test", "fp", false, &error);
+  EXPECT_NE(journal, nullptr) << error;
+  EXPECT_TRUE(journal->BeginCohort(Cohort::kStartup, StageKind::kBase, servers, 10, 1, 0,
+                                   &error))
+      << error;
+  return path;
+}
+
+TEST(SurveySupervisorTest, AmbiguousCrashNeverQuarantines) {
+  // A parallel worker dies with no journal progress: the crash may belong to
+  // any site in flight, not the suspect (site 0). Even with a one-strike
+  // quarantine policy that must not quarantine site 0 — the shard reruns
+  // sequentially instead, and here that run completes.
+  SupervisorOptions opt = ShellOptions(1, "");
+  opt.journal_paths = {JournalWithCohort("sup_ambiguous.jsonl", 4)};
+  opt.quarantine_after = 1;
+  opt.command = [](size_t, bool sequential) {
+    return std::vector<std::string>{"/bin/sh", "-c", sequential ? "exit 0" : "exit 1"};
+  };
+  SurveySupervisor supervisor(std::move(opt));
+  SupervisorResult result = supervisor.Run();
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.quarantines.empty());
+  EXPECT_EQ(result.shards[0].launches, 2u);  // the second one sequential
+}
+
+TEST(SurveySupervisorTest, SequentialCrashesQuarantineTheSuspect) {
+  // Every attempt crashes until site 0 is quarantined. The first (parallel)
+  // crash blames nobody; the next two run sequentially and blame site 0
+  // exactly, which quarantines it at quarantine_after=2; the shard then
+  // returns to parallel and completes.
+  SupervisorOptions opt = ShellOptions(1, "");
+  std::string journal = JournalWithCohort("sup_poisoned.jsonl", 4);
+  opt.journal_paths = {journal};
+  opt.quarantine_after = 2;
+  opt.command = [journal](size_t, bool) {
+    return std::vector<std::string>{
+        "/bin/sh", "-c", "grep -q '\"quarantine\"' " + journal + " && exit 0; exit 1"};
+  };
+  SurveySupervisor supervisor(std::move(opt));
+  SupervisorResult result = supervisor.Run();
+  EXPECT_TRUE(result.ok) << result.error;
+  ASSERT_EQ(result.quarantines.size(), 1u);
+  EXPECT_EQ(result.quarantines[0].site_index, 0u);
+  EXPECT_EQ(result.quarantines[0].crashes, 2u);
+  EXPECT_EQ(result.shards[0].launches, 4u);
 }
 
 TEST(SurveySupervisorTest, ShutdownSignalDrainsTheFleet) {

@@ -90,48 +90,6 @@ TEST(IndexedHeapTest, ClearEmptiesAndAllowsReuse) {
   EXPECT_DOUBLE_EQ(heap.TopKey(), 7.0);
 }
 
-TEST(IndexedHeapTest, AssignMatchesSiftedUpdates) {
-  Rng rng(0x1dbeef);
-  std::vector<IndexedMinHeap::Entry> entries;
-  for (uint32_t i = 0; i < 200; ++i) {
-    entries.push_back({rng.Uniform(0.0, 100.0), i % 7, i});
-  }
-  IndexedMinHeap bulk;
-  bulk.Assign(entries);
-  IndexedMinHeap sifted;
-  for (const auto& e : entries) {
-    sifted.Update(e.item, e.key, e.seq);
-  }
-  ASSERT_EQ(bulk.Size(), sifted.Size());
-  while (!bulk.Empty()) {
-    EXPECT_EQ(bulk.TopItem(), sifted.TopItem());
-    EXPECT_DOUBLE_EQ(bulk.TopKey(), sifted.TopKey());
-    bulk.Pop();
-    sifted.Pop();
-  }
-}
-
-TEST(IndexedHeapTest, AssignReplacesPriorContents) {
-  IndexedMinHeap heap;
-  heap.Update(0, 1.0, 0);
-  heap.Update(5, 2.0, 1);
-  heap.Assign({{4.0, 0, 2}, {3.0, 1, 3}});
-  EXPECT_EQ(heap.Size(), 2u);
-  EXPECT_FALSE(heap.Contains(0));
-  EXPECT_FALSE(heap.Contains(5));
-  EXPECT_EQ(heap.TopItem(), 3u);
-  heap.Pop();
-  EXPECT_EQ(heap.TopItem(), 2u);
-}
-
-TEST(IndexedHeapTest, AssignEmptyClears) {
-  IndexedMinHeap heap;
-  heap.Update(3, 1.0, 0);
-  heap.Assign({});
-  EXPECT_TRUE(heap.Empty());
-  EXPECT_FALSE(heap.Contains(3));
-}
-
 // Random interleaving of every operation against a multiset oracle.
 TEST(IndexedHeapTest, RandomOpsMatchOracle) {
   Rng rng(0xfeed5eed);

@@ -10,9 +10,11 @@ no third-party deps):
   2. N seeded chaos rounds (default 3) each start a supervised 2-shard run
      and repeatedly SIGKILL or SIGSTOP a random live worker mid-run —
      worker pids are parsed from the supervisor's "shard J pid P started"
-     lines, and a shard only becomes a target again after its journal
-     grew past the previous kill (so restarts demonstrably made progress
-     and no healthy site can accumulate a no-progress blame streak).
+     lines, a strike counts only once it has landed on a live worker
+     (stopped or dead, read from /proc), and a shard only becomes a target
+     again after its journal grew past that point (so restarts
+     demonstrably made progress and no healthy site can accumulate a
+     no-progress blame streak).
      SIGSTOPped workers must be detected by the heartbeat deadline and
      hang-killed. Every round must end with exit 0 and report/trace/
      metrics BYTE-IDENTICAL to the fault-free reference;
@@ -63,6 +65,44 @@ def journal_lines(path):
         return slurp(path).count(b"\n")
     except OSError:
         return 0
+
+
+def proc_state(pid):
+    """The kernel's one-letter state of |pid| (R, S, T, Z, ...), or None once
+    the process has been reaped."""
+    try:
+        with open("/proc/%d/stat" % pid) as f:
+            return f.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return None
+
+
+def exited(state):
+    return state is None or state in ("Z", "X")
+
+
+def strike(pid, sig):
+    """Sends |sig| to a live worker and waits until it has taken effect
+    (stopped, or dead). Returns False when the worker had already exited —
+    a clean exit racing the strike — so no fault was injected."""
+    if exited(proc_state(pid)):
+        return False
+    try:
+        os.kill(pid, sig)
+    except ProcessLookupError:
+        return False
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        state = proc_state(pid)
+        if sig == signal.SIGKILL and exited(state):
+            return True
+        if sig == signal.SIGSTOP:
+            if state in ("T", "t"):
+                return True
+            if exited(state):
+                return False
+        time.sleep(0.002)
+    return False
 
 
 class PidWatcher(threading.Thread):
@@ -160,12 +200,13 @@ def chaos_round(profile_bin, path, round_idx, seed):
                 victim = rng.choice(eligible)
                 sig = rng.choice([signal.SIGKILL, signal.SIGSTOP])
                 pid = watcher.pid_of(victim)
-                last_kill_lines[victim] = journal_lines(shard_journal(victim))
-                try:
-                    os.kill(pid, sig)
+                if strike(pid, sig):
+                    # Counted once the signal has landed: the struck worker
+                    # can append nothing more, so later growth is a restart's.
+                    last_kill_lines[victim] = journal_lines(shard_journal(victim))
                     kills.append((victim, pid, sig))
-                except ProcessLookupError:
-                    pass  # won the race against a clean exit; try again
+                # else: the pid had already exited (a clean finish, or the
+                # previous strike's victim before its restart); try again
         time.sleep(0.02)
 
     if proc.poll() is None:

@@ -114,8 +114,9 @@ void Usage() {
       "                        quarantine poisoned sites, then merge automatically\n"
       "  --hang-timeout=<S>    supervise: seconds without journal/stats growth before\n"
       "                        a live worker is declared hung (default 30)\n"
-      "  --quarantine-after=<K> supervise: consecutive no-progress crashes on the same\n"
-      "                        site before it is quarantined (default 3)\n"
+      "  --quarantine-after=<K> supervise: consecutive no-progress crashes of a --jobs=1\n"
+      "                        worker on the same site before it is quarantined\n"
+      "                        (default 3)\n"
       "  --legacy-seeds        pre-PR-8 seed derivation (sequential sampling, seed*1000+i;\n"
       "                        collides past 1000 sites) for replaying old journals\n"
       "  --sample-only         stream-sample the survey sites (no experiments); prints a\n"
@@ -704,7 +705,7 @@ int RunSupervise(const Options& options) {
   sup.hang_timeout = options.hang_timeout;
   sup.quarantine_after = options.quarantine_after;
   sup.seed = options.seed;
-  sup.command = [&](size_t shard) {
+  sup.command = [&](size_t shard, bool sequential) {
     std::vector<std::string> argv = {exe};
     if (!options.cohort.empty()) {
       argv.push_back("--cohort=" + options.cohort);
@@ -723,7 +724,7 @@ int RunSupervise(const Options& options) {
     if (options.legacy_seeds) {
       argv.push_back("--legacy-seeds");
     }
-    argv.push_back("--jobs=" + std::to_string(worker_jobs));
+    argv.push_back("--jobs=" + std::to_string(sequential ? 1 : worker_jobs));
     argv.push_back("--shards=" + std::to_string(shards));
     argv.push_back("--shard-index=" + std::to_string(shard));
     argv.push_back("--journal=" + journal_paths[shard]);
