@@ -1,33 +1,19 @@
 // Figure 9: breakdown of Large-Object-stage stopping crowd sizes across
 // Quantcast rank bands (129/100/114/103 servers in the paper).
-#include "bench/bench_util.h"
 #include "bench/survey_common.h"
 
 int main(int argc, char** argv) {
-  mfc::SurveyArgs args = mfc::ParseSurveyArgs(argc, argv);
-  if (!args.ok) {
-    return 2;
-  }
-  // Per-band server counts as in the paper; the positional arg scales all bands.
-  size_t counts[] = {129, 100, 114, 103};
-  if (args.servers_override > 0) {
-    for (auto& c : counts) {
-      c = args.servers_override;
-    }
-  }
-  mfc::PrintHeader("Survey: Large Object stage stopping crowd sizes by Quantcast rank",
-                   "Figure 9 (Section 5.1)");
-  printf("\n");
-  mfc::PrintBreakdownHeader();
-  mfc::SurveyRecorder recorder("fig9_survey_large", args);
-  uint64_t seed = 900;
-  mfc::Cohort bands[] = {mfc::Cohort::kRank1To1K, mfc::Cohort::kRank1KTo10K,
-                         mfc::Cohort::kRank10KTo100K, mfc::Cohort::kRank100KTo1M};
-  for (int i = 0; i < 4; ++i) {
-    recorder.RunAndPrint(bands[i], mfc::StageKind::kLargeObject, counts[i], 85, seed++);
-  }
-  printf("\nPaper shape: bandwidth provisioning is less rank-correlated than the\n"
-         "back-end: outside the top band, ~45-57%% of servers stop by 50, and the\n"
-         "lower two bands look better here than they did on Small Query.\n");
-  return recorder.Finish();
+  using mfc::Cohort;
+  constexpr mfc::StageKind kStage = mfc::StageKind::kLargeObject;
+  return mfc::RunSurveyBench(
+      argc, argv,
+      {"fig9_survey_large", "Survey: Large Object stage stopping crowd sizes by Quantcast rank",
+       "Figure 9 (Section 5.1)",
+       {{Cohort::kRank1To1K, kStage, 129, 85, 900},
+        {Cohort::kRank1KTo10K, kStage, 100, 85, 901},
+        {Cohort::kRank10KTo100K, kStage, 114, 85, 902},
+        {Cohort::kRank100KTo1M, kStage, 103, 85, 903}},
+       "\nPaper shape: bandwidth provisioning is less rank-correlated than the\n"
+       "back-end: outside the top band, ~45-57% of servers stop by 50, and the\n"
+       "lower two bands look better here than they did on Small Query.\n"});
 }

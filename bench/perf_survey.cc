@@ -286,36 +286,31 @@ int main(int argc, char** argv) {
 
   // Streaming long-tail sampling: regenerate sites_per_band * 2500 sites as
   // pure functions of (seed, cohort, index). The checksum keeps the work
-  // live and doubles as a cross-repeat determinism fingerprint;
-  // materialized stays 0 or the stream is secretly building a vector.
+  // live and doubles as a cross-repeat determinism fingerprint.
   mfc::PerfScenario stream;
   stream.name = "longtail_stream_sample";
   stream.items_unit = "sites";
   stream.items = sites_per_band * 2500;
   uint64_t checksum = 0;
-  size_t materialized = 0;
   for (size_t rep = 0; rep < args.repeats; ++rep) {
     mfc::PerfTimer timer;
-    mfc::SiteStream sites(mfc::Cohort::kLongTail, 4242, stream.items,
-                          /*legacy_seeds=*/false);
     uint64_t sum = 0;
     for (size_t i = 0; i < stream.items; ++i) {
-      mfc::SiteInstance inst = sites.Site(i);
-      sum += sites.ExperimentSeed(i) ^ static_cast<uint64_t>(inst.base_knee * 1e3) ^
+      mfc::SiteInstance inst = mfc::SampleSiteAt(4242, mfc::Cohort::kLongTail, i);
+      sum += mfc::SiteExperimentSeed(4242, mfc::Cohort::kLongTail, i) ^
+             static_cast<uint64_t>(inst.base_knee * 1e3) ^
              static_cast<uint64_t>(inst.background_rps * 1e3);
     }
-    materialized = sites.MaterializedCount();
     if (rep == 0) {
       checksum = sum;
     }
-    if (sum != checksum || materialized != 0) {
-      fprintf(stderr, "non-deterministic or materializing long-tail stream\n");
+    if (sum != checksum) {
+      fprintf(stderr, "non-deterministic long-tail stream\n");
       return 1;
     }
     stream.wall_seconds.push_back(timer.Seconds());
   }
   stream.extras.emplace_back("checksum_low32", static_cast<double>(checksum & 0xFFFFFFFF));
-  stream.extras.emplace_back("materialized", static_cast<double>(materialized));
   report.Add(std::move(stream));
   return report.Finish(args.out_path);
 }

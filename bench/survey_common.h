@@ -1,23 +1,13 @@
 // Shared machinery for the Section 5 survey benches (Figures 7-9, Tables
-// 4-5): run one MFC stage against N sites sampled from a cohort (fanned
-// across cores by ParallelRunner) and print the paper's stopping-crowd-size
-// breakdown. Common flags:
+// 4-5): each bench is a cohort table plus header and footer text. The run
+// itself — flags, journal, health plane, shutdown, --trace/--metrics — is
+// the one SurveySession (src/core/survey_session.h) that `mfc_profile
+// --survey` uses too; this header adds only what is bench-specific:
 //
 //   <N>               positional: override every cohort's server count
-//   --jobs=N          worker threads (default: MFC_JOBS env, then hardware)
-//   --json=<path>     write the breakdowns + wall-clock + jobs as JSON
-//   --trace=<path>    collect per-site spans, write merged Chrome trace JSON
-//   --metrics=<path>  collect per-site metrics, write the merged CSV; also
-//                     adds span_totals to the --json record (see README.md)
-//   --journal=<path>  write-ahead journal: every completed site experiment
-//                     is appended + fsynced, SIGINT/SIGTERM drain in-flight
-//                     sites and exit 130 with a resume hint
-//   --resume          replay already-journaled sites from --journal and run
-//                     only the remainder (bit-identical output, any --jobs)
-//   --stats-stream=<path>  stream runtime health snapshots as JSONL
-//                     ('-' = stdout); --stats-interval=<S> sets the cadence
-//   --progress        verbose per-site stderr lines (default: a rate-limited
-//                     single progress line, terminal only)
+//   stdout            the paper's stopping-crowd-size table, one row per cohort
+//   --json=<path>     the bench record: breakdowns + wall-clock + jobs (and,
+//                     with --metrics, span_totals; see README.md)
 //
 // Exit codes match mfc_profile (see the README table): 0 success, 1 output
 // write failure, 2 usage errors, 3 journal errors, 130 interrupted.
@@ -26,102 +16,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/core/arg_parse.h"
-#include "src/core/export.h"
-#include "src/core/journal/journal.h"
-#include "src/core/journal/shutdown.h"
-#include "src/core/parallel_runner.h"
-#include "src/core/survey.h"
-#include "src/telemetry/stats_stream.h"
+#include "src/core/survey_session.h"
 
 namespace mfc {
-
-struct SurveyArgs {
-  size_t servers_override = 0;  // 0 = use each bench's paper counts
-  size_t jobs = 0;              // 0 = MFC_JOBS env / hardware default
-  size_t shards = 1;            // split each cohort across K processes
-  size_t shard_index = 0;       // this process's shard in [0, shards)
-  bool legacy_seeds = false;    // pre-PR-8 seed derivation
-  std::string json_path;
-  std::string trace_path;       // empty = tracing off (the default path)
-  std::string metrics_path;     // empty = metrics off
-  std::string journal_path;     // empty = no journal (default crash behavior)
-  bool resume = false;
-  std::string stats_stream_path;  // empty = no JSONL health feed
-  double stats_interval = 1.0;    // wall-clock seconds between snapshots
-  bool progress = false;          // verbose per-site stderr lines
-  bool ok = true;
-};
-
-inline SurveyArgs ParseSurveyArgs(int argc, char** argv) {
-  SurveyArgs args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      args.ok &= ParseSizeFlag("--jobs", arg.substr(strlen("--jobs=")), &args.jobs);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      args.ok &= ParseSizeFlag("--jobs", argv[++i], &args.jobs);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      args.ok &= ParseSizeFlag("--shards", arg.substr(strlen("--shards=")), &args.shards);
-    } else if (arg.rfind("--shard-index=", 0) == 0) {
-      args.ok &= ParseSizeFlag("--shard-index", arg.substr(strlen("--shard-index=")),
-                               &args.shard_index);
-    } else if (arg == "--legacy-seeds") {
-      args.legacy_seeds = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      args.json_path = arg.substr(strlen("--json="));
-    } else if (arg == "--json" && i + 1 < argc) {
-      args.json_path = argv[++i];
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      args.trace_path = arg.substr(strlen("--trace="));
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      args.metrics_path = arg.substr(strlen("--metrics="));
-    } else if (arg.rfind("--journal=", 0) == 0) {
-      args.journal_path = arg.substr(strlen("--journal="));
-    } else if (arg == "--journal" && i + 1 < argc) {
-      args.journal_path = argv[++i];
-    } else if (arg == "--resume") {
-      args.resume = true;
-    } else if (arg.rfind("--stats-stream=", 0) == 0) {
-      args.stats_stream_path = arg.substr(strlen("--stats-stream="));
-    } else if (arg.rfind("--stats-interval=", 0) == 0) {
-      args.ok &= ParseDoubleFlag("--stats-interval", arg.substr(strlen("--stats-interval=")),
-                                 &args.stats_interval);
-    } else if (arg == "--progress") {
-      args.progress = true;
-    } else if (!arg.empty() && arg[0] != '-') {
-      args.ok &= ParseSizeFlag("<servers>", arg, &args.servers_override);
-    } else {
-      fprintf(stderr,
-              "unknown flag '%s' (supported: <servers> --jobs=N --shards=K "
-              "--shard-index=J --legacy-seeds --json=<path> "
-              "--trace=<path> --metrics=<path> --journal=<path> --resume "
-              "--stats-stream=<path> --stats-interval=<S> --progress)\n",
-              arg.c_str());
-      args.ok = false;
-    }
-  }
-  if (args.resume && args.journal_path.empty()) {
-    fprintf(stderr, "--resume requires --journal=<path>\n");
-    args.ok = false;
-  }
-  if (args.shards == 0 || args.shard_index >= args.shards) {
-    fprintf(stderr, "--shard-index=%zu out of range for --shards=%zu\n", args.shard_index,
-            args.shards);
-    args.ok = false;
-  }
-  if (args.shards > 1 && args.journal_path.empty()) {
-    fprintf(stderr, "--shards requires --journal=<path> (shards are merged from journals)\n");
-    args.ok = false;
-  }
-  return args;
-}
 
 inline void PrintBreakdownHeader() {
   printf("%-20s %-8s %-7s %-7s %-7s %-7s %-7s %-7s %-8s %-10s\n", "cohort", "servers",
@@ -143,242 +45,158 @@ inline void PrintBreakdown(const SurveyBreakdown& b) {
          pct(b.servers - b.nostop).c_str());
 }
 
-// Atomic write (temp file + rename): an aborted bench never leaves a
-// truncated trace/metrics/json file behind.
-inline bool WriteBenchFile(const std::string& path, const std::string& contents) {
-  if (!WriteFileAtomic(path, contents)) {
-    fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
+// The bench's --json record: the breakdowns, wall-clock seconds and jobs
+// used, so per-PR BENCH_*.json trajectories can be captured.
+inline std::string BuildBenchRecord(const std::string& bench, const SurveySession& session,
+                                    const std::vector<SurveyBreakdown>& breakdowns,
+                                    double wall_seconds) {
+  const SurveyJournal* journal = session.Journal();
+  const MetricsRegistry* metrics = session.Metrics();
+  std::string json;
+  char line[512];
+  snprintf(line, sizeof(line), "{\n  \"bench\": \"%s\",\n  \"jobs\": %zu,\n", bench.c_str(),
+           session.Jobs());
+  json += line;
+  if (journal != nullptr) {
+    // Resume-audit fields: only present when journaling so a no-journal
+    // run's --json stays byte-identical to pre-journal builds.
+    snprintf(line, sizeof(line),
+             "  \"resumed_sites\": %zu,\n  \"executed_sites\": %zu,\n"
+             "  \"interrupted\": %s,\n",
+             journal->resumed_sites.load(), journal->executed_sites.load(),
+             session.Interrupted() ? "true" : "false");
+    json += line;
+    if (session.Interrupted()) {
+      snprintf(line, sizeof(line), "  \"resume_hint\": \"--journal=%s --resume\",\n",
+               journal->Path().c_str());
+      json += line;
+    }
   }
-  printf("wrote %s\n", path.c_str());
-  return true;
+  snprintf(line, sizeof(line), "  \"wall_seconds\": %.6f,\n", wall_seconds);
+  json += line;
+  json += "  \"breakdowns\": [\n";
+  for (size_t i = 0; i < breakdowns.size(); ++i) {
+    const SurveyBreakdown& b = breakdowns[i];
+    snprintf(line, sizeof(line),
+             "    {\"cohort\": \"%s\", \"servers\": %zu, \"le10\": %zu, \"b20\": %zu, "
+             "\"b30\": %zu, \"b40\": %zu, \"b50\": %zu, \"gt50\": %zu, \"nostop\": %zu}%s\n",
+             std::string(CohortName(b.cohort)).c_str(), b.servers, b.b10, b.b20, b.b30, b.b40,
+             b.b50, b.b50plus, b.nostop, i + 1 < breakdowns.size() ? "," : "");
+    json += line;
+  }
+  json += "  ]";
+  json += metrics != nullptr ? ",\n" : "\n";
+  // Per-stage span-time breakdown (seconds of simulated time each request
+  // spent per lifecycle phase), summed over every surveyed site. Only
+  // present when --metrics was given so default --json output is unchanged.
+  if (metrics != nullptr) {
+    json += "  \"span_totals\": {\n";
+    static const char* kStages[] = {"Base", "SmallQuery", "LargeObject"};
+    bool first = true;
+    for (const char* stage : kStages) {
+      std::string prefix = std::string("span.") + stage + ".";
+      double count = metrics->Counter(prefix + "count");
+      if (count == 0.0) {
+        continue;
+      }
+      snprintf(line, sizeof(line),
+               "%s    \"%s\": {\"count\": %.0f, \"queue_s\": %.9g, \"cpu_s\": %.9g, "
+               "\"db_s\": %.9g, \"disk_s\": %.9g, \"net_s\": %.9g}",
+               first ? "" : ",\n", stage, count, metrics->Counter(prefix + "queue_s"),
+               metrics->Counter(prefix + "cpu_s"), metrics->Counter(prefix + "db_s"),
+               metrics->Counter(prefix + "disk_s"), metrics->Counter(prefix + "net_s"));
+      json += line;
+      first = false;
+    }
+    json += "\n  },\n";
+    // Allocator health: water-filling passes that made no progress. Always
+    // 0 in a healthy run; a nonzero value means some flows were left
+    // pinned at rate 0 (see FlowNetworkStats::no_progress).
+    snprintf(line, sizeof(line), "  \"flow_network\": {\"no_progress\": %.0f}\n",
+             metrics->Counter("flow_network.no_progress"));
+    json += line;
+  }
+  json += "}\n";
+  return json;
 }
 
-// Collects a bench run's breakdowns and, when --json was given, writes a
-// machine-readable record (breakdowns + wall-clock seconds + jobs used) so
-// per-PR BENCH_*.json trajectories can be captured. With --trace/--metrics it
-// also owns a SurveyTelemetry that the cohort runs fold their per-site spans
-// and metrics into; without those flags no telemetry is attached and output
-// stays byte-identical to the untraced bench.
-//
-// With --journal the recorder opens (or resumes) a SurveyJournal, installs
-// the graceful-shutdown signal handlers, and threads the journal through
-// every cohort run; Finish() then reports resumed/executed site counts in
-// the --json record and returns 130 when the run was interrupted.
-class SurveyRecorder {
- public:
-  SurveyRecorder(std::string bench_name, const SurveyArgs& args)
-      : bench_name_(std::move(bench_name)),
-        json_path_(args.json_path),
-        trace_path_(args.trace_path),
-        metrics_path_(args.metrics_path),
-        jobs_(ResolveJobs(args.jobs)),
-        start_(std::chrono::steady_clock::now()) {
-    run_.shards = args.shards;
-    run_.shard_index = args.shard_index;
-    run_.legacy_seeds = args.legacy_seeds;
-    telemetry_.collect_trace = !trace_path_.empty();
-    telemetry_.collect_metrics = !metrics_path_.empty();
-    telemetry_.progress = args.progress;
-    // Health plane: the verbose per-site lines are opt-in (--progress);
-    // by default a rate-limited terminal line and/or the --stats-stream
-    // JSONL feed report progress instead.
-    if (!args.stats_stream_path.empty()) {
-      std::string error;
-      stats_ = StatsStream::Open(args.stats_stream_path, &error);
-      if (stats_ == nullptr) {
-        fprintf(stderr, "%s\n", error.c_str());
-        exit(2);
-      }
-      telemetry_.stats = stats_.get();
+// One row of a bench's cohort table.
+struct SurveyBenchCohort {
+  Cohort cohort;
+  StageKind stage;
+  size_t servers;  // the paper's count; the positional <N> overrides it
+  size_t max_crowd;
+  uint64_t seed;
+};
+
+struct SurveyBench {
+  const char* name;    // journal tool name and the record's "bench"
+  const char* title;   // header line
+  const char* figure;  // "Reproduces: ..." line
+  std::vector<SurveyBenchCohort> cohorts;
+  const char* footer;  // printed verbatim after the table
+};
+
+// A survey bench's whole main(): parse, print the header, run the cohort
+// table through one SurveySession printing each row, print the footer, then
+// finish and write the --json record. Returns the exit code.
+inline int RunSurveyBench(int argc, char** argv, const SurveyBench& bench) {
+  SurveyFlags flags;
+  size_t servers_override = 0;
+  bool ok = true;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (ParseSurveyFlag(arg, &flags, &ok)) {
+      continue;
     }
-    if (!args.progress && progress_line_.Enabled()) {
-      telemetry_.progress_line = &progress_line_;
+    if (!arg.empty() && arg[0] != '-') {
+      ok &= ParseSizeFlag("<servers>", arg, &servers_override);
+      continue;
     }
-    telemetry_.stats_interval = args.stats_interval;
-    if (!args.journal_path.empty()) {
-      // The fingerprint pins everything that shapes the work partition —
-      // but never --jobs or output paths, which a resume may change freely.
-      char fingerprint[96];
-      snprintf(fingerprint, sizeof(fingerprint), "trace=%d;metrics=%d;servers_override=%zu",
-               telemetry_.collect_trace ? 1 : 0, telemetry_.collect_metrics ? 1 : 0,
-               args.servers_override);
-      std::string error;
-      journal_ = SurveyJournal::Open(args.journal_path, bench_name_, fingerprint, args.resume,
-                                     &error);
-      if (journal_ == nullptr) {
-        fprintf(stderr, "journal error: %s\n", error.c_str());
-        exit(3);  // journal error — permanent, same across restarts
-      }
-      if (!journal_->Warning().empty()) {
-        fprintf(stderr, "journal warning: %s\n", journal_->Warning().c_str());
-      }
-      ClearShutdownRequest();
-      InstallShutdownHandlers();
-    }
+    fprintf(stderr,
+            "unknown flag '%s' (supported: <servers> --jobs=N --shards=K --shard-index=J "
+            "--json=<path> --trace=<path> --metrics=<path> --journal=<path> --resume "
+            "--stats-stream=<path> --stats-interval=<S> --progress)\n",
+            arg.c_str());
+    ok = false;
+  }
+  if (!ok || !ValidateSurveyFlags(flags)) {
+    return kExitUsage;
   }
 
-  size_t Jobs() const { return jobs_; }
-
-  // Runs one cohort with the recorder's jobs count, prints it, and records it.
-  // Once a shutdown signal arrived, remaining cohorts are skipped entirely
-  // (they stay absent from the journal and the --json breakdowns).
-  SurveyBreakdown RunAndPrint(Cohort cohort, StageKind stage, size_t servers,
-                              size_t max_crowd, uint64_t seed) {
-    if (journal_ != nullptr && ShutdownRequested()) {
-      interrupted_ = true;
-      SurveyBreakdown skipped;
-      skipped.cohort = cohort;
-      return skipped;
-    }
-    if (journal_ != nullptr) {
-      std::string error;
-      if (!journal_->BeginCohort(cohort, stage, servers, max_crowd, seed, telemetry_.next_pid,
-                                 &error, run_.shards, run_.shard_index, run_.legacy_seeds)) {
-        fprintf(stderr, "journal error: %s\n", error.c_str());
-        exit(3);  // journal error — permanent, same across restarts
-      }
-    }
-    telemetry_.stats_label = std::string(CohortName(cohort));
-    SurveyTelemetry* telemetry_arg =
-        telemetry_.Enabled() || telemetry_.progress || telemetry_.HealthAttached() ? &telemetry_
-                                                                                   : nullptr;
-    SurveyBreakdown b = RunSurveyCohortParallel(cohort, stage, servers, max_crowd, seed, jobs_,
-                                                nullptr, telemetry_arg, journal_.get(), run_);
-    if (journal_ != nullptr && journal_->interrupted.load(std::memory_order_relaxed)) {
-      interrupted_ = true;
-    }
-    PrintBreakdown(b);
-    breakdowns_.push_back(b);
-    return b;
-  }
-
-  // Writes the JSON record / trace / metrics files that were requested.
-  // Returns 0 (main's exit code) on success, 1 if any file could not be
-  // written, 130 when the run was interrupted by a shutdown signal (the
-  // journal holds every completed site; rerun with --resume to finish).
-  int Finish() {
-    if (journal_ != nullptr) {
-      journal_->Sync();
-      if (interrupted_) {
-        fprintf(stderr,
-                "interrupted: %zu site(s) journaled; resume with --journal=%s --resume\n",
-                journal_->resumed_sites.load() + journal_->executed_sites.load(),
-                journal_->Path().c_str());
-      }
-    }
-    double stalls =
-        telemetry_.collect_metrics ? telemetry_.metrics.Counter("flow_network.no_progress") : 0.0;
-    if (stalls > 0.0) {
-      fprintf(stderr, "warning: flow_network.no_progress = %.0f (water-filling stalls)\n",
-              stalls);
-    }
-    int rc = 0;
-    if (!trace_path_.empty() && !WriteBenchFile(trace_path_, ExportTraceJson(telemetry_.trace))) {
-      rc = 1;
-    }
-    if (!metrics_path_.empty() &&
-        !WriteBenchFile(metrics_path_, ExportMetricsCsv(telemetry_.metrics))) {
-      rc = 1;
-    }
-    if (!json_path_.empty() && !WriteBenchFile(json_path_, BuildJson())) {
-      rc = 1;
-    }
-    if (rc == 0 && interrupted_) {
-      rc = 130;
-    }
+  PrintHeader(bench.title, bench.figure);
+  printf("\n");
+  PrintBreakdownHeader();
+  SurveySession session(bench.name, flags);
+  const auto start = std::chrono::steady_clock::now();
+  int rc = session.Open();
+  if (rc != kExitOk) {
     return rc;
   }
-
- private:
-  std::string BuildJson() const {
-    double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-                      .count();
-    std::string json;
-    char line[512];
-    snprintf(line, sizeof(line), "{\n  \"bench\": \"%s\",\n  \"jobs\": %zu,\n",
-             bench_name_.c_str(), jobs_);
-    json += line;
-    if (journal_ != nullptr) {
-      // Resume-audit fields: only present when journaling so a no-journal
-      // run's --json stays byte-identical to pre-journal builds.
-      snprintf(line, sizeof(line),
-               "  \"resumed_sites\": %zu,\n  \"executed_sites\": %zu,\n"
-               "  \"interrupted\": %s,\n",
-               journal_->resumed_sites.load(), journal_->executed_sites.load(),
-               interrupted_ ? "true" : "false");
-      json += line;
-      if (interrupted_) {
-        snprintf(line, sizeof(line), "  \"resume_hint\": \"--journal=%s --resume\",\n",
-                 journal_->Path().c_str());
-        json += line;
-      }
+  std::vector<SurveyBreakdown> breakdowns;
+  for (const SurveyBenchCohort& row : bench.cohorts) {
+    SurveyBreakdown b;
+    rc = session.RunCohort(row.cohort, row.stage,
+                           servers_override > 0 ? servers_override : row.servers, row.max_crowd,
+                           row.seed, &b);
+    if (rc == kExitJournal) {
+      return rc;
     }
-    snprintf(line, sizeof(line), "  \"wall_seconds\": %.6f,\n", wall);
-    json += line;
-    json += "  \"breakdowns\": [\n";
-    for (size_t i = 0; i < breakdowns_.size(); ++i) {
-      const SurveyBreakdown& b = breakdowns_[i];
-      snprintf(line, sizeof(line),
-               "    {\"cohort\": \"%s\", \"servers\": %zu, \"le10\": %zu, \"b20\": %zu, "
-               "\"b30\": %zu, \"b40\": %zu, \"b50\": %zu, \"gt50\": %zu, \"nostop\": %zu}%s\n",
-               std::string(CohortName(b.cohort)).c_str(), b.servers, b.b10, b.b20, b.b30,
-               b.b40, b.b50, b.b50plus, b.nostop, i + 1 < breakdowns_.size() ? "," : "");
-      json += line;
+    if (rc == kExitOk) {
+      PrintBreakdown(b);
+      breakdowns.push_back(b);
     }
-    json += "  ]";
-    json += telemetry_.collect_metrics ? ",\n" : "\n";
-    // Per-stage span-time breakdown (seconds of simulated time each request
-    // spent per lifecycle phase), summed over every surveyed site. Only
-    // present when --metrics was given so default --json output is unchanged.
-    if (telemetry_.collect_metrics) {
-      json += "  \"span_totals\": {\n";
-      static const char* kStages[] = {"Base", "SmallQuery", "LargeObject"};
-      bool first = true;
-      for (const char* stage : kStages) {
-        std::string prefix = std::string("span.") + stage + ".";
-        double count = telemetry_.metrics.Counter(prefix + "count");
-        if (count == 0.0) {
-          continue;
-        }
-        snprintf(line, sizeof(line),
-                 "%s    \"%s\": {\"count\": %.0f, \"queue_s\": %.9g, \"cpu_s\": %.9g, "
-                 "\"db_s\": %.9g, \"disk_s\": %.9g, \"net_s\": %.9g}",
-                 first ? "" : ",\n", stage, count,
-                 telemetry_.metrics.Counter(prefix + "queue_s"),
-                 telemetry_.metrics.Counter(prefix + "cpu_s"),
-                 telemetry_.metrics.Counter(prefix + "db_s"),
-                 telemetry_.metrics.Counter(prefix + "disk_s"),
-                 telemetry_.metrics.Counter(prefix + "net_s"));
-        json += line;
-        first = false;
-      }
-      json += "\n  },\n";
-      // Allocator health: water-filling passes that made no progress. Always
-      // 0 in a healthy run; a nonzero value means some flows were left
-      // pinned at rate 0 (see FlowNetworkStats::no_progress).
-      snprintf(line, sizeof(line), "  \"flow_network\": {\"no_progress\": %.0f}\n",
-               telemetry_.metrics.Counter("flow_network.no_progress"));
-      json += line;
-    }
-    json += "}\n";
-    return json;
   }
-
-  std::string bench_name_;
-  std::string json_path_;
-  std::string trace_path_;
-  std::string metrics_path_;
-  size_t jobs_;
-  SurveyRunOptions run_;
-  std::chrono::steady_clock::time_point start_;
-  std::vector<SurveyBreakdown> breakdowns_;
-  SurveyTelemetry telemetry_;
-  std::unique_ptr<StatsStream> stats_;
-  ProgressLine progress_line_{1.0};
-  std::unique_ptr<SurveyJournal> journal_;
-  bool interrupted_ = false;
-};
+  fputs(bench.footer, stdout);
+  rc = session.Finish();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  if (!flags.json_path.empty() &&
+      !WriteOutputFile(flags.json_path, BuildBenchRecord(bench.name, session, breakdowns, wall))) {
+    rc = kExitFailure;
+  }
+  return rc;
+}
 
 }  // namespace mfc
 

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/core/journal/journal.h"
-
 namespace mfc {
 
 Deployment::Deployment(const SiteInstance& instance, const DeploymentOptions& options) {
@@ -187,37 +185,6 @@ ExperimentResult RunSiteExperiment(const SiteInstance& instance, const Experimen
   deployment.StartBackground();
   ExperimentResult result = coordinator.Run(objects, stages);
   deployment.StopBackground();
-  return result;
-}
-
-ExperimentResult RunSurveyExperiment(Rng& rng, Cohort cohort, const ExperimentConfig& config,
-                                     const std::vector<StageKind>& stages, uint64_t seed) {
-  return RunSiteExperiment(SampleSite(rng, cohort), config, stages, seed);
-}
-
-ExperimentResult RunSurveyExperiment(Rng& rng, Cohort cohort, const ExperimentConfig& config,
-                                     const std::vector<StageKind>& stages, uint64_t seed,
-                                     SurveyJournal* journal, size_t index) {
-  // Sample unconditionally: replayed sites must consume the same draws a
-  // live run would, or later sites would see a shifted stream.
-  SiteInstance instance = SampleSite(rng, cohort);
-  if (journal != nullptr) {
-    if (const JournalSiteRecord* replay = journal->SiteAt(journal->CurrentOrdinal(), index)) {
-      journal->resumed_sites.fetch_add(1, std::memory_order_relaxed);
-      return replay->result;
-    }
-  }
-  ExperimentResult result = RunSiteExperiment(instance, config, stages, seed);
-  if (journal != nullptr) {
-    JournalSiteRecord record;
-    record.cohort_ordinal = journal->CurrentOrdinal();
-    record.site_index = index;
-    record.seed = seed;
-    record.stage = stages.empty() ? StageKind::kBase : stages[0];
-    record.pid = index;
-    record.result = result;
-    journal->AppendSite(record);
-  }
   return result;
 }
 

@@ -85,21 +85,6 @@ ExperimentResult RunSiteExperiment(const SiteInstance& instance, const Experimen
                                    const std::vector<StageKind>& stages, uint64_t seed,
                                    Telemetry* telemetry = nullptr);
 
-// One-call helper for the survey benches: sample a site from |cohort|, deploy
-// it, profile it, run the requested stages, and return the result.
-ExperimentResult RunSurveyExperiment(Rng& rng, Cohort cohort, const ExperimentConfig& config,
-                                     const std::vector<StageKind>& stages, uint64_t seed);
-
-class SurveyJournal;
-
-// Crash-safe variant: when site |index| of |journal|'s current cohort is
-// already recorded the experiment replays from the journal (the rng draw
-// still happens, keeping the shared sample stream aligned); otherwise it
-// runs live and is appended + fsynced. |journal| may be null (plain run).
-ExperimentResult RunSurveyExperiment(Rng& rng, Cohort cohort, const ExperimentConfig& config,
-                                     const std::vector<StageKind>& stages, uint64_t seed,
-                                     SurveyJournal* journal, size_t index);
-
 }  // namespace mfc
 
 #endif  // MFC_SRC_CORE_EXPERIMENT_RUNNER_H_

@@ -619,27 +619,8 @@ bool DecodeCohortRecord(const JsonValue& body, JournalCohortRecord* out) {
   }
   out->cohort = static_cast<Cohort>(cohort);
   out->stage = static_cast<StageKind>(stage);
-  if (body.Find("shards") != nullptr) {
-    if (!GetSize(body, "shards", &out->shards) || out->shards == 0 ||
-        !GetSize(body, "shard_index", &out->shard_index) || out->shard_index >= out->shards ||
-        !GetBool(body, "legacy_seeds", &out->legacy_seeds)) {
-      return false;
-    }
-  } else {
-    // Pre-PR-8 record: unsharded, seed * 1000 + i era.
-    out->shards = 1;
-    out->shard_index = 0;
-    out->legacy_seeds = true;
-  }
-  return true;
-}
-
-// The per-site seed the cohort's declared derivation implies for |index|.
-uint64_t ExpectedSiteSeed(const JournalCohortRecord& cohort, size_t index) {
-  if (cohort.legacy_seeds) {
-    return cohort.seed * 1000 + index;
-  }
-  return SiteExperimentSeed(cohort.seed, cohort.cohort, index);
+  return GetSize(body, "shards", &out->shards) && out->shards != 0 &&
+         GetSize(body, "shard_index", &out->shard_index) && out->shard_index < out->shards;
 }
 
 bool DecodeSiteRecord(const JsonValue& body, JournalSiteRecord* out) {
@@ -707,8 +688,6 @@ std::string EncodeCohortRecord(const JournalCohortRecord& record) {
   AppendKeyU64(body, "shards", record.shards);
   body += ',';
   AppendKeyU64(body, "shard_index", record.shard_index);
-  body += ',';
-  AppendKeyBool(body, "legacy_seeds", record.legacy_seeds);
   body += '}';
   return body;
 }
@@ -794,11 +773,11 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
       }
       // Bind the site to its cohort declaration when one exists (survey
       // journals always write the cohort record first): seed must follow the
-      // cohort's declared derivation and the index must belong to its shard.
+      // SplitMix64 derivation and the index must belong to its shard.
       if (record.cohort_ordinal < scan->cohorts.size()) {
         const JournalCohortRecord& cohort = scan->cohorts[record.cohort_ordinal];
         if (record.site_index >= cohort.servers || record.stage != cohort.stage ||
-            record.seed != ExpectedSiteSeed(cohort, record.site_index) ||
+            record.seed != SiteExperimentSeed(cohort.seed, cohort.cohort, record.site_index) ||
             record.pid != cohort.pid_base + record.site_index ||
             record.site_index % cohort.shards != cohort.shard_index) {
           scan->corrupt = "record " + std::to_string(record_index) +
@@ -1020,15 +999,14 @@ void SurveyJournal::AppendFrameLocked(const std::string& body) {
 
 bool SurveyJournal::BeginCohort(Cohort cohort, StageKind stage, size_t servers, size_t max_crowd,
                                 uint64_t seed, uint64_t pid_base, std::string* error,
-                                size_t shards, size_t shard_index, bool legacy_seeds) {
+                                size_t shards, size_t shard_index) {
   size_t ordinal = begun_cohorts_++;
   current_ordinal_ = ordinal;
   if (ordinal < cohorts_.size()) {
     const JournalCohortRecord& rec = cohorts_[ordinal];
     if (rec.cohort != cohort || rec.stage != stage || rec.servers != servers ||
         rec.max_crowd != max_crowd || rec.seed != seed || rec.pid_base != pid_base ||
-        rec.shards != shards || rec.shard_index != shard_index ||
-        rec.legacy_seeds != legacy_seeds) {
+        rec.shards != shards || rec.shard_index != shard_index) {
       if (error != nullptr) {
         *error = "cohort " + std::to_string(ordinal) + " config mismatch: journal has " +
                  std::string(CohortName(rec.cohort)) + "/" + std::string(StageName(rec.stage)) +
@@ -1037,13 +1015,11 @@ bool SurveyJournal::BeginCohort(Cohort cohort, StageKind stage, size_t servers, 
                  " seed=" + std::to_string(rec.seed) +
                  " pid_base=" + std::to_string(rec.pid_base) +
                  " shards=" + std::to_string(rec.shards) + "/" +
-                 std::to_string(rec.shard_index) +
-                 " legacy_seeds=" + (rec.legacy_seeds ? "1" : "0") + ", this run wants " +
+                 std::to_string(rec.shard_index) + ", this run wants " +
                  std::string(CohortName(cohort)) + "/" + std::string(StageName(stage)) +
                  " servers=" + std::to_string(servers) + " max_crowd=" + std::to_string(max_crowd) +
                  " seed=" + std::to_string(seed) + " pid_base=" + std::to_string(pid_base) +
-                 " shards=" + std::to_string(shards) + "/" + std::to_string(shard_index) +
-                 " legacy_seeds=" + (legacy_seeds ? "1" : "0");
+                 " shards=" + std::to_string(shards) + "/" + std::to_string(shard_index);
       }
       return false;
     }
@@ -1059,7 +1035,6 @@ bool SurveyJournal::BeginCohort(Cohort cohort, StageKind stage, size_t servers, 
   record.pid_base = pid_base;
   record.shards = shards;
   record.shard_index = shard_index;
-  record.legacy_seeds = legacy_seeds;
   cohorts_.push_back(record);
   std::lock_guard<std::mutex> lock(mu_);
   AppendFrameLocked(EncodeCohortRecord(record));

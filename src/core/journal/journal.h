@@ -8,13 +8,14 @@
 // where |crc| is the FNV-1a 64 checksum of the exact body bytes. Record
 // bodies come in three types:
 //
-//   header — first line; binds the journal to the producing tool and a
-//            caller-supplied config fingerprint (everything that shapes the
-//            work except --jobs and output paths, which must not matter);
+//   header — first line; format version, the producing tool and a
+//            caller-supplied config fingerprint (whatever shapes the work
+//            that the cohort records do not pin; never --jobs or output
+//            paths, which must not matter);
 //   cohort — one per RunSurveyCohortParallel call, in call order: cohort,
 //            stage, server count, crowd ceiling, seed, the pid base the
 //            merged trace assigns this cohort's sites, and the shard
-//            identity + seed-derivation mode (DESIGN.md §12);
+//            identity (DESIGN.md §12);
 //   site   — one per completed site experiment: cohort ordinal, site index,
 //            seed, stage, merged-trace pid, the full ExperimentResult, and
 //            (when collected) the site's private trace spans and metrics
@@ -35,8 +36,9 @@
 // parse, fails its checksum, or is internally inconsistent; that record and
 // everything after it are dropped (with a warning) and the file is truncated
 // back to the valid prefix before appending resumes. A header that does not
-// match the current tool + fingerprint is a hard error — a journal is never
-// silently reused for a different run.
+// match the current version, tool and fingerprint is a hard error that
+// leaves the file untouched — a journal is never silently reused for a
+// different run or read by a writer of another format.
 #ifndef MFC_SRC_CORE_JOURNAL_JOURNAL_H_
 #define MFC_SRC_CORE_JOURNAL_JOURNAL_H_
 
@@ -57,7 +59,9 @@
 
 namespace mfc {
 
-inline constexpr int kJournalVersion = 1;
+// Version 2: cohort records always carry their shard identity, and every
+// site seed is the SplitMix64 derivation (DESIGN.md §12).
+inline constexpr int kJournalVersion = 2;
 
 struct JournalCohortRecord {
   size_t ordinal = 0;
@@ -68,12 +72,9 @@ struct JournalCohortRecord {
   uint64_t seed = 0;
   uint64_t pid_base = 0;  // merged-trace pid of this cohort's site 0
   // Shard identity (DESIGN.md §12): this journal holds global site indices
-  // i with i % shards == shard_index. Pre-PR-8 journals carry no shard keys
-  // and decode as an unsharded legacy-seed run (shards=1, legacy_seeds=true),
-  // so they resume only under --legacy-seeds — never silently reseeded.
+  // i with i % shards == shard_index.
   size_t shards = 1;
   size_t shard_index = 0;
-  bool legacy_seeds = false;
 };
 
 struct JournalSiteRecord {
@@ -154,12 +155,11 @@ class SurveyJournal {
   // must match exactly; otherwise a new record is appended. Returns false
   // and fills |error| on a mismatch — the caller must treat that as a
   // config error, never run against the journal anyway. |shards| /
-  // |shard_index| / |legacy_seeds| bind the journal to one shard of a
-  // (possibly sharded) run; the defaults describe a plain unsharded run
-  // with mixed (collision-free) seeds.
+  // |shard_index| bind the journal to one shard of a (possibly sharded) run;
+  // the defaults describe a plain unsharded run.
   bool BeginCohort(Cohort cohort, StageKind stage, size_t servers, size_t max_crowd,
                    uint64_t seed, uint64_t pid_base, std::string* error, size_t shards = 1,
-                   size_t shard_index = 0, bool legacy_seeds = false);
+                   size_t shard_index = 0);
 
   size_t CurrentOrdinal() const { return current_ordinal_; }
 

@@ -237,8 +237,8 @@ SiteInstance SampleLongTailSite(Rng& rng, size_t rank) {
 
 SiteInstance SampleSite(Rng& rng, Cohort cohort) {
   if (cohort == Cohort::kLongTail) {
-    // No externally-supplied rank (single-site profiles, legacy sampling):
-    // draw one log-uniformly over the simulated band.
+    // No externally-supplied rank (single-site profiles): draw one
+    // log-uniformly over the simulated band.
     double log_rank = rng.NextDouble() * std::log(900000.0);
     return SampleLongTailSite(rng, static_cast<size_t>(std::exp(log_rank)));
   }
@@ -447,33 +447,6 @@ SiteInstance MakeUniv3Profile() {
   instance.site.queries_unique_per_string = false;
   instance.server_access_bps = 250e6;
   return instance;
-}
-
-SiteStream::SiteStream(Cohort cohort, uint64_t survey_seed, size_t servers, bool legacy_seeds)
-    : cohort_(cohort), seed_(survey_seed), servers_(servers), legacy_(legacy_seeds) {
-  if (legacy_) {
-    // The historical sampler: one shared sequential stream, so site i's draw
-    // depends on every draw before it. Must materialize up front.
-    Rng rng(seed_);
-    legacy_instances_.reserve(servers_);
-    for (size_t i = 0; i < servers_; ++i) {
-      legacy_instances_.push_back(SampleSite(rng, cohort_));
-    }
-  }
-}
-
-SiteInstance SiteStream::Site(size_t index) const {
-  if (legacy_) {
-    return legacy_instances_[index];
-  }
-  return SampleSiteAt(seed_, cohort_, index);
-}
-
-uint64_t SiteStream::ExperimentSeed(size_t index) const {
-  if (legacy_) {
-    return seed_ * 1000 + index;
-  }
-  return SiteExperimentSeed(seed_, cohort_, index);
 }
 
 }  // namespace mfc

@@ -15,7 +15,6 @@
 #define MFC_SRC_CORE_POPULATION_H_
 
 #include <string>
-#include <vector>
 
 #include "src/content/site_generator.h"
 #include "src/net/wide_area.h"
@@ -74,8 +73,10 @@ uint64_t SiteExperimentSeed(uint64_t survey_seed, Cohort cohort, uint64_t index)
 uint64_t SiteSampleSeed(uint64_t survey_seed, Cohort cohort, uint64_t index);
 
 // Regenerates site |index| of a survey as a pure function of
-// (survey_seed, cohort, index) — the streaming sampler. For kLongTail the
-// index doubles as the site's tail rank, making provisioning rank-dependent.
+// (survey_seed, cohort, index) — the streaming sampler: O(1) memory, any
+// access order, thread-safe, so a 1M-site survey never materializes its
+// instance vector. For kLongTail the index doubles as the site's tail rank,
+// making provisioning rank-dependent.
 SiteInstance SampleSiteAt(uint64_t survey_seed, Cohort cohort, size_t index);
 
 // Long-tail synthesizer: one site at 100K+|rank| in a simulated top-1M
@@ -85,32 +86,6 @@ SiteInstance SampleSiteAt(uint64_t survey_seed, Cohort cohort, size_t index);
 // workload-characterization shape (arXiv 2409.12299) rather than the three
 // fixed paper cohorts.
 SiteInstance SampleLongTailSite(Rng& rng, size_t rank);
-
-// Lazily yields a survey's sites. Streaming mode (the default) regenerates
-// site i on demand via SampleSiteAt — O(1) memory, thread-safe, any access
-// order — so a 1M-site survey never materializes its instance vector.
-// Legacy mode reproduces the pre-PR-8 sampler: every site drawn up front
-// from one sequential Rng(seed) stream, experiment seeds seed * 1000 + i
-// (collisions included), for replaying historical journals and goldens.
-class SiteStream {
- public:
-  SiteStream(Cohort cohort, uint64_t survey_seed, size_t servers, bool legacy_seeds);
-
-  SiteInstance Site(size_t index) const;
-  uint64_t ExperimentSeed(size_t index) const;
-
-  size_t Servers() const { return servers_; }
-  bool Legacy() const { return legacy_; }
-  // How many instances are resident (tests assert streaming keeps this 0).
-  size_t MaterializedCount() const { return legacy_instances_.size(); }
-
- private:
-  Cohort cohort_;
-  uint64_t seed_;
-  size_t servers_;
-  bool legacy_;
-  std::vector<SiteInstance> legacy_instances_;
-};
 
 // Named profiles for the cooperating-site case studies (Section 4). These
 // are hand-built to match the paper's descriptions, not sampled.

@@ -12,11 +12,10 @@ namespace {
 std::string Describe(const JournalCohortRecord& c) {
   char buf[256];
   snprintf(buf, sizeof(buf),
-           "cohort=%d stage=%d servers=%zu max_crowd=%zu seed=%llu pid_base=%llu "
-           "shards=%zu legacy_seeds=%d",
+           "cohort=%d stage=%d servers=%zu max_crowd=%zu seed=%llu pid_base=%llu shards=%zu",
            static_cast<int>(c.cohort), static_cast<int>(c.stage), c.servers, c.max_crowd,
            static_cast<unsigned long long>(c.seed), static_cast<unsigned long long>(c.pid_base),
-           c.shards, c.legacy_seeds ? 1 : 0);
+           c.shards);
   return buf;
 }
 
@@ -24,7 +23,7 @@ std::string Describe(const JournalCohortRecord& c) {
 bool SameCohortModuloShard(const JournalCohortRecord& a, const JournalCohortRecord& b) {
   return a.ordinal == b.ordinal && a.cohort == b.cohort && a.stage == b.stage &&
          a.servers == b.servers && a.max_crowd == b.max_crowd && a.seed == b.seed &&
-         a.pid_base == b.pid_base && a.shards == b.shards && a.legacy_seeds == b.legacy_seeds;
+         a.pid_base == b.pid_base && a.shards == b.shards;
 }
 
 size_t CountSitesForOrdinal(const JournalFileData& data, size_t ordinal) {
@@ -223,9 +222,9 @@ std::string BuildSurveyReportJson(const SurveyReportInput& input) {
   char line[256];
   snprintf(line, sizeof(line),
            "{\n  \"survey\": {\"cohort\": \"%s\", \"stage\": %d, \"servers\": %zu, "
-           "\"max_crowd\": %zu, \"seed\": %llu, \"legacy_seeds\": %s},\n",
+           "\"max_crowd\": %zu, \"seed\": %llu},\n",
            input.cohort_name.c_str(), input.stage, input.servers, input.max_crowd,
-           static_cast<unsigned long long>(input.seed), input.legacy_seeds ? "true" : "false");
+           static_cast<unsigned long long>(input.seed));
   json += line;
   const SurveyBreakdown& b = input.breakdown;
   snprintf(line, sizeof(line),

@@ -73,7 +73,6 @@ struct SurveyReportInput {
   size_t servers = 0;
   size_t max_crowd = 0;
   uint64_t seed = 0;
-  bool legacy_seeds = false;
   SurveyBreakdown breakdown;
   // Per-site results in global index order, exactly |servers| entries.
   const std::vector<ExperimentResult>* per_site = nullptr;

@@ -48,14 +48,13 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
 
   // Sites stream on demand: instance i is regenerated from its own
   // SplitMix64-derived seed whenever a worker needs it, so even a 1M-site
-  // survey holds no instances vector (legacy mode materializes, see
-  // SiteStream). This process covers the interleaved shard
-  // { run.shard_index, run.shard_index + shards, ... } of the global index
-  // space; everything observable (seeds, journal records, pids, per_site
-  // slots) is keyed by GLOBAL index so shard outputs merge byte-identically.
+  // survey holds no instances vector. This process covers the interleaved
+  // shard { run.shard_index, run.shard_index + shards, ... } of the global
+  // index space; everything observable (seeds, journal records, pids,
+  // per_site slots) is keyed by GLOBAL index so shard outputs merge
+  // byte-identically.
   const size_t shard_count = run.shards == 0 ? 1 : run.shards;
   const size_t shard_index = run.shard_index % shard_count;
-  SiteStream sites(cohort, seed, servers, run.legacy_seeds);
   const size_t local_count =
       servers > shard_index ? (servers - shard_index - 1) / shard_count + 1 : 0;
   auto global_of = [shard_index, shard_count](size_t local) {
@@ -140,14 +139,14 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
       fprintf(stderr, "[survey] MFC_CRASH_SITE: crashing on site index %zu\n", i);
       abort();
     }
-    ExperimentResult result =
-        RunSiteExperiment(sites.Site(i), config, {stage}, sites.ExperimentSeed(i),
-                          observe ? &site_telemetry : nullptr);
+    const uint64_t site_seed = SiteExperimentSeed(seed, cohort, i);
+    ExperimentResult result = RunSiteExperiment(SampleSiteAt(seed, cohort, i), config, {stage},
+                                                site_seed, observe ? &site_telemetry : nullptr);
     if (journal != nullptr) {
       JournalSiteRecord record;
       record.cohort_ordinal = journal->CurrentOrdinal();
       record.site_index = i;
-      record.seed = sites.ExperimentSeed(i);
+      record.seed = site_seed;
       record.stage = stage;
       record.pid = pid_base + i;
       record.result = result;

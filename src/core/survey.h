@@ -7,10 +7,8 @@
 // SplitMix64 mixes with no collisions across surveys (DESIGN.md §12) — and
 // per-site results land in index-ordered slots before aggregation, so the
 // breakdown is bit-identical for any jobs count, any shard partition of the
-// index space, and any resume point. SurveyRunOptions::legacy_seeds restores
-// the pre-PR-8 scheme (sequential shared-stream sampling, experiment seeds
-// seed * 1000 + i — which collide once a cohort crosses 1000 sites) for
-// reproducing historical journals and goldens.
+// index space, and any resume point. Tools drive surveys through
+// SurveySession (survey_session.h), which owns flags, journal and outputs.
 #ifndef MFC_SRC_CORE_SURVEY_H_
 #define MFC_SRC_CORE_SURVEY_H_
 
@@ -85,17 +83,15 @@ void AccumulateBreakdown(SurveyBreakdown& breakdown, const ExperimentResult& res
 struct SurveyRunOptions {
   size_t shards = 1;       // total shard count (1 = unsharded)
   size_t shard_index = 0;  // this process's shard in [0, shards)
-  bool legacy_seeds = false;  // pre-PR-8 sampling + seed * 1000 + i seeds
 };
 
 // Runs this shard's slice of |servers| independent site experiments across
 // |jobs| workers (0 = MFC_JOBS env / hardware default; 1 = sequential).
-// Sites stream from SampleSiteAt on demand — no up-front instances vector —
-// except under legacy_seeds, whose shared-stream sampling forces
-// materialization. When |per_site| is non-null it receives |servers|
-// index-ordered slots with this shard's results filled in (other shards'
-// slots stay default). |telemetry|, when non-null and enabled, accumulates
-// merged per-site traces/metrics (see SurveyTelemetry).
+// Sites stream from SampleSiteAt on demand — no up-front instances vector.
+// When |per_site| is non-null it receives |servers| index-ordered slots with
+// this shard's results filled in (other shards' slots stay default).
+// |telemetry|, when non-null and enabled, accumulates merged per-site
+// traces/metrics (see SurveyTelemetry).
 //
 // |journal|, when non-null, makes the run crash-safe: the caller must have
 // called journal->BeginCohort for this cohort first (with matching shard
@@ -113,12 +109,6 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
                                         SurveyTelemetry* telemetry = nullptr,
                                         SurveyJournal* journal = nullptr,
                                         const SurveyRunOptions& run = {});
-
-// Sequential wrapper kept for callers that predate the parallel runner.
-inline SurveyBreakdown RunSurveyCohort(Cohort cohort, StageKind stage, size_t servers,
-                                       size_t max_crowd, uint64_t seed) {
-  return RunSurveyCohortParallel(cohort, stage, servers, max_crowd, seed, 1);
-}
 
 }  // namespace mfc
 

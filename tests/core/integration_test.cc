@@ -165,11 +165,10 @@ TEST(IntegrationTest, RegistrationAbortsWithTinyFleet) {
 }
 
 TEST(IntegrationTest, SurveyRunnerProducesVerdicts) {
-  Rng rng(31);
   ExperimentConfig config = LabConfig();
   config.max_crowd = 30;  // keep the test fast
-  ExperimentResult result =
-      RunSurveyExperiment(rng, Cohort::kPhishing, config, {StageKind::kBase}, 101);
+  ExperimentResult result = RunSiteExperiment(SampleSiteAt(31, Cohort::kPhishing, 0), config,
+                                              {StageKind::kBase}, 101);
   ASSERT_FALSE(result.aborted);
   ASSERT_EQ(result.stages.size(), 1u);
   EXPECT_GT(result.stages[0].max_crowd_tested, 0u);

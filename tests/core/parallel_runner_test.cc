@@ -112,34 +112,5 @@ TEST(ParallelRunnerTest, SurveyCohortIsBitIdenticalAcrossJobCounts) {
   }
 }
 
-// Under --legacy-seeds the survey reproduces the old shared-Rng loop:
-// sampling in index order from Rng(seed), experiments seeded seed * 1000 + i.
-// (The default derivation is SplitMix64-mixed and collision-free; its
-// contract is covered by shard_merge_test.)
-TEST(ParallelRunnerTest, SurveyMatchesLegacySequentialLoop) {
-  constexpr size_t kServers = 6;
-  constexpr uint64_t kSeed = 777;
-  SurveyRunOptions legacy_run;
-  legacy_run.legacy_seeds = true;
-  SurveyBreakdown modern =
-      RunSurveyCohortParallel(Cohort::kStartup, StageKind::kBase, kServers, 30, kSeed, 1,
-                              nullptr, nullptr, nullptr, legacy_run);
-
-  SurveyBreakdown legacy;
-  legacy.cohort = Cohort::kStartup;
-  ExperimentConfig config;
-  config.threshold = Millis(100);
-  config.crowd_step = 5;
-  config.max_crowd = 30;
-  config.min_clients = 50;
-  Rng rng(kSeed);
-  for (size_t i = 0; i < kServers; ++i) {
-    ExperimentResult result = RunSurveyExperiment(rng, Cohort::kStartup, config,
-                                                  {StageKind::kBase}, kSeed * 1000 + i);
-    AccumulateBreakdown(legacy, result);
-  }
-  EXPECT_EQ(modern, legacy);
-}
-
 }  // namespace
 }  // namespace mfc

@@ -1,11 +1,12 @@
 // Sharded, streaming surveys (DESIGN.md §12): collision-free seed
-// derivation, on-demand site streaming, and merging shard journals back into
+// derivation, on-demand site sampling, and merging shard journals back into
 // a byte-identical single-process run.
 #include "src/core/shard_merge.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -83,43 +84,26 @@ TEST(SeedDerivationTest, SplitMix64MatchesReferenceVectors) {
   EXPECT_EQ(SplitMix64(1), 0x910a2dec89025cc1ULL);
 }
 
-// ---- SiteStream -----------------------------------------------------------
-
-TEST(SiteStreamTest, LegacyModeReproducesSharedRngLoop) {
-  constexpr uint64_t kSeed = 777;
-  constexpr size_t kServers = 8;
-  SiteStream stream(Cohort::kStartup, kSeed, kServers, /*legacy_seeds=*/true);
-  EXPECT_EQ(stream.MaterializedCount(), kServers);
-  Rng rng(kSeed);
-  for (size_t i = 0; i < kServers; ++i) {
-    SiteInstance expect = SampleSite(rng, Cohort::kStartup);
-    SiteInstance got = stream.Site(i);
-    EXPECT_EQ(got.base_knee, expect.base_knee) << i;
-    EXPECT_EQ(got.query_knee, expect.query_knee) << i;
-    EXPECT_EQ(got.bandwidth_knee, expect.bandwidth_knee) << i;
-    EXPECT_EQ(got.server_access_bps, expect.server_access_bps) << i;
-    EXPECT_EQ(stream.ExperimentSeed(i), kSeed * 1000 + i) << i;
-  }
-}
+// ---- streaming site sampling ----------------------------------------------
 
 TEST(SiteStreamTest, StreamingModeIsPureAndHoldsNoInstances) {
   constexpr uint64_t kSeed = 41;
-  constexpr size_t kServers = 64;
-  SiteStream stream(Cohort::kPhishing, kSeed, kServers, /*legacy_seeds=*/false);
-  // Nothing is materialized up front or by access — that is the whole point
-  // of streaming toward 1M-site surveys.
-  EXPECT_EQ(stream.MaterializedCount(), 0u);
+  constexpr Cohort kPhishing = Cohort::kPhishing;
   // Site i is a pure function of (seed, cohort, i): any access order, any
-  // number of accesses, same instance.
+  // number of accesses, same instance — what lets a 1M-site survey
+  // regenerate sites on demand instead of holding an instances vector.
+  std::map<size_t, SiteInstance> first_draw;
   for (size_t i : {size_t{63}, size_t{0}, size_t{17}, size_t{63}, size_t{0}}) {
-    SiteInstance a = stream.Site(i);
-    SiteInstance b = SampleSiteAt(kSeed, Cohort::kPhishing, i);
+    SiteInstance a = SampleSiteAt(kSeed, kPhishing, i);
+    Rng rng(SiteSampleSeed(kSeed, kPhishing, i));
+    SiteInstance b = SampleSite(rng, kPhishing);
     EXPECT_EQ(a.base_knee, b.base_knee) << i;
     EXPECT_EQ(a.query_knee, b.query_knee) << i;
     EXPECT_EQ(a.server_access_bps, b.server_access_bps) << i;
-    EXPECT_EQ(stream.ExperimentSeed(i), SiteExperimentSeed(kSeed, Cohort::kPhishing, i)) << i;
+    const SiteInstance& first = first_draw.emplace(i, a).first->second;
+    EXPECT_EQ(a.base_knee, first.base_knee) << i;
+    EXPECT_EQ(a.bandwidth_knee, first.bandwidth_knee) << i;
   }
-  EXPECT_EQ(stream.MaterializedCount(), 0u);
 }
 
 TEST(SiteStreamTest, LongTailProvisioningDegradesWithRank) {
@@ -226,7 +210,7 @@ std::unique_ptr<SurveyJournal> OpenShard(const std::string& path, bool resume, s
   if (journal != nullptr) {
     std::string begin_error;
     EXPECT_TRUE(journal->BeginCohort(kCohort, kStage, kServers, kMaxCrowd, kSeed, 0,
-                                     &begin_error, shards, shard_index, false))
+                                     &begin_error, shards, shard_index))
         << begin_error;
   }
   return journal;
@@ -497,30 +481,6 @@ TEST(ShardMergeTest, QuarantineRecordCorruptionRecovers) {
     EXPECT_FALSE(journal->Warning().empty());
     EXPECT_TRUE(journal->Quarantines().empty());
   }
-  remove(path.c_str());
-}
-
-// Pre-PR-8 journals carry no shard keys; they decode as an unsharded
-// legacy-seed run, so resuming them without --legacy-seeds is a hard
-// mismatch instead of a silent reseed.
-TEST(ShardMergeTest, LegacyJournalRequiresLegacySeeds) {
-  std::string path = TempPath("merge_legacy.jsonl");
-  remove(path.c_str());
-  {
-    std::string error;
-    auto journal = SurveyJournal::Open(path, kTool, kPrint, false, &error);
-    ASSERT_NE(journal, nullptr) << error;
-    // Legacy-mode cohort record, as an old journal would hold.
-    ASSERT_TRUE(journal->BeginCohort(kCohort, kStage, kServers, kMaxCrowd, kSeed, 0, &error, 1,
-                                     0, true))
-        << error;
-  }
-  std::string error;
-  auto journal = SurveyJournal::Open(path, kTool, kPrint, true, &error);
-  ASSERT_NE(journal, nullptr) << error;
-  // Default (mixed-seed) BeginCohort must refuse the legacy cohort record.
-  EXPECT_FALSE(journal->BeginCohort(kCohort, kStage, kServers, kMaxCrowd, kSeed, 0, &error));
-  EXPECT_NE(error.find("legacy_seeds"), std::string::npos) << error;
   remove(path.c_str());
 }
 

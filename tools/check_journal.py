@@ -4,13 +4,13 @@
 Checks (stdlib only, no third-party deps):
   * every line is a well-formed frame {"crc":"<16 hex>","body":{...}} whose
     checksum equals FNV-1a 64 of the exact body bytes;
-  * the first record is a header with magic "mfc-journal" and version 1;
-  * cohort records carry strictly sequential ordinals;
+  * the first record is a header with magic "mfc-journal" and version 2;
+  * cohort records carry strictly sequential ordinals and their shard
+    identity;
   * site records are consistent with their cohort declaration (index within
-    the server count and this journal's shard, seed derived per the cohort's
-    seed mode — SplitMix64(seed, cohort, index) by default, seed * 1000 +
-    index under legacy_seeds — pid == pid_base + index, matching stage) and
-    never duplicated;
+    the server count and this journal's shard, seed equal to the SplitMix64
+    derivation SiteExperimentSeed(seed, cohort, index), pid == pid_base +
+    index, matching stage) and never duplicated;
   * quarantine records (appended by the survey supervisor, DESIGN.md §14)
     name a site of their shard, carry crashes >= 1 and a signature, and
     never collide with a site record or another quarantine;
@@ -28,9 +28,10 @@ The second form runs a small fixed-seed journaled survey through
 mfc_profile, validates the journal, resumes it (complete, after a simulated
 torn tail write, after a mid-journal checksum bit flip, and with a
 quarantine record present) and requires byte-identical trace/metrics
-outputs, and finally checks that config mismatches and a missing --resume
-are hard errors (exit 3 — see the README exit-code table). Exit status
-0 = valid, 1 = validation failure, 2 = usage/setup error.
+outputs, checks that config mismatches and a missing --resume are hard
+errors (exit 3 — see the README exit-code table), and finally that an
+output file mfc_profile cannot write exits 1. Exit status 0 = valid,
+1 = validation failure, 2 = usage/setup error.
 """
 
 import json
@@ -73,21 +74,6 @@ def site_experiment_seed(survey_seed, cohort, index):
     h = splitmix64(survey_seed ^ EXPERIMENT_DOMAIN)
     h = splitmix64(h ^ cohort)
     return splitmix64(h ^ index)
-
-
-def cohort_seed_layout(cohort):
-    """(shards, shard_index, legacy_seeds) of a cohort record; pre-PR-8
-    records carry no shard keys and decode as an unsharded legacy run."""
-    if "shards" in cohort:
-        return cohort["shards"], cohort["shard_index"], cohort["legacy_seeds"]
-    return 1, 0, True
-
-
-def expected_site_seed(cohort, index):
-    _, _, legacy = cohort_seed_layout(cohort)
-    if legacy:
-        return cohort["seed"] * 1000 + index
-    return site_experiment_seed(cohort["seed"], cohort["cohort"], index)
 
 
 def parse_records(path):
@@ -145,7 +131,7 @@ def check_journal(path):
         return fail("record 0 is %r, expected the header" % header.get("type"))
     if header.get("magic") != "mfc-journal":
         return fail("bad magic %r" % header.get("magic"))
-    if header.get("version") != 1:
+    if header.get("version") != 2:
         return fail("unsupported version %r" % header.get("version"))
     for key in ("tool", "fingerprint"):
         if not isinstance(header.get(key), str) or not header[key]:
@@ -164,7 +150,8 @@ def check_journal(path):
                     "record %d: cohort ordinal %r, expected %d"
                     % (i, rec.get("ordinal"), len(cohorts))
                 )
-            for key in ("cohort", "stage", "servers", "max_crowd", "seed", "pid_base"):
+            for key in ("cohort", "stage", "servers", "max_crowd", "seed", "pid_base",
+                        "shards", "shard_index"):
                 if key not in rec:
                     return fail("record %d: cohort record missing %r" % (i, key))
             cohorts.append(rec)
@@ -180,13 +167,13 @@ def check_journal(path):
                         "record %d: site index %d >= cohort servers %d"
                         % (i, index, cohort["servers"])
                     )
-                shards, shard_index, _ = cohort_seed_layout(cohort)
+                shards, shard_index = cohort["shards"], cohort["shard_index"]
                 if index % shards != shard_index:
                     return fail(
                         "record %d: site index %d not in shard %d/%d"
                         % (i, index, shard_index, shards)
                     )
-                if rec["seed"] != expected_site_seed(cohort, index):
+                if rec["seed"] != site_experiment_seed(cohort["seed"], cohort["cohort"], index):
                     return fail("record %d: site seed inconsistent with cohort" % i)
                 if rec["pid"] != cohort["pid_base"] + index:
                     return fail("record %d: site pid inconsistent with cohort" % i)
@@ -217,7 +204,7 @@ def check_journal(path):
                         "record %d: quarantine index %d >= cohort servers %d"
                         % (i, index, cohort["servers"])
                     )
-                shards, shard_index, _ = cohort_seed_layout(cohort)
+                shards, shard_index = cohort["shards"], cohort["shard_index"]
                 if index % shards != shard_index:
                     return fail(
                         "record %d: quarantine index %d not in shard %d/%d"
@@ -240,7 +227,7 @@ def check_journal(path):
         last = len(cohorts) - 1
         progressed = any(ordinal == last for ordinal, _ in sites | quarantines)
         if not progressed:
-            shards, shard_index, _ = cohort_seed_layout(cohorts[last])
+            shards, shard_index = cohorts[last]["shards"], cohorts[last]["shard_index"]
             print(
                 "check_journal: NOTE: shard %d/%d is resumable, zero progress on "
                 "cohort %d (BeginCohort written, no site records yet)"
@@ -331,8 +318,8 @@ def run_profile(profile_bin, workdir):
         return rc
     print("check_journal: OK: torn-tail resume recovered and is byte-identical")
 
-    # 4. A different seed changes the config fingerprint: hard error, exit 3
-    #    (journal error — see the README exit-code table).
+    # 4. A different seed contradicts the journal's cohort record: hard
+    #    error, exit 3 (journal error — see the README exit-code table).
     proc = run(survey_cmd(6, "t4.json", "m4.csv", resume=True))
     if proc.returncode != 3 or b"journal error" not in proc.stderr:
         return fail(
@@ -427,6 +414,25 @@ def run_profile(profile_bin, workdir):
             % (proc.returncode, proc.stderr)
         )
     print("check_journal: OK: duplicate quarantine record is dropped corruption")
+
+    # 9. An output that cannot be written is exit 1 (README exit-code table),
+    #    for a survey's report and trace and for a single experiment's JSON.
+    missing = os.path.join(workdir, "no_such_dir")
+    write_cmds = [
+        [profile_bin, "--cohort=rank4", "--survey=2", "--max-crowd=20",
+         "--json=" + os.path.join(missing, "r.json"),
+         "--trace=" + os.path.join(missing, "t.json")],
+        [profile_bin, "--profile=univ1", "--quiet", "--stages=base", "--max-crowd=20",
+         "--json=" + os.path.join(missing, "s.json")],
+    ]
+    for cmd in write_cmds:
+        proc = run(cmd)
+        if proc.returncode != 1 or b"cannot write" not in proc.stderr:
+            return fail(
+                "unwritable output should exit 1 with 'cannot write', got %d for %r: %r"
+                % (proc.returncode, cmd[1:], proc.stderr)
+            )
+    print("check_journal: OK: unwritable outputs exit 1")
     return 0
 
 

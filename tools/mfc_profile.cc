@@ -29,28 +29,15 @@
 #include "src/core/export.h"
 #include "src/core/inference.h"
 #include "src/core/journal/journal.h"
-#include "src/core/journal/shutdown.h"
 #include "src/core/parallel_runner.h"
 #include "src/core/shard_merge.h"
 #include "src/core/supervisor.h"
 #include "src/core/survey.h"
+#include "src/core/survey_session.h"
 #include "src/telemetry/stats_stream.h"
 
 namespace mfc {
 namespace {
-
-// Exit codes (see the README table): 0 success; 1 experiment aborted;
-// 2 usage / flag errors; 3 journal or merge errors; 130 interrupted by
-// SIGINT/SIGTERM (after draining). The supervisor relies on the split:
-// 2/3 are permanent (restarting the same argv would fail identically),
-// everything else is retryable.
-enum ExitCode {
-  kExitOk = 0,
-  kExitAborted = 1,
-  kExitUsage = 2,
-  kExitJournal = 3,
-  kExitInterrupted = 130,
-};
 
 struct Options {
   std::string argv0 = "mfc_profile";  // worker re-exec fallback (--supervise)
@@ -65,10 +52,10 @@ struct Options {
   double background_rps = 0.0;
   uint64_t seed = 1;
   size_t survey = 0;            // when > 0: survey this many cohort sites
-  size_t jobs = 0;              // worker threads (0 = MFC_JOBS env / hardware)
-  size_t shards = 1;            // total survey shards (DESIGN.md §12)
-  size_t shard_index = 0;       // this process's shard in [0, shards)
-  bool legacy_seeds = false;    // pre-PR-8 sampling + seed*1000+i seeds
+  // --jobs, --shards, --json, --trace, --metrics, --journal, --resume,
+  // --stats-stream/-interval, --progress: shared with the survey benches
+  // (survey_session.h); the single-experiment mode reads the same flags.
+  SurveyFlags flags;
   std::vector<std::string> merge_paths;  // --merge: shard journals to fold
   bool supervise = false;       // fork/monitor shard workers, then auto-merge
   double hang_timeout = 30.0;   // supervise: no-heartbeat deadline (seconds)
@@ -77,14 +64,6 @@ struct Options {
   bool crawl = false;           // profile via crawling instead of operator input
   bool verbose_epochs = true;
   std::string csv_path;         // write per-epoch CSV here
-  std::string json_path;        // write the full result as JSON here
-  std::string trace_path;       // write a Chrome trace_event JSON here
-  std::string metrics_path;     // write the merged metrics CSV here
-  std::string journal_path;     // write-ahead experiment journal (crash-safe)
-  bool resume = false;          // replay journaled experiments from --journal
-  std::string stats_stream_path;  // JSONL health snapshots ("-" = stdout)
-  double stats_interval = 1.0;    // snapshot cadence (wall s for surveys, sim s otherwise)
-  bool progress = false;          // verbose per-site survey lines on stderr
   std::vector<StageKind> stages = {StageKind::kBase, StageKind::kSmallQuery,
                                    StageKind::kLargeObject};
 };
@@ -117,10 +96,8 @@ void Usage() {
       "  --quarantine-after=<K> supervise: consecutive no-progress crashes of a --jobs=1\n"
       "                        worker on the same site before it is quarantined\n"
       "                        (default 3)\n"
-      "  --legacy-seeds        pre-PR-8 seed derivation (sequential sampling, seed*1000+i;\n"
-      "                        collides past 1000 sites) for replaying old journals\n"
       "  --sample-only         stream-sample the survey sites (no experiments); prints a\n"
-      "                        digest + resident instance count\n"
+      "                        digest\n"
       "  --crawl               discover probe objects by crawling\n"
       "  --csv=<path>          write per-epoch CSV\n"
       "  --json=<path>         write the result as JSON\n"
@@ -145,6 +122,11 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    bool ok = true;
+    if (ParseSurveyFlag(arg, &options.flags, &ok)) {
+      if (!ok) return std::nullopt;
+      continue;
+    }
     auto value_of = [&arg](const char* prefix) -> std::optional<std::string> {
       size_t n = strlen(prefix);
       if (arg.rfind(prefix, 0) == 0) {
@@ -176,12 +158,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       if (!ParseU64Flag("--seed", *v, &options.seed)) return std::nullopt;
     } else if (auto v = value_of("--survey=")) {
       if (!ParseSizeFlag("--survey", *v, &options.survey)) return std::nullopt;
-    } else if (auto v = value_of("--jobs=")) {
-      if (!ParseSizeFlag("--jobs", *v, &options.jobs)) return std::nullopt;
-    } else if (auto v = value_of("--shards=")) {
-      if (!ParseSizeFlag("--shards", *v, &options.shards)) return std::nullopt;
-    } else if (auto v = value_of("--shard-index=")) {
-      if (!ParseSizeFlag("--shard-index", *v, &options.shard_index)) return std::nullopt;
     } else if (auto v = value_of("--merge=")) {
       std::string list = *v;
       size_t pos = 0;
@@ -204,28 +180,10 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     } else if (auto v = value_of("--quarantine-after=")) {
       if (!ParseSizeFlag("--quarantine-after", *v, &options.quarantine_after))
         return std::nullopt;
-    } else if (arg == "--legacy-seeds") {
-      options.legacy_seeds = true;
     } else if (arg == "--sample-only") {
       options.sample_only = true;
     } else if (auto v = value_of("--csv=")) {
       options.csv_path = *v;
-    } else if (auto v = value_of("--json=")) {
-      options.json_path = *v;
-    } else if (auto v = value_of("--trace=")) {
-      options.trace_path = *v;
-    } else if (auto v = value_of("--metrics=")) {
-      options.metrics_path = *v;
-    } else if (auto v = value_of("--journal=")) {
-      options.journal_path = *v;
-    } else if (auto v = value_of("--stats-stream=")) {
-      options.stats_stream_path = *v;
-    } else if (auto v = value_of("--stats-interval=")) {
-      if (!ParseDoubleFlag("--stats-interval", *v, &options.stats_interval)) return std::nullopt;
-    } else if (arg == "--progress") {
-      options.progress = true;
-    } else if (arg == "--resume") {
-      options.resume = true;
     } else if (arg == "--crawl") {
       options.crawl = true;
     } else if (arg == "--quiet") {
@@ -258,18 +216,28 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (options.resume && options.journal_path.empty()) {
-    fprintf(stderr, "--resume requires --journal=<path>\n");
-    return std::nullopt;
-  }
-  if (options.shards == 0) {
-    fprintf(stderr, "--shards must be >= 1\n");
-    return std::nullopt;
-  }
-  if (options.shard_index >= options.shards) {
-    fprintf(stderr, "--shard-index=%zu out of range for --shards=%zu\n", options.shard_index,
-            options.shards);
-    return std::nullopt;
+  const SurveyFlags& flags = options.flags;
+  if (options.survey > 0 && !options.supervise && !options.sample_only &&
+      options.merge_paths.empty()) {
+    // A survey that executes experiments: the rule set every survey tool
+    // shares.
+    if (!ValidateSurveyFlags(flags)) {
+      return std::nullopt;
+    }
+  } else {
+    if (flags.resume && flags.journal_path.empty()) {
+      fprintf(stderr, "--resume requires --journal=<path>\n");
+      return std::nullopt;
+    }
+    if (flags.shard_index >= flags.shards) {
+      fprintf(stderr, "--shard-index=%zu out of range for --shards=%zu\n", flags.shard_index,
+              flags.shards);
+      return std::nullopt;
+    }
+    if (flags.shards > 1 && options.survey == 0) {
+      fprintf(stderr, "--shards requires --survey=<N>\n");
+      return std::nullopt;
+    }
   }
   if (options.supervise) {
     // Supervised runs drive full shard workers and merge their journals, so
@@ -279,7 +247,7 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       fprintf(stderr, "--supervise requires --survey=<N>\n");
       return std::nullopt;
     }
-    if (options.journal_path.empty()) {
+    if (flags.journal_path.empty()) {
       fprintf(stderr,
               "--supervise requires --journal=<prefix> (shard journals land at "
               "<prefix>.shard<j>)\n");
@@ -293,7 +261,7 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       fprintf(stderr, "--supervise cannot be combined with --sample-only\n");
       return std::nullopt;
     }
-    if (options.shard_index != 0) {
+    if (flags.shard_index != 0) {
       fprintf(stderr, "--shard-index is assigned by the supervisor; drop it\n");
       return std::nullopt;
     }
@@ -303,23 +271,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     }
     if (options.quarantine_after == 0) {
       fprintf(stderr, "--quarantine-after must be >= 1\n");
-      return std::nullopt;
-    }
-  } else if (options.shards > 1) {
-    if (options.survey == 0) {
-      fprintf(stderr, "--shards requires --survey=<N>\n");
-      return std::nullopt;
-    }
-    if (options.journal_path.empty() && !options.sample_only) {
-      // Without journals there is nothing to merge — a sharded run's only
-      // durable output is its journal.
-      fprintf(stderr, "--shards requires --journal=<path> (shards are merged from journals)\n");
-      return std::nullopt;
-    }
-    if (!options.json_path.empty()) {
-      fprintf(stderr,
-              "--json with --shards > 1 would be a partial report; use --merge after the "
-              "shards finish\n");
       return std::nullopt;
     }
   }
@@ -368,35 +319,6 @@ std::optional<SiteInstance> ResolveSite(const Options& options) {
   return SampleSite(rng, *cohort);
 }
 
-// Atomic (temp file + rename): an aborted run never leaves a truncated
-// export behind.
-bool WriteFile(const std::string& path, const std::string& contents) {
-  if (!WriteFileAtomic(path, contents)) {
-    fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  printf("wrote %s\n", path.c_str());
-  return true;
-}
-
-// Opens the journal for either mode, printing errors/warnings. The
-// fingerprint must pin everything that shapes the experiment — never --jobs
-// or output paths.
-std::unique_ptr<SurveyJournal> OpenJournal(const Options& options, const std::string& tool,
-                                           const std::string& fingerprint) {
-  std::string error;
-  std::unique_ptr<SurveyJournal> journal =
-      SurveyJournal::Open(options.journal_path, tool, fingerprint, options.resume, &error);
-  if (journal == nullptr) {
-    fprintf(stderr, "journal error: %s\n", error.c_str());
-    return nullptr;
-  }
-  if (!journal->Warning().empty()) {
-    fprintf(stderr, "journal warning: %s\n", journal->Warning().c_str());
-  }
-  return journal;
-}
-
 std::string StagesToken(const std::vector<StageKind>& stages) {
   std::string token;
   for (StageKind kind : stages) {
@@ -418,10 +340,9 @@ void PrintSurveyBreakdownLine(const SurveyBreakdown& b) {
 
 // --sample-only: stream this shard's slice of the survey's site instances —
 // provisioning only, no experiments — and print an order-independent FNV-1a
-// digest plus how many instances ended up resident. check_shard_merge.py
-// drives 100k+ sites through this to pin the O(1)-memory streaming claim.
+// digest. check_shard_merge.py drives 100k+ sites through this to pin that
+// streaming regeneration is reproducible at scale.
 int RunSampleOnly(const Options& options, Cohort cohort) {
-  SiteStream sites(cohort, options.seed, options.survey, options.legacy_seeds);
   uint64_t digest = 1469598103934665603ULL;  // FNV-1a 64 offset basis
   auto fold = [&digest](double v) {
     uint64_t bits;
@@ -430,8 +351,9 @@ int RunSampleOnly(const Options& options, Cohort cohort) {
       digest = (digest ^ ((bits >> b) & 0xff)) * 1099511628211ULL;
     }
   };
-  for (size_t i = options.shard_index; i < options.survey; i += options.shards) {
-    SiteInstance instance = sites.Site(i);
+  const SurveyFlags& flags = options.flags;
+  for (size_t i = flags.shard_index; i < options.survey; i += flags.shards) {
+    SiteInstance instance = SampleSiteAt(options.seed, cohort, i);
     fold(instance.base_knee);
     fold(instance.query_knee);
     fold(instance.bandwidth_knee);
@@ -439,10 +361,10 @@ int RunSampleOnly(const Options& options, Cohort cohort) {
     fold(instance.background_rps);
     fold(static_cast<double>(instance.replicas));
   }
-  printf("sampled cohort=%s servers=%zu shard=%zu/%zu digest=%016llx materialized=%zu\n",
-         std::string(CohortName(cohort)).c_str(), options.survey, options.shard_index,
-         options.shards, static_cast<unsigned long long>(digest), sites.MaterializedCount());
-  return 0;
+  printf("sampled cohort=%s servers=%zu shard=%zu/%zu digest=%016llx\n",
+         std::string(CohortName(cohort)).c_str(), options.survey, flags.shard_index,
+         flags.shards, static_cast<unsigned long long>(digest));
+  return kExitOk;
 }
 
 // --survey=N: profile N cohort sites across the worker pool and print the
@@ -450,141 +372,75 @@ int RunSampleOnly(const Options& options, Cohort cohort) {
 int RunSurvey(const Options& options) {
   if (!options.profile.empty()) {
     fprintf(stderr, "--survey requires a cohort, not a named profile\n");
-    return 2;
+    return kExitUsage;
   }
   auto cohort = ResolveCohort(options);
   if (!cohort.has_value()) {
-    return 2;
+    return kExitUsage;
   }
   if (options.sample_only) {
     return RunSampleOnly(options, *cohort);
   }
+  const SurveyFlags& flags = options.flags;
   StageKind stage = options.stages.empty() ? StageKind::kBase : options.stages[0];
-  size_t jobs = ResolveJobs(options.jobs);
+  SurveySession session("mfc_profile:survey", flags);
   printf("survey: cohort=%s stage=%s servers=%zu max-crowd=%zu jobs=%zu seed=%llu",
          std::string(CohortName(*cohort)).c_str(), std::string(StageName(stage)).c_str(),
-         options.survey, options.max_crowd, jobs,
+         options.survey, options.max_crowd, session.Jobs(),
          static_cast<unsigned long long>(options.seed));
-  if (options.shards > 1) {
-    printf(" shard=%zu/%zu", options.shard_index, options.shards);
-  }
-  if (options.legacy_seeds) {
-    printf(" legacy-seeds");
+  if (flags.shards > 1) {
+    printf(" shard=%zu/%zu", flags.shard_index, flags.shards);
   }
   printf("\n\n");
-  SurveyTelemetry telemetry;
-  telemetry.collect_trace = !options.trace_path.empty();
-  telemetry.collect_metrics = !options.metrics_path.empty();
-  telemetry.progress = options.progress;
-
-  // Health plane: JSONL snapshot stream and/or the rate-limited terminal
-  // progress line (which replaces the old unconditional per-site spam; the
-  // verbose lines are now opt-in via --progress).
-  std::unique_ptr<StatsStream> stats;
-  if (!options.stats_stream_path.empty()) {
-    std::string error;
-    stats = StatsStream::Open(options.stats_stream_path, &error);
-    if (stats == nullptr) {
-      fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
+  int rc = session.Open();
+  if (rc != kExitOk) {
+    return rc;
   }
-  ProgressLine progress_line(1.0);
-  telemetry.stats = stats.get();
-  if (!options.progress && progress_line.Enabled()) {
-    telemetry.progress_line = &progress_line;
-  }
-  telemetry.stats_interval = options.stats_interval;
-  telemetry.stats_label = std::string(CohortName(*cohort));
-  std::unique_ptr<SurveyJournal> journal;
-  if (!options.journal_path.empty()) {
-    char fingerprint[160];
-    snprintf(fingerprint, sizeof(fingerprint),
-             "cohort=%s;stage=%d;servers=%zu;max=%zu;seed=%llu;trace=%d;metrics=%d",
-             std::string(CohortName(*cohort)).c_str(), static_cast<int>(stage), options.survey,
-             options.max_crowd, static_cast<unsigned long long>(options.seed),
-             telemetry.collect_trace ? 1 : 0, telemetry.collect_metrics ? 1 : 0);
-    journal = OpenJournal(options, "mfc_profile:survey", fingerprint);
-    if (journal == nullptr) {
-      return kExitJournal;
-    }
-    std::string error;
-    if (!journal->BeginCohort(*cohort, stage, options.survey, options.max_crowd, options.seed,
-                              0, &error, options.shards, options.shard_index,
-                              options.legacy_seeds)) {
-      fprintf(stderr, "journal error: %s\n", error.c_str());
-      return kExitJournal;
-    }
-    ClearShutdownRequest();
-    InstallShutdownHandlers();
-  }
-  SurveyTelemetry* telemetry_arg =
-      telemetry.Enabled() || telemetry.progress || telemetry.HealthAttached() ? &telemetry
-                                                                              : nullptr;
-  SurveyRunOptions run;
-  run.shards = options.shards;
-  run.shard_index = options.shard_index;
-  run.legacy_seeds = options.legacy_seeds;
+  const bool want_report = !flags.json_path.empty();
   std::vector<ExperimentResult> per_site;
-  const bool want_report = !options.json_path.empty();
-  SurveyBreakdown b = RunSurveyCohortParallel(*cohort, stage, options.survey,
-                                              options.max_crowd, options.seed, jobs,
-                                              want_report ? &per_site : nullptr, telemetry_arg,
-                                              journal.get(), run);
+  SurveyBreakdown b;
+  rc = session.RunCohort(*cohort, stage, options.survey, options.max_crowd, options.seed, &b,
+                         want_report ? &per_site : nullptr);
+  if (rc == kExitJournal) {
+    return rc;
+  }
   PrintSurveyBreakdownLine(b);
-  if (telemetry.collect_metrics) {
-    // A non-zero stall count means some allocation pass left flows pinned at
-    // rate 0 (see FlowNetworkStats::no_progress) — results are suspect.
-    double stalls = telemetry.metrics.Counter("flow_network.no_progress");
-    if (stalls > 0.0) {
-      fprintf(stderr, "warning: flow_network.no_progress = %.0f (water-filling stalls)\n",
-              stalls);
-    }
-  }
-  if (!options.trace_path.empty()) {
-    WriteFile(options.trace_path, ExportTraceJson(telemetry.trace));
-  }
-  if (!options.metrics_path.empty()) {
-    WriteFile(options.metrics_path, ExportMetricsCsv(telemetry.metrics));
-  }
+  rc = session.Finish();
+  const SurveyJournal* journal = session.Journal();
   if (journal != nullptr) {
-    journal->Sync();
-    printf("journal: %zu site(s) replayed, %zu executed\n",
-           journal->resumed_sites.load(), journal->executed_sites.load());
-    if (journal->interrupted.load()) {
-      fprintf(stderr, "interrupted: resume with --journal=%s --resume\n",
-              journal->Path().c_str());
-      return kExitInterrupted;
-    }
+    printf("journal: %zu site(s) replayed, %zu executed\n", journal->resumed_sites.load(),
+           journal->executed_sites.load());
   }
-  if (want_report) {
-    // Quarantine records in a resumed journal surface in this run's report
-    // too, in global index order — the same view --merge would build.
-    std::vector<JournalQuarantineRecord> quarantined;
-    if (journal != nullptr) {
-      for (const JournalQuarantineRecord& q : journal->Quarantines()) {
-        if (q.cohort_ordinal == journal->CurrentOrdinal()) {
-          quarantined.push_back(q);
-        }
+  if (!want_report || session.Interrupted()) {
+    return rc;  // an interrupted survey leaves the report to its resume
+  }
+  // Quarantine records in a resumed journal surface in this run's report
+  // too, in global index order — the same view --merge would build.
+  std::vector<JournalQuarantineRecord> quarantined;
+  if (journal != nullptr) {
+    for (const JournalQuarantineRecord& q : journal->Quarantines()) {
+      if (q.cohort_ordinal == journal->CurrentOrdinal()) {
+        quarantined.push_back(q);
       }
-      std::sort(quarantined.begin(), quarantined.end(),
-                [](const JournalQuarantineRecord& a, const JournalQuarantineRecord& b2) {
-                  return a.site_index < b2.site_index;
-                });
     }
-    SurveyReportInput report;
-    report.cohort_name = std::string(CohortName(*cohort));
-    report.stage = static_cast<int>(stage);
-    report.servers = options.survey;
-    report.max_crowd = options.max_crowd;
-    report.seed = options.seed;
-    report.legacy_seeds = options.legacy_seeds;
-    report.breakdown = b;
-    report.per_site = &per_site;
-    report.quarantined = &quarantined;
-    WriteFile(options.json_path, BuildSurveyReportJson(report));
+    std::sort(quarantined.begin(), quarantined.end(),
+              [](const JournalQuarantineRecord& a, const JournalQuarantineRecord& b2) {
+                return a.site_index < b2.site_index;
+              });
   }
-  return kExitOk;
+  SurveyReportInput report;
+  report.cohort_name = std::string(CohortName(*cohort));
+  report.stage = static_cast<int>(stage);
+  report.servers = options.survey;
+  report.max_crowd = options.max_crowd;
+  report.seed = options.seed;
+  report.breakdown = b;
+  report.per_site = &per_site;
+  report.quarantined = &quarantined;
+  if (!WriteOutputFile(flags.json_path, BuildSurveyReportJson(report))) {
+    rc = kExitFailure;
+  }
+  return rc;
 }
 
 // Folds the shard journals at |paths| back into the single-process outputs
@@ -592,6 +448,7 @@ int RunSurvey(const Options& options) {
 // builder as an unsharded --survey --json run, so the two are comparable
 // byte for byte. Shared by --merge and the --supervise auto-merge.
 int MergeAndWrite(const Options& options, const std::vector<std::string>& paths) {
+  const SurveyFlags& flags = options.flags;
   ShardMergeResult merged;
   std::string error;
   if (!MergeShardJournals(paths, &merged, &error)) {
@@ -608,7 +465,7 @@ int MergeAndWrite(const Options& options, const std::vector<std::string>& paths)
              q.signature.c_str());
     }
   }
-  if (!options.json_path.empty()) {
+  if (!flags.json_path.empty()) {
     if (merged.cohorts.size() != 1) {
       fprintf(stderr, "--json merge report requires single-cohort journals (these hold %zu)\n",
               merged.cohorts.size());
@@ -621,21 +478,20 @@ int MergeAndWrite(const Options& options, const std::vector<std::string>& paths)
     report.servers = c.servers;
     report.max_crowd = c.max_crowd;
     report.seed = c.seed;
-    report.legacy_seeds = c.legacy_seeds;
     report.breakdown = merged.breakdowns[0];
     report.per_site = &merged.per_site[0];
     report.quarantined = &merged.quarantined[0];
-    if (!WriteFile(options.json_path, BuildSurveyReportJson(report))) {
-      return kExitAborted;
+    if (!WriteOutputFile(flags.json_path, BuildSurveyReportJson(report))) {
+      return kExitFailure;
     }
   }
-  if (!options.trace_path.empty() &&
-      !WriteFile(options.trace_path, ExportTraceJson(merged.trace))) {
-    return kExitAborted;
+  if (!flags.trace_path.empty() &&
+      !WriteOutputFile(flags.trace_path, ExportTraceJson(merged.trace))) {
+    return kExitFailure;
   }
-  if (!options.metrics_path.empty() &&
-      !WriteFile(options.metrics_path, ExportMetricsCsv(merged.metrics))) {
-    return kExitAborted;
+  if (!flags.metrics_path.empty() &&
+      !WriteOutputFile(flags.metrics_path, ExportMetricsCsv(merged.metrics))) {
+    return kExitFailure;
   }
   return kExitOk;
 }
@@ -676,10 +532,11 @@ int RunSupervise(const Options& options) {
   if (!cohort.has_value()) {
     return kExitUsage;
   }
+  const SurveyFlags& flags = options.flags;
   const std::string exe = SelfExePath(options.argv0);
-  const size_t shards = options.shards;
+  const size_t shards = flags.shards;
   // Each worker gets an equal slice of the machine unless --jobs pins it.
-  size_t worker_jobs = options.jobs;
+  size_t worker_jobs = flags.jobs;
   if (worker_jobs == 0) {
     worker_jobs = std::max<size_t>(1, ResolveJobs(0) / shards);
   }
@@ -687,7 +544,7 @@ int RunSupervise(const Options& options) {
   std::vector<std::string> stats_paths;
   std::vector<std::string> log_paths;
   for (size_t j = 0; j < shards; ++j) {
-    journal_paths.push_back(options.journal_path + ".shard" + std::to_string(j));
+    journal_paths.push_back(flags.journal_path + ".shard" + std::to_string(j));
     stats_paths.push_back(journal_paths.back() + ".stats");
     log_paths.push_back(journal_paths.back() + ".log");
   }
@@ -695,7 +552,7 @@ int RunSupervise(const Options& options) {
   // supervisor tell "slow site" from "wedged worker", so the cadence must
   // beat the hang deadline comfortably.
   const double worker_stats_interval =
-      std::min(options.stats_interval, options.hang_timeout / 4.0);
+      std::min(flags.stats_interval, options.hang_timeout / 4.0);
 
   SupervisorOptions sup;
   sup.shards = shards;
@@ -721,9 +578,6 @@ int RunSupervise(const Options& options) {
       stages += StageFlagName(options.stages[i]);
     }
     argv.push_back(stages);
-    if (options.legacy_seeds) {
-      argv.push_back("--legacy-seeds");
-    }
     argv.push_back("--jobs=" + std::to_string(sequential ? 1 : worker_jobs));
     argv.push_back("--shards=" + std::to_string(shards));
     argv.push_back("--shard-index=" + std::to_string(shard));
@@ -737,30 +591,30 @@ int RunSupervise(const Options& options) {
     argv.push_back(interval);
     // Trace/metrics requests make workers journal their telemetry so the
     // merge can export it; the workers' own export files are scratch.
-    if (!options.trace_path.empty()) {
+    if (!flags.trace_path.empty()) {
       argv.push_back("--trace=" + journal_paths[shard] + ".trace.json");
     }
-    if (!options.metrics_path.empty()) {
+    if (!flags.metrics_path.empty()) {
       argv.push_back("--metrics=" + journal_paths[shard] + ".metrics.csv");
     }
     return argv;
   };
   std::unique_ptr<StatsStream> stats;
-  if (!options.stats_stream_path.empty()) {
+  if (!flags.stats_stream_path.empty()) {
     std::string error;
-    stats = StatsStream::Open(options.stats_stream_path, &error);
+    stats = StatsStream::Open(flags.stats_stream_path, &error);
     if (stats == nullptr) {
       fprintf(stderr, "%s\n", error.c_str());
       return kExitUsage;
     }
     sup.stats = stats.get();
-    sup.stats_interval = options.stats_interval;
+    sup.stats_interval = flags.stats_interval;
   }
 
   printf("supervise: shards=%zu jobs/worker=%zu hang-timeout=%.0fs quarantine-after=%zu "
          "journals=%s.shard<j>\n",
          shards, worker_jobs, options.hang_timeout, options.quarantine_after,
-         options.journal_path.c_str());
+         flags.journal_path.c_str());
   SurveySupervisor supervisor(std::move(sup));
   SupervisorResult result = supervisor.Run();
   if (result.interrupted) {
@@ -796,9 +650,10 @@ int Run(const Options& options) {
   }
   auto site = ResolveSite(options);
   if (!site.has_value()) {
-    return 2;
+    return kExitUsage;
   }
 
+  const SurveyFlags& flags = options.flags;
   ExperimentConfig config;
   config.threshold = Millis(options.theta_ms);
   config.crowd_step = options.step;
@@ -807,10 +662,10 @@ int Run(const Options& options) {
   config.requests_per_client = options.mr;
   config.stagger_spacing = Millis(options.stagger_ms);
 
-  const bool want_trace = !options.trace_path.empty();
-  const bool want_metrics = !options.metrics_path.empty();
+  const bool want_trace = !flags.trace_path.empty();
+  const bool want_metrics = !flags.metrics_path.empty();
   std::unique_ptr<SurveyJournal> journal;
-  if (!options.journal_path.empty()) {
+  if (!flags.journal_path.empty()) {
     char fingerprint[256];
     snprintf(fingerprint, sizeof(fingerprint),
              "profile=%s;cohort=%s;theta=%g;step=%zu;max=%zu;fleet=%zu;mr=%zu;stagger=%g;"
@@ -820,7 +675,7 @@ int Run(const Options& options) {
              options.background_rps, static_cast<unsigned long long>(options.seed),
              StagesToken(options.stages).c_str(), options.crawl ? 1 : 0, want_trace ? 1 : 0,
              want_metrics ? 1 : 0);
-    journal = OpenJournal(options, "mfc_profile:single", fingerprint);
+    journal = OpenJournal(flags.journal_path, "mfc_profile:single", fingerprint, flags.resume);
     if (journal == nullptr) {
       return kExitJournal;
     }
@@ -882,12 +737,12 @@ int Run(const Options& options) {
     // results with it attached are identical to results without.
     std::unique_ptr<StatsStream> stats;
     std::unique_ptr<SimStatsSampler> sampler;
-    if (!options.stats_stream_path.empty()) {
+    if (!flags.stats_stream_path.empty()) {
       std::string error;
-      stats = StatsStream::Open(options.stats_stream_path, &error);
+      stats = StatsStream::Open(flags.stats_stream_path, &error);
       if (stats == nullptr) {
         fprintf(stderr, "%s\n", error.c_str());
-        return 2;
+        return kExitUsage;
       }
       auto probe = [&deployment] {
         SimHealthSnapshot s;
@@ -899,7 +754,7 @@ int Run(const Options& options) {
         return s;
       };
       sampler = std::make_unique<SimStatsSampler>(deployment.Loop(), *stats,
-                                                  options.stats_interval, probe,
+                                                  flags.stats_interval, probe,
                                                   want_metrics ? &metrics : nullptr);
       sampler->Start();
     }
@@ -929,7 +784,7 @@ int Run(const Options& options) {
 
   if (result.aborted) {
     printf("ABORTED: %s\n", result.abort_reason.c_str());
-    return 1;
+    return kExitFailure;
   }
   for (const StageResult& stage : result.stages) {
     printf("[%s]\n", std::string(StageName(stage.kind)).c_str());
@@ -948,19 +803,20 @@ int Run(const Options& options) {
   }
   printf("%s", AnalyzeExperiment(result, config).ToText().c_str());
 
-  if (!options.csv_path.empty()) {
-    WriteFile(options.csv_path, ExportEpochsCsv(result));
+  int rc = kExitOk;
+  if (!options.csv_path.empty() && !WriteOutputFile(options.csv_path, ExportEpochsCsv(result))) {
+    rc = kExitFailure;
   }
-  if (!options.json_path.empty()) {
-    WriteFile(options.json_path, ExportJson(result));
+  if (!flags.json_path.empty() && !WriteOutputFile(flags.json_path, ExportJson(result))) {
+    rc = kExitFailure;
   }
-  if (!options.trace_path.empty()) {
-    WriteFile(options.trace_path, ExportTraceJson(tracer));
+  if (want_trace && !WriteOutputFile(flags.trace_path, ExportTraceJson(tracer))) {
+    rc = kExitFailure;
   }
-  if (!options.metrics_path.empty()) {
-    WriteFile(options.metrics_path, ExportMetricsCsv(metrics));
+  if (want_metrics && !WriteOutputFile(flags.metrics_path, ExportMetricsCsv(metrics))) {
+    rc = kExitFailure;
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace
@@ -970,7 +826,7 @@ int main(int argc, char** argv) {
   auto options = mfc::ParseArgs(argc, argv);
   if (!options.has_value()) {
     mfc::Usage();
-    return 2;  // kExitUsage
+    return mfc::kExitUsage;
   }
   return mfc::Run(*options);
 }
