@@ -4,6 +4,7 @@
 // within 30 ms.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "src/core/sim_testbed.h"
@@ -43,12 +44,14 @@ void Run() {
   }
   SimTime arrival_target = testbed.Now() + 15.0;
   auto dispatch = ComputeDispatchTimes(latencies, arrival_target);
+  auto request = std::make_shared<HttpRequest>();
+  request->method = HttpMethod::kHead;
+  request->target = "/";
   std::vector<CrowdRequestPlan> plans;
   for (size_t i = 0; i < kCrowd; ++i) {
     CrowdRequestPlan plan;
     plan.client_id = i;
-    plan.request.method = HttpMethod::kHead;
-    plan.request.target = "/";
+    plan.request = request;
     plan.command_send_time = dispatch[i].command_send_time;
     plan.intended_arrival = dispatch[i].intended_arrival;
     plans.push_back(plan);

@@ -41,6 +41,7 @@ void RunModel(const std::string& name, ResponseTimeModel model,
   HttpRequest request;
   request.method = HttpMethod::kGet;
   request.target = "/";
+  auto shared_request = std::make_shared<const HttpRequest>(request);
   for (size_t i = 0; i < kClients; ++i) {
     latencies.push_back(
         ClientLatencyEstimate{i, testbed.MeasureCoordRtt(i), testbed.MeasureTargetRtt(i)});
@@ -58,7 +59,7 @@ void RunModel(const std::string& name, ResponseTimeModel model,
     for (size_t i = 0; i < crowd; ++i) {
       CrowdRequestPlan plan;
       plan.client_id = i;
-      plan.request = request;
+      plan.request = shared_request;
       plan.command_send_time = dispatch[i].command_send_time;
       plan.intended_arrival = dispatch[i].intended_arrival;
       plans.push_back(plan);

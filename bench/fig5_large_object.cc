@@ -4,6 +4,7 @@
 // the constraint. We print the same two panels (median response time, network
 // usage) plus the flat resource gauges.
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "src/core/experiment_runner.h"
@@ -30,6 +31,7 @@ void Run() {
   // The probe object: the site's single 100 KB binary.
   StageObjects objects = deployment.ObjectsFromContent();
   HttpRequest request = HttpRequest::For(HttpMethod::kGet, *objects.large_object);
+  auto shared_request = std::make_shared<const HttpRequest>(request);
 
   ResourceMonitor monitor(testbed.Loop(), Millis(20));
   monitor.AddGauge("cpu", [&] { return deployment.Server().CpuUtilization(); });
@@ -58,7 +60,7 @@ void Run() {
     for (size_t i = 0; i < crowd; ++i) {
       CrowdRequestPlan plan;
       plan.client_id = i;
-      plan.request = request;
+      plan.request = shared_request;
       plan.command_send_time = dispatch[i].command_send_time;
       plan.intended_arrival = dispatch[i].intended_arrival;
       plans.push_back(plan);

@@ -5,6 +5,7 @@
 // response time rises with it. The Mongrel configuration (fixed worker pool)
 // is printed alongside: it stays flat, as the paper's text reports.
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "src/core/experiment_runner.h"
@@ -35,6 +36,7 @@ std::vector<Row> RunVariant(CgiModel model) {
 
   StageObjects objects = deployment.ObjectsFromContent();
   HttpRequest request = HttpRequest::For(HttpMethod::kGet, *objects.small_query);
+  auto shared_request = std::make_shared<const HttpRequest>(request);
 
   // atop-style sampler on the server box.
   ResourceMonitor monitor(testbed.Loop(), Millis(20));
@@ -61,7 +63,7 @@ std::vector<Row> RunVariant(CgiModel model) {
     for (size_t i = 0; i < crowd; ++i) {
       CrowdRequestPlan plan;
       plan.client_id = i;
-      plan.request = request;
+      plan.request = shared_request;
       plan.command_send_time = dispatch[i].command_send_time;
       plan.intended_arrival = dispatch[i].intended_arrival;
       plans.push_back(plan);

@@ -7,6 +7,7 @@
 // looser (up to ~3.3 s at 375 scheduled requests) because transfers perturb
 // the paths the sync estimates were made on.
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "src/core/experiment_runner.h"
@@ -35,6 +36,7 @@ std::vector<EpochRow> RunStage(Deployment& deployment, const HttpRequest& reques
         ClientLatencyEstimate{i, testbed.MeasureCoordRtt(i), testbed.MeasureTargetRtt(i)});
   }
 
+  auto shared_template = std::make_shared<const HttpRequest>(request_template);
   std::vector<EpochRow> rows;
   const size_t kEpochRequests[] = {25, 40, 55, 75, 100, 125, 175, 225, 275, 325, 375};
   for (size_t requests : kEpochRequests) {
@@ -52,9 +54,12 @@ std::vector<EpochRow> RunStage(Deployment& deployment, const HttpRequest& reques
     for (size_t i = 0; i < clients && scheduled < requests; ++i) {
       CrowdRequestPlan plan;
       plan.client_id = i;
-      plan.request = request_template;
       if (unique_queries) {
-        plan.request.target += "&mfc=" + std::to_string(i);
+        auto request = std::make_shared<HttpRequest>(request_template);
+        request->target += "&mfc=" + std::to_string(i);
+        plan.request = std::move(request);
+      } else {
+        plan.request = shared_template;
       }
       plan.command_send_time = dispatch[i].command_send_time;
       plan.intended_arrival = dispatch[i].intended_arrival;

@@ -20,8 +20,8 @@ LoadGenReport ClosedLoopLoadGen::Run(SimDuration duration) {
 
   // Each user is a self-rescheduling request chain pinned to one client.
   struct User {
-    static void Next(SimTestbed* testbed, HttpRequest request, size_t client,
-                     SimDuration think, std::shared_ptr<Shared> shared) {
+    static void Next(SimTestbed* testbed, std::shared_ptr<const HttpRequest> request,
+                     size_t client, SimDuration think, std::shared_ptr<Shared> shared) {
       if (testbed->Loop().Now() >= shared->deadline) {
         return;
       }
@@ -39,9 +39,10 @@ LoadGenReport ClosedLoopLoadGen::Run(SimDuration duration) {
     }
   };
 
+  auto request = std::make_shared<const HttpRequest>(request_);
   for (size_t u = 0; u < concurrency_; ++u) {
     size_t client = u % testbed_.ClientCount();
-    User::Next(&testbed_, request_, client, think_time_, shared);
+    User::Next(&testbed_, request, client, think_time_, shared);
   }
   loop.RunUntil(deadline + Seconds(15));  // drain in-flight requests
 

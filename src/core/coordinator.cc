@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 
 #include "src/core/sync_scheduler.h"
 #include "src/telemetry/metrics.h"
@@ -41,6 +43,10 @@ void Coordinator::EndSpan(SpanId id) {
 
 void Coordinator::SetMeasurers(std::vector<MeasurerSpec> measurers) {
   measurers_ = std::move(measurers);
+  measurer_requests_.clear();
+  for (const MeasurerSpec& m : measurers_) {
+    measurer_requests_.push_back(std::make_shared<const HttpRequest>(m.request));
+  }
 }
 
 double Coordinator::MetricPercentile(StageKind kind) const {
@@ -84,9 +90,10 @@ std::vector<Coordinator::ClientState> Coordinator::PrepareClients(
     state.id = id;
     state.coord_rtt = harness_.MeasureCoordRtt(id);
     state.target_rtt = harness_.MeasureTargetRtt(id);
+    state.request = std::make_shared<const HttpRequest>(RequestFor(kind, objects, id));
     // Base response time, measured sequentially so clients do not perturb
     // each other (Section 2.2.3).
-    RequestSample base = harness_.FetchOnce(id, RequestFor(kind, objects, id));
+    RequestSample base = harness_.FetchOnce(id, *state.request);
     state.base_response_time = base.response_time;
     state.usable = !base.timed_out && IsSuccess(base.code);
     clients.push_back(state);
@@ -94,9 +101,8 @@ std::vector<Coordinator::ClientState> Coordinator::PrepareClients(
   return clients;
 }
 
-EpochResult Coordinator::RunEpoch(StageKind kind, const StageObjects& objects,
-                                  std::vector<ClientState>& clients, size_t crowd_size,
-                                  bool check_phase) {
+EpochResult Coordinator::RunEpoch(StageKind kind, std::vector<ClientState>& clients,
+                                  size_t crowd_size, bool check_phase) {
   EpochResult result;
   result.crowd_size = crowd_size;
   result.check_phase = check_phase;
@@ -141,7 +147,7 @@ EpochResult Coordinator::RunEpoch(StageKind kind, const StageObjects& objects,
   for (size_t i = 0; i < n; ++i) {
     CrowdRequestPlan plan;
     plan.client_id = usable[i]->id;
-    plan.request = RequestFor(kind, objects, usable[i]->id);
+    plan.request = usable[i]->request;
     plan.command_send_time = dispatch[i].command_send_time;
     plan.intended_arrival = dispatch[i].intended_arrival;
     plan.connections = per_client;
@@ -150,7 +156,7 @@ EpochResult Coordinator::RunEpoch(StageKind kind, const StageObjects& objects,
   for (size_t i = 0; i < measurers_.size(); ++i) {
     CrowdRequestPlan plan;
     plan.client_id = measurers_[i].client_id;
-    plan.request = measurers_[i].request;
+    plan.request = measurer_requests_[i];
     plan.command_send_time = dispatch[n + i].command_send_time;
     plan.intended_arrival = dispatch[n + i].intended_arrival;
     plan.connections = 1;
@@ -166,20 +172,33 @@ EpochResult Coordinator::RunEpoch(StageKind kind, const StageObjects& objects,
   std::vector<RequestSample> raw = harness_.ExecuteCrowd(plans, poll);
 
   // Normalize against per-client base response times; separate measurers.
-  std::map<size_t, SimDuration> base_by_client;
+  // participant[id] is the index into usable[0, n) of client |id|, if it is
+  // in this crowd; answered[i] counts participant i's non-timeout samples.
+  constexpr size_t kNotParticipant = SIZE_MAX;
+  size_t id_bound = 0;
   for (size_t i = 0; i < n; ++i) {
-    base_by_client[usable[i]->id] = usable[i]->base_response_time;
+    id_bound = std::max(id_bound, usable[i]->id + 1);
   }
+  std::vector<size_t> participant(id_bound, kNotParticipant);
+  for (size_t i = 0; i < n; ++i) {
+    participant[usable[i]->id] = i;
+  }
+  std::vector<size_t> answered(n, 0);
   std::vector<RequestSample> measurer_out;
   std::vector<double> normalized;
+  normalized.reserve(raw.size());
+  result.samples.reserve(raw.size());
   for (RequestSample& sample : raw) {
-    auto it = base_by_client.find(sample.client_id);
-    if (it == base_by_client.end()) {
+    size_t p = sample.client_id < id_bound ? participant[sample.client_id] : kNotParticipant;
+    if (p == kNotParticipant) {
       measurer_out.push_back(sample);
       continue;
     }
-    sample.normalized = sample.response_time - it->second;
+    sample.normalized = sample.response_time - usable[p]->base_response_time;
     normalized.push_back(sample.normalized);
+    if (!sample.timed_out) {
+      ++answered[p];
+    }
     result.samples.push_back(sample);
   }
   if (!measurers_.empty()) {
@@ -192,20 +211,13 @@ EpochResult Coordinator::RunEpoch(StageKind kind, const StageObjects& objects,
   result.exceeded_threshold = result.metric > config_.threshold;
 
   // Health accounting for the participants: a miss is an epoch contributing
-  // no sample at all (control plane silent) or nothing but timeouts. After
-  // evict_after_misses consecutive misses the client is marked unhealthy and
-  // drops out of the usable pool — spares take its place next epoch.
-  std::map<size_t, size_t> got;
-  std::map<size_t, size_t> ok;
-  for (const RequestSample& sample : result.samples) {
-    ++got[sample.client_id];
-    if (!sample.timed_out) {
-      ++ok[sample.client_id];
-    }
-  }
+  // no sample at all (control plane silent) or nothing but timeouts, i.e. no
+  // answered sample. After evict_after_misses consecutive misses the client
+  // is marked unhealthy and drops out of the usable pool — spares take its
+  // place next epoch.
   for (size_t i = 0; i < n; ++i) {
     ClientState& c = *usable[i];
-    bool miss = got[c.id] == 0 || ok[c.id] == 0;
+    bool miss = answered[i] == 0;
     if (miss) {
       ++c.consecutive_misses;
     } else {
@@ -324,7 +336,7 @@ StageResult Coordinator::RunStage(StageKind kind, const StageObjects& objects,
   // returned (possibly re-run) epoch met quorum — a false means the control
   // plane is too degraded to trust and the stage must end.
   auto run_quorum_epoch = [&](size_t crowd, bool check_phase, bool& quorum_ok) {
-    EpochResult epoch = RunEpoch(kind, objects, clients, crowd, check_phase);
+    EpochResult epoch = RunEpoch(kind, clients, crowd, check_phase);
     account(epoch);
     if (!below_quorum(epoch)) {
       quorum_ok = true;
@@ -335,7 +347,7 @@ StageResult Coordinator::RunStage(StageKind kind, const StageObjects& objects,
     if (telemetry_ != nullptr && telemetry_->metrics != nullptr) {
       telemetry_->metrics->Add("coord.epoch_requeues");
     }
-    EpochResult rerun = RunEpoch(kind, objects, clients, crowd, check_phase);
+    EpochResult rerun = RunEpoch(kind, clients, crowd, check_phase);
     rerun.requeued = true;
     account(rerun);
     quorum_ok = !below_quorum(rerun);

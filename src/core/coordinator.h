@@ -3,7 +3,7 @@
 #ifndef MFC_SRC_CORE_COORDINATOR_H_
 #define MFC_SRC_CORE_COORDINATOR_H_
 
-#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -73,6 +73,8 @@ class Coordinator {
     SimDuration coord_rtt = 0.0;
     SimDuration target_rtt = 0.0;
     SimDuration base_response_time = 0.0;
+    // The request this client issues throughout the stage, built once.
+    std::shared_ptr<const HttpRequest> request;
     bool usable = false;
     // Graceful-degradation bookkeeping: a client that misses (no sample, or
     // nothing but timeouts) config.evict_after_misses epochs in a row is
@@ -81,8 +83,9 @@ class Coordinator {
     bool healthy = true;
   };
 
-  // Builds the request client |id| issues for |kind| (stable across epochs so
-  // the base measurement normalizes the same object).
+  // Builds the request client |id| issues for |kind|. PrepareClients builds
+  // it once per stage; the base measurement and every epoch share it, so
+  // they normalize the same object.
   HttpRequest RequestFor(StageKind kind, const StageObjects& objects, size_t client_id) const;
 
   // Delay computation + sequential base measurements for one stage.
@@ -94,8 +97,8 @@ class Coordinator {
 
   // Executes one epoch of |crowd_size| concurrent requests; returns the
   // coordinator's view of it.
-  EpochResult RunEpoch(StageKind kind, const StageObjects& objects,
-                       std::vector<ClientState>& clients, size_t crowd_size, bool check_phase);
+  EpochResult RunEpoch(StageKind kind, std::vector<ClientState>& clients, size_t crowd_size,
+                       bool check_phase);
 
   double MetricPercentile(StageKind kind) const;
 
@@ -107,6 +110,8 @@ class Coordinator {
   ExperimentConfig config_;
   Rng rng_;
   std::vector<MeasurerSpec> measurers_;
+  // measurers_[i].request, shared by every epoch's plan.
+  std::vector<std::shared_ptr<const HttpRequest>> measurer_requests_;
   std::vector<std::vector<RequestSample>> measurer_samples_;
   Telemetry* telemetry_ = nullptr;
   SpanId experiment_span_ = 0;

@@ -7,6 +7,7 @@
 #ifndef MFC_SRC_CORE_HARNESS_H_
 #define MFC_SRC_CORE_HARNESS_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/core/types.h"
@@ -18,7 +19,9 @@ namespace mfc {
 // One client's marching orders for an epoch.
 struct CrowdRequestPlan {
   size_t client_id = 0;
-  HttpRequest request;
+  // Immutable and shared: the coordinator builds one request per client per
+  // stage, and every epoch, connection and testbed hop borrows it.
+  std::shared_ptr<const HttpRequest> request;
   SimTime command_send_time = 0.0;  // when the coordinator transmits the command
   SimTime intended_arrival = 0.0;   // diagnostic: when the request should land
   size_t connections = 1;           // MFC-mr parallel connections

@@ -42,16 +42,16 @@ SimDuration SimTestbed::MeasureTargetRtt(size_t client) {
   return wan_->SampleTargetOneWay(client) + wan_->SampleTargetOneWay(client);
 }
 
-void SimTestbed::Launch(size_t client, const HttpRequest& request,
+void SimTestbed::Launch(size_t client, std::shared_ptr<const HttpRequest> request,
                         std::function<void(const RequestSample&)> on_done) {
-  auto sink = std::make_shared<std::function<void(const RequestSample&)>>(std::move(on_done));
   auto state = std::make_shared<PendingRequest>();
   state->client = client;
   state->start = loop_.Now();
+  state->on_done = std::move(on_done);
 
   // Client-side kill timer (Figure 2b step 2: "If full response not received
   // by 10s: kill the request, set code=ERR, response time=10s").
-  state->kill_timer = loop_.ScheduleAfter(request_timeout_, [this, state, sink] {
+  state->kill_timer = loop_.ScheduleAfter(request_timeout_, [this, state] {
     state->kill_timer = 0;
     if (state->settled) {
       return;
@@ -73,7 +73,7 @@ void SimTestbed::Launch(size_t client, const HttpRequest& request,
     sample.bytes = 0.0;
     sample.response_time = request_timeout_;
     sample.timed_out = true;
-    (*sink)(sample);
+    state->on_done(sample);
   });
 
   // TCP handshake + request delivery: SYN, SYN-ACK, then ACK piggybacking the
@@ -81,13 +81,13 @@ void SimTestbed::Launch(size_t client, const HttpRequest& request,
   // after the client fires (Section 2.2.4).
   SimDuration to_server = wan_->SampleTargetOneWay(client) + wan_->SampleTargetOneWay(client) +
                           wan_->SampleTargetOneWay(client);
-  loop_.ScheduleAfter(to_server, [this, state, request, sink] {
+  loop_.ScheduleAfter(to_server, [this, state, request = std::move(request)] {
     if (state->settled) {
       return;  // killed before the request even reached the target
     }
-    target_.OnRequest(request, /*is_mfc=*/true,
-                      [this, state, sink](HttpStatus status, double bytes,
-                                          std::function<void()> on_sent) {
+    target_.OnRequest(*request, /*is_mfc=*/true,
+                      [this, state](HttpStatus status, double bytes,
+                                    std::function<void()> on_sent) {
                         state->transport_called = true;
                         if (state->settled) {
                           if (on_sent) {
@@ -98,35 +98,45 @@ void SimTestbed::Launch(size_t client, const HttpRequest& request,
                         state->status = status;
                         state->bytes = bytes;
                         state->on_sent = std::move(on_sent);
-                        state->flow = wan_->StartDownload(
-                            state->client, bytes, [this, state, sink] {
-                              state->flow = 0;
-                              if (state->settled) {
-                                return;
-                              }
-                              state->settled = true;
-                              if (state->kill_timer != 0) {
-                                loop_.Cancel(state->kill_timer);
-                                state->kill_timer = 0;
-                              }
-                              RequestSample sample;
-                              sample.client_id = state->client;
-                              sample.code = state->status;
-                              sample.bytes = state->bytes;
-                              sample.response_time = loop_.Now() - state->start;
-                              (*sink)(sample);
-                              if (state->on_sent) {
-                                auto release = std::move(state->on_sent);
-                                release();
-                              }
-                            });
+                        state->flow = wan_->StartDownload(state->client, bytes, [this, state] {
+                          state->flow = 0;
+                          if (state->settled) {
+                            return;
+                          }
+                          state->settled = true;
+                          if (state->kill_timer != 0) {
+                            loop_.Cancel(state->kill_timer);
+                            state->kill_timer = 0;
+                          }
+                          RequestSample sample;
+                          sample.client_id = state->client;
+                          sample.code = state->status;
+                          sample.bytes = state->bytes;
+                          sample.response_time = loop_.Now() - state->start;
+                          state->on_done(sample);
+                          if (state->on_sent) {
+                            auto release = std::move(state->on_sent);
+                            release();
+                          }
+                        });
                       });
   });
 }
 
+namespace {
+
+// A non-owning handle on a request for the blocking fetches below. They run
+// the loop until their request settles, and a target reads a request only
+// inside OnRequest, so the caller's request outlives every read of it.
+std::shared_ptr<const HttpRequest> Borrow(const HttpRequest& request) {
+  return std::shared_ptr<const HttpRequest>(std::shared_ptr<const HttpRequest>(), &request);
+}
+
+}  // namespace
+
 RequestSample SimTestbed::FetchOnce(size_t client, const HttpRequest& request) {
   auto result = std::make_shared<std::vector<RequestSample>>();
-  Launch(client, request, [result](const RequestSample& s) { result->push_back(s); });
+  Launch(client, Borrow(request), [result](const RequestSample& s) { result->push_back(s); });
   // Drive the simulation until this one request settles. The kill timer
   // guarantees settlement within request_timeout_.
   while (result->empty() && loop_.RunOne()) {
@@ -141,25 +151,32 @@ std::vector<RequestSample> SimTestbed::ExecuteCrowd(const std::vector<CrowdReque
   // may still settle after the poll (their samples are simply not returned,
   // as with the paper's poll-based collection).
   auto sink = std::make_shared<std::vector<RequestSample>>();
+  size_t expected = 0;
+  for (const CrowdRequestPlan& plan : plans) {
+    expected += plan.connections;
+  }
+  sink->reserve(expected);
   for (const CrowdRequestPlan& plan : plans) {
     SimTime send = std::max(plan.command_send_time, loop_.Now());
-    loop_.ScheduleAt(send, [this, plan, sink] {
+    loop_.ScheduleAt(send, [this, client = plan.client_id, connections = plan.connections,
+                            request = plan.request, sink]() mutable {
       // Command travels coordinator -> client over lossy UDP.
-      wan_->SendControl(plan.client_id, [this, plan, sink] {
-        for (size_t c = 0; c < plan.connections; ++c) {
-          Launch(plan.client_id, plan.request,
-                 [sink](const RequestSample& s) { sink->push_back(s); });
+      wan_->SendControl(client, [this, client, connections, request = std::move(request),
+                                 sink = std::move(sink)] {
+        for (size_t c = 0; c < connections; ++c) {
+          Launch(client, request, [sink](const RequestSample& s) { sink->push_back(s); });
         }
       });
     });
   }
   loop_.RunUntil(poll_time);
-  return *sink;
+  // Stragglers that settle later push into the moved-from (empty) vector.
+  return std::move(*sink);
 }
 
 HttpResponse SimTestbed::Fetch(const HttpRequest& request) {
   auto result = std::make_shared<std::vector<RequestSample>>();
-  Launch(coordinator_index_, request,
+  Launch(coordinator_index_, Borrow(request),
          [result](const RequestSample& s) { result->push_back(s); });
   while (result->empty() && loop_.RunOne()) {
   }

@@ -68,8 +68,9 @@ class SimTestbed : public ClientHarness, public Fetcher {
 
   // Low-level: fire one request from |client| right now; |on_done| gets the
   // sample at completion or kill-timeout. Baseline load generators drive the
-  // loop themselves and use this directly.
-  void Launch(size_t client, const HttpRequest& request,
+  // loop themselves and use this directly. The request is shared, never
+  // copied: it is only read, when it reaches the target.
+  void Launch(size_t client, std::shared_ptr<const HttpRequest> request,
               std::function<void(const RequestSample&)> on_done);
 
  private:
@@ -84,6 +85,7 @@ class SimTestbed : public ClientHarness, public Fetcher {
     HttpStatus status = HttpStatus::kOk;
     double bytes = 0.0;
     std::function<void()> on_sent;  // server-side release, owed to the target
+    std::function<void(const RequestSample&)> on_done;
   };
 
 

@@ -65,13 +65,13 @@ void FlowNetwork::ReleaseSlot(uint32_t slot) {
   free_head_ = slot;
 }
 
-FlowId FlowNetwork::StartFlow(std::vector<LinkId> path, double bytes, double rtt, TcpParams tcp,
-                              std::function<void()> on_complete) {
+FlowId FlowNetwork::StartFlow(const std::vector<LinkId>& path, double bytes, double rtt,
+                              TcpParams tcp, std::function<void()> on_complete) {
   SimTime now = loop_.Now();
   const bool unsaturated = Unsaturated();
   uint32_t slot = AcquireSlot();
   Flow& flow = flows_[slot];
-  flow.path = std::move(path);
+  flow.path.assign(path.begin(), path.end());
   flow.path_cap = kInfinity;
   flow.member_pos.clear();
   flow.member_pos.reserve(flow.path.size());

@@ -67,11 +67,12 @@ class FlowNetwork {
   // Adds a link with |capacity| in bytes/second. Capacity must be > 0.
   LinkId AddLink(double capacity);
 
-  // Starts a transfer of |bytes| over |path|. |rtt| drives the slow-start
-  // cwnd-doubling cadence. |on_complete| fires (via the event loop) when the
-  // last byte leaves the final link. Returns an id usable with AbortFlow.
-  // Paths must not repeat a link. Id 0 is never returned.
-  FlowId StartFlow(std::vector<LinkId> path, double bytes, double rtt, TcpParams tcp,
+  // Starts a transfer of |bytes| over |path| (copied into the flow slot's
+  // reused storage). |rtt| drives the slow-start cwnd-doubling cadence.
+  // |on_complete| fires (via the event loop) when the last byte leaves the
+  // final link. Returns an id usable with AbortFlow. Paths must not repeat a
+  // link. Id 0 is never returned.
+  FlowId StartFlow(const std::vector<LinkId>& path, double bytes, double rtt, TcpParams tcp,
                    std::function<void()> on_complete);
 
   // Cancels a transfer; its callback never fires. No-op if already complete

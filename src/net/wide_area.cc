@@ -39,19 +39,19 @@ SimDuration WideAreaNetwork::SampleCoordOneWay(size_t client) {
 
 FlowId WideAreaNetwork::StartDownload(size_t client, double bytes, std::function<void()> on_done) {
   assert(client < clients_.size());
-  std::vector<LinkId> path;
-  path.push_back(server_link_);
+  path_scratch_.clear();
+  path_scratch_.push_back(server_link_);
   if (!pop_links_.empty()) {
-    path.push_back(pop_links_[clients_[client].pop % pop_links_.size()]);
+    path_scratch_.push_back(pop_links_[clients_[client].pop % pop_links_.size()]);
   }
-  path.push_back(client_links_[client]);
+  path_scratch_.push_back(client_links_[client]);
   SimDuration rtt = clients_[client].rtt_to_target;
   // The final byte still needs half an RTT of propagation after it leaves
   // the last queue.
   auto deliver = [this, client, cb = std::move(on_done)]() mutable {
     loop_.ScheduleAfter(SampleTargetOneWay(client), std::move(cb));
   };
-  return flows_.StartFlow(std::move(path), bytes, rtt, TcpParams{}, std::move(deliver));
+  return flows_.StartFlow(path_scratch_, bytes, rtt, TcpParams{}, std::move(deliver));
 }
 
 void WideAreaNetwork::SendControl(size_t client, std::function<void()> deliver) {

@@ -89,6 +89,7 @@ class WideAreaNetwork {
   LinkId server_link_ = 0;
   std::vector<LinkId> pop_links_;
   std::vector<LinkId> client_links_;
+  std::vector<LinkId> path_scratch_;  // StartDownload's path, reused
 };
 
 // Synthesizes a PlanetLab-like fleet: RTTs lognormal around tens of

@@ -371,9 +371,9 @@ std::vector<RequestSample> LiveHarness::ExecuteCrowd(const std::vector<CrowdRequ
     MsgFire fire;
     fire.token = token;
     fire.connections = static_cast<uint32_t>(plan.connections);
-    fire.method = std::string(MethodName(plan.request.method));
+    fire.method = std::string(MethodName(plan.request->method));
     fire.tcp_port = target_port_;
-    fire.target = plan.request.target;
+    fire.target = plan.request->target;
     // Ship the burst instant with the command and transmit right away: the
     // agent holds fire until the instant, so the whole schedule lead becomes
     // headroom for retransmitting lost commands instead of dead air. Plans

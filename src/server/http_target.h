@@ -26,7 +26,9 @@ class HttpTarget {
 
   // Handles a request arriving at the server now. |is_mfc| tags probe
   // requests in the access log (the paper separated MFC from background
-  // traffic in the operators' logs).
+  // traffic in the operators' logs). |request| is borrowed for this call
+  // only (a blocking fetch hands in its caller's request), so a target
+  // copies whatever it needs later.
   virtual void OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) = 0;
 
   // The content hosted here, if content-backed (nullptr for synthetic).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <vector>
 
 namespace mfc {
@@ -28,7 +27,8 @@ double CpuResource::PerJobRate() const {
 
 void CpuResource::Submit(double demand, std::function<void()> done) {
   Advance();
-  jobs_.emplace(next_job_id_++, Job{std::max(demand, kWorkEpsilon), std::move(done)});
+  jobs_.push_back(Job{vclock_ + std::max(demand, kWorkEpsilon), next_job_id_++, std::move(done)});
+  std::push_heap(jobs_.begin(), jobs_.end(), FinishesLater);
   ScheduleNext();
 }
 
@@ -51,27 +51,28 @@ void CpuResource::Advance() {
   if (dt <= 0.0 || jobs_.empty()) {
     return;
   }
-  for (auto& [id, job] : jobs_) {
-    job.remaining = std::max(0.0, job.remaining - current_rate_ * dt);
-  }
+  vclock_ += current_rate_ * dt;
 }
 
 void CpuResource::ScheduleNext() {
-  if (timer_ != 0) {
-    loop_.Cancel(timer_);
-    timer_ = 0;
-  }
   if (jobs_.empty()) {
+    if (timer_ != 0) {
+      loop_.Cancel(timer_);
+      timer_ = 0;
+    }
     current_rate_ = 0.0;
+    vclock_ = 0.0;
     return;
   }
   current_rate_ = PerJobRate();
   assert(current_rate_ > 0.0);
-  double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& [id, job] : jobs_) {
-    min_remaining = std::min(min_remaining, job.remaining);
+  double remaining = std::max(0.0, jobs_.front().finish - vclock_);
+  SimTime due = loop_.Now() + remaining / current_rate_;
+  if (timer_ != 0) {
+    timer_ = loop_.Reschedule(timer_, due);
+    return;
   }
-  timer_ = loop_.ScheduleAfter(min_remaining / current_rate_, [this] {
+  timer_ = loop_.ScheduleAt(due, [this] {
     timer_ = 0;
     OnTimer();
   });
@@ -79,24 +80,29 @@ void CpuResource::ScheduleNext() {
 
 void CpuResource::OnTimer() {
   Advance();
-  std::vector<std::function<void()>> done;
+  // Swapped out while the callbacks run, so one that re-enters the event
+  // loop and reaches OnTimer again finds due_ empty.
+  std::vector<std::function<void()>> due;
+  due.swap(due_);
   SimDuration quantum = TimeQuantum(loop_.Now());
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
+  while (!jobs_.empty()) {
     // Done when the work is gone or the residual cannot advance the clock.
-    if (it->second.remaining <= kWorkEpsilon ||
-        (current_rate_ > 0.0 && it->second.remaining / current_rate_ <= quantum)) {
-      done.push_back(std::move(it->second.done));
-      it = jobs_.erase(it);
-    } else {
-      ++it;
+    double remaining = jobs_.front().finish - vclock_;
+    if (remaining > kWorkEpsilon && remaining / current_rate_ > quantum) {
+      break;
     }
+    std::pop_heap(jobs_.begin(), jobs_.end(), FinishesLater);
+    due.push_back(std::move(jobs_.back().done));
+    jobs_.pop_back();
   }
   ScheduleNext();
-  for (auto& cb : done) {
+  for (auto& cb : due) {
     if (cb) {
       cb();
     }
   }
+  due.clear();
+  due_.swap(due);
 }
 
 DiskResource::DiskResource(EventLoop& loop, double seek_seconds, double bandwidth_bps)

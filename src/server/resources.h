@@ -2,9 +2,12 @@
 //
 // CpuResource: k-core processor-sharing queue — with n jobs each progresses
 // at speed * min(1, cores/n), optionally scaled down by a slowdown provider
-// (memory pressure / swap). DiskResource: FIFO-serialized device with
-// seek + transfer service times; serialized access to a single disk is one of
-// the resource-serialization effects Section 3.3 discusses. MemoryModel:
+// (memory pressure / swap). Every job runs at that one rate, so the model
+// keeps one virtual service clock instead of per-job remaining work
+// (DESIGN.md §10): arrivals and completions are O(log n).
+// DiskResource: FIFO-serialized device with seek + transfer service times;
+// serialized access to a single disk is one of the resource-serialization
+// effects Section 3.3 discusses. MemoryModel:
 // explicit allocation accounting with a swap penalty once resident usage
 // exceeds RAM — the mechanism behind the FastCGI blow-up in Figure 6.
 #ifndef MFC_SRC_SERVER_RESOURCES_H_
@@ -13,7 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "src/sim/event_loop.h"
 
@@ -43,9 +46,14 @@ class CpuResource {
 
  private:
   struct Job {
-    double remaining;
+    double finish;  // virtual time at which the job's demand is met
+    uint64_t id;    // submission order: ties complete first-in, first-out
     std::function<void()> done;
   };
+  // Heap order for std::push_heap/pop_heap: the front job finishes first.
+  static bool FinishesLater(const Job& a, const Job& b) {
+    return a.finish != b.finish ? a.finish > b.finish : a.id > b.id;
+  }
 
   void Advance();
   double PerJobRate() const;
@@ -56,14 +64,21 @@ class CpuResource {
   size_t cores_;
   double speed_;
   std::function<double()> slowdown_;
-  std::unordered_map<uint64_t, Job> jobs_;
+  // Binary min-heap on (finish, id).
+  std::vector<Job> jobs_;
   uint64_t next_job_id_ = 1;
+  // The virtual clock V: service each present job has received since the
+  // CPU last went idle (rebased to 0 then). A job submitted with demand d
+  // finishes when V reaches V(submission) + d.
+  double vclock_ = 0.0;
   SimTime last_advance_ = kTimeZero;
   // Rate in effect since the last reallocation; Advance() must use this, not
   // a fresh PerJobRate(), so slowdown changes apply only from the instant of
   // the Reschedule() that observed them.
   double current_rate_ = 0.0;
   EventId timer_ = 0;
+  // OnTimer's completed callbacks; kept to reuse its capacity.
+  std::vector<std::function<void()>> due_;
 };
 
 class DiskResource {

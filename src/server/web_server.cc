@@ -24,7 +24,8 @@ WebServer::WebServer(EventLoop& loop, WebServerConfig config, const ContentStore
 void WebServer::OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) {
   access_log_.push_back(AccessLogEntry{loop_.Now(), request.method, request.target,
                                        HttpStatus::kOk, 0.0, is_mfc});
-  Ctx ctx{request, is_mfc, std::move(transport), access_log_.size() - 1, nullptr};
+  const WebObject* object = content_ != nullptr ? content_->Find(request.Path()) : nullptr;
+  Ctx ctx{request.method, object, std::move(transport), access_log_.size() - 1, nullptr};
   if (telemetry_ != nullptr && telemetry_->Enabled()) {
     ctx.trace = std::make_shared<RequestTrace>();
     ctx.trace->arrival = loop_.Now();
@@ -114,13 +115,11 @@ void WebServer::Process(Ctx ctx) {
 }
 
 void WebServer::Dispatch(Ctx ctx) {
-  const WebObject* object =
-      content_ != nullptr ? content_->Find(ctx.request.Path()) : nullptr;
-  if (object == nullptr) {
+  if (ctx.object == nullptr) {
     Send(std::move(ctx), HttpStatus::kNotFound, 200.0);
     return;
   }
-  if (ctx.request.method == HttpMethod::kHead) {
+  if (ctx.method == HttpMethod::kHead) {
     // Metadata only: a stat() plus header assembly; never touches the body.
     SimTime t0 = loop_.Now();
     cpu_.Submit(config_.head_cpu_s, [this, t0, ctx = std::move(ctx)]() mutable {
@@ -129,14 +128,15 @@ void WebServer::Dispatch(Ctx ctx) {
     });
     return;
   }
-  if (object->dynamic) {
-    ServeDynamic(std::move(ctx), *object);
+  if (ctx.object->dynamic) {
+    ServeDynamic(std::move(ctx));
   } else {
-    ServeStatic(std::move(ctx), *object);
+    ServeStatic(std::move(ctx));
   }
 }
 
-void WebServer::ServeStatic(Ctx ctx, const WebObject& object) {
+void WebServer::ServeStatic(Ctx ctx) {
+  const WebObject& object = *ctx.object;
   double size = static_cast<double>(object.size_bytes);
   if (page_cache_.Touch(object.path)) {
     Send(std::move(ctx), HttpStatus::kOk, size);
@@ -151,7 +151,7 @@ void WebServer::ServeStatic(Ctx ctx, const WebObject& object) {
   });
 }
 
-void WebServer::ServeDynamic(Ctx ctx, const WebObject& object) {
+void WebServer::ServeDynamic(Ctx ctx) {
   switch (config_.cgi_model) {
     case CgiModel::kNone:
       Send(std::move(ctx), HttpStatus::kNotFound, 200.0);
@@ -161,21 +161,20 @@ void WebServer::ServeDynamic(Ctx ctx, const WebObject& object) {
       ++active_cgi_;
       memory_.Allocate(config_.cgi_process_memory_bytes);
       cpu_.Reschedule();
-      RunCgi(std::move(ctx), object);
+      RunCgi(std::move(ctx));
       return;
     case CgiModel::kMongrel: {
       if (active_cgi_ < config_.mongrel_pool) {
         ++active_cgi_;
-        RunCgi(std::move(ctx), object);
+        RunCgi(std::move(ctx));
       } else {
-        // Wait for a pool worker; captures by value, object outlives us
-        // (ContentStore is owned by the testbed for the whole run).
-        const WebObject* obj = &object;
+        // Wait for a pool worker; ctx.object outlives us (ContentStore is
+        // owned by the testbed for the whole run).
         SimTime t0 = loop_.Now();
-        cgi_wait_.push_back([this, t0, ctx = std::move(ctx), obj]() mutable {
+        cgi_wait_.push_back([this, t0, ctx = std::move(ctx)]() mutable {
           Charge(ctx, "queue", t0, &RequestTrace::queue_s);
           ++active_cgi_;
-          RunCgi(std::move(ctx), *obj);
+          RunCgi(std::move(ctx));
         });
       }
       return;
@@ -183,10 +182,11 @@ void WebServer::ServeDynamic(Ctx ctx, const WebObject& object) {
   }
 }
 
-void WebServer::RunCgi(Ctx ctx, const WebObject& object) {
+void WebServer::RunCgi(Ctx ctx) {
+  const WebObject& object = *ctx.object;
   // Query-cache key: unique-per-query endpoints key on the full target so
   // distinct query strings never hit; otherwise all callers share one key.
-  std::string key = object.unique_per_query ? ctx.request.target : object.path;
+  std::string key = object.unique_per_query ? access_log_[ctx.log_index].target : object.path;
   uint64_t rows = object.db_rows;
   double result_bytes = static_cast<double>(object.size_bytes);
   SimTime t0 = loop_.Now();

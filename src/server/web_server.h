@@ -115,9 +115,9 @@ class WebServer : public HttpTarget {
   LruByteCache& PageCache() { return page_cache_; }
   const WebServerConfig& Config() const { return config_; }
 
-  // Access log (always on; tests and the bench harness read it).
+  // Access log (always on; tests and the bench harness read it). In-flight
+  // requests keep indices into it, so it only grows.
   const std::vector<AccessLogEntry>& AccessLog() const { return access_log_; }
-  void ClearAccessLog() { access_log_.clear(); }
 
   // Optional tracing/metrics sink. Null (the default) keeps the request path
   // identical to the uninstrumented server; when set, every request gets a
@@ -140,11 +140,13 @@ class WebServer : public HttpTarget {
     double net_s = 0.0;
   };
 
+  // What a request's lifecycle needs of it, taken at arrival: OnRequest only
+  // borrows the HttpRequest, and its target lives on in the access log.
   struct Ctx {
-    HttpRequest request;
-    bool is_mfc;
+    HttpMethod method;
+    const WebObject* object;  // null when the content does not host the path
     ResponseTransport transport;
-    size_t log_index;  // entry to fill in with status/bytes
+    size_t log_index;  // entry with the target, to fill in with status/bytes
     std::shared_ptr<RequestTrace> trace;  // null when telemetry is off
   };
 
@@ -157,9 +159,9 @@ class WebServer : public HttpTarget {
   void Enqueue(Ctx ctx);
   void Process(Ctx ctx);
   void Dispatch(Ctx ctx);
-  void ServeStatic(Ctx ctx, const WebObject& object);
-  void ServeDynamic(Ctx ctx, const WebObject& object);
-  void RunCgi(Ctx ctx, const WebObject& object);
+  void ServeStatic(Ctx ctx);
+  void ServeDynamic(Ctx ctx);
+  void RunCgi(Ctx ctx);
   void Send(Ctx ctx, HttpStatus status, double body_bytes);
   void ReleaseThread();
   void ReleaseCgiSlot();

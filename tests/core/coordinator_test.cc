@@ -251,8 +251,8 @@ TEST(CoordinatorTest, UniqueQueriesCarryPerClientParameter) {
   ASSERT_FALSE(harness.plan_history.empty());
   std::set<std::string> targets;
   for (const auto& plan : harness.plan_history.back()) {
-    EXPECT_NE(plan.request.target.find("mfc="), std::string::npos);
-    targets.insert(plan.request.target);
+    EXPECT_NE(plan.request->target.find("mfc="), std::string::npos);
+    targets.insert(plan.request->target);
   }
   EXPECT_EQ(targets.size(), harness.plan_history.back().size());
 }
@@ -266,7 +266,7 @@ TEST(CoordinatorTest, SharedQueryWhenUniquenessUnavailable) {
   Coordinator coordinator(harness, config);
   coordinator.Run(objects, {StageKind::kSmallQuery});
   for (const auto& plan : harness.plan_history.back()) {
-    EXPECT_EQ(plan.request.target, "/cgi/q.php?id=0");
+    EXPECT_EQ(plan.request->target, "/cgi/q.php?id=0");
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/content/site_generator.h"
 #include "src/core/sync_scheduler.h"
 #include "src/server/synthetic_server.h"
@@ -10,6 +12,14 @@
 
 namespace mfc {
 namespace {
+
+// A bare HEAD / request for a crowd plan.
+std::shared_ptr<const HttpRequest> HeadRoot() {
+  auto request = std::make_shared<HttpRequest>();
+  request->method = HttpMethod::kHead;
+  request->target = "/";
+  return request;
+}
 
 TestbedConfig QuietConfig() {
   TestbedConfig config;
@@ -159,8 +169,7 @@ TEST(SimTestbedTest, ExecuteCrowdSynchronizesArrivals) {
   for (size_t i = 0; i < 45; ++i) {
     CrowdRequestPlan plan;
     plan.client_id = i;
-    plan.request.method = HttpMethod::kHead;
-    plan.request.target = "/";
+    plan.request = HeadRoot();
     plan.command_send_time = dispatch[i].command_send_time;
     plan.intended_arrival = dispatch[i].intended_arrival;
     plans.push_back(plan);

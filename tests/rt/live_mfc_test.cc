@@ -17,6 +17,14 @@
 namespace mfc {
 namespace {
 
+// A bare HEAD / request for a crowd plan.
+std::shared_ptr<const HttpRequest> HeadRoot() {
+  auto request = std::make_shared<HttpRequest>();
+  request->method = HttpMethod::kHead;
+  request->target = "/";
+  return request;
+}
+
 ContentStore TestSite() {
   ContentStore store;
   WebObject index;
@@ -178,8 +186,7 @@ TEST_F(LiveFleetTest, ExecuteCrowdCollectsAllSamples) {
   for (size_t i = 0; i < kFleet; ++i) {
     CrowdRequestPlan plan;
     plan.client_id = i;
-    plan.request.method = HttpMethod::kHead;
-    plan.request.target = "/";
+    plan.request = HeadRoot();
     plan.command_send_time = now + 0.05;
     plan.intended_arrival = now + 0.06;
     plan.connections = 2;  // MFC-mr over real sockets

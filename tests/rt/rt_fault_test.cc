@@ -19,6 +19,14 @@
 namespace mfc {
 namespace {
 
+// A bare HEAD / request for a crowd plan.
+std::shared_ptr<const HttpRequest> HeadRoot() {
+  auto request = std::make_shared<HttpRequest>();
+  request->method = HttpMethod::kHead;
+  request->target = "/";
+  return request;
+}
+
 ContentStore TestSite() {
   ContentStore store;
   WebObject index;
@@ -329,8 +337,7 @@ TEST_F(FaultFleetTest, DuplicatedDatagramsNeverDoubleCount) {
   for (size_t i = 0; i < 4; ++i) {
     CrowdRequestPlan plan;
     plan.client_id = i;
-    plan.request.method = HttpMethod::kHead;
-    plan.request.target = "/";
+    plan.request = HeadRoot();
     plan.command_send_time = now + 0.02;
     plan.connections = 2;
     plans.push_back(plan);
@@ -360,8 +367,7 @@ TEST_F(FaultFleetTest, ControlTokenMapsStayBounded) {
     for (size_t i = 0; i < 4; ++i) {
       CrowdRequestPlan plan;
       plan.client_id = i;
-      plan.request.method = HttpMethod::kHead;
-      plan.request.target = "/";
+      plan.request = HeadRoot();
       plan.command_send_time = now + 0.02;
       plans.push_back(plan);
     }
@@ -380,8 +386,7 @@ TEST_F(FaultFleetTest, DestroyHarnessWithScheduledFiresIsSafe) {
   for (size_t i = 0; i < 2; ++i) {
     CrowdRequestPlan plan;
     plan.client_id = i;
-    plan.request.method = HttpMethod::kHead;
-    plan.request.target = "/";
+    plan.request = HeadRoot();
     plan.command_send_time = now + 5.0;  // far in the future
     plans.push_back(plan);
   }

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 # Reactor polls and socket waits make these tests timing-sensitive; the
 # sanitizer slowdown is real, so give ctest headroom instead of flaking.
-FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite'
+FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator'
 TIMEOUT=600
 # Only the binaries the filter can hit — building every bench/example under
 # two sanitizers would dominate the wall clock for no extra coverage.
@@ -28,7 +28,11 @@ TIMEOUT=600
 # workers update are precisely what TSan should see.
 # mfc_supervisor_tests forks real workers and exercises the hang-kill and
 # drain paths — the fork/exec/waitpid lifetime surface ASan should see.
-TARGETS=(mfc_rt_tests mfc_core_tests mfc_net_tests mfc_sim_tests mfc_telemetry_tests mfc_supervisor_tests)
+# mfc_server_tests and the CpuResource/WebServer/Cluster (ServerCluster)/
+# SimTestbed/Coordinator tests cover the request path: one immutable request
+# shared by every epoch, connection and testbed hop, borrowed by the server
+# for the length of OnRequest, and the heap-ordered processor-sharing CPU.
+TARGETS=(mfc_rt_tests mfc_core_tests mfc_net_tests mfc_sim_tests mfc_telemetry_tests mfc_supervisor_tests mfc_server_tests)
 
 run_one() {
   local preset="$1"
