@@ -54,9 +54,7 @@ std::pair<uint64_t, uint64_t> RunPump(size_t messages, double drop_rate, uint64_
   mfc::Session receiver(*recv_ep, ConnConfig(2));
   uint64_t delivered = 0;
   receiver.SetDeliveryHandler(
-      [&](const mfc::ControlMessage&, const mfc::TransportAddress&, uint64_t) {
-        ++delivered;
-      });
+      [&](const mfc::ControlMessage&, const mfc::TransportAddress&) { ++delivered; });
   // Batched: keep ~64 transfers in flight so the retry queue and dedup map
   // stay realistically loaded without building a million-entry backlog.
   constexpr size_t kWindow = 64;
@@ -94,19 +92,17 @@ uint64_t RunSoak(size_t agents) {
   fleet.reserve(agents);
   uint64_t coordinator_received = 0;
   coordinator.SetDeliveryHandler(
-      [&](const mfc::ControlMessage&, const mfc::TransportAddress&, uint64_t) {
-        ++coordinator_received;
-      });
+      [&](const mfc::ControlMessage&, const mfc::TransportAddress&) { ++coordinator_received; });
   for (size_t i = 0; i < agents; ++i) {
     Agent agent;
     agent.transport = hub.CreateEndpoint();
     agent.session = std::make_unique<mfc::Session>(*agent.transport, ConnConfig(i + 2));
     mfc::Session* session = agent.session.get();
     agent.session->SetDeliveryHandler(
-        [session, coord_addr](const mfc::ControlMessage& message,
-                              const mfc::TransportAddress&, uint64_t) {
+        [session, coord_addr](const mfc::ControlMessage& message, const mfc::TransportAddress&) {
           if (const auto* ping = std::get_if<mfc::MsgPing>(&message)) {
-            session->SendReliable(mfc::MsgPong{ping->seq}, coord_addr);
+            // Every PONG carries the 6-word stats tail, as ClientAgent's do.
+            session->SendReliable(mfc::MsgPong{ping->seq, {}}, coord_addr);
           }
         });
     agent_addrs.push_back(agent.transport->LocalAddress());

@@ -6,14 +6,6 @@
 #include "src/rt/fault_injector.h"
 
 namespace mfc {
-namespace {
-
-// Legacy-peer command tokens older than this are forgotten; a coordinator
-// re-issuing a command after a minute has long since failed the stage.
-constexpr double kSeenCommandTtl = 60.0;
-constexpr size_t kSeenCommandCap = 4096;
-
-}  // namespace
 
 ClientAgent::ClientAgent(Reactor& reactor, uint64_t client_id, const sockaddr_in& coordinator)
     : ClientAgent(reactor, client_id,
@@ -32,8 +24,7 @@ ClientAgent::ClientAgent(Reactor& reactor, uint64_t client_id,
   config.retry = retry_;
   session_ = std::make_unique<Session>(*transport_, config);
   session_->SetDeliveryHandler(
-      [this](const ControlMessage& message, const TransportAddress& from,
-             uint64_t sender_conn) { OnDeliver(message, from, sender_conn); });
+      [this](const ControlMessage& message, const TransportAddress&) { OnDeliver(message); });
 }
 
 ClientAgent::~ClientAgent() { *alive_ = false; }
@@ -54,7 +45,7 @@ void ClientAgent::Register() {
   registered_ = false;
   // Registered() means the coordinator's session layer acked our REGISTER —
   // the coordinator processes the frame in the same tick it acks, so the ack
-  // doubles as the registration receipt (REGACK remains for legacy peers).
+  // doubles as the registration receipt.
   session_->SendReliable(MsgRegister{client_id_}, coordinator_, kLaneControl,
                          [this](bool delivered) {
                            if (delivered) {
@@ -67,66 +58,29 @@ void ClientAgent::Reply(const ControlMessage& message, uint8_t lane) {
   session_->SendReliable(message, coordinator_, lane);
 }
 
-void ClientAgent::OnDeliver(const ControlMessage& message, const TransportAddress& from,
-                            uint64_t sender_conn) {
-  (void)from;
-  bool legacy = sender_conn == 0;
+void ClientAgent::OnDeliver(const ControlMessage& message) {
   if (const auto* ping = std::get_if<MsgPing>(&message)) {
     // Piggyback the health payload on the pong the coordinator is owed
     // anyway — the fleet's telemetry rides the existing probe cadence. The
     // pong leg is itself reliable, so a lost reply converges on its own.
-    MsgPong pong{ping->seq, CurrentStats()};
-    if (legacy) {
-      session_->SendBare(pong, coordinator_);
-    } else {
-      Reply(pong);
-    }
-  } else if (const auto* ack = std::get_if<MsgRegisterAck>(&message)) {
-    if (ack->client_id == client_id_) {
-      registered_ = true;  // legacy coordinator's explicit receipt
-    }
-  } else if (std::get_if<MsgSampleAck>(&message) != nullptr) {
-    // Legacy-peer sample acks: session peers ack at the session layer, and
-    // samples to legacy peers are fire-and-forget, so nothing to cancel.
+    Reply(MsgPong{ping->seq, CurrentStats()});
   } else if (const auto* measure = std::get_if<MsgMeasure>(&message)) {
-    HandleMeasure(*measure, legacy);
+    HandleMeasure(*measure);
   } else if (const auto* fire = std::get_if<MsgFire>(&message)) {
-    HandleFire(*fire, legacy);
+    HandleFire(*fire);
   } else if (const auto* probe = std::get_if<MsgRttProbe>(&message)) {
-    HandleRttProbe(*probe, legacy);
+    HandleRttProbe(*probe);
   }
 }
 
-bool ClientAgent::SeenCommand(uint64_t token) {
-  double now = transport_->clock().Now();
-  // Tokens are issued monotonically, so map order tracks receipt time: prune
-  // from the front until the set is fresh and bounded.
-  while (!seen_commands_.empty() &&
-         (now - seen_commands_.begin()->second > kSeenCommandTtl ||
-          seen_commands_.size() >= kSeenCommandCap)) {
-    seen_commands_.erase(seen_commands_.begin());
-  }
-  auto [it, inserted] = seen_commands_.emplace(token, now);
-  (void)it;
-  return !inserted;
-}
-
-void ClientAgent::HandleRttProbe(const MsgRttProbe& message, bool legacy) {
-  // TCP connect() round trip approximates the SYN RTT to the target. Legacy
-  // coordinators can't parse session frames, so they get the reply bare.
+void ClientAgent::HandleRttProbe(const MsgRttProbe& message) {
+  // TCP connect() round trip approximates the SYN RTT to the target.
   double start = transport_->clock().Now();
   uint64_t token = message.token;
   uint64_t probe_id = next_fetch_id_++;
-  auto reply = [this, legacy](const ControlMessage& reply_message) {
-    if (legacy) {
-      session_->SendBare(reply_message, coordinator_);
-    } else {
-      Reply(reply_message);
-    }
-  };
   auto conn = TcpConnection::Connect(
       reactor_, LoopbackEndpoint(message.tcp_port),
-      [this, alive = alive_, token, probe_id, start, reply](bool ok) {
+      [this, alive = alive_, token, probe_id, start](bool ok) {
         if (!*alive) {
           return;
         }
@@ -134,11 +88,11 @@ void ClientAgent::HandleRttProbe(const MsgRttProbe& message, bool legacy) {
         if (ok) {
           // TCP-style smoothing: 7/8 history, 1/8 new measurement.
           rtt_ewma_ = rtt_ewma_ < 0 ? rtt : 0.875 * rtt_ewma_ + 0.125 * rtt;
-          reply(MsgRtt{token, static_cast<uint64_t>(std::llround(rtt * 1e6))});
+          Reply(MsgRtt{token, static_cast<uint64_t>(std::llround(rtt * 1e6))});
         } else {
           // A silent client here would stall the coordinator until its
           // deadline; tell it outright so it can retry or fall back.
-          reply(MsgRttFail{token});
+          Reply(MsgRttFail{token});
         }
         reactor_.ScheduleAfter(0.0, [this, alive, probe_id] {
           if (*alive) {
@@ -150,67 +104,46 @@ void ClientAgent::HandleRttProbe(const MsgRttProbe& message, bool legacy) {
   if (conn != nullptr) {
     rtt_probes_[probe_id] = std::move(conn);
   } else {
-    reply(MsgRttFail{token});
+    Reply(MsgRttFail{token});
   }
 }
 
-void ClientAgent::HandleMeasure(const MsgMeasure& message, bool legacy) {
-  if (legacy) {
-    bool duplicate = SeenCommand(message.token);
-    // Ack duplicates too: the first ack was lost.
-    session_->SendBare(MsgCmdAck{message.token}, coordinator_);
-    if (duplicate) {
-      ++legacy_dedup_hits_;
-      return;
-    }
-  }
-  // Session peers need neither token dedup (the session deduplicates by
-  // (conn, seq) before delivery) nor CMDACK (the session ack supersedes it).
-  //
+void ClientAgent::HandleMeasure(const MsgMeasure& message) {
   // Solo measurements tolerate connect retries — there is no crowd to stay
   // synchronized with.
   LaunchFetch(message.token, message.method, message.tcp_port, message.target,
-              /*attempt=*/1, /*retry_connect=*/true, legacy);
+              /*attempt=*/1, /*retry_connect=*/true);
 }
 
-void ClientAgent::HandleFire(const MsgFire& message, bool legacy) {
-  if (legacy) {
-    bool duplicate = SeenCommand(message.token);
-    session_->SendBare(MsgCmdAck{message.token}, coordinator_);
-    if (duplicate) {
-      ++legacy_dedup_hits_;
-      return;
-    }
-  }
+void ClientAgent::HandleFire(const MsgFire& message) {
   // Hold fire until the commanded instant: every client joins the burst
   // together no matter when its (possibly retransmitted) copy of the command
   // arrived within the schedule lead.
   double fire_at = static_cast<double>(message.fire_at_micros) * 1e-6;
   if (fire_at > transport_->clock().Now()) {
     transport_->clock().ScheduleAfter(fire_at - transport_->clock().Now(),
-                                      [this, alive = alive_, message, legacy] {
+                                      [this, alive = alive_, message] {
                                         if (*alive) {
-                                          FireNow(message, legacy);
+                                          FireNow(message);
                                         }
                                       });
     return;
   }
-  FireNow(message, legacy);
+  FireNow(message);
 }
 
-void ClientAgent::FireNow(const MsgFire& message, bool legacy) {
+void ClientAgent::FireNow(const MsgFire& message) {
   // MFC-mr: open |connections| parallel connections carrying the same
   // request (Section 4.1). No connect retries: a late re-fire would fall
   // outside the synchronized burst and skew the crowd's response times.
   for (uint32_t c = 0; c < message.connections; ++c) {
     LaunchFetch(message.token, message.method, message.tcp_port, message.target,
-                /*attempt=*/1, /*retry_connect=*/false, legacy);
+                /*attempt=*/1, /*retry_connect=*/false);
   }
 }
 
 void ClientAgent::LaunchFetch(uint64_t token, const std::string& method, uint16_t port,
-                              const std::string& target, size_t attempt, bool retry_connect,
-                              bool legacy) {
+                              const std::string& target, size_t attempt, bool retry_connect) {
   HttpRequest request;
   request.method = method == "HEAD" ? HttpMethod::kHead : HttpMethod::kGet;
   request.target = target;
@@ -221,18 +154,17 @@ void ClientAgent::LaunchFetch(uint64_t token, const std::string& method, uint16_
   uint64_t fetch_id = next_fetch_id_++;
   auto fetch = HttpFetch::Start(
       reactor_, port, request, request_timeout_,
-      [this, token, fetch_id, method, port, target, attempt, retry_connect,
-       legacy](const FetchResult& result) {
+      [this, token, fetch_id, method, port, target, attempt,
+       retry_connect](const FetchResult& result) {
         if (result.connect_failed || result.timed_out) {
           ++fetch_errors_;
         }
         if (result.connect_failed && retry_connect && attempt < retry_.max_attempts) {
           reactor_.ScheduleAfter(
               retry_.BackoffFor(attempt),
-              [this, alive = alive_, token, method, port, target, attempt, retry_connect,
-               legacy] {
+              [this, alive = alive_, token, method, port, target, attempt, retry_connect] {
                 if (*alive) {
-                  LaunchFetch(token, method, port, target, attempt + 1, retry_connect, legacy);
+                  LaunchFetch(token, method, port, target, attempt + 1, retry_connect);
                 }
               });
           fetches_.erase(fetch_id);
@@ -246,15 +178,9 @@ void ClientAgent::LaunchFetch(uint64_t token, const std::string& method, uint16_
         sample.timed_out = result.timed_out;
         sample.sample_id = next_sample_id_++;
         sample.stats = CurrentStats();
-        if (legacy) {
-          // Pre-session coordinators get the paper's original fire-and-forget
-          // UDP report; only session peers get the reliable leg.
-          session_->SendBare(sample, coordinator_);
-        } else {
-          // The session retransmits the sample until the coordinator's ack
-          // lands or attempts run out (coordinator quorum decides then).
-          Reply(sample, kLaneBulk);
-        }
+        // The session retransmits the sample until the coordinator's ack
+        // lands or attempts run out (coordinator quorum decides then).
+        Reply(sample, kLaneBulk);
         fetches_.erase(fetch_id);
       },
       fault_);
@@ -268,7 +194,7 @@ AgentStats ClientAgent::CurrentStats() const {
   if (rtt_ewma_ >= 0) {
     stats.rtt_ewma_us = static_cast<uint64_t>(std::llround(rtt_ewma_ * 1e6));
   }
-  stats.dedup_hits = legacy_dedup_hits_ + session_->stats().duplicates;
+  stats.dedup_hits = session_->stats().duplicates;
   if (fault_ != nullptr) {
     stats.fault_drops = fault_->stats().dropped;
   }

@@ -9,8 +9,7 @@
 // REGISTER, PONG, RTT/RTTFAIL, and SAMPLE are reliable session sends that
 // retransmit until the coordinator's session ack; incoming MEASURE/FIRE
 // duplicates are suppressed by the session's (conn, seq) dedup. The agent
-// itself schedules no retransmits. A thin legacy path answers bare
-// (pre-session) coordinators with the PR-3 ack/token-dedup protocol.
+// itself schedules no retransmits.
 #ifndef MFC_SRC_RT_CLIENT_AGENT_H_
 #define MFC_SRC_RT_CLIENT_AGENT_H_
 
@@ -27,8 +26,7 @@
 namespace mfc {
 
 // Session connection ids: the coordinator owns 1, agent |client_id| owns
-// |client_id| + 2 — disjoint and nonzero (0 is the legacy sentinel) for any
-// id the examples and tests mint.
+// |client_id| + 2 — disjoint for any id the examples and tests mint.
 inline constexpr uint64_t kCoordinatorConn = 1;
 inline uint64_t AgentConn(uint64_t client_id) { return client_id + 2; }
 
@@ -67,20 +65,15 @@ class ClientAgent {
   AgentStats CurrentStats() const;
 
  private:
-  void OnDeliver(const ControlMessage& message, const TransportAddress& from,
-                 uint64_t sender_conn);
-  void HandleMeasure(const MsgMeasure& message, bool legacy);
-  void HandleFire(const MsgFire& message, bool legacy);
+  void OnDeliver(const ControlMessage& message);
+  void HandleMeasure(const MsgMeasure& message);
+  void HandleFire(const MsgFire& message);
   // Opens the command's parallel connections immediately; HandleFire defers
   // to this at the commanded fire_at instant.
-  void FireNow(const MsgFire& message, bool legacy);
-  void HandleRttProbe(const MsgRttProbe& message, bool legacy);
-  // Legacy-peer token dedup (session peers are deduplicated by (conn, seq)
-  // before delivery). True if |token| was already executed.
-  bool SeenCommand(uint64_t token);
+  void FireNow(const MsgFire& message);
+  void HandleRttProbe(const MsgRttProbe& message);
   void LaunchFetch(uint64_t token, const std::string& method, uint16_t port,
-                   const std::string& target, size_t attempt, bool retry_connect,
-                   bool legacy);
+                   const std::string& target, size_t attempt, bool retry_connect);
   // Reliable session send to the coordinator.
   void Reply(const ControlMessage& message, uint8_t lane = kLaneControl);
 
@@ -94,15 +87,13 @@ class ClientAgent {
   RetryPolicy retry_;
   FaultInjector* fault_ = nullptr;
   uint64_t requests_fired_ = 0;
-  uint64_t fetch_errors_ = 0;      // failed connects + kill-timer expiries
-  uint64_t legacy_dedup_hits_ = 0; // duplicate legacy commands discarded
+  uint64_t fetch_errors_ = 0;  // failed connects + kill-timer expiries
   double rtt_ewma_ = -1.0;  // target-RTT EWMA from RTTPROBE successes, seconds
   uint64_t next_fetch_id_ = 1;
   uint64_t next_sample_id_ = 1;
   bool registered_ = false;
   std::map<uint64_t, std::unique_ptr<HttpFetch>> fetches_;
   std::map<uint64_t, std::unique_ptr<TcpConnection>> rtt_probes_;
-  std::map<uint64_t, double> seen_commands_;  // legacy token -> receipt time
   // Guards every reactor task that captures |this|: the destructor flips it,
   // so tasks still queued when the agent dies become no-ops instead of
   // use-after-frees.

@@ -21,8 +21,9 @@ LiveHarness::LiveHarness(Reactor& reactor, uint16_t target_port,
   config.retry = retry_;
   session_ = std::make_unique<Session>(*transport_, config);
   session_->SetDeliveryHandler(
-      [this](const ControlMessage& message, const TransportAddress& from,
-             uint64_t sender_conn) { OnDeliver(message, from, sender_conn); });
+      [this](const ControlMessage& message, const TransportAddress& from) {
+        OnDeliver(message, from);
+      });
 }
 
 LiveHarness::~LiveHarness() { *alive_ = false; }
@@ -112,20 +113,12 @@ std::vector<AgentHealthSnapshot> LiveHarness::SnapshotAgents() const {
   return rows;
 }
 
-void LiveHarness::OnDeliver(const ControlMessage& message, const TransportAddress& from,
-                            uint64_t sender_conn) {
+void LiveHarness::OnDeliver(const ControlMessage& message, const TransportAddress& from) {
   if (const auto* reg = std::get_if<MsgRegister>(&message)) {
-    // Re-registrations refresh the address (and the peer's protocol level).
+    // Re-registrations refresh the address. The agent takes the session ack
+    // as its registration receipt.
     size_t id = static_cast<size_t>(reg->client_id);
     clients_[id] = from;
-    if (sender_conn == 0) {
-      legacy_clients_.insert(id);
-      // Legacy agents need the explicit receipt; session agents take the
-      // session-level ack as registration confirmation.
-      session_->SendBare(MsgRegisterAck{reg->client_id}, from);
-    } else {
-      legacy_clients_.erase(id);
-    }
     TouchAgent(id, nullptr);
   } else if (const auto* pong = std::get_if<MsgPong>(&message)) {
     auto it = pending_pongs_.find(pong->seq);
@@ -134,13 +127,13 @@ void LiveHarness::OnDeliver(const ControlMessage& message, const TransportAddres
       completed_pongs_[pong->seq] = rtt;
       pending_pongs_.erase(it);
       // Fold the answer into the sender's health row: liveness, control-RTT
-      // EWMA, and the agent's piggybacked payload when present.
+      // EWMA, and the agent's piggybacked payload.
       auto owner = pong_owner_.find(pong->seq);
       if (owner != pong_owner_.end()) {
         AgentHealth& health = health_[owner->second];
         ++health.pongs_received;
         health.rtt_ewma = health.rtt_ewma < 0 ? rtt : 0.875 * health.rtt_ewma + 0.125 * rtt;
-        TouchAgent(owner->second, pong->stats.has_value() ? &*pong->stats : nullptr);
+        TouchAgent(owner->second, &pong->stats);
       }
     }
   } else if (const auto* rtt = std::get_if<MsgRtt>(&message)) {
@@ -154,15 +147,7 @@ void LiveHarness::OnDeliver(const ControlMessage& message, const TransportAddres
       completed_rtts_[fail->token] = -1.0;  // explicit failure, not a timeout
       Bump(stats_.rtt_failures, "live.rtt_failures");
     }
-  } else if (std::get_if<MsgCmdAck>(&message) != nullptr) {
-    // Legacy command receipt; command delivery is tracked by session acks
-    // now, so there is nothing left to record.
   } else if (const auto* sample = std::get_if<MsgSample>(&message)) {
-    if (sender_conn == 0) {
-      // Ack legacy samples unconditionally — late and duplicate copies
-      // included — so an old agent's retransmit loop always terminates.
-      session_->SendBare(MsgSampleAck{sample->sample_id}, from);
-    }
     if (!crowd_.has_value()) {
       return;
     }
@@ -172,7 +157,7 @@ void LiveHarness::OnDeliver(const ControlMessage& message, const TransportAddres
     }
     // Any attributable sample — duplicate or not — proves the agent alive
     // and carries its freshest stats payload.
-    TouchAgent(it->second, sample->stats.has_value() ? &*sample->stats : nullptr);
+    TouchAgent(it->second, &sample->stats);
     if (!crowd_->seen.insert({sample->token, sample->sample_id}).second) {
       Bump(stats_.duplicate_samples, "live.duplicate_samples");
       return;
@@ -196,12 +181,6 @@ void LiveHarness::OnDeliver(const ControlMessage& message, const TransportAddres
 Session::TransferId LiveHarness::SendTo(size_t client, const ControlMessage& message) {
   auto it = clients_.find(client);
   if (it == clients_.end()) {
-    return 0;
-  }
-  if (legacy_clients_.count(client) != 0) {
-    // A bare-datagram agent cannot parse session frames: it gets the paper's
-    // original fire-and-forget command (no retransmit on loss).
-    session_->SendBare(message, it->second);
     return 0;
   }
   return session_->SendReliable(message, it->second);
@@ -377,8 +356,8 @@ std::vector<RequestSample> LiveHarness::ExecuteCrowd(const std::vector<CrowdRequ
     // Ship the burst instant with the command and transmit right away: the
     // agent holds fire until the instant, so the whole schedule lead becomes
     // headroom for retransmitting lost commands instead of dead air. Plans
-    // without an arrival time keep the legacy send-time pacing (the agent
-    // fires on receipt).
+    // without an arrival time keep send-time pacing (the agent fires on
+    // receipt).
     double send_at = std::max(plan.command_send_time, reactor_.Now());
     if (plan.intended_arrival > 0.0) {
       fire.fire_at_micros = static_cast<uint64_t>(plan.intended_arrival * 1e6);

@@ -8,9 +8,9 @@
 // retransmits until the agent's session ack, and every reply leg (PONG,
 // RTT/RTTFAIL, SAMPLE) is reliable in the opposite direction — so each leg
 // converges independently and this harness schedules no retransmits of its
-// own. Duplicate frames are suppressed by (conn, seq) before delivery; an
-// app-level (token, sample_id) dedup plus a per-token budget remain as the
-// compat path for legacy (bare-datagram) agents.
+// own. Duplicate frames are suppressed by (conn, seq) before delivery; a
+// crowd's (token, sample_id) set and per-token budget still guard the sample
+// count (see PendingCrowd).
 #ifndef MFC_SRC_RT_LIVE_HARNESS_H_
 #define MFC_SRC_RT_LIVE_HARNESS_H_
 
@@ -40,7 +40,7 @@ struct ControlPlaneStats {
   uint64_t rtt_retries = 0;        // RTT probes re-issued (new token) after RTTFAIL
   uint64_t rtt_failures = 0;       // explicit RTTFAIL replies received
   uint64_t rtt_fallbacks = 0;      // probes that exhausted retries -> 1 s substitute
-  uint64_t duplicate_samples = 0;  // over-budget or legacy-duplicate SAMPLEs discarded
+  uint64_t duplicate_samples = 0;  // over-budget or already-counted SAMPLEs discarded
 };
 
 class LiveHarness : public ClientHarness {
@@ -115,8 +115,7 @@ class LiveHarness : public ClientHarness {
   // Records a datagram attributed to |client| and merges an optional
   // piggybacked payload.
   void TouchAgent(size_t client, const AgentStats* stats);
-  void OnDeliver(const ControlMessage& message, const TransportAddress& from,
-                 uint64_t sender_conn);
+  void OnDeliver(const ControlMessage& message, const TransportAddress& from);
   // Reliable session send to a registered client; returns 0 if unknown.
   Session::TransferId SendTo(size_t client, const ControlMessage& message);
   void Bump(uint64_t& counter, const char* metric, uint64_t delta = 1);
@@ -133,7 +132,6 @@ class LiveHarness : public ClientHarness {
   ControlPlaneStats stats_;
   MetricsRegistry* metrics_ = nullptr;
   std::map<size_t, TransportAddress> clients_;   // registered agents by id
-  std::set<size_t> legacy_clients_;              // agents speaking bare datagrams
   std::map<size_t, AgentHealth> health_;         // health rows by client id
   size_t unhealthy_after_misses_ = 0;            // 0 = ClientHealthy always true
 
@@ -150,8 +148,12 @@ class LiveHarness : public ClientHarness {
     std::map<uint64_t, size_t> token_to_client;
     // token -> samples this command may still contribute (connections).
     std::map<uint64_t, uint32_t> budget;
-    // (token, sample_id) pairs already counted — the legacy-agent dedup
-    // (session agents are deduplicated by (conn, seq) before delivery).
+    // (token, sample_id) pairs already counted. The session's (conn, seq)
+    // dedup window is bounded (SessionConfig::dedup_ttl/dedup_cap), so a
+    // sample retransmitted after its pair was evicted is delivered again;
+    // this set keeps it out of the crowd and counts it in
+    // live.duplicate_samples. The budget does the same for an agent that
+    // reports more samples than the command's connections.
     std::set<std::pair<uint64_t, uint64_t>> seen;
     std::vector<RequestSample> samples;
   };

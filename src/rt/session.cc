@@ -80,11 +80,6 @@ bool Session::Cancel(TransferId id) {
   return true;
 }
 
-void Session::SendBare(const ControlMessage& message, const TransportAddress& to) {
-  transport_.Send(EncodeMessage(message), to);
-  Bump(stats_.frames_sent, "live.session.frames_sent");
-}
-
 void Session::ArmRetryTimer() {
   if (retry_queue_.empty()) {
     if (armed_timer_ != 0) {
@@ -195,47 +190,37 @@ void Session::OnAck(const SessionAck& ack) {
 }
 
 void Session::OnDatagram(std::string_view payload, const TransportAddress& from) {
-  if (LooksLikeSessionDatagram(payload)) {
-    if (payload[0] == 'A') {
-      auto ack = DecodeSessionAck(payload);
-      if (!ack.has_value()) {
-        Bump(stats_.decode_errors, "live.session.decode_errors");
-        return;
-      }
-      OnAck(*ack);
-      return;
-    }
-    auto frame = DecodeSessionFrame(payload);
-    if (!frame.has_value()) {
-      Bump(stats_.decode_errors, "live.session.decode_errors");
-      return;
-    }
-    if (frame->reliable) {
-      // Ack before the dedup check — duplicates mean the first ack was
-      // lost, and only another ack stops the sender's retransmit loop.
-      transport_.Send(EncodeSessionAck({frame->conn, frame->seq}), from);
-      Bump(stats_.acks_sent, "live.session.acks_sent");
-    }
-    if (SeenFrame(frame->conn, frame->seq)) {
-      Bump(stats_.duplicates, "live.session.duplicates");
-      return;
-    }
-    Bump(stats_.delivered, "live.session.delivered");
-    if (handler_) {
-      handler_(frame->body, from, frame->conn);
-    }
-    return;
-  }
-  // No session framing: a legacy peer's bare control message.
-  auto message = DecodeMessage(payload);
-  if (!message.has_value()) {
+  if (!LooksLikeSessionDatagram(payload)) {
     Bump(stats_.decode_errors, "live.session.decode_errors");
     return;
   }
-  Bump(stats_.legacy_frames, "live.session.legacy_frames");
+  if (payload[0] == 'A') {
+    auto ack = DecodeSessionAck(payload);
+    if (!ack.has_value()) {
+      Bump(stats_.decode_errors, "live.session.decode_errors");
+      return;
+    }
+    OnAck(*ack);
+    return;
+  }
+  auto frame = DecodeSessionFrame(payload);
+  if (!frame.has_value()) {
+    Bump(stats_.decode_errors, "live.session.decode_errors");
+    return;
+  }
+  if (frame->reliable) {
+    // Ack before the dedup check — duplicates mean the first ack was
+    // lost, and only another ack stops the sender's retransmit loop.
+    transport_.Send(EncodeSessionAck({frame->conn, frame->seq}), from);
+    Bump(stats_.acks_sent, "live.session.acks_sent");
+  }
+  if (SeenFrame(frame->conn, frame->seq)) {
+    Bump(stats_.duplicates, "live.session.duplicates");
+    return;
+  }
   Bump(stats_.delivered, "live.session.delivered");
   if (handler_) {
-    handler_(*message, from, 0);
+    handler_(frame->body, from);
   }
 }
 

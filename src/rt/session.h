@@ -1,10 +1,7 @@
 // Generic reliable-datagram session layer (DESIGN.md §13).
 //
-// PR 3 hardened the control plane with five bespoke retry/dedup paths —
-// REGISTER/REGACK backoff, per-attempt PING reprobes, RTTPROBE re-issue,
-// MEASURE/FIRE-until-CMDACK, SAMPLE/SAMPLEACK retransmit — each with its own
-// timers, token maps, and leak hazards. This layer replaces all five with
-// one mechanism, libquicr-style:
+// One mechanism makes every control message reliable, libquicr-style, so no
+// message type needs a retry or dedup path of its own:
 //
 //   * every endpoint owns a connection id; outgoing frames carry
 //     (conn, seq) and an optional reliable bit,
@@ -18,9 +15,8 @@
 //     (PING/RTTPROBE/MEASURE/FIRE/...) retransmit before bulk (SAMPLE),
 //     so a loss burst can't starve command delivery behind sample backlog.
 //
-// Datagrams without session framing are legacy control messages from
-// pre-session peers: they are delivered with sender_conn == 0 and no dedup,
-// leaving app-level token dedup (kept for compat) to cover mixed fleets.
+// Datagrams without session framing are counted in decode_errors and
+// dropped, like any other undecodable datagram.
 //
 // The layer is transport- and clock-agnostic: the same Session runs over
 // real UDP on the reactor, the in-process MemoryHub, or the simulation
@@ -45,38 +41,33 @@ namespace mfc {
 class MetricsRegistry;
 
 struct SessionConfig {
-  // Endpoint's connection id; must be unique fleet-wide and nonzero (0 is
-  // the legacy-peer sentinel in delivery callbacks).
+  // Endpoint's connection id; must be unique fleet-wide.
   uint64_t conn = 1;
   RetryPolicy retry;
   // Receiver-side dedup window: (conn, seq) pairs older than |dedup_ttl|
   // seconds are forgotten, and at most |dedup_cap| pairs are held (oldest
-  // evicted first) — same bounds the agent's token dedup used.
+  // evicted first).
   double dedup_ttl = 60.0;
   size_t dedup_cap = 4096;
 };
 
 // Mirrored to MetricsRegistry under live.session.* when SetMetrics is set.
 struct SessionStats {
-  uint64_t frames_sent = 0;     // first transmissions, reliable + bare
+  uint64_t frames_sent = 0;     // first transmissions
   uint64_t retransmits = 0;     // reliable frames re-sent after backoff
   uint64_t delivered = 0;       // unique frames handed to the application
   uint64_t duplicates = 0;      // (conn, seq) repeats suppressed before delivery
   uint64_t acks_sent = 0;
   uint64_t acks_received = 0;   // acks that completed a pending transfer
   uint64_t gave_up = 0;         // reliable transfers that exhausted attempts
-  uint64_t legacy_frames = 0;   // bare pre-session datagrams delivered
   uint64_t decode_errors = 0;   // undecodable datagrams dropped
 };
 
 class Session {
  public:
   using TransferId = uint64_t;
-  // |sender_conn| is the peer's connection id, or 0 for a legacy bare
-  // datagram (no session framing, no dedup performed).
-  using DeliveryHandler = std::function<void(const ControlMessage& message,
-                                             const TransportAddress& from,
-                                             uint64_t sender_conn)>;
+  using DeliveryHandler =
+      std::function<void(const ControlMessage& message, const TransportAddress& from)>;
   // Fired exactly once per SendReliable: true when the peer acked, false
   // when attempts ran out. Cancelled transfers fire nothing.
   using SendOutcome = std::function<void(bool delivered)>;
@@ -96,10 +87,6 @@ class Session {
   // Drops a pending transfer (no further retransmits, outcome never fires).
   // Returns false if it already completed.
   bool Cancel(TransferId id);
-
-  // Fire-and-forget *unframed* datagram — the legacy wire format, for peers
-  // that predate the session layer.
-  void SendBare(const ControlMessage& message, const TransportAddress& to);
 
   // Reliable transfers still awaiting ack or give-up. Tests assert this
   // drains back to zero between stages.

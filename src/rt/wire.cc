@@ -33,7 +33,7 @@ bool ParseNumber(std::string_view word, T& out) {
 
 bool ValidMethod(std::string_view method) { return method == "GET" || method == "HEAD"; }
 
-// The optional 6-word [stats] tail shared by PONG and SAMPLE.
+// The 6-word <stats> tail shared by PONG and SAMPLE.
 std::string EncodeStats(const AgentStats& s) {
   return " " + std::to_string(s.inflight) + " " + std::to_string(s.fetch_errors) + " " +
          std::to_string(s.rtt_ewma_us) + " " + std::to_string(s.dedup_hits) + " " +
@@ -57,11 +57,7 @@ std::string EncodeMessage(const ControlMessage& message) {
     }
     std::string operator()(const MsgPing& m) const { return "PING " + std::to_string(m.seq); }
     std::string operator()(const MsgPong& m) const {
-      std::string line = "PONG " + std::to_string(m.seq);
-      if (m.stats.has_value()) {
-        line += EncodeStats(*m.stats);
-      }
-      return line;
+      return "PONG " + std::to_string(m.seq) + EncodeStats(m.stats);
     }
     std::string operator()(const MsgRttProbe& m) const {
       return "RTTPROBE " + std::to_string(m.token) + " " + std::to_string(m.tcp_port);
@@ -79,26 +75,13 @@ std::string EncodeMessage(const ControlMessage& message) {
              std::to_string(m.fire_at_micros);
     }
     std::string operator()(const MsgSample& m) const {
-      std::string line = "SAMPLE " + std::to_string(m.token) + " " +
-                         std::to_string(m.http_code) + " " + std::to_string(m.bytes) + " " +
-                         std::to_string(m.rt_microseconds) + " " + (m.timed_out ? "1" : "0") +
-                         " " + std::to_string(m.sample_id);
-      if (m.stats.has_value()) {
-        line += EncodeStats(*m.stats);
-      }
-      return line;
-    }
-    std::string operator()(const MsgRegisterAck& m) const {
-      return "REGACK " + std::to_string(m.client_id);
+      return "SAMPLE " + std::to_string(m.token) + " " + std::to_string(m.http_code) + " " +
+             std::to_string(m.bytes) + " " + std::to_string(m.rt_microseconds) + " " +
+             (m.timed_out ? "1" : "0") + " " + std::to_string(m.sample_id) +
+             EncodeStats(m.stats);
     }
     std::string operator()(const MsgRttFail& m) const {
       return "RTTFAIL " + std::to_string(m.token);
-    }
-    std::string operator()(const MsgCmdAck& m) const {
-      return "CMDACK " + std::to_string(m.token);
-    }
-    std::string operator()(const MsgSampleAck& m) const {
-      return "SAMPLEACK " + std::to_string(m.sample_id);
     }
   };
   return std::visit(Encoder{}, message);
@@ -120,18 +103,10 @@ std::optional<ControlMessage> DecodeMessage(std::string_view line) {
     if (ParseNumber(words[1], m.seq)) {
       return m;
     }
-  } else if (verb == "PONG" && (words.size() == 2 || words.size() == 8)) {
-    // The 6-word stats tail is optional so bare legacy pongs still parse.
+  } else if (verb == "PONG" && words.size() == 8) {
     MsgPong m;
-    if (ParseNumber(words[1], m.seq)) {
-      if (words.size() == 2) {
-        return m;
-      }
-      AgentStats stats;
-      if (ParseStats(words, 2, stats)) {
-        m.stats = stats;
-        return m;
-      }
+    if (ParseNumber(words[1], m.seq) && ParseStats(words, 2, m.stats)) {
+      return m;
     }
   } else if (verb == "RTTPROBE" && words.size() == 3) {
     MsgRttProbe m;
@@ -151,52 +126,28 @@ std::optional<ControlMessage> DecodeMessage(std::string_view line) {
         ParseNumber(words[3], m.tcp_port) && !m.target.empty() && m.target[0] == '/') {
       return m;
     }
-  } else if (verb == "FIRE" && (words.size() == 6 || words.size() == 7)) {
-    // The trailing fire-at timestamp is optional so pre-timestamp senders
-    // still parse; absent means "fire on receipt".
+  } else if (verb == "FIRE" && words.size() == 7) {
     MsgFire m;
     m.method = std::string(words[3]);
     m.target = std::string(words[5]);
     if (ParseNumber(words[1], m.token) && ParseNumber(words[2], m.connections) &&
         ValidMethod(m.method) && ParseNumber(words[4], m.tcp_port) && !m.target.empty() &&
-        m.target[0] == '/' && (words.size() == 6 || ParseNumber(words[6], m.fire_at_micros))) {
+        m.target[0] == '/' && ParseNumber(words[6], m.fire_at_micros)) {
       return m;
     }
-  } else if (verb == "SAMPLE" && (words.size() == 7 || words.size() == 13)) {
-    // As with PONG, the stats tail is optional.
+  } else if (verb == "SAMPLE" && words.size() == 13) {
     MsgSample m;
     int timed_out = 0;
     if (ParseNumber(words[1], m.token) && ParseNumber(words[2], m.http_code) &&
         ParseNumber(words[3], m.bytes) && ParseNumber(words[4], m.rt_microseconds) &&
-        ParseNumber(words[5], timed_out) && ParseNumber(words[6], m.sample_id)) {
+        ParseNumber(words[5], timed_out) && ParseNumber(words[6], m.sample_id) &&
+        ParseStats(words, 7, m.stats)) {
       m.timed_out = timed_out != 0;
-      if (words.size() == 7) {
-        return m;
-      }
-      AgentStats stats;
-      if (ParseStats(words, 7, stats)) {
-        m.stats = stats;
-        return m;
-      }
-    }
-  } else if (verb == "REGACK" && words.size() == 2) {
-    MsgRegisterAck m;
-    if (ParseNumber(words[1], m.client_id)) {
       return m;
     }
   } else if (verb == "RTTFAIL" && words.size() == 2) {
     MsgRttFail m;
     if (ParseNumber(words[1], m.token)) {
-      return m;
-    }
-  } else if (verb == "CMDACK" && words.size() == 2) {
-    MsgCmdAck m;
-    if (ParseNumber(words[1], m.token)) {
-      return m;
-    }
-  } else if (verb == "SAMPLEACK" && words.size() == 2) {
-    MsgSampleAck m;
-    if (ParseNumber(words[1], m.sample_id)) {
       return m;
     }
   }

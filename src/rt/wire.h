@@ -1,32 +1,25 @@
 // Control-plane wire protocol between the live coordinator and client
-// agents. UDP datagrams carrying one space-separated text line each — the
-// paper used UDP for all control messages with no retransmission; we add
-// explicit acks so the retry layer can re-issue lost commands, registrations
-// and samples without ever double-executing them (receivers deduplicate by
-// token / sample id).
+// agents. UDP datagrams carrying one space-separated text line each. The
+// paper sent every control message as a plain UDP datagram with no
+// retransmission; here every message rides inside a session frame (below),
+// and the session layer acks, retransmits and deduplicates frames, so lost
+// commands, registrations and samples converge without ever executing twice.
 //
 //   client -> coordinator   REGISTER <client_id>
-//   coordinator -> client   REGACK <client_id>
 //   coordinator -> client   PING <seq>
-//   client -> coordinator   PONG <seq> [stats]
+//   client -> coordinator   PONG <seq> <stats>
 //   coordinator -> client   RTTPROBE <token> <tcp_port>
 //   client -> coordinator   RTT <token> <microseconds>
 //   client -> coordinator   RTTFAIL <token>            (probe connect failed)
 //   coordinator -> client   MEASURE <token> <method> <tcp_port> <target>
-//   coordinator -> client   FIRE <token> <connections> <method> <tcp_port> <target>
-//   client -> coordinator   CMDACK <token>             (MEASURE/FIRE received)
-//   client -> coordinator   SAMPLE <token> <http_code> <bytes> <rt_us> <timed_out> <sample_id> [stats]
-//   coordinator -> client   SAMPLEACK <sample_id>
+//   coordinator -> client   FIRE <token> <connections> <method> <tcp_port> <target> <fire_at_us>
+//   client -> coordinator   SAMPLE <token> <http_code> <bytes> <rt_us> <timed_out> <sample_id> <stats>
 //
-// [stats] is an optional 6-word agent health payload piggybacked on replies
-// the client already owes the coordinator (no extra datagrams, no extra
-// loss exposure):
+// <stats> is the 6-word agent health payload piggybacked on replies the
+// client already owes the coordinator (no extra datagrams, no extra loss
+// exposure):
 //
 //   <inflight> <fetch_errors> <rtt_ewma_us> <dedup_hits> <fault_drops> <requests_fired>
-//
-// Receivers accept both the bare legacy form and the stats form, so mixed
-// fleets interoperate; encoders emit the tail only when a payload is
-// attached, keeping the legacy bytes unchanged.
 #ifndef MFC_SRC_RT_WIRE_H_
 #define MFC_SRC_RT_WIRE_H_
 
@@ -41,14 +34,11 @@ namespace mfc {
 struct MsgRegister {
   uint64_t client_id = 0;
 };
-struct MsgRegisterAck {
-  uint64_t client_id = 0;
-};
 struct MsgPing {
   uint64_t seq = 0;
 };
 // Compact agent-side health payload piggybacked on PONG and SAMPLE replies
-// (see the [stats] grammar above). All counters are cumulative since agent
+// (see the <stats> grammar above). All counters are cumulative since agent
 // start except |inflight|, an instantaneous level.
 struct AgentStats {
   uint64_t inflight = 0;        // fetches currently open
@@ -62,7 +52,7 @@ struct AgentStats {
 };
 struct MsgPong {
   uint64_t seq = 0;
-  std::optional<AgentStats> stats;  // absent in legacy/bare form
+  AgentStats stats;
 };
 struct MsgRttProbe {
   uint64_t token = 0;
@@ -95,11 +85,6 @@ struct MsgFire {
   // loss still joins the crowd at the same instant as everyone else.
   uint64_t fire_at_micros = 0;
 };
-// Receipt ack for MEASURE/FIRE, sent even for duplicate commands so the
-// coordinator stops re-issuing once any copy got through.
-struct MsgCmdAck {
-  uint64_t token = 0;
-};
 struct MsgSample {
   uint64_t token = 0;
   int http_code = 0;
@@ -109,15 +94,11 @@ struct MsgSample {
   // Unique per client; (token, sample_id) identifies one sample so
   // retransmitted or duplicated reports are counted once.
   uint64_t sample_id = 0;
-  std::optional<AgentStats> stats;  // absent in legacy/bare form
-};
-struct MsgSampleAck {
-  uint64_t sample_id = 0;
+  AgentStats stats;
 };
 
 using ControlMessage = std::variant<MsgRegister, MsgPing, MsgPong, MsgRttProbe, MsgRtt,
-                                    MsgMeasure, MsgFire, MsgSample, MsgRegisterAck,
-                                    MsgRttFail, MsgCmdAck, MsgSampleAck>;
+                                    MsgMeasure, MsgFire, MsgSample, MsgRttFail>;
 
 std::string EncodeMessage(const ControlMessage& message);
 
@@ -134,9 +115,8 @@ std::optional<ControlMessage> DecodeMessage(std::string_view line);
 //
 // <conn> is the sender's connection id, <seq> a per-connection sequence
 // number, <lane> 0 = control / 1 = bulk, <rel> 1 if the sender retransmits
-// until acked (the receiver must reply A1). Datagrams that don't start with
-// "S1 "/"A1 " are legacy bare control messages from pre-session peers; the
-// session layer falls back to DecodeMessage and treats them as conn 0.
+// until acked (the receiver must reply A1). The session layer drops any
+// datagram that doesn't start with "S1 "/"A1 " as undecodable.
 
 inline constexpr uint8_t kLaneControl = 0;  // PING/RTT/MEASURE/FIRE/REGISTER/...
 inline constexpr uint8_t kLaneBulk = 1;     // SAMPLE

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "src/baseline/closed_loop_loadgen.h"
 #include "src/baseline/keynote_prober.h"
 #include "src/core/experiment_runner.h"
 
@@ -54,40 +53,6 @@ TEST(KeynoteProberTest, SingleProbesMissConcurrencyBottlenecks) {
   const StageResult* large = mfc.Stage(StageKind::kLargeObject);
   ASSERT_NE(large, nullptr);
   EXPECT_TRUE(large->stopped);  // the crowd finds what the prober cannot
-}
-
-TEST(ClosedLoopLoadGenTest, ThroughputBoundedByServiceCapacity) {
-  DeploymentOptions options;
-  options.seed = 3;
-  options.fleet_size = 40;
-  options.lan_clients = true;
-  options.jitter_sigma = 0.0;
-  Deployment deployment(MakeLabValidationProfile(), options);
-  // HEAD service is ~0.7 ms CPU on one core: capacity ~1400 req/s.
-  ClosedLoopLoadGen loadgen(deployment.Testbed(), HeadRoot(), 20, Millis(10));
-  LoadGenReport report = loadgen.Run(Seconds(30));
-  EXPECT_GT(report.completed, 100u);
-  EXPECT_GT(report.throughput_rps, 10.0);
-  EXPECT_LT(report.throughput_rps, 2000.0);
-  EXPECT_GT(report.mean_response, 0.0);
-  EXPECT_LE(report.mean_response, report.max_response);
-}
-
-TEST(ClosedLoopLoadGenTest, MoreUsersMoreLatencyOnSaturatedServer) {
-  auto mean_latency = [](size_t users, uint64_t seed) {
-    DeploymentOptions options;
-    options.seed = seed;
-    options.fleet_size = 64;
-    options.lan_clients = true;
-    options.jitter_sigma = 0.0;
-    Deployment deployment(MakeLabValidationProfile(), options);
-    HttpRequest query;
-    query.method = HttpMethod::kGet;
-    query.target = "/cgi/search0.php?x=1";
-    ClosedLoopLoadGen loadgen(deployment.Testbed(), query, users, Millis(50));
-    return loadgen.Run(Seconds(30)).mean_response;
-  };
-  EXPECT_GT(mean_latency(32, 4), 2.0 * mean_latency(2, 4));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/rt/http_fetch.h"
 #include "src/rt/live_harness.h"
 #include "src/rt/live_http_server.h"
+#include "src/rt/session.h"
 #include "src/rt/transport.h"
 
 namespace mfc {
@@ -144,21 +145,20 @@ TEST(HttpFetchFaultTest, VetoedConnectReportsAsynchronously) {
 }
 
 // Captures control messages a client agent sends back, standing in for the
-// coordinator.
+// coordinator: a session on the coordinator's connection id, so it speaks
+// the same framed protocol as LiveHarness.
 class FakeCoordinator {
  public:
-  explicit FakeCoordinator(Reactor& reactor) : socket_(reactor, 0) {
-    socket_.SetReceiver([this](std::string_view payload, const sockaddr_in&) {
-      auto message = DecodeMessage(payload);
-      if (message.has_value()) {
-        received.push_back(*message);
-      }
+  explicit FakeCoordinator(Reactor& reactor)
+      : transport_(reactor, 0), session_(transport_, CoordinatorConfig()) {
+    session_.SetDeliveryHandler([this](const ControlMessage& message, const TransportAddress&) {
+      received.push_back(message);
     });
   }
 
-  uint16_t Port() const { return socket_.Port(); }
+  uint16_t Port() const { return transport_.Port(); }
   void Send(const ControlMessage& message, uint16_t agent_port) {
-    socket_.SendTo(EncodeMessage(message), LoopbackEndpoint(agent_port));
+    session_.SendReliable(message, TransportAddress::Udp(LoopbackEndpoint(agent_port)));
   }
 
   template <typename T>
@@ -173,7 +173,14 @@ class FakeCoordinator {
   std::vector<ControlMessage> received;
 
  private:
-  UdpSocket socket_;
+  static SessionConfig CoordinatorConfig() {
+    SessionConfig config;
+    config.conn = kCoordinatorConn;
+    return config;
+  }
+
+  UdpTransport transport_;
+  Session session_;
 };
 
 // Regression: the RTT-probe completion lambda erases the probe connection via
@@ -205,7 +212,9 @@ TEST(ClientAgentFaultTest, DestroyImmediatelyAfterProbeIsSafe) {
   auto agent = std::make_unique<ClientAgent>(reactor, 1,
                                              LoopbackEndpoint(coordinator.Port()));
   coordinator.Send(MsgRttProbe{5, server.Port()}, agent->ControlPort());
-  reactor.RunUntil([] { return false; }, reactor.Now() + 0.001);  // deliver datagram
+  // Run until the probe is delivered, so the agent really starts a connect.
+  ASSERT_TRUE(reactor.RunUntil([&] { return agent->session_stats().delivered == 1; },
+                               reactor.Now() + 2.0));
   agent.reset();  // connect callback may still be pending
   reactor.RunUntil([] { return false; }, reactor.Now() + 0.1);
 }

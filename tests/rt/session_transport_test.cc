@@ -1,7 +1,7 @@
 // Session + transport layer tests (DESIGN.md §13): MemoryHub datagram
 // switching, reliable delivery with deterministic retransmits under injected
 // loss (virtual time via SimTimerSource), receiver dedup, give-up, lane
-// priority, cancellation, legacy fallback, and a real-UDP end-to-end pass.
+// priority, cancellation, undecodable input, and a real-UDP end-to-end pass.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -108,12 +108,9 @@ TEST(SessionTest, ReliableSendDeliversOnceAndAcks) {
   Session receiver(*recv_ep, ConnConfig(20));
 
   size_t delivered = 0;
-  uint64_t from_conn = 0;
-  receiver.SetDeliveryHandler(
-      [&](const ControlMessage& message, const TransportAddress&, uint64_t sender_conn) {
-        delivered += std::holds_alternative<MsgPing>(message) ? 1 : 0;
-        from_conn = sender_conn;
-      });
+  receiver.SetDeliveryHandler([&](const ControlMessage& message, const TransportAddress&) {
+    delivered += std::holds_alternative<MsgPing>(message) ? 1 : 0;
+  });
   bool outcome_delivered = false;
   sender.SendReliable(MsgPing{7}, recv_addr, kLaneControl,
                       [&](bool ok) { outcome_delivered = ok; });
@@ -121,7 +118,6 @@ TEST(SessionTest, ReliableSendDeliversOnceAndAcks) {
   loop.RunUntilIdle();
 
   EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(from_conn, 10u);
   EXPECT_TRUE(outcome_delivered);
   EXPECT_EQ(sender.PendingReliable(), 0u);
   EXPECT_EQ(sender.stats().frames_sent, 1u);
@@ -148,7 +144,7 @@ TEST(SessionTest, RetransmitsConvergeUnderDeterministicLoss) {
     Session receiver(*recv_ep, ConnConfig(20));
     size_t delivered = 0;
     receiver.SetDeliveryHandler(
-        [&](const ControlMessage&, const TransportAddress&, uint64_t) { ++delivered; });
+        [&](const ControlMessage&, const TransportAddress&) { ++delivered; });
     size_t acked = 0;
     for (int i = 0; i < 20; ++i) {
       sender.SendReliable(MsgPing{static_cast<uint64_t>(i)}, recv_ep->LocalAddress(),
@@ -181,8 +177,7 @@ TEST(SessionTest, DuplicatedFramesDeliverOnceButAckEveryCopy) {
   Session sender(dup_ep, ConnConfig(10));
   Session receiver(*recv_ep, ConnConfig(20));
   size_t delivered = 0;
-  receiver.SetDeliveryHandler(
-      [&](const ControlMessage&, const TransportAddress&, uint64_t) { ++delivered; });
+  receiver.SetDeliveryHandler([&](const ControlMessage&, const TransportAddress&) { ++delivered; });
   sender.SendReliable(MsgPing{1}, recv_ep->LocalAddress());
   loop.RunUntilIdle();
 
@@ -261,29 +256,6 @@ TEST(SessionTest, ControlLaneRetransmitsBeforeBulk) {
   EXPECT_EQ(lane_of(blackhole.sent[3]), kLaneBulk);
 }
 
-TEST(SessionTest, LegacyBareDatagramsDeliverAsConnZero) {
-  EventLoop loop;
-  SimTimerSource clock(loop);
-  MemoryHub hub(clock);
-  auto legacy_ep = hub.CreateEndpoint();  // a pre-session peer: raw transport
-  auto session_ep = hub.CreateEndpoint();
-  Session receiver(*session_ep, ConnConfig(20));
-  size_t delivered = 0;
-  uint64_t from_conn = 99;
-  receiver.SetDeliveryHandler(
-      [&](const ControlMessage& message, const TransportAddress&, uint64_t sender_conn) {
-        delivered += std::holds_alternative<MsgRegister>(message) ? 1 : 0;
-        from_conn = sender_conn;
-      });
-  legacy_ep->Send(EncodeMessage(MsgRegister{5}), session_ep->LocalAddress());
-  loop.RunUntilIdle();
-
-  EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(from_conn, 0u);  // the legacy sentinel
-  EXPECT_EQ(receiver.stats().legacy_frames, 1u);
-  EXPECT_EQ(receiver.stats().acks_sent, 0u);  // bare datagrams get no session ack
-}
-
 TEST(SessionTest, UndecodableDatagramsAreCountedAndDropped) {
   EventLoop loop;
   SimTimerSource clock(loop);
@@ -292,13 +264,15 @@ TEST(SessionTest, UndecodableDatagramsAreCountedAndDropped) {
   auto session_ep = hub.CreateEndpoint();
   Session receiver(*session_ep, ConnConfig(20));
   size_t delivered = 0;
-  receiver.SetDeliveryHandler(
-      [&](const ControlMessage&, const TransportAddress&, uint64_t) { ++delivered; });
+  receiver.SetDeliveryHandler([&](const ControlMessage&, const TransportAddress&) { ++delivered; });
   raw->Send("!! not a control message !!", session_ep->LocalAddress());
   raw->Send("S1 truncated", session_ep->LocalAddress());
+  // A well-formed control message without a session frame is undecodable too.
+  raw->Send(EncodeMessage(MsgRegister{5}), session_ep->LocalAddress());
   loop.RunUntilIdle();
   EXPECT_EQ(delivered, 0u);
-  EXPECT_EQ(receiver.stats().decode_errors, 2u);
+  EXPECT_EQ(receiver.stats().decode_errors, 3u);
+  EXPECT_EQ(receiver.stats().acks_sent, 0u);
 }
 
 TEST(SessionTest, ReliableRoundTripOverRealUdp) {
@@ -309,18 +283,16 @@ TEST(SessionTest, ReliableRoundTripOverRealUdp) {
   Session bob(b, ConnConfig(20));
 
   size_t bob_got = 0;
-  bob.SetDeliveryHandler(
-      [&](const ControlMessage& message, const TransportAddress& from, uint64_t sender_conn) {
-        if (std::holds_alternative<MsgPing>(message) && sender_conn == 10) {
-          ++bob_got;
-          bob.SendReliable(MsgPong{std::get<MsgPing>(message).seq}, from);
-        }
-      });
+  bob.SetDeliveryHandler([&](const ControlMessage& message, const TransportAddress& from) {
+    if (std::holds_alternative<MsgPing>(message)) {
+      ++bob_got;
+      bob.SendReliable(MsgPong{std::get<MsgPing>(message).seq, {}}, from);
+    }
+  });
   size_t alice_got = 0;
-  alice.SetDeliveryHandler(
-      [&](const ControlMessage& message, const TransportAddress&, uint64_t sender_conn) {
-        alice_got += std::holds_alternative<MsgPong>(message) && sender_conn == 20 ? 1 : 0;
-      });
+  alice.SetDeliveryHandler([&](const ControlMessage& message, const TransportAddress&) {
+    alice_got += std::holds_alternative<MsgPong>(message) ? 1 : 0;
+  });
   alice.SendReliable(MsgPing{7}, b.LocalAddress());
   ASSERT_TRUE(reactor.RunUntil([&] { return alice_got == 1; }, reactor.Now() + 5.0));
   // Alice's ack for the PONG is still in flight when she delivers it; let
