@@ -8,8 +8,12 @@
 // groups — the shape a multi-site survey shard produces — where incremental
 // reallocation only touches the changed component. churn_shared is the
 // honest worst case: one bottleneck, every flow in one component.
+// saturated_star is the Large Object stage's shape: synchronized crowds of
+// slow-start downloads through one server link, where most passes follow a
+// single window doubling.
 //
 //   perf_flow_network [--repeats=N] [--scale=X] [--out=PATH]
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,7 +21,9 @@
 
 #include "bench/perf_util.h"
 #include "src/net/flow_network.h"
+#include "src/sim/distributions.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/rng.h"
 
 namespace {
 
@@ -110,13 +116,62 @@ ChurnResult RunChurn(const ChurnSpec& spec) {
   return r;
 }
 
-mfc::PerfScenario Measure(const char* name, size_t repeats, const ChurnSpec& spec) {
+// Waves of 48 slow-start downloads that all start at one instant, each wave
+// once the previous one has drained. Every path crosses the server link;
+// client links are faster, so the server link is the bottleneck. Each wave
+// draws fresh RTTs from the PlanetLab fleet's lognormal (median 70 ms), so
+// windows double at scattered instants and most passes follow a single
+// doubling, as on the Large Object stage.
+ChurnResult RunStar(size_t waves) {
+  constexpr size_t kClients = 48;
+  // Most Large Object passes run on 32-128 MB/s server links (the stopping
+  // crowd is about twice the capacity in MB/s). On a 12.5 MB/s link, 48
+  // flows' fair share sits just above their first window's rate, so only
+  // ~55% of passes would follow a doubling alone.
+  constexpr double kServerBps = 50e6;
+  constexpr double kBytes = 400e3;  // the stage's probe object
+  mfc::EventLoop loop;
+  mfc::FlowNetwork net(loop);
+  mfc::Rng rng(0x57a2);
+  mfc::LognormalDist rtt_dist = mfc::LognormalDist::FromMedian(0.070, 0.55);
+  mfc::LinkId server = net.AddLink(kServerBps);
+  std::vector<std::vector<mfc::LinkId>> paths;
+  for (size_t c = 0; c < kClients; ++c) {
+    paths.push_back({server, net.AddLink(2.5 * kServerBps)});
+  }
+  size_t waves_left = waves;
+  size_t in_flight = 0;
+  std::function<void()> start_wave = [&] {
+    if (waves_left == 0) {
+      return;
+    }
+    --waves_left;
+    in_flight = kClients;
+    for (size_t c = 0; c < kClients; ++c) {
+      double rtt = std::min(rtt_dist.Sample(rng), 0.450);
+      net.StartFlow(paths[c], kBytes, rtt, mfc::TcpParams{}, [&] {
+        if (--in_flight == 0) {
+          loop.ScheduleAfter(0.1, start_wave);
+        }
+      });
+    }
+  };
+  loop.ScheduleAt(0.0, start_wave);
+  loop.RunUntilIdle();
+  ChurnResult r;
+  r.events = loop.ExecutedCount();
+  r.stats = net.Stats();
+  return r;
+}
+
+mfc::PerfScenario Measure(const char* name, size_t repeats,
+                          const std::function<ChurnResult()>& run) {
   mfc::PerfScenario s;
   s.name = name;
   ChurnResult r;
   for (size_t rep = 0; rep < repeats; ++rep) {
     mfc::PerfTimer timer;
-    r = RunChurn(spec);
+    r = run();
     s.wall_seconds.push_back(timer.Seconds());
     assert(rep == 0 || r.events == s.items);
     s.items = r.events;
@@ -127,6 +182,7 @@ mfc::PerfScenario Measure(const char* name, size_t repeats, const ChurnSpec& spe
   s.extras.emplace_back("flows_touched", static_cast<double>(r.stats.flows_touched));
   s.extras.emplace_back("links_touched", static_cast<double>(r.stats.links_touched));
   s.extras.emplace_back("no_progress", static_cast<double>(r.stats.no_progress));
+  s.extras.emplace_back("order_rebuilds", static_cast<double>(r.stats.order_rebuilds));
   return s;
 }
 
@@ -146,13 +202,13 @@ int main(int argc, char** argv) {
   components.groups = scaled(24);
   components.clients_per_group = 40;
   components.downloads = 10;
-  report.Add(Measure("churn_components", args.repeats, components));
+  report.Add(Measure("churn_components", args.repeats, [&] { return RunChurn(components); }));
 
   ChurnSpec shared;
   shared.groups = 1;
   shared.clients_per_group = scaled(256);
   shared.downloads = 8;
-  report.Add(Measure("churn_shared", args.repeats, shared));
+  report.Add(Measure("churn_shared", args.repeats, [&] { return RunChurn(shared); }));
 
   ChurnSpec slow_start;
   slow_start.groups = scaled(8);
@@ -160,14 +216,16 @@ int main(int argc, char** argv) {
   slow_start.downloads = 3;
   slow_start.bytes_base = 400e3;
   slow_start.slow_start = true;
-  report.Add(Measure("slow_start_crowd", args.repeats, slow_start));
+  report.Add(Measure("slow_start_crowd", args.repeats, [&] { return RunChurn(slow_start); }));
 
   ChurnSpec aborts;
   aborts.groups = scaled(12);
   aborts.clients_per_group = 24;
   aborts.downloads = 6;
   aborts.aborts = true;
-  report.Add(Measure("abort_churn", args.repeats, aborts));
+  report.Add(Measure("abort_churn", args.repeats, [&] { return RunChurn(aborts); }));
+
+  report.Add(Measure("saturated_star", args.repeats, [&] { return RunStar(scaled(200)); }));
 
   return report.Finish(args.out_path);
 }

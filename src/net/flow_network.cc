@@ -65,6 +65,55 @@ void FlowNetwork::ReleaseSlot(uint32_t slot) {
   free_head_ = slot;
 }
 
+bool FlowNetwork::LiveKey(uint64_t key) const {
+  uint32_t slot = static_cast<uint32_t>(key);
+  return flows_[slot].active && OrderKey(slot) == key;
+}
+
+bool FlowNetwork::LiveCap(const CapKey& entry) const {
+  return LiveKey(entry.second) &&
+         flows_[static_cast<uint32_t>(entry.second)].rate_cap == entry.first;
+}
+
+void FlowNetwork::LogOrderKeys(uint32_t slot, bool started, bool unsaturated) {
+  // An unsaturated network resolves most events without a pass (the caps-
+  // only certificate), so logging there would be pure overhead: drop the
+  // orders instead and let the next whole-graph pass sort them afresh. Logs
+  // that outgrow the live set, because only passes over part of the graph
+  // ran since the last merge, are dropped the same way.
+  if (!orders_valid_ || unsaturated || live_seq_.size() + cap_pending_.size() > 2 * live_ + 64) {
+    orders_valid_ = false;
+    return;
+  }
+  const uint64_t key = OrderKey(slot);
+  if (started) {
+    live_seq_.push_back(key);
+  }
+  if (flows_[slot].rate_cap < kInfinity) {
+    cap_pending_.emplace_back(flows_[slot].rate_cap, key);
+  }
+}
+
+void FlowNetwork::MergeCapPending() {
+  std::sort(cap_pending_.begin(), cap_pending_.end());
+  caps_scratch_.clear();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < cap_order_.size() || j < cap_pending_.size()) {
+    const CapKey& next = j == cap_pending_.size() ||
+                                 (i < cap_order_.size() && cap_order_[i] < cap_pending_[j])
+                             ? cap_order_[i++]
+                             : cap_pending_[j++];
+    // A cap that did not change across a doubling (a zero window) is logged
+    // twice; keep one.
+    if (LiveCap(next) && (caps_scratch_.empty() || caps_scratch_.back() != next)) {
+      caps_scratch_.push_back(next);
+    }
+  }
+  cap_order_.swap(caps_scratch_);
+  cap_pending_.clear();
+}
+
 FlowId FlowNetwork::StartFlow(const std::vector<LinkId>& path, double bytes, double rtt,
                               TcpParams tcp, std::function<void()> on_complete) {
   SimTime now = loop_.Now();
@@ -107,6 +156,7 @@ FlowId FlowNetwork::StartFlow(const std::vector<LinkId>& path, double bytes, dou
   off_cap_flows_ += OffCap(flow);
   ++live_;
   component_cache_full_ = false;  // membership changed
+  LogOrderKeys(slot, /*started=*/true, unsaturated);
   changed_scratch_.assign(1, slot);
   if (!TryCapsOnly(unsaturated, flows_[slot].path, changed_scratch_)) {
     ReallocateFor(flows_[slot].path, slot);
@@ -321,18 +371,78 @@ void FlowNetwork::CollectComponent(const std::vector<LinkId>& seed_links, uint32
       }
     }
   }
+}
+
+const std::vector<FlowNetwork::CapKey>& FlowNetwork::OrderComponent(bool collected) {
   // Deterministic pass order: flows by creation sequence, links by id — the
-  // orders the historical full pass would visit a single component in.
-  // Packed integer keys keep the sort flat instead of chasing Flow structs.
-  order_scratch_.clear();
+  // orders the historical full pass would visit a single component in — and
+  // finite caps ascending by (rate_cap, seq, slot).
+  const bool whole = dirty_flows_.size() == live_;
+  if (orders_valid_ && whole && !force_full_) {
+    // The persistent orders cover exactly the live set, which is the
+    // component: filter and merge them instead of sorting. The forced-full
+    // oracle never gets here, so it shares none of this state.
+    if (collected) {
+      // Drop dead entries from live_seq_; the rest are the component.
+      size_t kept = 0;
+      dirty_flows_.clear();
+      for (uint64_t key : live_seq_) {
+        if (LiveKey(key)) {
+          live_seq_[kept++] = key;
+          dirty_flows_.push_back(static_cast<uint32_t>(key));
+        }
+      }
+      live_seq_.resize(kept);
+      assert(kept == live_);
+      if (links_.size() <= 2 * dirty_links_.size()) {
+        // Most links are in the component: a walk over the BFS marks beats
+        // a sort.
+        dirty_links_.clear();
+        for (LinkId l = 0; l < links_.size(); ++l) {
+          if (links_[l].visit == visit_epoch_) {
+            dirty_links_.push_back(l);
+          }
+        }
+      } else {
+        std::sort(dirty_links_.begin(), dirty_links_.end());
+      }
+    }
+    MergeCapPending();
+    return cap_order_;
+  }
+  stats_.order_rebuilds++;
+  if (collected) {
+    // Packed integer keys keep the sort flat instead of chasing Flow structs.
+    order_scratch_.clear();
+    for (uint32_t slot : dirty_flows_) {
+      order_scratch_.push_back(OrderKey(slot));
+    }
+    std::sort(order_scratch_.begin(), order_scratch_.end());
+    for (size_t i = 0; i < order_scratch_.size(); ++i) {
+      dirty_flows_[i] = static_cast<uint32_t>(order_scratch_[i]);
+    }
+    std::sort(dirty_links_.begin(), dirty_links_.end());
+  }
+  caps_scratch_.clear();
   for (uint32_t slot : dirty_flows_) {
-    order_scratch_.push_back((flows_[slot].seq << 32) | slot);
+    if (flows_[slot].rate_cap < kInfinity) {
+      caps_scratch_.emplace_back(flows_[slot].rate_cap, OrderKey(slot));
+    }
   }
-  std::sort(order_scratch_.begin(), order_scratch_.end());
-  for (size_t i = 0; i < order_scratch_.size(); ++i) {
-    dirty_flows_[i] = static_cast<uint32_t>(order_scratch_[i]);
+  std::sort(caps_scratch_.begin(), caps_scratch_.end());
+  if (!whole || force_full_) {
+    return caps_scratch_;
   }
-  std::sort(dirty_links_.begin(), dirty_links_.end());
+  // A whole-graph pass sorted the live set: adopt it as the persistent
+  // orders, which events keep current from here on.
+  live_seq_.clear();
+  for (uint32_t slot : dirty_flows_) {
+    live_seq_.push_back(OrderKey(slot));
+  }
+  cap_order_.swap(caps_scratch_);
+  cap_pending_.clear();
+  orders_valid_ = true;
+  return cap_order_;
 }
 
 void FlowNetwork::CompletionKeys(const Flow& flow, double* finish, double* early) {
@@ -357,14 +467,18 @@ void FlowNetwork::UpdateCompletionKey(uint32_t slot) {
 }
 
 void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t seed_flow) {
-  if (!component_cache_full_ || force_full_) {
+  const bool collected = !component_cache_full_ || force_full_;
+  if (collected) {
     CollectComponent(seed_links, seed_flow);
   }
   // else: the previous pass covered every live flow and only slow-start
   // doublings happened since (starts/aborts/completions/new links all clear
-  // the flag), so a fresh BFS from any seed would re-derive exactly the
-  // cached dirty sets — reuse them as-is. dirty_flows_ stays seq-sorted and
-  // dirty_links_ id-sorted from the pass that built them.
+  // the flag), so a fresh BFS from any seed would find the same flows and
+  // links, give or take a seed link a completion emptied (it has no
+  // members, so no round ever reads it). Reuse the sets as-is: dirty_flows_
+  // stays seq-sorted and dirty_links_ id-sorted from the pass that built
+  // them.
+  const std::vector<CapKey>& caps = OrderComponent(collected);
   stats_.reallocs++;
   stats_.flows_touched += dirty_flows_.size();
   stats_.links_touched += dirty_links_.size();
@@ -391,7 +505,7 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
   //
   // Round bookkeeping avoids the historical per-round rescans three ways,
   // none of which changes a single comparison outcome or double produced:
-  //  - caps_scratch_ holds the component's finite-capped flows ascending by
+  //  - |caps| holds the component's finite-capped flows ascending by
   //    (rate_cap, seq), so the smallest unfixed cap is a cursor skip.
   //    Dropping infinite caps is free: an infinite cap is never the minimum
   //    unless every remaining cap is infinite, and that case is handled
@@ -404,17 +518,10 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
   //    residual/unfixed (the identical division the scan computed), so the
   //    exact bottleneck share is the heap top instead of a scan.
   // Fix order inside a round is unchanged: cap cohorts are re-sorted to seq
-  // order before fixing, and link rounds still walk dirty_links_ ascending —
-  // the sequence of residual subtractions matches the scan version.
+  // order before fixing (a cohort of one needs no sort), and link rounds
+  // still walk dirty_links_ ascending — the sequence of residual
+  // subtractions matches the scan version.
   size_t remaining_flows = dirty_flows_.size();
-  caps_scratch_.clear();
-  for (uint32_t slot : dirty_flows_) {
-    if (flows_[slot].rate_cap < kInfinity) {
-      caps_scratch_.emplace_back(flows_[slot].rate_cap,
-                                 (flows_[slot].seq << 32) | static_cast<uint64_t>(slot));
-    }
-  }
-  std::sort(caps_scratch_.begin(), caps_scratch_.end());
   size_t cap_cursor = 0;
   // For small components a flat rescan of dirty_links_ beats heap
   // maintenance (fewer than ~100 contiguous doubles vs pointer-chasing
@@ -463,12 +570,11 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
   };
   while (remaining_flows > 0) {
     // Smallest unfixed per-flow cap: skip entries fixed by earlier rounds.
-    while (cap_cursor < caps_scratch_.size() &&
-           flows_[static_cast<uint32_t>(caps_scratch_[cap_cursor].second)].fixed) {
+    while (cap_cursor < caps.size() &&
+           flows_[static_cast<uint32_t>(caps[cap_cursor].second)].fixed) {
       ++cap_cursor;
     }
-    double cap_min =
-        cap_cursor < caps_scratch_.size() ? caps_scratch_[cap_cursor].first : kInfinity;
+    double cap_min = cap_cursor < caps.size() ? caps[cap_cursor].first : kInfinity;
     bool cap_round;
     double link_share = kInfinity;
     if (!use_share_heap && cap_min <= share_lb + kRateEpsilon) {
@@ -491,7 +597,7 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
       cap_round = cap_min <= link_share + kRateEpsilon;
     }
     if (cap_round) {
-      if (cap_cursor >= caps_scratch_.size()) {
+      if (cap_cursor >= caps.size()) {
         // cap_min and link_share are both infinite: no contended links
         // remain, and every remaining flow has an uncapped rate. The
         // historical pass fixed them all at their (infinite) caps in seq
@@ -506,12 +612,19 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
       }
       // Cap-limited flows saturate first: pin them at their caps, in seq
       // order (order_scratch_ entries are (seq, slot), so a plain sort).
+      // A cohort of one needs no ordering; the oracle sorts it anyway.
+      const size_t next = cap_cursor + 1;
+      if (!force_full_ && (next == caps.size() || caps[next].first > cap_min + kRateEpsilon)) {
+        Flow& flow = flows_[static_cast<uint32_t>(caps[cap_cursor].second)];
+        fix_flow(flow, flow.rate_cap);
+        continue;
+      }
       order_scratch_.clear();
-      for (size_t c = cap_cursor;
-           c < caps_scratch_.size() && caps_scratch_[c].first <= cap_min + kRateEpsilon; ++c) {
-        uint32_t slot = static_cast<uint32_t>(caps_scratch_[c].second);
+      for (size_t c = cap_cursor; c < caps.size() && caps[c].first <= cap_min + kRateEpsilon;
+           ++c) {
+        uint32_t slot = static_cast<uint32_t>(caps[c].second);
         if (!flows_[slot].fixed) {
-          order_scratch_.push_back(caps_scratch_[c].second);
+          order_scratch_.push_back(caps[c].second);
         }
       }
       std::sort(order_scratch_.begin(), order_scratch_.end());
@@ -649,7 +762,7 @@ void FlowNetwork::OnTimer() {
   // Completion order is creation order (packed integer sort, no indirection).
   order_scratch_.clear();
   for (uint32_t slot : due) {
-    order_scratch_.push_back((flows_[slot].seq << 32) | slot);
+    order_scratch_.push_back(OrderKey(slot));
   }
   std::sort(order_scratch_.begin(), order_scratch_.end());
   for (size_t i = 0; i < order_scratch_.size(); ++i) {
@@ -697,6 +810,7 @@ void FlowNetwork::OnTimer() {
       double_heap_.Update(slot, flow.next_double, flow.seq);
     }
     off_cap_flows_ += OffCap(flow);
+    LogOrderKeys(slot, /*started=*/false, unsaturated);
     changed_scratch_.push_back(slot);
     for (LinkId l : flow.path) {
       seed_scratch_.push_back(l);

@@ -16,15 +16,17 @@
 // plus an aggregate rate so LinkRate() is O(1). Work follows the rates an
 // event changes (DESIGN.md §10): two exact certificates resolve most events
 // with no water-filling pass at all, the passes that remain cover only the
-// connected component of the changed flows, a flow is re-anchored (remaining
-// bytes advanced, completion keys re-derived) only when its rate changes, and
-// indexed min-heaps (next completion, next cwnd doubling) replace the
-// per-event full-flow scans.
+// connected component of the changed flows, a pass over the whole graph
+// merges persistent seq and cap orders instead of sorting, a flow is
+// re-anchored (remaining bytes advanced, completion keys re-derived) only when
+// its rate changes, and indexed min-heaps (next completion, next cwnd
+// doubling) replace the per-event full-flow scans.
 #ifndef MFC_SRC_NET_FLOW_NETWORK_H_
 #define MFC_SRC_NET_FLOW_NETWORK_H_
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/net/indexed_heap.h"
@@ -56,6 +58,8 @@ struct FlowNetworkStats {
   uint64_t links_touched = 0;     // links visited, summed over passes
   uint64_t no_progress = 0;       // water-filling stalls (expected 0; see
                                   // the flow_network.no_progress metric)
+  uint64_t order_rebuilds = 0;    // passes that sorted their flow and cap orders
+                                  // instead of merging the persistent ones
 };
 
 class FlowNetwork {
@@ -105,15 +109,18 @@ class FlowNetwork {
 
   // Testing hook: every event runs the water-filling pass over the whole
   // graph, with both certificates off (re-anchoring still follows rate
-  // changes only). The differential test drives an identical workload
-  // through a forced-full network as the oracle.
+  // changes only) and every order sorted from scratch. The differential test
+  // drives an identical workload through a forced-full network as the oracle.
   void set_force_full_reallocate(bool on) {
     force_full_ = on;
     component_cache_full_ = false;
+    orders_valid_ = false;
   }
 
  private:
   static constexpr uint32_t kNoFreeSlot = UINT32_MAX;
+  // (rate_cap, seq << 32 | slot): the water-filling pass's cap order.
+  using CapKey = std::pair<double, uint64_t>;
 
   struct Link {
     double capacity = 0.0;
@@ -165,6 +172,20 @@ class FlowNetwork {
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t slot);
 
+  // seq << 32 | slot: sorts flows by creation order.
+  uint64_t OrderKey(uint32_t slot) const { return (flows_[slot].seq << 32) | slot; }
+  // An order entry is live while its flow is active with the same seq (the
+  // slot was not reused) and, for a cap entry, the same rate_cap.
+  bool LiveKey(uint64_t key) const;
+  bool LiveCap(const CapKey& entry) const;
+  // Logs |slot|'s new keys (its seq when |started|, its cap when finite)
+  // while the orders are valid, the network was saturated before the event
+  // and the logs stay within twice the live set; otherwise marks the orders
+  // invalid (DESIGN.md §10).
+  void LogOrderKeys(uint32_t slot, bool started, bool unsaturated);
+  // Sorts cap_pending_ into cap_order_, dropping dead entries.
+  void MergeCapPending();
+
   // True when |flow| is not sitting at a finite rate cap.
   static bool OffCap(const Flow& flow);
   // True when |link| carries more than capacity * (1 - slack).
@@ -197,8 +218,13 @@ class FlowNetwork {
   // changes) get fresh aggregates. The arithmetic is the historical full
   // pass, restricted to the component.
   void ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t seed_flow = UINT32_MAX);
-  // Dirty-set BFS from the seeds into dirty_flows_/dirty_links_.
+  // Dirty-set BFS from the seeds into dirty_flows_/dirty_links_, unordered.
   void CollectComponent(const std::vector<LinkId>& seed_links, uint32_t seed_flow);
+  // Orders the component and its caps for the pass and returns the cap order:
+  // merged from the persistent orders when they are valid and the component
+  // is the whole graph, sorted from scratch otherwise. |collected| says
+  // whether CollectComponent just ran (else the cached sets are ordered).
+  const std::vector<CapKey>& OrderComponent(bool collected);
   // Predicted exact finish instant and earliest byte-epsilon completion
   // instant for |flow|, from its current (advanced, remaining, rate).
   static void CompletionKeys(const Flow& flow, double* finish, double* early);
@@ -244,8 +270,18 @@ class FlowNetwork {
   // Water-filling pass scratch: flows ascending by (rate_cap, seq, slot) so
   // cap rounds advance a cursor instead of rescanning, and a min-heap of
   // per-link equal shares so each round's bottleneck share is O(1).
-  std::vector<std::pair<double, uint64_t>> caps_scratch_;
+  std::vector<CapKey> caps_scratch_;
   IndexedMinHeap share_heap_;
+
+  // Persistent orders, valid while |orders_valid_|: every live flow's
+  // OrderKey in live_seq_ (ascending, since seq only grows), and every live
+  // finite cap's CapKey in cap_order_ (sorted) or cap_pending_ (appended by
+  // starts and doublings since the last merge). Releases write nothing; dead
+  // entries (see LiveKey/LiveCap) drop out when a whole-graph pass filters
+  // and merges them instead of sorting.
+  std::vector<uint64_t> live_seq_;
+  std::vector<CapKey> cap_order_;
+  std::vector<CapKey> cap_pending_;
 
   EventId timer_ = 0;
   FlowNetworkStats stats_;
@@ -253,9 +289,12 @@ class FlowNetwork {
   bool force_full_ = false;
   // True while dirty_flows_/dirty_links_ hold the whole live flow set and no
   // start/abort/completion (or new link) has occurred since — i.e. a fresh
-  // BFS would re-derive them exactly. Doubling-only events then skip
-  // CollectComponent altogether.
+  // BFS would re-derive them, give or take a seed link a completion emptied.
+  // Doubling-only events then skip CollectComponent altogether.
   bool component_cache_full_ = false;
+  // True while live_seq_/cap_order_/cap_pending_ cover every live flow. Only
+  // a whole-graph pass that sorted sets it, never under force_full_.
+  bool orders_valid_ = false;
 };
 
 }  // namespace mfc

@@ -309,6 +309,110 @@ Script MakeSlackBandScript(uint64_t seed, int episodes, int exact_episodes) {
   return script;
 }
 
+// Cap cohorts of two or three slow-start flows whose caps lie within
+// kRateEpsilon of their neighbours' (offsets of 0.25, 0.5 and 0.9 epsilon;
+// 1.5 epsilon as the control, where the cohort splits), on a link that
+// uncapped background flows saturate. Each cohort starts in seq order
+// opposite to cap order (the earliest flow has the largest cap), and its
+// caps take the link's residual across the binade boundary at 2^17 B/s.
+// There the order of the subtractions changes their rounding, so a pass
+// that fixed a cohort in cap order, or split it, would hand the background
+// flows different share bits. The cohorts finish inside their first RTT, so
+// every pass they take part in sees the same offsets.
+Script MakeCapCohortScript(uint64_t seed, int episodes) {
+  const double offsets[] = {0.25, 0.5, 0.9, 1.5};
+  const double capacity = 1.5e5;
+  const double binade = 131072.0;  // 2^17
+  Rng rng(seed);
+  Script script;
+  script.capacities = {capacity};
+  for (int e = 0; e < episodes; ++e) {
+    const SimTime t = 1.0 + static_cast<double>(e);  // the link idles in between
+    const int background = 2 + static_cast<int>(rng.NextBelow(4));
+    const int cohort = 2 + static_cast<int>(rng.NextBelow(2));
+    // Each cap alone keeps the residual above 2^17; two take it below.
+    // Either way a cap stays under the share (at least 1.5e5 / 8 = 18750).
+    const double cap = (capacity - binade) * rng.Uniform(0.55, 0.95);
+    const double offset = offsets[static_cast<size_t>(e) % std::size(offsets)] * kRateEpsilon;
+    const double rtt = rng.Uniform(0.01, 0.04);
+    for (int b = 0; b < background; ++b) {
+      Op op;
+      op.at = t;
+      op.path = {0};
+      op.bytes = capacity / static_cast<double>(background + cohort) * rng.Uniform(0.3, 0.6);
+      op.rtt = rtt;
+      op.tcp.slow_start = false;
+      script.ops.push_back(op);
+    }
+    for (int i = 0; i < cohort; ++i) {
+      Op op;
+      op.at = t;
+      op.path = {0};
+      op.rtt = rtt;
+      op.tcp.init_cwnd_bytes = (cap + static_cast<double>(cohort - 1 - i) * offset) * rtt;
+      op.bytes = cap * rtt * rng.Uniform(0.5, 0.9);
+      script.ops.push_back(op);
+    }
+  }
+  return script;
+}
+
+// Churn aimed at the allocator's persistent seq and cap orders. A star
+// (server link 0 over client links 2..9) alternates unsaturated stretches,
+// slow-start flows whose caps sum under the capacity, with saturated ones:
+// uncapped flows, short-RTT flows that stay link-bound and so double more
+// than once between passes until their caps reach infinity, and aborts that
+// hit capped flows. A side link (1) is a second component whose flows come
+// and go through passes that cover only that component, so a slot they free
+// is reused by a star flow between two whole-graph passes.
+Script MakeOrderChurnScript(uint64_t seed, int stretches) {
+  constexpr int kClients = 8;
+  Rng rng(seed);
+  Script script;
+  script.capacities = {1e6, 2e5};
+  for (int c = 0; c < kClients; ++c) {
+    script.capacities.push_back(4e6);
+  }
+  SimTime t = 0.0;
+  int started = 0;
+  for (int stretch = 0; stretch < stretches; ++stretch) {
+    const bool saturated = stretch % 2 == 1;
+    t += 1.0;  // most of the previous stretch drains first
+    for (int i = 0; i < 40; ++i) {
+      t += saturated ? rng.Uniform(0.005, 0.06) : rng.Uniform(0.02, 0.06);
+      Op op;
+      op.at = t;
+      if (started > 2 && rng.Chance(saturated ? 0.2 : 0.1)) {
+        op.kind = Op::Kind::kAbort;
+        // Mostly recent arrivals, so most aborts hit live flows.
+        const int window = std::min(started, 12);
+        op.target = started - 1 - static_cast<int>(rng.NextBelow(static_cast<uint64_t>(window)));
+        script.ops.push_back(op);
+        continue;
+      }
+      const LinkId client = 2 + static_cast<LinkId>(rng.NextBelow(kClients));
+      if (!saturated) {
+        op.path = {0, client};
+        op.bytes = rng.Uniform(2e3, 1.5e4);
+        op.rtt = rng.Uniform(0.08, 0.25);  // caps of 58-183 KB/s
+      } else if (rng.Chance(0.25)) {
+        op.path = {1};
+        op.bytes = rng.Uniform(2e3, 3e4);
+        op.rtt = rng.Uniform(0.01, 0.1);
+        op.tcp.slow_start = rng.Chance(0.5);
+      } else {
+        op.path = {0, client};
+        op.bytes = rng.Uniform(3e4, 2e5);
+        op.rtt = rng.Uniform(0.01, 0.06);
+        op.tcp.slow_start = rng.Chance(0.6);
+      }
+      ++started;
+      script.ops.push_back(op);
+    }
+  }
+  return script;
+}
+
 // ---- replay -----------------------------------------------------------------
 
 // One side of the comparison: a loop, a network, and the state that replays
@@ -481,6 +585,23 @@ TEST(FlowNetworkDifferentialTest, SummedCapsInsideSlackBand) {
   FlowNetworkStats s = Compare(
       MakeSlackBandScript(/*seed=*/0x5eed0005, /*episodes=*/40, /*exact_episodes=*/400));
   EXPECT_GT(s.skipped_reallocs, 0u);
+}
+
+// Cap cohorts within kRateEpsilon, in seq order opposite to cap order: the
+// fast path's cohort-of-one shortcut must not split them.
+TEST(FlowNetworkDifferentialTest, CapCohortWithinEpsilonFixesInSeqOrder) {
+  FlowNetworkStats s = Compare(MakeCapCohortScript(/*seed=*/0x5eed0006, /*episodes=*/200));
+  EXPECT_GT(s.reallocs, 0u);
+}
+
+// Slot reuse between whole-graph passes, repeated doublings between passes,
+// caps reaching infinity, aborts of capped flows and alternating unsaturated
+// and saturated stretches, against the persistent orders.
+TEST(FlowNetworkDifferentialTest, OrderChurnAcrossSaturationStretches) {
+  FlowNetworkStats s = Compare(MakeOrderChurnScript(/*seed=*/0x5eed0007, /*stretches=*/60));
+  EXPECT_GT(s.skipped_reallocs, 0u);
+  EXPECT_GT(s.order_rebuilds, 0u);
+  EXPECT_LT(s.order_rebuilds, s.reallocs);
 }
 
 }  // namespace

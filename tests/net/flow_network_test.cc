@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/sim/distributions.h"
 #include "src/sim/rng.h"
 
 namespace mfc {
@@ -233,6 +234,40 @@ TEST(FlowNetworkTest, LinkRateAggregateStaysExactThroughChurn) {
   EXPECT_EQ(net.ActiveFlowCount(), 0u);
   EXPECT_EQ(net.LinkRate(shared), 0.0);
   EXPECT_EQ(net.LinkRate(side), 0.0);
+}
+
+// A saturated 48-flow slow-start star, the Large Object stage's shape: every
+// pass covers the whole graph, and after a crowd's first pass sorts the seq
+// and cap orders, later passes merge the few keys that changed. A silent
+// fall-back to sorting every pass fails here. (Measured: 20 of 628 passes
+// sort, one to three per crowd; the forced-full oracle sorts on every pass.)
+TEST(FlowNetworkTest, SaturatedStarPassesMergeInsteadOfSorting) {
+  auto run = [](bool force_full) {
+    EventLoop loop;
+    FlowNetwork net(loop);
+    net.set_force_full_reallocate(force_full);
+    Rng rng(0x57a2);
+    LognormalDist rtt = LognormalDist::FromMedian(0.070, 0.55);  // the fleet's RTTs
+    LinkId server = net.AddLink(50e6);
+    std::vector<std::vector<LinkId>> paths;
+    for (int c = 0; c < 48; ++c) {
+      paths.push_back({server, net.AddLink(125e6)});
+    }
+    for (int wave = 0; wave < 8; ++wave) {
+      for (const std::vector<LinkId>& path : paths) {
+        net.StartFlow(path, 400e3, std::min(rtt.Sample(rng), 0.45), TcpParams{}, [] {});
+      }
+      loop.RunUntilIdle();
+    }
+    return net.Stats();
+  };
+  FlowNetworkStats fast = run(false);
+  EXPECT_EQ(fast.full_reallocs, fast.reallocs);
+  EXPECT_GT(fast.reallocs, 8u * 48u);
+  EXPECT_GT(fast.order_rebuilds, 0u);
+  EXPECT_LE(fast.order_rebuilds * 20, fast.reallocs);
+  FlowNetworkStats oracle = run(true);
+  EXPECT_EQ(oracle.order_rebuilds, oracle.reallocs);
 }
 
 // Property sweep: random flow sets never violate capacity, and max-min is
