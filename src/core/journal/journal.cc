@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <utility>
 
@@ -99,8 +100,12 @@ bool DecodeExactItem(const JsonValue& v, double* out) {
 
 // ---- ExperimentResult codec ----------------------------------------------
 
-std::string EncodeExperimentResult(const ExperimentResult& result) {
-  std::string out = "{";
+namespace {
+
+// The one result encoding: EncodeExperimentResult with |samples|, the site
+// record's summary without.
+void AppendExperimentResult(std::string& out, const ExperimentResult& result, bool samples) {
+  out += '{';
   AppendKeyBool(out, "aborted", result.aborted);
   out += ',';
   AppendKeyString(out, "abort_reason", result.abort_reason);
@@ -150,6 +155,10 @@ std::string EncodeExperimentResult(const ExperimentResult& result) {
       AppendKeyBool(out, "check", epoch.check_phase);
       out += ',';
       AppendKeyBool(out, "requeued", epoch.requeued);
+      if (!samples) {
+        out += '}';
+        continue;
+      }
       out += ",\"samples\":[";
       for (size_t i = 0; i < epoch.samples.size(); ++i) {
         const RequestSample& sample = epoch.samples[i];
@@ -175,10 +184,26 @@ std::string EncodeExperimentResult(const ExperimentResult& result) {
     out += "]}";
   }
   out += "]}";
+}
+
+// The seven summary fields of an epoch object.
+constexpr size_t kEpochSummaryFields = 7;
+
+}  // namespace
+
+std::string EncodeExperimentResult(const ExperimentResult& result) {
+  std::string out;
+  AppendExperimentResult(out, result, /*samples=*/true);
   return out;
 }
 
-bool DecodeExperimentResult(const JsonValue& value, ExperimentResult* out) {
+std::string EncodeExperimentSummary(const ExperimentResult& result) {
+  std::string out;
+  AppendExperimentResult(out, result, /*samples=*/false);
+  return out;
+}
+
+bool DecodeExperimentSummary(const JsonValue& value, ExperimentResult* out) {
   *out = ExperimentResult{};
   if (!GetBool(value, "aborted", &out->aborted) ||
       !GetString(value, "abort_reason", &out->abort_reason) ||
@@ -212,8 +237,10 @@ bool DecodeExperimentResult(const JsonValue& value, ExperimentResult* out) {
     }
     stage.epochs.reserve(epochs->items.size());
     for (const JsonValue& ev : epochs->items) {
+      // Exactly the summary: a samples array (the whole-result form) or any
+      // other extra field makes the epoch malformed.
       EpochResult epoch;
-      if (!GetSize(ev, "crowd", &epoch.crowd_size) ||
+      if (ev.fields.size() != kEpochSummaryFields || !GetSize(ev, "crowd", &epoch.crowd_size) ||
           !GetSize(ev, "received", &epoch.samples_received) ||
           !GetSize(ev, "expected", &epoch.samples_expected) ||
           !GetExact(ev, "metric", &epoch.metric) ||
@@ -221,38 +248,6 @@ bool DecodeExperimentResult(const JsonValue& value, ExperimentResult* out) {
           !GetBool(ev, "check", &epoch.check_phase) ||
           !GetBool(ev, "requeued", &epoch.requeued)) {
         return false;
-      }
-      const JsonValue* samples = ev.Find("samples");
-      if (samples == nullptr || samples->kind != JsonValue::Kind::kArray) {
-        return false;
-      }
-      epoch.samples.reserve(samples->items.size());
-      for (const JsonValue& rv : samples->items) {
-        if (rv.kind != JsonValue::Kind::kArray || rv.items.size() != 6) {
-          return false;
-        }
-        RequestSample sample;
-        bool ok = false;
-        sample.client_id = static_cast<size_t>(rv.items[0].U64(&ok));
-        if (!ok) {
-          return false;
-        }
-        double code = rv.items[1].Double(&ok);
-        if (!ok) {
-          return false;
-        }
-        sample.code = static_cast<HttpStatus>(static_cast<int>(code));
-        if (!DecodeExactItem(rv.items[2], &sample.bytes) ||
-            !DecodeExactItem(rv.items[3], &sample.response_time) ||
-            !DecodeExactItem(rv.items[4], &sample.normalized)) {
-          return false;
-        }
-        uint64_t timed_out = rv.items[5].U64(&ok);
-        if (!ok || timed_out > 1) {
-          return false;
-        }
-        sample.timed_out = timed_out == 1;
-        epoch.samples.push_back(std::move(sample));
       }
       stage.epochs.push_back(std::move(epoch));
     }
@@ -524,6 +519,29 @@ bool DecodeMetrics(const JsonValue& value, MetricsRegistry* out) {
 
 // ---- record framing ------------------------------------------------------
 
+std::string EncodeCohortRecord(const JournalCohortRecord& record) {
+  std::string body = "{\"type\":\"cohort\",";
+  AppendKeyU64(body, "ordinal", record.ordinal);
+  body += ',';
+  AppendKeyU64(body, "cohort", static_cast<uint64_t>(record.cohort));
+  body += ',';
+  AppendKeyU64(body, "stage", static_cast<uint64_t>(record.stage));
+  body += ',';
+  AppendKeyU64(body, "servers", record.servers);
+  body += ',';
+  AppendKeyU64(body, "max_crowd", record.max_crowd);
+  body += ',';
+  AppendKeyU64(body, "seed", record.seed);
+  body += ',';
+  AppendKeyU64(body, "pid_base", record.pid_base);
+  body += ',';
+  AppendKeyU64(body, "shards", record.shards);
+  body += ',';
+  AppendKeyU64(body, "shard_index", record.shard_index);
+  body += '}';
+  return body;
+}
+
 std::string EncodeSiteRecord(const JournalSiteRecord& record) {
   std::string body = "{\"type\":\"site\",";
   AppendKeyU64(body, "cohort", record.cohort_ordinal);
@@ -536,7 +554,7 @@ std::string EncodeSiteRecord(const JournalSiteRecord& record) {
   body += ',';
   AppendKeyU64(body, "pid", record.pid);
   body += ",\"result\":";
-  body += EncodeExperimentResult(record.result);
+  AppendExperimentResult(body, record.result, /*samples=*/false);
   if (record.has_trace) {
     body += ",\"trace\":";
     body += EncodeTraceSpans(record.trace_spans);
@@ -632,7 +650,7 @@ bool DecodeSiteRecord(const JsonValue& body, JournalSiteRecord* out) {
   }
   out->stage = static_cast<StageKind>(stage);
   const JsonValue* result = body.Find("result");
-  if (result == nullptr || !DecodeExperimentResult(*result, &out->result)) {
+  if (result == nullptr || !DecodeExperimentSummary(*result, &out->result)) {
     return false;
   }
   if (const JsonValue* trace = body.Find("trace")) {
@@ -665,29 +683,6 @@ std::string EncodeHeader(const std::string& tool, const std::string& fingerprint
   AppendKeyString(body, "tool", tool);
   body += ',';
   AppendKeyString(body, "fingerprint", fingerprint);
-  body += '}';
-  return body;
-}
-
-std::string EncodeCohortRecord(const JournalCohortRecord& record) {
-  std::string body = "{\"type\":\"cohort\",";
-  AppendKeyU64(body, "ordinal", record.ordinal);
-  body += ',';
-  AppendKeyU64(body, "cohort", static_cast<uint64_t>(record.cohort));
-  body += ',';
-  AppendKeyU64(body, "stage", static_cast<uint64_t>(record.stage));
-  body += ',';
-  AppendKeyU64(body, "servers", record.servers);
-  body += ',';
-  AppendKeyU64(body, "max_crowd", record.max_crowd);
-  body += ',';
-  AppendKeyU64(body, "seed", record.seed);
-  body += ',';
-  AppendKeyU64(body, "pid_base", record.pid_base);
-  body += ',';
-  AppendKeyU64(body, "shards", record.shards);
-  body += ',';
-  AppendKeyU64(body, "shard_index", record.shard_index);
   body += '}';
   return body;
 }
@@ -930,9 +925,16 @@ std::unique_ptr<SurveyJournal> SurveyJournal::Open(const std::string& path,
     return fail("cannot seek journal " + path);
   }
 
+  journal->written_bytes_ = scan.valid_end;
+  journal->last_sync_ = std::chrono::steady_clock::now();
   if (!scan.saw_header) {
-    // Fresh journal: write the header now.
-    journal->AppendFrameLocked(EncodeHeader(tool, fingerprint));
+    // Fresh journal: write the header and fsync it at once. A torn header
+    // would make the file "not an mfc journal" after a machine crash, not a
+    // recoverable tail.
+    journal->AppendFrameLocked(EncodeHeader(tool, fingerprint), /*sync_now=*/true);
+    if (!journal->error_.empty()) {
+      return fail(journal->error_);
+    }
   }
   return journal;
 }
@@ -984,17 +986,41 @@ bool ReadJournalFile(const std::string& path, JournalFileData* out, std::string*
 
 SurveyJournal::~SurveyJournal() {
   if (file_ != nullptr) {
-    fflush(file_);
-    fsync(fileno(file_));
+    SyncLocked();
     fclose(file_);
   }
 }
 
-void SurveyJournal::AppendFrameLocked(const std::string& body) {
+void SurveyJournal::AppendFrameLocked(const std::string& body, bool sync_now) {
+  if (!error_.empty()) {
+    return;
+  }
   std::string line = FrameJournalRecord(body);
-  fwrite(line.data(), 1, line.size(), file_);
-  fflush(file_);
-  fsync(fileno(file_));
+  if (fwrite(line.data(), 1, line.size(), file_) != line.size() || fflush(file_) != 0) {
+    error_ = "cannot append to journal " + path_ + ": " + strerror(errno);
+    return;
+  }
+  written_bytes_ += line.size();
+  ++unsynced_records_;
+  if (sync_now || unsynced_records_ >= kGroupCommitRecords ||
+      std::chrono::steady_clock::now() - last_sync_ >= kGroupCommitInterval) {
+    SyncLocked();
+  }
+}
+
+bool SurveyJournal::SyncLocked() {
+  if (!error_.empty()) {
+    return false;
+  }
+  if (fflush(file_) != 0 || fsync(fileno(file_)) != 0) {
+    error_ = "cannot sync journal " + path_ + ": " + strerror(errno);
+    return false;
+  }
+  ++fsyncs_;
+  synced_bytes_ = written_bytes_;
+  unsynced_records_ = 0;
+  last_sync_ = std::chrono::steady_clock::now();
+  return true;
 }
 
 bool SurveyJournal::BeginCohort(Cohort cohort, StageKind stage, size_t servers, size_t max_crowd,
@@ -1037,7 +1063,7 @@ bool SurveyJournal::BeginCohort(Cohort cohort, StageKind stage, size_t servers, 
   record.shard_index = shard_index;
   cohorts_.push_back(record);
   std::lock_guard<std::mutex> lock(mu_);
-  AppendFrameLocked(EncodeCohortRecord(record));
+  AppendFrameLocked(EncodeCohortRecord(record), /*sync_now=*/false);
   return true;
 }
 
@@ -1063,15 +1089,29 @@ void SurveyJournal::AppendSite(const JournalSiteRecord& record) {
   std::string body = EncodeSiteRecord(record);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    AppendFrameLocked(body);
+    AppendFrameLocked(body, /*sync_now=*/false);
   }
   executed_sites.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SurveyJournal::Sync() {
+bool SurveyJournal::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
-  fflush(file_);
-  fsync(fileno(file_));
+  return SyncLocked();
+}
+
+std::string SurveyJournal::Error() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return error_;
+}
+
+size_t SurveyJournal::Fsyncs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return fsyncs_;
+}
+
+uint64_t SurveyJournal::SyncedBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return synced_bytes_;
 }
 
 bool AppendQuarantineRecord(const std::string& path, const JournalQuarantineRecord& record,

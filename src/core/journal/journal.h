@@ -17,9 +17,10 @@
 //            merged trace assigns this cohort's sites, and the shard
 //            identity (DESIGN.md §12);
 //   site   — one per completed site experiment: cohort ordinal, site index,
-//            seed, stage, merged-trace pid, the full ExperimentResult, and
-//            (when collected) the site's private trace spans and metrics
-//            registry, all encoded with exact bit-pattern doubles;
+//            seed, stage, merged-trace pid, the ExperimentResult's verdict
+//            and per-epoch summary (no raw samples), and (when collected)
+//            the site's private trace spans and metrics registry, all
+//            encoded with exact bit-pattern doubles;
 //   quarantine — written by the shard supervisor (DESIGN.md §14) after a
 //            site crashes its worker repeatedly: cohort ordinal, site index,
 //            consecutive crash count, and the crash signature. A quarantined
@@ -32,6 +33,12 @@
 // journaled prefix and executing only the remainder reproduces an
 // uninterrupted run byte for byte, for any kill point and any --jobs value.
 //
+// Durability (group commit): every record is written and flushed to the
+// kernel at once, so a killed writer loses nothing. fsync runs in groups,
+// so a machine crash loses at most the records after the last fsync; resume
+// re-executes them to the same bytes. The header and quarantine records are
+// fsynced at once.
+//
 // Corruption recovery: loading stops at the first record that fails to
 // parse, fails its checksum, or is internally inconsistent; that record and
 // everything after it are dropped (with a warning) and the file is truncated
@@ -43,6 +50,7 @@
 #define MFC_SRC_CORE_JOURNAL_JOURNAL_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -59,9 +67,19 @@
 
 namespace mfc {
 
-// Version 2: cohort records always carry their shard identity, and every
-// site seed is the SplitMix64 derivation (DESIGN.md §12).
-inline constexpr int kJournalVersion = 2;
+// Version 3: site records carry each epoch's summary, not its raw samples.
+// Cohort records carry their shard identity, and every site seed is the
+// SplitMix64 derivation (DESIGN.md §12).
+inline constexpr int kJournalVersion = 3;
+
+// Group commit: an append fsyncs once this many records are unsynced, or
+// once this long has passed since the last fsync. A machine crash loses at
+// most those records, and resume re-executes them to the same bytes. 64
+// records take fsync, which costs more than encoding a site record, off
+// all but one append in 64 while staying a fraction of a second of survey
+// work; 1 s caps the loss when sites are slow.
+inline constexpr size_t kGroupCommitRecords = 64;
+inline constexpr std::chrono::seconds kGroupCommitInterval{1};
 
 struct JournalCohortRecord {
   size_t ordinal = 0;
@@ -83,6 +101,10 @@ struct JournalSiteRecord {
   uint64_t seed = 0;
   StageKind stage = StageKind::kBase;
   uint64_t pid = 0;  // pid this site's spans take in the merged trace
+  // The journal keeps the verdict and each epoch's summary. A replayed
+  // result therefore has empty EpochResult::samples; no survey output reads
+  // them (breakdown, report, merge and the single-run printout read only
+  // the verdict and the epoch summary).
   ExperimentResult result;
   bool has_trace = false;
   bool has_metrics = false;
@@ -103,12 +125,20 @@ struct JournalQuarantineRecord {
 
 // Record-body codecs, exposed for tests and tools. Encoders emit compact
 // single-line JSON; decoders reject structurally invalid input.
+//
+// EncodeExperimentResult is the whole result, every epoch's raw samples
+// included; verdict digests hash it. A site record carries the summary
+// instead: the same bytes without the epochs' "samples" arrays.
+// DecodeExperimentSummary reads only that form (an epoch carrying samples
+// is malformed), so the result it fills has empty EpochResult::samples.
 std::string EncodeExperimentResult(const ExperimentResult& result);
-bool DecodeExperimentResult(const JsonValue& value, ExperimentResult* out);
+std::string EncodeExperimentSummary(const ExperimentResult& result);
+bool DecodeExperimentSummary(const JsonValue& value, ExperimentResult* out);
 std::string EncodeTraceSpans(const std::vector<TraceSpan>& spans);
 bool DecodeTraceSpans(const JsonValue& value, std::vector<TraceSpan>* out);
 std::string EncodeMetrics(const MetricsRegistry& metrics);
 bool DecodeMetrics(const JsonValue& value, MetricsRegistry* out);
+std::string EncodeCohortRecord(const JournalCohortRecord& record);
 std::string EncodeSiteRecord(const JournalSiteRecord& record);
 std::string EncodeQuarantineRecord(const JournalQuarantineRecord& record);
 
@@ -126,8 +156,9 @@ bool AppendQuarantineRecord(const std::string& path, const JournalQuarantineReco
                             std::string* error);
 
 // One survey run's journal: loaded state (for replay) + append handle.
-// Thread-safety: AppendSite may be called from ParallelRunner workers; all
-// read accessors only touch state that is immutable after Open.
+// Thread-safety: AppendSite may be called from ParallelRunner workers; the
+// replay accessors only touch state that is immutable after Open, and the
+// durability accessors lock.
 class SurveyJournal {
  public:
   // Opens |path|, creating it (with a header) when absent or empty. An
@@ -179,13 +210,26 @@ class SurveyJournal {
 
   const std::vector<JournalCohortRecord>& Cohorts() const { return cohorts_; }
 
-  // Appends one completed site experiment and fsyncs — after this returns
-  // the record survives process death. Thread-safe.
+  // Appends one completed site experiment, verdict and epoch summary only.
+  // The record is written and flushed before this returns, so it survives
+  // the death of this process; it survives a machine crash once a group
+  // commit (kGroupCommitRecords / kGroupCommitInterval) or Sync() has
+  // fsynced it. Thread-safe.
   void AppendSite(const JournalSiteRecord& record);
 
-  // Flushes + fsyncs the underlying file (records are already synced per
-  // append; this is for paranoia at shutdown).
-  void Sync();
+  // Fsyncs every record appended so far (drain and finish call it; closing
+  // does too). Returns false when this or an earlier write or fsync failed;
+  // Error() then says why.
+  bool Sync();
+
+  // The first write, flush or fsync failure, or empty. Sticky: once set,
+  // later appends are skipped, since records after a torn one could never
+  // be replayed. Thread-safe.
+  std::string Error() const;
+  // Durability counters (thread-safe): fsyncs run by this handle, and the
+  // file offset the last one covered.
+  size_t Fsyncs() const;
+  uint64_t SyncedBytes() const;
 
   // Run-audit counters (exposed in --json): sites replayed from the journal
   // vs. executed live this run.
@@ -197,11 +241,22 @@ class SurveyJournal {
  private:
   SurveyJournal() = default;
 
-  void AppendFrameLocked(const std::string& body);
+  // Writes and flushes one framed record; fsyncs when |sync_now|, when
+  // kGroupCommitRecords are unsynced or when kGroupCommitInterval has passed
+  // since the last fsync.
+  void AppendFrameLocked(const std::string& body, bool sync_now);
+  bool SyncLocked();
 
   std::string path_;
   FILE* file_ = nullptr;
-  std::mutex mu_;
+  // Guards the file and the append state below.
+  mutable std::mutex mu_;
+  std::string error_;
+  uint64_t written_bytes_ = 0;  // file offset past the last written record
+  uint64_t synced_bytes_ = 0;   // file offset the last fsync covered
+  size_t unsynced_records_ = 0;
+  size_t fsyncs_ = 0;
+  std::chrono::steady_clock::time_point last_sync_;
   std::string warning_;
   size_t records_dropped_ = 0;
   std::vector<JournalCohortRecord> cohorts_;

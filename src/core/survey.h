@@ -89,7 +89,9 @@ struct SurveyRunOptions {
 // |jobs| workers (0 = MFC_JOBS env / hardware default; 1 = sequential).
 // Sites stream from SampleSiteAt on demand — no up-front instances vector.
 // When |per_site| is non-null it receives |servers| index-ordered slots with
-// this shard's results filled in (other shards' slots stay default).
+// this shard's results filled in (other shards' slots stay default). A slot
+// replayed from the journal holds the verdict and epoch summary only: its
+// EpochResult::samples are empty, while executed sites keep theirs.
 // |telemetry|, when non-null and enabled, accumulates merged per-site
 // traces/metrics (see SurveyTelemetry).
 //
@@ -97,12 +99,12 @@ struct SurveyRunOptions {
 // called journal->BeginCohort for this cohort first (with matching shard
 // options). Sites already present in the journal replay from it (results
 // and, when collected, telemetry shards) instead of executing; every live
-// site is appended + fsynced as it completes. Because shards fold in index
-// order either way, a resumed run is byte-identical to an uninterrupted one
-// for any --jobs. With a journal the run also polls ShutdownRequested(): on
-// a signal, in-flight sites drain, unstarted sites are skipped (their
-// per_site slots stay default — ignored by AccumulateBreakdown), and
-// journal->interrupted is set.
+// site is appended as it completes (fsynced in groups, DESIGN.md §9).
+// Because shards fold in index order either way, a resumed run is
+// byte-identical to an uninterrupted one for any --jobs. With a journal the
+// run also polls ShutdownRequested(): on a signal, in-flight sites drain,
+// unstarted sites are skipped (their per_site slots stay default — ignored
+// by AccumulateBreakdown), and journal->interrupted is set.
 SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t servers,
                                         size_t max_crowd, uint64_t seed, size_t jobs,
                                         std::vector<ExperimentResult>* per_site = nullptr,

@@ -161,8 +161,12 @@ int SurveySession::RunCohort(Cohort cohort, StageKind stage, size_t servers, siz
 }
 
 int SurveySession::Finish() {
+  bool journal_failed = false;
   if (journal_ != nullptr) {
-    journal_->Sync();
+    if (!journal_->Sync()) {
+      fprintf(stderr, "journal error: %s\n", journal_->Error().c_str());
+      journal_failed = true;
+    }
     if (interrupted_) {
       fprintf(stderr, "interrupted: %zu site(s) journaled; resume with --journal=%s --resume\n",
               journal_->resumed_sites.load() + journal_->executed_sites.load(),
@@ -186,7 +190,9 @@ int SurveySession::Finish() {
       !WriteOutputFile(flags_.metrics_path, ExportMetricsCsv(telemetry_.metrics))) {
     rc = kExitFailure;
   }
-  if (rc == kExitOk && interrupted_) {
+  if (journal_failed) {
+    rc = kExitJournal;
+  } else if (rc == kExitOk && interrupted_) {
     rc = kExitInterrupted;
   }
   return rc;

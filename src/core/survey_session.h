@@ -12,8 +12,9 @@
 //   --trace=<path>    merged Chrome trace of every site's spans
 //   --metrics=<path>  merged metrics CSV
 //   --journal=<path>  write-ahead journal (DESIGN.md §9): every completed
-//                     site is appended + fsynced; SIGINT/SIGTERM drain the
-//                     in-flight sites and exit 130 with a resume hint
+//                     site is appended at once and fsynced in groups;
+//                     SIGINT/SIGTERM drain the in-flight sites and exit 130
+//                     with a resume hint
 //   --resume          replay journaled sites, execute only the remainder
 //   --stats-stream=<path>  runtime health snapshots as JSONL ('-' = stdout)
 //   --stats-interval=<S>   snapshot cadence in wall-clock seconds
@@ -108,8 +109,9 @@ class SurveySession {
 
   // Syncs the journal, prints one resume hint when interrupted and the
   // flow_network.no_progress warning, and writes --trace/--metrics. Returns
-  // kExitFailure when a write failed, else kExitInterrupted when
-  // interrupted, else kExitOk.
+  // kExitJournal when a journal write or fsync failed (the error is
+  // printed), else kExitFailure when an output write failed, else
+  // kExitInterrupted when interrupted, else kExitOk.
   int Finish();
 
   size_t Jobs() const { return jobs_; }

@@ -36,8 +36,8 @@ struct SurveyProgressSnapshot {
   uint64_t total = 0;
   double sites_per_sec = 0.0;   // completion rate since the run started
   double eta_seconds = -1.0;    // -1 = unknown (no completions yet)
-  // Sites durably journaled; -1 when the run carries no journal. The lag
-  // (done - journaled) counts sites finished in memory but not yet fsynced —
+  // Sites journaled; -1 when the run carries no journal. The lag
+  // (done - journaled) counts sites finished in memory but not yet appended —
   // expected 0 or tiny, since workers append before reporting completion.
   int64_t journaled = -1;
   std::vector<WorkerSnapshot> workers;

@@ -2,6 +2,7 @@
 // and the deterministic-resume contract (a killed survey resumed with a
 // different jobs count reproduces an uninterrupted run byte for byte).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "src/core/journal/json.h"
 #include "src/core/journal/shutdown.h"
 #include "src/core/survey.h"
+#include "src/sim/rng.h"
 
 namespace mfc {
 namespace {
@@ -40,6 +42,12 @@ void Spit(const std::string& path, const std::string& contents) {
   ASSERT_NE(f, nullptr) << path;
   fwrite(contents.data(), 1, contents.size(), f);
   fclose(f);
+}
+
+uint64_t FileSize(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(stat(path.c_str(), &st), 0) << path;
+  return static_cast<uint64_t>(st.st_size);
 }
 
 // ---- exact-double and JSON layer ----------------------------------------
@@ -126,25 +134,44 @@ ExperimentResult MakeResult() {
 
 TEST(JournalCodecTest, ExperimentResultRoundTrips) {
   ExperimentResult original = MakeResult();
-  std::string encoded = EncodeExperimentResult(original);
+  std::string encoded = EncodeExperimentSummary(original);
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(ParseJson(encoded, &doc, &error)) << error;
   ExperimentResult decoded;
-  ASSERT_TRUE(DecodeExperimentResult(doc, &decoded));
-  // Re-encoding must be byte-identical: the codec loses nothing.
-  EXPECT_EQ(EncodeExperimentResult(decoded), encoded);
+  ASSERT_TRUE(DecodeExperimentSummary(doc, &decoded));
+  // Re-encoding must be byte-identical: the summary codec loses nothing.
+  EXPECT_EQ(EncodeExperimentSummary(decoded), encoded);
   EXPECT_EQ(decoded.registered_clients, 61u);
   ASSERT_EQ(decoded.stages.size(), 1u);
   EXPECT_EQ(decoded.stages[0].kind, StageKind::kSmallQuery);
   EXPECT_EQ(decoded.stages[0].end_detail, original.stages[0].end_detail);
   ASSERT_EQ(decoded.stages[0].epochs.size(), 1u);
-  const RequestSample& s = decoded.stages[0].epochs[0].samples[1];
-  EXPECT_EQ(s.code, HttpStatus::kClientTimeout);
-  EXPECT_TRUE(s.timed_out);
-  EXPECT_EQ(memcmp(&s.normalized, &original.stages[0].epochs[0].samples[1].normalized,
-                   sizeof(double)),
-            0);
+  const EpochResult& epoch = decoded.stages[0].epochs[0];
+  EXPECT_EQ(epoch.samples_received, 24u);
+  EXPECT_TRUE(epoch.check_phase);
+  EXPECT_TRUE(epoch.samples.empty());
+  EXPECT_EQ(memcmp(&epoch.metric, &original.stages[0].epochs[0].metric, sizeof(double)), 0);
+  // The whole-result form carries samples, which a summary never does.
+  JsonValue whole;
+  ASSERT_TRUE(ParseJson(EncodeExperimentResult(original), &whole, &error)) << error;
+  EXPECT_FALSE(DecodeExperimentSummary(whole, &decoded));
+}
+
+// Verdict digests hash EncodeExperimentResult, raw sample bits included; a
+// site record stores the summary, which no sample bit can move.
+TEST(JournalCodecTest, SampleBitsMoveResultEncodingButNotSiteRecord) {
+  JournalSiteRecord record;
+  record.result = MakeResult();
+  const std::string site = EncodeSiteRecord(record);
+  const std::string whole = EncodeExperimentResult(record.result);
+  double& normalized = record.result.stages[0].epochs[0].samples[1].normalized;
+  uint64_t bits = 0;
+  memcpy(&bits, &normalized, sizeof(bits));
+  bits ^= 1;
+  memcpy(&normalized, &bits, sizeof(bits));
+  EXPECT_NE(EncodeExperimentResult(record.result), whole);
+  EXPECT_EQ(EncodeSiteRecord(record), site);
 }
 
 TEST(JournalCodecTest, MetricsRoundTrip) {
@@ -221,18 +248,23 @@ void RunCohort(SurveyOut* out, size_t jobs, SurveyJournal* journal) {
                                            &out->per_site, &out->telemetry, journal);
 }
 
-std::string EncodeAll(const std::vector<ExperimentResult>& results) {
+using ResultEncoder = std::string (*)(const ExperimentResult&);
+
+std::string EncodeAll(const std::vector<ExperimentResult>& results, ResultEncoder encode) {
   std::string all;
   for (const ExperimentResult& r : results) {
-    all += EncodeExperimentResult(r);
+    all += encode(r);
     all += '\n';
   }
   return all;
 }
 
-void ExpectSameOutput(const SurveyOut& a, const SurveyOut& b) {
+// A site replayed from the journal carries no raw samples, so a resumed
+// run's results compare through the summary its site record stores.
+void ExpectSameOutput(const SurveyOut& a, const SurveyOut& b,
+                      ResultEncoder encode = EncodeExperimentResult) {
   EXPECT_EQ(a.breakdown, b.breakdown);
-  EXPECT_EQ(EncodeAll(a.per_site), EncodeAll(b.per_site));
+  EXPECT_EQ(EncodeAll(a.per_site, encode), EncodeAll(b.per_site, encode));
   EXPECT_TRUE(a.telemetry.metrics == b.telemetry.metrics);
   EXPECT_EQ(ExportTraceJson(a.telemetry.trace), ExportTraceJson(b.telemetry.trace));
 }
@@ -282,8 +314,9 @@ TEST(SurveyJournalTest, FreshJournalMatchesPlainRun) {
 }
 
 // Kill points are simulated by truncating the journal to its first K site
-// records — exactly the on-disk state a crash after K completed sites
-// leaves, since every append is framed and fsynced.
+// records. A killed writer leaves every record it wrote, and a machine
+// crash a synced prefix of whole records (GroupCommitLosesOnlyTheUnsyncedTail
+// pins that); either way the file is a run of whole records.
 TEST(SurveyJournalTest, ResumeFromAnyPrefixIsBitIdentical) {
   std::string path = TempPath("journal_prefix.jsonl");
   remove(path.c_str());
@@ -312,13 +345,91 @@ TEST(SurveyJournalTest, ResumeFromAnyPrefixIsBitIdentical) {
     RunCohort(&resumed, keep_sites + 1, journal.get());  // a different jobs count
     EXPECT_EQ(journal->resumed_sites.load(), keep_sites);
     EXPECT_EQ(journal->executed_sites.load(), kServers - keep_sites);
-    ExpectSameOutput(plain, resumed);
+    ExpectSameOutput(plain, resumed, EncodeExperimentSummary);
     // Completion must rebuild the full journal — same records, though with
     // jobs > 1 the re-executed suffix may append in completion order.
     EXPECT_EQ(SortedLines(Slurp(path)), SortedLines(contents))
         << "keep_sites=" << keep_sites;
   }
   remove(path.c_str());
+}
+
+// Group commit: after a machine crash only the bytes the last fsync covered
+// are certain, and some filesystems leave a zero-filled page past them. A
+// killed process would keep the page cache, so the test drops the unsynced
+// bytes itself: at several points it copies the synced prefix plus a zero
+// page, and a resume of the copy must warn and replay exactly the site
+// records inside that prefix.
+TEST(SurveyJournalTest, GroupCommitLosesOnlyTheUnsyncedTail) {
+  constexpr size_t kSites = 3 * kGroupCommitRecords + 7;
+  // Real results under their cohort-bound seeds, computed up front so the
+  // appends run back to back and the record count, not the timer, triggers
+  // the fsyncs.
+  std::vector<ExperimentResult> results;
+  RunSurveyCohortParallel(kCohort, kStage, kSites, kMaxCrowd, kSeed, 0, &results);
+  const std::string path = TempPath("journal_group_commit.jsonl");
+  const std::string crash_path = TempPath("journal_group_commit_crash.jsonl");
+  remove(path.c_str());
+  std::string error;
+  auto journal = SurveyJournal::Open(path, kTool, kPrint, false, &error);
+  ASSERT_NE(journal, nullptr) << error;
+  EXPECT_EQ(journal->Fsyncs(), 1u);  // the header, at once
+  const uint64_t header_end = journal->SyncedBytes();
+  EXPECT_EQ(header_end, FileSize(path));
+  ASSERT_TRUE(journal->BeginCohort(kCohort, kStage, kSites, kMaxCrowd, kSeed, 0, &error))
+      << error;
+  const uint64_t cohort_end = FileSize(path);
+  uint64_t offset = cohort_end;
+  std::vector<uint64_t> ends;  // file offset past each site record
+  const std::vector<size_t> checkpoints = {1, kGroupCommitRecords - 1, kGroupCommitRecords,
+                                           2 * kGroupCommitRecords + 3, kSites};
+  for (size_t i = 0; i < kSites; ++i) {
+    JournalSiteRecord record;
+    record.site_index = i;
+    record.seed = SiteExperimentSeed(kSeed, kCohort, i);
+    record.stage = kStage;
+    record.pid = i;
+    record.result = results[i];
+    journal->AppendSite(record);
+    // Every record reaches the file at once, fsynced or not.
+    offset += FrameJournalRecord(EncodeSiteRecord(record)).size();
+    ends.push_back(offset);
+    ASSERT_EQ(FileSize(path), offset) << i;
+    const uint64_t synced = journal->SyncedBytes();
+    const size_t synced_sites = std::upper_bound(ends.begin(), ends.end(), synced) - ends.begin();
+    // An fsync covers whole records.
+    EXPECT_TRUE(synced == header_end || synced == cohort_end ||
+                (synced_sites > 0 && synced == ends[synced_sites - 1]))
+        << i;
+    // Fewer than kGroupCommitRecords site records ever wait for an fsync.
+    EXPECT_LT(i + 1 - synced_sites, kGroupCommitRecords) << i;
+    if (std::find(checkpoints.begin(), checkpoints.end(), i + 1) == checkpoints.end()) {
+      continue;
+    }
+    Spit(crash_path, Slurp(path).substr(0, synced) + std::string(4096, '\0'));
+    auto crashed = SurveyJournal::Open(crash_path, kTool, kPrint, true, &error);
+    ASSERT_NE(crashed, nullptr) << error;
+    EXPECT_NE(crashed->Warning().find("corruption"), std::string::npos) << i;
+    for (size_t j = 0; j < kSites; ++j) {
+      const JournalSiteRecord* replayed = crashed->SiteAt(0, j);
+      if (j < synced_sites) {
+        ASSERT_NE(replayed, nullptr) << "site " << j << " after " << i + 1 << " appends";
+        EXPECT_EQ(EncodeExperimentSummary(replayed->result), EncodeExperimentSummary(results[j]));
+      } else {
+        EXPECT_EQ(replayed, nullptr) << "site " << j << " after " << i + 1 << " appends";
+      }
+    }
+  }
+  // The schedule: the header's fsync, one per kGroupCommitRecords records,
+  // and a spare for the timer on a slow machine.
+  EXPECT_LE(journal->Fsyncs(), (kSites + kGroupCommitRecords - 1) / kGroupCommitRecords + 2);
+  EXPECT_LT(journal->SyncedBytes(), FileSize(path));
+  EXPECT_TRUE(journal->Sync());
+  EXPECT_EQ(journal->SyncedBytes(), FileSize(path));
+  EXPECT_TRUE(journal->Error().empty()) << journal->Error();
+  journal.reset();
+  remove(path.c_str());
+  remove(crash_path.c_str());
 }
 
 TEST(SurveyJournalTest, CorruptTailDroppedAndRecovered) {
@@ -341,7 +452,7 @@ TEST(SurveyJournalTest, CorruptTailDroppedAndRecovered) {
     EXPECT_EQ(journal->RecordsDropped(), 1u);
     SurveyOut resumed;
     RunCohort(&resumed, 2, journal.get());
-    ExpectSameOutput(plain, resumed);
+    ExpectSameOutput(plain, resumed, EncodeExperimentSummary);
   }
   EXPECT_EQ(Slurp(path), contents);
   remove(path.c_str());
@@ -482,6 +593,127 @@ TEST(SurveyJournalTest, ShutdownRequestInterruptsThenResumeCompletes) {
   EXPECT_FALSE(journal->interrupted.load());
   EXPECT_EQ(journal->executed_sites.load(), kServers);
   ExpectSameOutput(plain, resumed);
+  remove(path.c_str());
+}
+
+// ---- decoder robustness ---------------------------------------------------
+
+// The records a journal file holds after its first header and cohort record,
+// re-encoded and framed.
+std::string ReencodeTail(const JournalFileData& data) {
+  std::string tail;
+  for (size_t c = 1; c < data.cohorts.size(); ++c) {
+    tail += FrameJournalRecord(EncodeCohortRecord(data.cohorts[c]));
+  }
+  for (const auto& [key, site] : data.sites) {
+    tail += FrameJournalRecord(EncodeSiteRecord(site));
+  }
+  for (const JournalQuarantineRecord& q : data.quarantines) {
+    tail += FrameJournalRecord(EncodeQuarantineRecord(q));
+  }
+  return tail;
+}
+
+// Reads |prefix| (a valid header and cohort record) followed by |mutant|.
+// Returns whether the mutant was accepted; an accepted record must re-encode
+// to bytes that read back to the same encoding.
+bool ExpectRoundTripOrRejected(const std::string& path, const std::string& prefix,
+                               const std::string& mutant) {
+  Spit(path, prefix + mutant);
+  JournalFileData data;
+  std::string error;
+  EXPECT_TRUE(ReadJournalFile(path, &data, &error)) << error;
+  if (data.records_dropped != 0) {
+    return false;
+  }
+  const std::string once = ReencodeTail(data);
+  Spit(path, prefix + once);
+  JournalFileData again;
+  EXPECT_TRUE(ReadJournalFile(path, &again, &error)) << error;
+  EXPECT_EQ(again.records_dropped, 0u) << again.warning;
+  EXPECT_EQ(ReencodeTail(again), once) << mutant.substr(0, 400);
+  return true;
+}
+
+// Seeded random-mutation corpus over a real journal's header, cohort, site
+// (with trace and metrics) and quarantine records: flip, delete, insert and
+// truncate bytes. Half the mutants are re-framed with a valid checksum so
+// the JSON and record decoders see them, not only the checksum. Each mutant
+// is read after a valid header and cohort record; the reader must never
+// crash, and every record it accepts must survive a round trip.
+TEST(JournalCodecTest, SeededMutationCorpusNeverCrashesOrMisparses) {
+  const std::string path = TempPath("journal_mutants.jsonl");
+  remove(path.c_str());
+  {
+    auto journal = OpenForTest(path, false);
+    ASSERT_NE(journal, nullptr);
+    SurveyOut out;
+    RunCohort(&out, 1, journal.get());
+  }
+  // Keep the header, cohort and site 0 records, then let the supervisor's
+  // path quarantine site 1.
+  std::string contents = Slurp(path);
+  size_t site0_end = 0;
+  for (int line = 0; line < 3; ++line) {
+    site0_end = contents.find('\n', site0_end) + 1;
+  }
+  Spit(path, contents.substr(0, site0_end));
+  std::string error;
+  ASSERT_TRUE(AppendQuarantineRecord(path, JournalQuarantineRecord{0, 1, 3, "signal 6 (Aborted)"},
+                                     &error))
+      << error;
+  contents = Slurp(path);
+  std::vector<std::string> bodies;  // header, cohort, site, quarantine
+  for (size_t pos = 0; pos < contents.size();) {
+    size_t newline = contents.find('\n', pos);
+    const std::string line = contents.substr(pos, newline - pos);
+    const size_t body_start = line.find("\"body\":") + 7;
+    bodies.push_back(line.substr(body_start, line.size() - body_start - 1));
+    pos = newline + 1;
+  }
+  ASSERT_EQ(bodies.size(), 4u);
+  ASSERT_NE(bodies[2].find("\"trace\":"), std::string::npos);
+  ASSERT_NE(bodies[2].find("\"metrics\":"), std::string::npos);
+  const std::string prefix = FrameJournalRecord(bodies[0]) + FrameJournalRecord(bodies[1]);
+
+  Rng rng(20261018);
+  const std::string alphabet = " 019afx-+.,:\"{}[]\\\x01\x7f\xff";
+  auto mutate = [&](std::string mutant) {
+    size_t edits = 1 + rng.NextBelow(4);
+    for (size_t e = 0; e < edits && !mutant.empty(); ++e) {
+      size_t at = rng.NextBelow(mutant.size());
+      switch (rng.NextBelow(4)) {
+        case 0:  // flip
+          mutant[at] = alphabet[rng.NextBelow(alphabet.size())];
+          break;
+        case 1:  // delete
+          mutant.erase(at, 1);
+          break;
+        case 2:  // insert
+          mutant.insert(at, 1, alphabet[rng.NextBelow(alphabet.size())]);
+          break;
+        default:  // truncate
+          mutant.resize(at);
+          break;
+      }
+    }
+    return mutant;
+  };
+  size_t accepted = 0;
+  for (const std::string& body : bodies) {
+    for (int round = 0; round < 150; ++round) {
+      const std::string mutant = round % 2 == 0 ? FrameJournalRecord(mutate(body))
+                                                : mutate(FrameJournalRecord(body));
+      accepted += ExpectRoundTripOrRejected(path, prefix, mutant) ? 1 : 0;
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+    }
+  }
+  // The unmutated site and quarantine records are accepted too.
+  EXPECT_TRUE(ExpectRoundTripOrRejected(path, prefix, FrameJournalRecord(bodies[2])));
+  EXPECT_TRUE(ExpectRoundTripOrRejected(path, prefix, FrameJournalRecord(bodies[3])));
+  EXPECT_GT(accepted, 0u);
   remove(path.c_str());
 }
 

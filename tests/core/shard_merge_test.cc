@@ -86,7 +86,7 @@ TEST(SeedDerivationTest, SplitMix64MatchesReferenceVectors) {
 
 // ---- streaming site sampling ----------------------------------------------
 
-TEST(SiteStreamTest, StreamingModeIsPureAndHoldsNoInstances) {
+TEST(SiteSamplingTest, StreamingModeIsPureAndHoldsNoInstances) {
   constexpr uint64_t kSeed = 41;
   constexpr Cohort kPhishing = Cohort::kPhishing;
   // Site i is a pure function of (seed, cohort, i): any access order, any
@@ -106,7 +106,7 @@ TEST(SiteStreamTest, StreamingModeIsPureAndHoldsNoInstances) {
   }
 }
 
-TEST(SiteStreamTest, LongTailProvisioningDegradesWithRank) {
+TEST(SiteSamplingTest, LongTailProvisioningDegradesWithRank) {
   // The long-tail synthesizer draws rank-dependent knees: averaged over many
   // sites, the deep tail (rank ~900k) must be provisioned clearly below the
   // head of the band (rank ~1), and every site carries a bounded organic
@@ -231,8 +231,9 @@ void RunShard(const std::string& path, bool resume, size_t shards, size_t shard_
 }
 
 // Truncating a shard journal to its first K records simulates a crash at
-// that point (appends are framed + fsynced); resuming with a different jobs
-// count must leave merge output byte-identical.
+// that point (a killed writer keeps every written record, a machine crash a
+// synced prefix of whole records); resuming with a different jobs count
+// must leave merge output byte-identical.
 TEST(ShardMergeTest, MergedShardsMatchSingleProcessByteForByte) {
   // Reference: one unsharded journaled run.
   std::string ref_path = TempPath("merge_ref.jsonl");

@@ -3,7 +3,11 @@
 #include "src/core/survey_session.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -116,6 +120,53 @@ TEST(SurveySessionTest, ResumeUnderAnotherSeedIsAJournalError) {
   SurveyBreakdown breakdown;
   EXPECT_EQ(session.RunCohort(kCohort, kStage, kServers, kMaxCrowd, kSeed + 1, &breakdown),
             kExitJournal);
+  remove(flags.journal_path.c_str());
+}
+
+// A journal write that fails (here the file-size limit, standing in for a
+// full disk) is a sticky journal error: the survey finishes, Finish prints
+// the error and returns 3 instead of reporting success with records
+// missing. The limit is lowered in a forked child, so it binds that child
+// only; the child ignores SIGXFSZ so the write fails with EFBIG instead.
+TEST(SurveySessionTest, JournalWriteErrorFinishesWithExitThree) {
+  SurveyFlags flags;
+  flags.jobs = 1;
+  flags.journal_path = TempPath("session_write_error.wal");
+  remove(flags.journal_path.c_str());
+  int err_pipe[2];
+  ASSERT_EQ(pipe(err_pipe), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(err_pipe[0]);
+    dup2(err_pipe[1], STDERR_FILENO);
+    signal(SIGXFSZ, SIG_IGN);
+    // Room for the header and the cohort record, not for a site record.
+    const rlimit limit{1024, 1024};
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) {
+      _exit(100);
+    }
+    SurveySession session("survey_session_test", flags);
+    SurveyBreakdown breakdown;
+    if (session.Open() != kExitOk ||
+        session.RunCohort(kCohort, kStage, kServers, kMaxCrowd, kSeed, &breakdown) != kExitOk) {
+      _exit(101);
+    }
+    _exit(session.Finish());
+  }
+  close(err_pipe[1]);
+  std::string err;
+  char buf[512];
+  ssize_t n = 0;
+  while ((n = read(err_pipe[0], buf, sizeof(buf))) > 0) {
+    err.append(buf, static_cast<size_t>(n));
+  }
+  close(err_pipe[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), kExitJournal) << err;
+  EXPECT_NE(err.find("journal error: cannot append to journal"), std::string::npos) << err;
   remove(flags.journal_path.c_str());
 }
 

@@ -4,7 +4,8 @@
 Checks (stdlib only, no third-party deps):
   * every line is a well-formed frame {"crc":"<16 hex>","body":{...}} whose
     checksum equals FNV-1a 64 of the exact body bytes;
-  * the first record is a header with magic "mfc-journal" and version 2;
+  * the first record is a header with magic "mfc-journal" and version 3
+    (the only version this checker reads);
   * cohort records carry strictly sequential ordinals and their shard
     identity;
   * site records are consistent with their cohort declaration (index within
@@ -14,7 +15,9 @@ Checks (stdlib only, no third-party deps):
   * quarantine records (appended by the survey supervisor, DESIGN.md §14)
     name a site of their shard, carry crashes >= 1 and a signature, and
     never collide with a site record or another quarantine;
-  * every site record embeds a structurally complete ExperimentResult.
+  * every site record embeds a structurally complete result summary: each
+    epoch carries exactly the seven summary keys (crowd, received, expected,
+    metric, exceeded, check, requeued) and no raw samples.
 
 A journal whose last cohort has no site or quarantine records yet is valid
 but flagged "resumable, zero progress" (a worker died between BeginCohort
@@ -29,13 +32,17 @@ mfc_profile, validates the journal, resumes it (complete, after a simulated
 torn tail write, after a mid-journal checksum bit flip, and with a
 quarantine record present) and requires byte-identical trace/metrics
 outputs, checks that config mismatches and a missing --resume are hard
-errors (exit 3 — see the README exit-code table), and finally that an
-output file mfc_profile cannot write exits 1. Exit status 0 = valid,
-1 = validation failure, 2 = usage/setup error.
+errors (exit 3 — see the README exit-code table), that an output file
+mfc_profile cannot write exits 1, and finally that a single experiment
+whose journal write fails (a file-size limit standing in for a full disk)
+exits 3. Exit status 0 = valid, 1 = validation failure, 2 = usage/setup
+error.
 """
 
 import json
 import os
+import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -106,6 +113,9 @@ def parse_records(path):
     return records, None
 
 
+EPOCH_SUMMARY_KEYS = {"crowd", "received", "expected", "metric", "exceeded", "check", "requeued"}
+
+
 def check_result(result, where):
     if not isinstance(result, dict):
         return "%s: result is not an object" % where
@@ -118,6 +128,12 @@ def check_result(result, where):
         for key in ("kind", "stopped", "max_tested", "end_reason", "epochs"):
             if key not in stage:
                 return "%s: stage %d missing %r" % (where, s, key)
+        if not isinstance(stage["epochs"], list):
+            return "%s: stage %d epochs is not a list" % (where, s)
+        for e, epoch in enumerate(stage["epochs"]):
+            if not isinstance(epoch, dict) or set(epoch) != EPOCH_SUMMARY_KEYS:
+                return "%s: stage %d epoch %d is not the seven-key summary: %r" % (
+                    where, s, e, sorted(epoch) if isinstance(epoch, dict) else epoch)
     return None
 
 
@@ -131,7 +147,7 @@ def check_journal(path):
         return fail("record 0 is %r, expected the header" % header.get("type"))
     if header.get("magic") != "mfc-journal":
         return fail("bad magic %r" % header.get("magic"))
-    if header.get("version") != 2:
+    if header.get("version") != 3:
         return fail("unsupported version %r" % header.get("version"))
     for key in ("tool", "fingerprint"):
         if not isinstance(header.get(key), str) or not header[key]:
@@ -279,6 +295,18 @@ def run_profile(profile_bin, workdir):
     rc = check_journal(journal)
     if rc != 0:
         return rc
+
+    # 1b. An epoch carrying raw samples (the version 2 form) is malformed.
+    with open(journal, "rb") as f:
+        lines = f.read().split(b"\n")
+    site = json.loads(lines[2][33:-1])
+    site["result"]["stages"][0]["epochs"][0]["samples"] = []
+    body = json.dumps(site, separators=(",", ":")).encode()
+    with_samples = os.path.join(workdir, "with_samples.jsonl")
+    with open(with_samples, "wb") as f:
+        f.write(b"\n".join(lines[:2]) + b'\n{"crc":"%016x","body":%s}\n' % (fnv1a64(body), body))
+    if check_journal(with_samples) == 0:
+        return fail("checker accepted a site record whose epoch carries samples")
 
     # 2. Resuming the complete journal replays everything and reproduces the
     #    trace/metrics outputs byte for byte.
@@ -433,6 +461,25 @@ def run_profile(profile_bin, workdir):
                 % (proc.returncode, cmd[1:], proc.stderr)
             )
     print("check_journal: OK: unwritable outputs exit 1")
+
+    # 10. A journal write that fails is exit 3, not a success with the
+    #     record missing: a single experiment under a file-size limit too
+    #     small for its site record (SIGXFSZ ignored, so the write fails
+    #     with EFBIG).
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+    proc = subprocess.run(
+        [profile_bin, "--profile=univ1", "--quiet", "--stages=base", "--max-crowd=20",
+         "--journal=" + os.path.join(workdir, "full_disk.jsonl")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit_file_size)
+    if proc.returncode != 3 or b"journal error" not in proc.stderr:
+        return fail(
+            "failed journal write should exit 3 with a journal error, got %d: %r"
+            % (proc.returncode, proc.stderr)
+        )
+    print("check_journal: OK: a failed journal write exits 3")
     return 0
 
 

@@ -130,9 +130,9 @@ def run_checks(profile_bin, workdir):
             if proc.returncode != 0:
                 print(proc.stderr.decode(errors="replace"), file=sys.stderr)
                 return fail("shard %d/%d exited %d" % (shard, shards, proc.returncode))
-        # Kill shard 0 mid-run: chop its journal tail (every append was
-        # fsynced, so this is exactly the post-crash on-disk state), then
-        # resume with a different jobs count.
+        # Kill shard 0 mid-run: chop its journal tail (a torn last record,
+        # as a crash mid-append leaves it; resume drops it and re-runs the
+        # site), then resume with a different jobs count.
         contents = slurp(journals[0])
         with open(journals[0], "wb") as f:
             f.write(contents[:-40])

@@ -104,7 +104,7 @@ void Usage() {
       "  --trace=<path>        write request/coordinator spans as Chrome trace JSON\n"
       "  --metrics=<path>      write the (merged) metrics registry as CSV\n"
       "  --journal=<path>      write-ahead journal: completed experiments are appended\n"
-      "                        + fsynced; surveys drain gracefully on SIGINT/SIGTERM\n"
+      "                        (fsynced in groups); surveys drain on SIGINT/SIGTERM\n"
       "  --resume              replay already-journaled experiments from --journal\n"
       "  --stats-stream=<path> stream runtime health snapshots as JSONL ('-' = stdout)\n"
       "  --stats-interval=<S>  snapshot cadence in seconds (wall-clock for surveys,\n"
@@ -779,6 +779,10 @@ int Run(const Options& options) {
         record.metrics = metrics;
       }
       journal->AppendSite(record);
+      if (!journal->Sync()) {
+        fprintf(stderr, "journal error: %s\n", journal->Error().c_str());
+        return kExitJournal;
+      }
     }
   }
 
