@@ -1,8 +1,9 @@
-// Perf microbench for the EventLoop slot-vector hot path (PR 1 rework):
-// schedule/run churn, O(1) cancellation, and same-instant FIFO storms.
+// Perf microbench for the EventLoop hot path: schedule/run churn,
+// cancellation, same-instant FIFO storms and in-place timer re-arms.
 // Emits BENCH_event_loop.json so later PRs can see scheduler regressions.
 //
 //   perf_event_loop [--repeats=N] [--scale=X] [--out=PATH]
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -66,8 +67,49 @@ uint64_t RunCancelStorm(size_t n) {
   return loop.ExecutedCount() + cancelled;
 }
 
+// Re-arm churn: a few components each keep one pending timer and re-key it
+// on every event — the pattern of the processor-sharing CPU's and the flow
+// network's single timers, which a survey moves about once per event.
+uint64_t RunRearmTimers(size_t n_chains, size_t steps) {
+  constexpr size_t kComponents = 4;
+  mfc::EventLoop loop;
+  std::array<mfc::EventId, kComponents> timers{};
+  uint64_t rearms = 0;
+  struct Chain {
+    size_t index;
+    size_t left;
+    std::function<void()> step;  // stable address: rescheduled by reference
+  };
+  std::vector<std::unique_ptr<Chain>> chains;
+  chains.reserve(n_chains);
+  for (size_t c = 0; c < n_chains; ++c) {
+    auto chain = std::make_unique<Chain>();
+    chain->index = c;
+    chain->left = steps;
+    Chain* p = chain.get();
+    chain->step = [&loop, &timers, &rearms, p] {
+      // Moves the timer earlier or later; one that already fired is re-armed.
+      size_t k = (p->index + p->left) % kComponents;
+      double delay = 1e-3 * static_cast<double>((p->left * 7919 + p->index) % 50 + 1);
+      mfc::EventId moved = timers[k] != 0 ? loop.Reschedule(timers[k], loop.Now() + delay) : 0;
+      if (moved == 0) {
+        moved = loop.ScheduleAfter(delay, [&timers, k] { timers[k] = 0; });
+      }
+      timers[k] = moved;
+      ++rearms;
+      if (p->left-- > 1) {
+        loop.ScheduleAfter(1e-3 * static_cast<double>(p->index % 31 + 1), p->step);
+      }
+    };
+    loop.ScheduleAfter(1e-3 * static_cast<double>(c % 31 + 1), p->step);
+    chains.push_back(std::move(chain));
+  }
+  loop.RunUntilIdle();
+  return loop.ExecutedCount() + rearms;
+}
+
 // Same-instant FIFO storm: many events at one timestamp exercise the seq
-// tie-breaker and the stale-entry skip path.
+// tie-breaker.
 uint64_t RunSameInstant(size_t n) {
   mfc::EventLoop loop;
   for (size_t round = 0; round < 16; ++round) {
@@ -111,5 +153,7 @@ int main(int argc, char** argv) {
                      [&] { return RunCancelStorm(scaled(20000)); }));
   report.Add(Measure("same_instant", args.repeats,
                      [&] { return RunSameInstant(scaled(10000)); }));
+  report.Add(Measure("rearm_timers", args.repeats,
+                     [&] { return RunRearmTimers(scaled(64), scaled(1000)); }));
   return report.Finish(args.out_path);
 }

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/http/parser.h"
@@ -44,83 +45,99 @@ SimDuration SimTestbed::MeasureTargetRtt(size_t client) {
 
 void SimTestbed::Launch(size_t client, std::shared_ptr<const HttpRequest> request,
                         std::function<void(const RequestSample&)> on_done) {
-  auto state = std::make_shared<PendingRequest>();
-  state->client = client;
-  state->start = loop_.Now();
-  state->on_done = std::move(on_done);
+  RequestHandle handle = requests_.Acquire();
+  PendingRequest& state = *requests_.Find(handle);
+  state.client = client;
+  state.start = loop_.Now();
+  state.request = std::move(request);
+  state.on_done = std::move(on_done);
 
   // Client-side kill timer (Figure 2b step 2: "If full response not received
   // by 10s: kill the request, set code=ERR, response time=10s").
-  state->kill_timer = loop_.ScheduleAfter(request_timeout_, [this, state] {
-    state->kill_timer = 0;
-    if (state->settled) {
-      return;
-    }
-    state->settled = true;
-    if (state->flow != 0) {
-      wan_->AbortDownload(state->flow);
-      state->flow = 0;
-    }
-    if (state->on_sent) {
-      // The server discovers the dead connection at write time and releases
-      // its worker.
-      auto release = std::move(state->on_sent);
-      release();
-    }
-    RequestSample sample;
-    sample.client_id = state->client;
-    sample.code = HttpStatus::kClientTimeout;
-    sample.bytes = 0.0;
-    sample.response_time = request_timeout_;
-    sample.timed_out = true;
-    state->on_done(sample);
-  });
+  state.kill_timer = loop_.ScheduleAfter(request_timeout_, [this, handle] { OnKill(handle); });
 
   // TCP handshake + request delivery: SYN, SYN-ACK, then ACK piggybacking the
   // request — three one-way trips, so the first HTTP byte lands ~1.5 RTTs
   // after the client fires (Section 2.2.4).
   SimDuration to_server = wan_->SampleTargetOneWay(client) + wan_->SampleTargetOneWay(client) +
                           wan_->SampleTargetOneWay(client);
-  loop_.ScheduleAfter(to_server, [this, state, request = std::move(request)] {
-    if (state->settled) {
-      return;  // killed before the request even reached the target
+  loop_.ScheduleAfter(to_server, [this, handle] { OnArrival(handle); });
+}
+
+void SimTestbed::OnArrival(RequestHandle handle) {
+  PendingRequest* state = requests_.Find(handle);
+  if (state == nullptr) {
+    return;  // killed before the request even reached the target
+  }
+  // The record holds the request only until arrival.
+  std::shared_ptr<const HttpRequest> request = std::move(state->request);
+  target_.OnRequest(*request, /*is_mfc=*/true,
+                    [this, handle](HttpStatus status, double bytes,
+                                   std::function<void()> on_sent) {
+                      OnTransport(handle, status, bytes, std::move(on_sent));
+                    });
+}
+
+void SimTestbed::OnTransport(RequestHandle handle, HttpStatus status, double bytes,
+                             std::function<void()> on_sent) {
+  PendingRequest* state = requests_.Find(handle);
+  if (state == nullptr) {
+    if (on_sent) {
+      on_sent();  // immediate reset: client is gone
     }
-    target_.OnRequest(*request, /*is_mfc=*/true,
-                      [this, state](HttpStatus status, double bytes,
-                                    std::function<void()> on_sent) {
-                        state->transport_called = true;
-                        if (state->settled) {
-                          if (on_sent) {
-                            on_sent();  // immediate reset: client is gone
-                          }
-                          return;
-                        }
-                        state->status = status;
-                        state->bytes = bytes;
-                        state->on_sent = std::move(on_sent);
-                        state->flow = wan_->StartDownload(state->client, bytes, [this, state] {
-                          state->flow = 0;
-                          if (state->settled) {
-                            return;
-                          }
-                          state->settled = true;
-                          if (state->kill_timer != 0) {
-                            loop_.Cancel(state->kill_timer);
-                            state->kill_timer = 0;
-                          }
-                          RequestSample sample;
-                          sample.client_id = state->client;
-                          sample.code = state->status;
-                          sample.bytes = state->bytes;
-                          sample.response_time = loop_.Now() - state->start;
-                          state->on_done(sample);
-                          if (state->on_sent) {
-                            auto release = std::move(state->on_sent);
-                            release();
-                          }
-                        });
-                      });
-  });
+    return;
+  }
+  state->status = status;
+  state->bytes = bytes;
+  state->on_sent = std::move(on_sent);
+  FlowId flow =
+      wan_->StartDownload(state->client, bytes, [this, handle] { OnDownloaded(handle); });
+  requests_.Find(handle)->flow = flow;
+}
+
+void SimTestbed::OnDownloaded(RequestHandle handle) {
+  PendingRequest* state = requests_.Find(handle);
+  if (state == nullptr) {
+    return;  // killed while the last byte was in flight
+  }
+  loop_.Cancel(state->kill_timer);
+  RequestSample sample;
+  sample.client_id = state->client;
+  sample.code = state->status;
+  sample.bytes = state->bytes;
+  sample.response_time = loop_.Now() - state->start;
+  std::function<void(const RequestSample&)> on_done = std::move(state->on_done);
+  std::function<void()> release = std::move(state->on_sent);
+  requests_.Release(handle);
+  on_done(sample);  // may launch the next request
+  if (release) {
+    release();
+  }
+}
+
+void SimTestbed::OnKill(RequestHandle handle) {
+  PendingRequest* state = requests_.Find(handle);
+  if (state == nullptr) {
+    return;
+  }
+  if (state->flow != 0) {
+    wan_->AbortDownload(state->flow);
+  }
+  RequestSample sample;
+  sample.client_id = state->client;
+  sample.code = HttpStatus::kClientTimeout;
+  sample.bytes = 0.0;
+  sample.response_time = request_timeout_;
+  sample.timed_out = true;
+  std::function<void(const RequestSample&)> on_done = std::move(state->on_done);
+  std::function<void()> release = std::move(state->on_sent);
+  requests_.Release(handle);
+  if (release) {
+    // The server discovers the dead connection at write time and releases
+    // its worker.
+    release();
+  }
+  on_done(sample);
 }
 
 namespace {
@@ -135,53 +152,49 @@ std::shared_ptr<const HttpRequest> Borrow(const HttpRequest& request) {
 }  // namespace
 
 RequestSample SimTestbed::FetchOnce(size_t client, const HttpRequest& request) {
-  auto result = std::make_shared<std::vector<RequestSample>>();
-  Launch(client, Borrow(request), [result](const RequestSample& s) { result->push_back(s); });
+  // The request settles before this returns, so its callback may point here.
+  std::optional<RequestSample> result;
+  Launch(client, Borrow(request), [&result](const RequestSample& s) { result = s; });
   // Drive the simulation until this one request settles. The kill timer
   // guarantees settlement within request_timeout_.
-  while (result->empty() && loop_.RunOne()) {
+  while (!result && loop_.RunOne()) {
   }
-  assert(!result->empty() && "request neither completed nor timed out");
-  return result->front();
+  assert(result && "request neither completed nor timed out");
+  return *result;
 }
 
 std::vector<RequestSample> SimTestbed::ExecuteCrowd(const std::vector<CrowdRequestPlan>& plans,
                                                     SimTime poll_time) {
-  // Shared sink; owned beyond this call because aborted/straggler requests
-  // may still settle after the poll (their samples are simply not returned,
-  // as with the paper's poll-based collection).
-  auto sink = std::make_shared<std::vector<RequestSample>>();
   size_t expected = 0;
   for (const CrowdRequestPlan& plan : plans) {
     expected += plan.connections;
   }
-  sink->reserve(expected);
+  crowd_samples_.clear();
+  crowd_samples_.reserve(expected);
   for (const CrowdRequestPlan& plan : plans) {
     SimTime send = std::max(plan.command_send_time, loop_.Now());
     loop_.ScheduleAt(send, [this, client = plan.client_id, connections = plan.connections,
-                            request = plan.request, sink]() mutable {
+                            request = plan.request, crowd = crowd_]() mutable {
       // Command travels coordinator -> client over lossy UDP.
       wan_->SendControl(client, [this, client, connections, request = std::move(request),
-                                 sink = std::move(sink)] {
+                                 crowd] {
         for (size_t c = 0; c < connections; ++c) {
-          Launch(client, request, [sink](const RequestSample& s) { sink->push_back(s); });
+          Launch(client, request, [this, crowd](const RequestSample& s) {
+            if (crowd == crowd_) {
+              crowd_samples_.push_back(s);
+            }
+          });
         }
       });
     });
   }
   loop_.RunUntil(poll_time);
-  // Stragglers that settle later push into the moved-from (empty) vector.
-  return std::move(*sink);
+  ++crowd_;  // stragglers that settle later are not this crowd's samples
+  return std::move(crowd_samples_);
 }
 
 HttpResponse SimTestbed::Fetch(const HttpRequest& request) {
-  auto result = std::make_shared<std::vector<RequestSample>>();
-  Launch(coordinator_index_, Borrow(request),
-         [result](const RequestSample& s) { result->push_back(s); });
-  while (result->empty() && loop_.RunOne()) {
-  }
-  assert(!result->empty());
-  const RequestSample& sample = result->front();
+  RequestSample sample = SimTestbed::FetchOnce(coordinator_index_, request);
 
   HttpResponse response;
   if (sample.timed_out) {

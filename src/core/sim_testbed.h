@@ -24,6 +24,7 @@
 #include "src/net/wide_area.h"
 #include "src/server/http_target.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/record_pool.h"
 #include "src/sim/rng.h"
 
 namespace mfc {
@@ -74,20 +75,29 @@ class SimTestbed : public ClientHarness, public Fetcher {
               std::function<void(const RequestSample&)> on_done);
 
  private:
-  // Shared state of one in-flight client request.
+  // One in-flight client request, pooled. Every hop's callback captures
+  // {this, handle} and resolves the handle first; a stale handle means the
+  // request has settled (completed or killed). The record is released when
+  // the request settles.
   struct PendingRequest {
     size_t client = 0;
     SimTime start = 0.0;
-    bool settled = false;       // sample already recorded (completion or kill)
-    bool transport_called = false;
     FlowId flow = 0;            // active download, 0 if none
     EventId kill_timer = 0;
     HttpStatus status = HttpStatus::kOk;
     double bytes = 0.0;
+    std::shared_ptr<const HttpRequest> request;  // held until arrival
     std::function<void()> on_sent;  // server-side release, owed to the target
     std::function<void(const RequestSample&)> on_done;
   };
+  using RequestHandle = RecordPool<PendingRequest>::Handle;
 
+  // The request's hops, in the order they can run.
+  void OnArrival(RequestHandle handle);
+  void OnTransport(RequestHandle handle, HttpStatus status, double bytes,
+                   std::function<void()> on_sent);
+  void OnDownloaded(RequestHandle handle);
+  void OnKill(RequestHandle handle);
 
   EventLoop loop_;
   Rng rng_;
@@ -97,6 +107,12 @@ class SimTestbed : public ClientHarness, public Fetcher {
   std::unique_ptr<WideAreaNetwork> wan_;
   HttpTarget& target_;
   SimDuration request_timeout_ = Seconds(10);
+  RecordPool<PendingRequest> requests_;
+  // Samples of the crowd ExecuteCrowd is polling. A request settling after
+  // its crowd's poll carries an older crowd number and is dropped, as with
+  // the paper's poll-based collection.
+  std::vector<RequestSample> crowd_samples_;
+  uint64_t crowd_ = 0;
 };
 
 }  // namespace mfc

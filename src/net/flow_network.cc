@@ -770,8 +770,10 @@ void FlowNetwork::OnTimer() {
   }
 
   // Collect completions first so callbacks observe a consistent network.
+  // Swapped out while the callbacks run, so one that re-enters OnTimer
+  // finds the scratch empty.
   std::vector<std::function<void()>> done;
-  done.reserve(due.size());
+  done.swap(done_scratch_);
   seed_scratch_.clear();
   for (uint32_t slot : due) {
     Flow& flow = flows_[slot];
@@ -832,6 +834,8 @@ void FlowNetwork::OnTimer() {
       cb();
     }
   }
+  done.clear();
+  done_scratch_.swap(done);
 }
 
 }  // namespace mfc

@@ -264,6 +264,7 @@ class FlowNetwork {
   std::vector<LinkId> seed_scratch_;
   std::vector<uint32_t> changed_scratch_;  // flows an event started or doubled
   std::vector<uint32_t> due_scratch_;  // OnTimer's due-flow list
+  std::vector<std::function<void()>> done_scratch_;  // OnTimer's completion callbacks
   std::vector<uint64_t> order_scratch_;  // packed (seq, slot) sort keys
   std::vector<LinkId> refresh_scratch_;  // links whose aggregate a pass re-derives
   std::vector<std::pair<LinkId, double>> link_sums_;  // TryCapsOnly's totals

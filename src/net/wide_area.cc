@@ -45,13 +45,39 @@ FlowId WideAreaNetwork::StartDownload(size_t client, double bytes, std::function
     path_scratch_.push_back(pop_links_[clients_[client].pop % pop_links_.size()]);
   }
   path_scratch_.push_back(client_links_[client]);
-  SimDuration rtt = clients_[client].rtt_to_target;
-  // The final byte still needs half an RTT of propagation after it leaves
-  // the last queue.
-  auto deliver = [this, client, cb = std::move(on_done)]() mutable {
-    loop_.ScheduleAfter(SampleTargetOneWay(client), std::move(cb));
-  };
-  return flows_.StartFlow(path_scratch_, bytes, rtt, TcpParams{}, std::move(deliver));
+  DownloadHandle handle = downloads_.Acquire();
+  Download& download = *downloads_.Find(handle);
+  download.client = client;
+  download.on_done = std::move(on_done);
+  FlowId flow = flows_.StartFlow(path_scratch_, bytes, clients_[client].rtt_to_target, TcpParams{},
+                                 [this, handle] { OnLastByteSent(handle); });
+  downloads_.Find(handle)->flow = flow;
+  return handle;
+}
+
+void WideAreaNetwork::AbortDownload(FlowId id) {
+  Download* download = downloads_.Find(id);
+  if (download == nullptr || download->flow == 0) {
+    return;
+  }
+  flows_.AbortFlow(download->flow);
+  downloads_.Release(id);
+}
+
+void WideAreaNetwork::OnLastByteSent(DownloadHandle handle) {
+  Download* download = downloads_.Find(handle);
+  if (download == nullptr) {
+    return;
+  }
+  download->flow = 0;
+  loop_.ScheduleAfter(SampleTargetOneWay(download->client),
+                      [this, handle] { OnDelivered(handle); });
+}
+
+void WideAreaNetwork::OnDelivered(DownloadHandle handle) {
+  std::function<void()> on_done = std::move(downloads_.Find(handle)->on_done);
+  downloads_.Release(handle);
+  on_done();
 }
 
 void WideAreaNetwork::SendControl(size_t client, std::function<void()> deliver) {

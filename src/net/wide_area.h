@@ -15,6 +15,7 @@
 #include "src/net/flow_network.h"
 #include "src/sim/distributions.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/record_pool.h"
 #include "src/sim/rng.h"
 
 namespace mfc {
@@ -61,10 +62,14 @@ class WideAreaNetwork {
 
   // Starts a server->client response transfer of |bytes|. |on_done| runs when
   // the last byte reaches the client (propagation of the final byte
-  // included). Returns the flow id (abortable).
+  // included). Returns the download's id for AbortDownload (an id of this
+  // network's download records, not of Flows()).
   FlowId StartDownload(size_t client, double bytes, std::function<void()> on_done);
 
-  void AbortDownload(FlowId id) { flows_.AbortFlow(id); }
+  // Aborts the transfer; |on_done| never runs. No-op once the last byte has
+  // left the server (it is then propagating and still gets delivered) and
+  // for a stale id.
+  void AbortDownload(FlowId id);
 
   // Delivers a control-plane message to/from a client after one jittered
   // one-way coordinator-client latency; silently dropped with the configured
@@ -79,7 +84,20 @@ class WideAreaNetwork {
   FlowNetwork& Flows() { return flows_; }
 
  private:
+  // One download, pooled: from StartDownload until the last byte reaches the
+  // client or the transfer is aborted.
+  struct Download {
+    size_t client = 0;
+    FlowId flow = 0;  // the transfer's flow; 0 once its last byte has left
+    std::function<void()> on_done;
+  };
+  using DownloadHandle = RecordPool<Download>::Handle;
+
   double Jitter();
+  // The flow finished: the last byte propagates for one jittered one-way
+  // delay, drawn now, before it reaches the client.
+  void OnLastByteSent(DownloadHandle handle);
+  void OnDelivered(DownloadHandle handle);
 
   EventLoop& loop_;
   Rng rng_;
@@ -90,6 +108,7 @@ class WideAreaNetwork {
   std::vector<LinkId> pop_links_;
   std::vector<LinkId> client_links_;
   std::vector<LinkId> path_scratch_;  // StartDownload's path, reused
+  RecordPool<Download> downloads_;
 };
 
 // Synthesizes a PlanetLab-like fleet: RTTs lognormal around tens of

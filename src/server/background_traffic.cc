@@ -13,7 +13,10 @@ BackgroundTraffic::BackgroundTraffic(EventLoop& loop, Rng& rng, BackgroundTraffi
       popularity_(target.Content() != nullptr && target.Content()->Size() > 0
                       ? target.Content()->Size()
                       : 1,
-                  config.zipf_exponent) {}
+                  config.zipf_exponent) {
+  request_.headers.Set("Host", "target");
+  request_.headers.Set("User-Agent", "background/1.0");
+}
 
 void BackgroundTraffic::Start() {
   if (running_ || config_.requests_per_second <= 0.0) {
@@ -46,21 +49,20 @@ void BackgroundTraffic::ScheduleNext() {
 
 void BackgroundTraffic::FireOne() {
   const ContentStore* content = target_.Content();
-  HttpRequest request;
   if (content != nullptr && content->Size() > 0) {
     const WebObject& object = content->Objects()[popularity_.Sample(rng_)];
-    request.target = object.dynamic && object.unique_per_query
-                         ? object.path + "?bg=" + std::to_string(rng_.NextBelow(1'000'000))
-                         : object.path;
-    request.method = rng_.Chance(config_.head_fraction) ? HttpMethod::kHead : HttpMethod::kGet;
+    if (object.dynamic && object.unique_per_query) {
+      request_.target = object.path + "?bg=" + std::to_string(rng_.NextBelow(1'000'000));
+    } else {
+      request_.target = object.path;
+    }
+    request_.method = rng_.Chance(config_.head_fraction) ? HttpMethod::kHead : HttpMethod::kGet;
   } else {
-    request.target = "/";
-    request.method = HttpMethod::kGet;
+    request_.target = "/";
+    request_.method = HttpMethod::kGet;
   }
-  request.headers.Set("Host", "target");
-  request.headers.Set("User-Agent", "background/1.0");
   ++issued_;
-  target_.OnRequest(request, /*is_mfc=*/false, transport_factory_());
+  target_.OnRequest(request_, /*is_mfc=*/false, transport_factory_());
 }
 
 }  // namespace mfc

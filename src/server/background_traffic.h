@@ -52,6 +52,9 @@ class BackgroundTraffic {
   TransportFactory transport_factory_;
   ExponentialDist inter_arrival_;
   ZipfDist popularity_;
+  // Reused by every fire: a target only borrows a request for the length of
+  // OnRequest, and the headers never change.
+  HttpRequest request_;
   bool running_ = false;
   EventId pending_ = 0;
   uint64_t issued_ = 0;

@@ -24,27 +24,36 @@ WebServer::WebServer(EventLoop& loop, WebServerConfig config, const ContentStore
 void WebServer::OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) {
   access_log_.push_back(AccessLogEntry{loop_.Now(), request.method, request.target,
                                        HttpStatus::kOk, 0.0, is_mfc});
-  const WebObject* object = content_ != nullptr ? content_->Find(request.Path()) : nullptr;
-  Ctx ctx{request.method, object, std::move(transport), access_log_.size() - 1, nullptr};
+  CtxHandle handle = requests_.Acquire();
+  Ctx& ctx = Record(handle);
+  ctx.method = request.method;
+  ctx.object = content_ != nullptr ? content_->Find(request.Path()) : nullptr;
+  ctx.transport = std::move(transport);
+  ctx.log_index = access_log_.size() - 1;
   if (telemetry_ != nullptr && telemetry_->Enabled()) {
-    ctx.trace = std::make_shared<RequestTrace>();
-    ctx.trace->arrival = loop_.Now();
-    ctx.trace->stage = telemetry_->stage;
+    RequestTrace& trace = ctx.trace.emplace();
+    trace.arrival = loop_.Now();
+    trace.stage = telemetry_->stage;
     if (telemetry_->tracer != nullptr) {
       Tracer& tracer = *telemetry_->tracer;
-      ctx.trace->root = tracer.StartSpan("request", "server", 0, loop_.Now());
-      tracer.Attr(ctx.trace->root, "target", request.target);
-      tracer.Attr(ctx.trace->root, "method", std::string(MethodName(request.method)));
-      tracer.Attr(ctx.trace->root, "stage", ctx.trace->stage);
-      tracer.Attr(ctx.trace->root, "is_mfc", std::string(is_mfc ? "true" : "false"));
+      trace.root = tracer.StartSpan("request", "server", 0, loop_.Now());
+      tracer.Attr(trace.root, "target", request.target);
+      tracer.Attr(trace.root, "method", std::string(MethodName(request.method)));
+      tracer.Attr(trace.root, "stage", trace.stage);
+      tracer.Attr(trace.root, "is_mfc", std::string(is_mfc ? "true" : "false"));
     }
   }
-  Enqueue(std::move(ctx));
+  Enqueue(handle);
 }
 
-void WebServer::Charge(const Ctx& ctx, const char* name, SimTime t0,
-                       double RequestTrace::* bucket) {
-  if (ctx.trace == nullptr) {
+WebServer::Ctx& WebServer::Record(CtxHandle handle) {
+  Ctx* ctx = requests_.Find(handle);
+  assert(ctx != nullptr && "request record used after its last byte was sent");
+  return *ctx;
+}
+
+void WebServer::Charge(Ctx& ctx, const char* name, SimTime t0, double RequestTrace::* bucket) {
+  if (!ctx.trace) {
     return;
   }
   SimTime now = loop_.Now();
@@ -80,14 +89,14 @@ void WebServer::FinishRequestTrace(const RequestTrace& trace, HttpStatus status,
   }
 }
 
-void WebServer::Enqueue(Ctx ctx) {
+void WebServer::Enqueue(CtxHandle handle) {
   if (active_threads_ < config_.worker_threads) {
     ++active_threads_;
-    Process(std::move(ctx));
+    Process(handle);
     return;
   }
   if (accept_queue_.size() < config_.accept_backlog) {
-    accept_queue_.push_back(std::move(ctx));
+    accept_queue_.push_back(handle);
     return;
   }
   // Listen backlog exhausted: immediate refusal, no worker consumed.
@@ -95,11 +104,12 @@ void WebServer::Enqueue(Ctx ctx) {
   if (telemetry_ != nullptr && telemetry_->metrics != nullptr) {
     telemetry_->metrics->Add("server.rejected_503");
   }
-  Send(std::move(ctx), HttpStatus::kServiceUnavailable, 0.0);
+  Send(handle, HttpStatus::kServiceUnavailable, 0.0);
 }
 
-void WebServer::Process(Ctx ctx) {
-  if (ctx.trace != nullptr) {
+void WebServer::Process(CtxHandle handle) {
+  Ctx& ctx = Record(handle);
+  if (ctx.trace) {
     // Accept-queue wait: arrival to worker-thread acquisition (0 when a
     // worker was free; the zero-length span keeps traces structurally
     // uniform).
@@ -107,135 +117,148 @@ void WebServer::Process(Ctx ctx) {
   }
   double demand = config_.request_parse_cpu_s +
                   config_.per_connection_cpu_s * static_cast<double>(active_threads_);
-  SimTime t0 = loop_.Now();
-  cpu_.Submit(demand, [this, t0, ctx = std::move(ctx)]() mutable {
-    Charge(ctx, "cpu", t0, &RequestTrace::cpu_s);
-    Dispatch(std::move(ctx));
+  ctx.hop_start = loop_.Now();
+  cpu_.Submit(demand, [this, handle] {
+    Ctx& ctx = Record(handle);
+    Charge(ctx, "cpu", ctx.hop_start, &RequestTrace::cpu_s);
+    Dispatch(handle);
   });
 }
 
-void WebServer::Dispatch(Ctx ctx) {
+void WebServer::Dispatch(CtxHandle handle) {
+  Ctx& ctx = Record(handle);
   if (ctx.object == nullptr) {
-    Send(std::move(ctx), HttpStatus::kNotFound, 200.0);
+    Send(handle, HttpStatus::kNotFound, 200.0);
     return;
   }
   if (ctx.method == HttpMethod::kHead) {
     // Metadata only: a stat() plus header assembly; never touches the body.
-    SimTime t0 = loop_.Now();
-    cpu_.Submit(config_.head_cpu_s, [this, t0, ctx = std::move(ctx)]() mutable {
-      Charge(ctx, "cpu", t0, &RequestTrace::cpu_s);
-      Send(std::move(ctx), HttpStatus::kOk, 0.0);
+    ctx.hop_start = loop_.Now();
+    cpu_.Submit(config_.head_cpu_s, [this, handle] {
+      Ctx& ctx = Record(handle);
+      Charge(ctx, "cpu", ctx.hop_start, &RequestTrace::cpu_s);
+      Send(handle, HttpStatus::kOk, 0.0);
     });
     return;
   }
   if (ctx.object->dynamic) {
-    ServeDynamic(std::move(ctx));
+    ServeDynamic(handle);
   } else {
-    ServeStatic(std::move(ctx));
+    ServeStatic(handle);
   }
 }
 
-void WebServer::ServeStatic(Ctx ctx) {
+void WebServer::ServeStatic(CtxHandle handle) {
+  Ctx& ctx = Record(handle);
   const WebObject& object = *ctx.object;
   double size = static_cast<double>(object.size_bytes);
   if (page_cache_.Touch(object.path)) {
-    Send(std::move(ctx), HttpStatus::kOk, size);
+    Send(handle, HttpStatus::kOk, size);
     return;
   }
-  const std::string path = object.path;
-  SimTime t0 = loop_.Now();
-  disk_.Submit(size, [this, t0, ctx = std::move(ctx), path, size]() mutable {
-    Charge(ctx, "disk", t0, &RequestTrace::disk_s);
-    page_cache_.Insert(path, size);
-    Send(std::move(ctx), HttpStatus::kOk, size);
+  ctx.hop_start = loop_.Now();
+  disk_.Submit(size, [this, handle] {
+    Ctx& ctx = Record(handle);
+    Charge(ctx, "disk", ctx.hop_start, &RequestTrace::disk_s);
+    // ctx.object outlives the request: the ContentStore is owned by the
+    // testbed for the whole run.
+    const WebObject& object = *ctx.object;
+    double size = static_cast<double>(object.size_bytes);
+    page_cache_.Insert(object.path, size);
+    Send(handle, HttpStatus::kOk, size);
   });
 }
 
-void WebServer::ServeDynamic(Ctx ctx) {
+void WebServer::ServeDynamic(CtxHandle handle) {
   switch (config_.cgi_model) {
     case CgiModel::kNone:
-      Send(std::move(ctx), HttpStatus::kNotFound, 200.0);
+      Send(handle, HttpStatus::kNotFound, 200.0);
       return;
     case CgiModel::kFastCgi:
       // Process-per-request: the forked handler inherits the parent image.
       ++active_cgi_;
       memory_.Allocate(config_.cgi_process_memory_bytes);
       cpu_.Reschedule();
-      RunCgi(std::move(ctx));
+      RunCgi(handle);
       return;
     case CgiModel::kMongrel: {
       if (active_cgi_ < config_.mongrel_pool) {
         ++active_cgi_;
-        RunCgi(std::move(ctx));
+        RunCgi(handle);
       } else {
-        // Wait for a pool worker; ctx.object outlives us (ContentStore is
-        // owned by the testbed for the whole run).
-        SimTime t0 = loop_.Now();
-        cgi_wait_.push_back([this, t0, ctx = std::move(ctx)]() mutable {
-          Charge(ctx, "queue", t0, &RequestTrace::queue_s);
-          ++active_cgi_;
-          RunCgi(std::move(ctx));
-        });
+        // Wait for a pool worker.
+        Record(handle).hop_start = loop_.Now();
+        cgi_wait_.push_back(handle);
       }
       return;
     }
   }
 }
 
-void WebServer::RunCgi(Ctx ctx) {
-  const WebObject& object = *ctx.object;
-  // Query-cache key: unique-per-query endpoints key on the full target so
-  // distinct query strings never hit; otherwise all callers share one key.
-  std::string key = object.unique_per_query ? access_log_[ctx.log_index].target : object.path;
-  uint64_t rows = object.db_rows;
-  double result_bytes = static_cast<double>(object.size_bytes);
-  SimTime t0 = loop_.Now();
-  cpu_.Submit(config_.cgi_cpu_s, [this, t0, ctx = std::move(ctx), key, rows,
-                                  result_bytes]() mutable {
-    Charge(ctx, "cpu", t0, &RequestTrace::cpu_s);
-    SimTime db_t0 = loop_.Now();
-    db_.Execute(key, rows, result_bytes, [this, db_t0, ctx = std::move(ctx),
-                                          result_bytes]() mutable {
-      Charge(ctx, "db", db_t0, &RequestTrace::db_s);
+void WebServer::RunCgi(CtxHandle handle) {
+  Record(handle).hop_start = loop_.Now();
+  cpu_.Submit(config_.cgi_cpu_s, [this, handle] {
+    Ctx& ctx = Record(handle);
+    Charge(ctx, "cpu", ctx.hop_start, &RequestTrace::cpu_s);
+    const WebObject& object = *ctx.object;
+    // Query-cache key: unique-per-query endpoints key on the full target so
+    // distinct query strings never hit; otherwise all callers share one key.
+    const std::string& key =
+        object.unique_per_query ? access_log_[ctx.log_index].target : object.path;
+    ctx.hop_start = loop_.Now();
+    db_.Execute(key, object.db_rows, static_cast<double>(object.size_bytes), [this, handle] {
+      Ctx& ctx = Record(handle);
+      Charge(ctx, "db", ctx.hop_start, &RequestTrace::db_s);
+      double result_bytes = static_cast<double>(ctx.object->size_bytes);
       ReleaseCgiSlot();
-      Send(std::move(ctx), HttpStatus::kOk, result_bytes);
+      Send(handle, HttpStatus::kOk, result_bytes);
     });
   });
 }
 
-void WebServer::Send(Ctx ctx, HttpStatus status, double body_bytes) {
+void WebServer::Send(CtxHandle handle, HttpStatus status, double body_bytes) {
+  Ctx& ctx = Record(handle);
   access_log_[ctx.log_index].status = status;
   access_log_[ctx.log_index].bytes = body_bytes;
-  double wire = config_.response_header_bytes + body_bytes;
-  bool had_thread = status != HttpStatus::kServiceUnavailable;
-  SimTime t0 = loop_.Now();
-  auto trace = std::move(ctx.trace);
-  auto transport = std::move(ctx.transport);
-  transport(status, wire, [this, had_thread, t0, trace, status, body_bytes] {
-    if (trace != nullptr) {
-      // Outbound transfer: transport call to last-byte delivery.
-      SimTime now = loop_.Now();
-      if (telemetry_->tracer != nullptr && trace->root != 0) {
-        SpanId span = telemetry_->tracer->StartSpan("net", "server", trace->root, t0);
-        telemetry_->tracer->EndSpan(span, now);
-      }
-      trace->net_s += now - t0;
-      FinishRequestTrace(*trace, status, body_bytes);
+  ctx.status = status;
+  ctx.body_bytes = body_bytes;
+  ctx.had_thread = status != HttpStatus::kServiceUnavailable;
+  ctx.hop_start = loop_.Now();
+  // The transport may complete at once (a client already gone), which
+  // releases the record: nothing below touches it.
+  ResponseTransport transport = std::move(ctx.transport);
+  transport(status, config_.response_header_bytes + body_bytes,
+            [this, handle] { OnSent(handle); });
+}
+
+void WebServer::OnSent(CtxHandle handle) {
+  Ctx& ctx = Record(handle);
+  if (ctx.trace) {
+    // Outbound transfer: transport call to last-byte delivery.
+    RequestTrace& trace = *ctx.trace;
+    SimTime now = loop_.Now();
+    if (telemetry_->tracer != nullptr && trace.root != 0) {
+      SpanId span = telemetry_->tracer->StartSpan("net", "server", trace.root, ctx.hop_start);
+      telemetry_->tracer->EndSpan(span, now);
     }
-    if (had_thread) {
-      ReleaseThread();
-    }
-  });
+    trace.net_s += now - ctx.hop_start;
+    FinishRequestTrace(trace, ctx.status, ctx.body_bytes);
+  }
+  bool had_thread = ctx.had_thread;
+  requests_.Release(handle);
+  if (had_thread) {
+    ReleaseThread();
+  }
 }
 
 void WebServer::ReleaseThread() {
   assert(active_threads_ > 0);
   --active_threads_;
   if (!accept_queue_.empty() && active_threads_ < config_.worker_threads) {
-    Ctx next = std::move(accept_queue_.front());
+    CtxHandle next = accept_queue_.front();
     accept_queue_.pop_front();
     ++active_threads_;
-    Process(std::move(next));
+    Process(next);
   }
 }
 
@@ -248,9 +271,12 @@ void WebServer::ReleaseCgiSlot() {
     return;
   }
   if (config_.cgi_model == CgiModel::kMongrel && !cgi_wait_.empty()) {
-    auto next = std::move(cgi_wait_.front());
+    CtxHandle next = cgi_wait_.front();
     cgi_wait_.pop_front();
-    next();
+    Ctx& ctx = Record(next);
+    Charge(ctx, "queue", ctx.hop_start, &RequestTrace::queue_s);
+    ++active_cgi_;
+    RunCgi(next);
   }
 }
 

@@ -20,6 +20,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "src/server/lru_cache.h"
 #include "src/server/resources.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/record_pool.h"
 #include "src/telemetry/trace.h"
 
 namespace mfc {
@@ -126,9 +128,8 @@ class WebServer : public HttpTarget {
   void SetTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
  private:
-  // Per-request span state; allocated only while telemetry is enabled so the
-  // default path copies a null pointer around. shared_ptr because Ctx flows
-  // through std::function callbacks, which require copyable captures.
+  // Per-request span state, kept in the request's record while telemetry is
+  // enabled.
   struct RequestTrace {
     SpanId root = 0;        // 0 when only metrics are enabled
     SimTime arrival = 0.0;
@@ -140,29 +141,43 @@ class WebServer : public HttpTarget {
     double net_s = 0.0;
   };
 
-  // What a request's lifecycle needs of it, taken at arrival: OnRequest only
-  // borrows the HttpRequest, and its target lives on in the access log.
+  // One request's lifecycle state, pooled from arrival until its last byte
+  // is sent. OnRequest only borrows the HttpRequest; what the lifecycle needs
+  // of it is taken at arrival, and its target lives on in the access log.
+  // Every hop's callback captures {this, handle} and resolves the handle
+  // first.
   struct Ctx {
-    HttpMethod method;
-    const WebObject* object;  // null when the content does not host the path
+    HttpMethod method = HttpMethod::kGet;
+    const WebObject* object = nullptr;  // null when the content does not host the path
     ResponseTransport transport;
-    size_t log_index;  // entry with the target, to fill in with status/bytes
-    std::shared_ptr<RequestTrace> trace;  // null when telemetry is off
+    size_t log_index = 0;  // entry with the target, to fill in with status/bytes
+    SimTime hop_start = 0.0;  // start of the wait in progress (queue, cpu, disk, db, net)
+    // What Send handed the transport, for the completion hop.
+    HttpStatus status = HttpStatus::kOk;
+    double body_bytes = 0.0;
+    bool had_thread = false;
+    std::optional<RequestTrace> trace;  // engaged only while telemetry is on
   };
+  using CtxHandle = RecordPool<Ctx>::Handle;
+
+  // The live record |handle| names. Every hop runs exactly once, so a stale
+  // handle here is a bug.
+  Ctx& Record(CtxHandle handle);
 
   // Emits a child span [t0, Now()] of the request's root and charges the
   // elapsed time to the request's |bucket| total. No-op when untraced.
-  void Charge(const Ctx& ctx, const char* name, SimTime t0, double RequestTrace::* bucket);
+  void Charge(Ctx& ctx, const char* name, SimTime t0, double RequestTrace::* bucket);
   // Closes the root span and flushes per-stage totals into the registry.
   void FinishRequestTrace(const RequestTrace& trace, HttpStatus status, double body_bytes);
 
-  void Enqueue(Ctx ctx);
-  void Process(Ctx ctx);
-  void Dispatch(Ctx ctx);
-  void ServeStatic(Ctx ctx);
-  void ServeDynamic(Ctx ctx);
-  void RunCgi(Ctx ctx);
-  void Send(Ctx ctx, HttpStatus status, double body_bytes);
+  void Enqueue(CtxHandle handle);
+  void Process(CtxHandle handle);
+  void Dispatch(CtxHandle handle);
+  void ServeStatic(CtxHandle handle);
+  void ServeDynamic(CtxHandle handle);
+  void RunCgi(CtxHandle handle);
+  void Send(CtxHandle handle, HttpStatus status, double body_bytes);
+  void OnSent(CtxHandle handle);
   void ReleaseThread();
   void ReleaseCgiSlot();
 
@@ -178,9 +193,10 @@ class WebServer : public HttpTarget {
 
   Telemetry* telemetry_ = nullptr;
   size_t active_threads_ = 0;
-  std::deque<Ctx> accept_queue_;
+  RecordPool<Ctx> requests_;
+  std::deque<CtxHandle> accept_queue_;
   size_t active_cgi_ = 0;
-  std::deque<std::function<void()>> cgi_wait_;  // Mongrel admission queue
+  std::deque<CtxHandle> cgi_wait_;  // Mongrel admission queue
   uint64_t rejected_ = 0;
   std::vector<AccessLogEntry> access_log_;
 };

@@ -1,0 +1,79 @@
+// Free-listed pool of records addressed by generation-checked handles.
+//
+// The simulated request path keeps one record per in-flight request (or
+// download) in a pool, and each hop's callback captures only {this, handle}:
+// 16 trivially copyable bytes, which std::function stores inline, so a hop
+// neither allocates nor touches a reference count. Releasing a record resets
+// it and advances its generation, so a handle kept by a late callback
+// resolves to null instead of to the record's next occupant.
+//
+// Acquire() may grow the storage and move every record: never hold a
+// pointer or reference from Find() across a call that can acquire a record
+// from the same pool. Sanitizers cannot see a stale access inside the pool,
+// so resolve the handle with Find() at the start of every hop.
+#ifndef MFC_SRC_SIM_RECORD_POOL_H_
+#define MFC_SRC_SIM_RECORD_POOL_H_
+
+#include <cassert>
+#include <cstdint>
+#include <vector>
+
+namespace mfc {
+
+template <typename T>
+class RecordPool {
+ public:
+  // Packs {generation, index + 1}; 0 is never a valid handle.
+  using Handle = uint64_t;
+
+  // Takes a free record, in its default-constructed state.
+  Handle Acquire() {
+    uint32_t index;
+    if (free_head_ != kNone) {
+      index = free_head_;
+      free_head_ = entries_[index].next_free;
+    } else {
+      index = static_cast<uint32_t>(entries_.size());
+      entries_.emplace_back();
+    }
+    return (static_cast<Handle>(entries_[index].generation) << 32) | (index + 1);
+  }
+
+  // The record |handle| names, or nullptr once it has been released.
+  T* Find(Handle handle) {
+    uint32_t raw = static_cast<uint32_t>(handle & 0xffffffffu);
+    if (raw == 0 || raw > entries_.size()) {
+      return nullptr;
+    }
+    Entry& entry = entries_[raw - 1];
+    return entry.generation == static_cast<uint32_t>(handle >> 32) ? &entry.value : nullptr;
+  }
+
+  // Resets the live record |handle| names, dropping what it holds, and frees
+  // it. Every copy of |handle| goes stale.
+  void Release(Handle handle) {
+    assert(Find(handle) != nullptr && "releasing a stale record handle");
+    uint32_t index = static_cast<uint32_t>(handle & 0xffffffffu) - 1;
+    Entry& entry = entries_[index];
+    entry.value = T();
+    ++entry.generation;
+    entry.next_free = free_head_;
+    free_head_ = index;
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  struct Entry {
+    T value{};
+    uint32_t generation = 1;
+    uint32_t next_free = kNone;
+  };
+
+  std::vector<Entry> entries_;
+  uint32_t free_head_ = kNone;
+};
+
+}  // namespace mfc
+
+#endif  // MFC_SRC_SIM_RECORD_POOL_H_

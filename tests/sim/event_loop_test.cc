@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+#include <tuple>
 #include <vector>
+
+#include "src/sim/rng.h"
 
 namespace mfc {
 namespace {
@@ -167,9 +173,8 @@ TEST(EventLoopTest, CancelFromInsideAnEvent) {
 }
 
 // Regression: PendingCount used to be computed as queue size minus cancelled
-// size, which miscounted whenever stale heap entries outlived bookkeeping.
-// The slot-vector implementation keeps an exact live counter; these pin the
-// count through every schedule/cancel/run interleaving.
+// size, which miscounted whenever cancelled entries outlived bookkeeping.
+// These pin the count through every schedule/cancel/run interleaving.
 TEST(EventLoopTest, PendingCountExactThroughCancelRunInterleavings) {
   EventLoop loop;
   EventId a = loop.ScheduleAt(1.0, [] {});
@@ -182,7 +187,7 @@ TEST(EventLoopTest, PendingCountExactThroughCancelRunInterleavings) {
   EXPECT_EQ(loop.PendingCount(), 1u);
   loop.Cancel(c);
   EXPECT_EQ(loop.PendingCount(), 0u);
-  EXPECT_FALSE(loop.RunOne());  // drains only stale entries
+  EXPECT_FALSE(loop.RunOne());  // nothing left to run
   EXPECT_EQ(loop.PendingCount(), 0u);
   (void)a;
 }
@@ -346,6 +351,259 @@ TEST(EventLoopTest, RescheduleRepeatedlyFiresOnce) {
   EXPECT_EQ(runs, 1);
   EXPECT_DOUBLE_EQ(loop.Now(), 50.0);
   EXPECT_EQ(loop.PendingCount(), 0u);
+}
+
+// ---- Differential oracle ---------------------------------------------------
+//
+// A test-local reference with EventLoop's API and EventId packing, kept in an
+// ordered set of (time, seq, slot) with no heap positions to maintain. Slots
+// come from the same LIFO free list and carry the same generation rule (bumped
+// when an event runs, is cancelled or is rescheduled), so both loops must hand
+// out, accept and reject exactly the same ids.
+class ReferenceLoop {
+ public:
+  SimTime Now() const { return now_; }
+
+  EventId ScheduleAt(SimTime t, std::function<void()> cb) {
+    uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    Slot& s = slots_[slot];
+    s.cb = std::move(cb);
+    s.pending = true;
+    s.key = Key{std::max(t, now_), next_seq_++, slot};
+    queue_.insert(s.key);
+    return Pack(slot);
+  }
+
+  bool Cancel(EventId id) {
+    uint32_t slot = Resolve(id);
+    if (slot == kNone) {
+      return false;
+    }
+    queue_.erase(slots_[slot].key);
+    Release(slot);
+    return true;
+  }
+
+  EventId Reschedule(EventId id, SimTime t) {
+    uint32_t slot = Resolve(id);
+    if (slot == kNone) {
+      return 0;
+    }
+    Slot& s = slots_[slot];
+    queue_.erase(s.key);
+    ++s.generation;
+    s.key = Key{std::max(t, now_), next_seq_++, slot};
+    queue_.insert(s.key);
+    return Pack(slot);
+  }
+
+  bool RunOne() {
+    if (queue_.empty()) {
+      return false;
+    }
+    Key top = *queue_.begin();
+    queue_.erase(queue_.begin());
+    uint32_t slot = std::get<2>(top);
+    std::function<void()> cb = std::move(slots_[slot].cb);
+    Release(slot);
+    now_ = std::get<0>(top);
+    cb();
+    return true;
+  }
+
+  void RunUntil(SimTime t) {
+    while (!queue_.empty() && std::get<0>(*queue_.begin()) <= t) {
+      RunOne();
+    }
+    now_ = std::max(now_, t);
+  }
+
+  size_t PendingCount() const { return queue_.size(); }
+
+ private:
+  using Key = std::tuple<SimTime, uint64_t, uint32_t>;
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  struct Slot {
+    std::function<void()> cb;
+    uint32_t generation = 1;
+    bool pending = false;
+    Key key{};
+  };
+
+  EventId Pack(uint32_t slot) const {
+    return (static_cast<EventId>(slots_[slot].generation) << 32) | (slot + 1);
+  }
+
+  uint32_t Resolve(EventId id) const {
+    uint32_t raw = static_cast<uint32_t>(id & 0xffffffffu);
+    if (raw == 0 || raw > slots_.size()) {
+      return kNone;
+    }
+    const Slot& s = slots_[raw - 1];
+    return s.pending && s.generation == static_cast<uint32_t>(id >> 32) ? raw - 1 : kNone;
+  }
+
+  void Release(uint32_t slot) {
+    Slot& s = slots_[slot];
+    s.cb = nullptr;
+    s.pending = false;
+    ++s.generation;
+    free_.push_back(slot);
+  }
+
+  SimTime now_ = kTimeZero;
+  uint64_t next_seq_ = 0;
+  std::set<Key> queue_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
+};
+
+// One side of a differential script. Every operation, at the top level or
+// inside a running event, draws its choices from an Rng seeded by the script
+// seed and the operation's (or event's) number, so two sides that agree so
+// far make identical calls. Everything observable is folded into a rolling
+// digest: execution order, each event's run time, every returned id and every
+// Cancel result.
+template <typename Loop>
+class ScriptSide {
+ public:
+  explicit ScriptSide(uint64_t seed) : seed_(seed) {}
+
+  Loop& loop() { return loop_; }
+  uint64_t digest() const { return digest_; }
+  const std::vector<uint64_t>& log() const { return log_; }
+
+  // One top-level operation: the three mutators, RunOne or RunUntil.
+  void Step(uint64_t op) {
+    Rng rng(seed_ * 1'000'003 + op);
+    uint64_t kind = rng.NextBelow(100);
+    if (kind < 40) {
+      Schedule(rng);
+    } else if (kind < 55) {
+      Cancel(rng);
+    } else if (kind < 75) {
+      Reschedule(rng);
+    } else if (kind < 90) {
+      Record(loop_.RunOne() ? 1 : 0);
+    } else {
+      loop_.RunUntil(loop_.Now() + 0.25 * static_cast<double>(rng.NextBelow(8)));
+      Record(Bits(loop_.Now()));
+    }
+  }
+
+  void Drain() {
+    while (loop_.RunOne()) {
+    }
+  }
+
+ private:
+  // Quarter-second grid: many events share an instant, so the seq
+  // tie-break decides their order. Occasionally in the past (clamped); a
+  // third far ahead, so the heap grows a few levels deep.
+  double Delay(Rng& rng) {
+    if (rng.Chance(0.05)) {
+      return -1.0;
+    }
+    return 0.25 * static_cast<double>(rng.NextBelow(rng.Chance(0.3) ? 800 : 12));
+  }
+
+  // A live, stale or reused id from the script so far, or a forged one.
+  EventId PickId(Rng& rng) {
+    if (ids_.empty() || rng.Chance(0.05)) {
+      return rng.Chance(0.5) ? 0 : rng.NextU64();
+    }
+    return ids_[rng.NextBelow(ids_.size())];
+  }
+
+  void Schedule(Rng& rng) {
+    uint64_t tag = next_tag_++;
+    EventId id = loop_.ScheduleAt(loop_.Now() + Delay(rng), [this, tag] { Fire(tag); });
+    ids_.push_back(id);
+    Record(id);
+  }
+
+  void Cancel(Rng& rng) { Record(loop_.Cancel(PickId(rng)) ? 1 : 0); }
+
+  void Reschedule(Rng& rng) {
+    EventId moved = loop_.Reschedule(PickId(rng), loop_.Now() + Delay(rng));
+    if (moved != 0) {
+      ids_.push_back(moved);
+    }
+    Record(moved);
+  }
+
+  // An event: logs itself, then schedules, cancels and reschedules from
+  // inside the loop.
+  void Fire(uint64_t tag) {
+    Record(tag);
+    Record(Bits(loop_.Now()));
+    Rng rng(seed_ * 7'919 + tag + 1);
+    for (uint64_t n = rng.NextBelow(4); n > 0; --n) {
+      switch (rng.NextBelow(3)) {
+        case 0:
+          Schedule(rng);
+          break;
+        case 1:
+          Cancel(rng);
+          break;
+        default:
+          Reschedule(rng);
+          break;
+      }
+    }
+  }
+
+  static uint64_t Bits(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+  }
+
+  void Record(uint64_t value) {
+    log_.push_back(value);
+    digest_ = (digest_ ^ value) * 0x100000001b3ULL;
+  }
+
+  Loop loop_;
+  uint64_t seed_;
+  uint64_t next_tag_ = 0;
+  std::vector<EventId> ids_;
+  std::vector<uint64_t> log_;
+  uint64_t digest_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(EventLoopDifferentialTest, SeededScriptsMatchOrderedSetReference) {
+  constexpr uint64_t kSeeds = 40;
+  constexpr uint64_t kOps = 2000;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    ScriptSide<EventLoop> fast(seed);
+    ScriptSide<ReferenceLoop> ref(seed);
+    size_t peak_pending = 0;
+    for (uint64_t op = 0; op < kOps; ++op) {
+      fast.Step(op);
+      ref.Step(op);
+      ASSERT_EQ(fast.digest(), ref.digest()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(fast.loop().PendingCount(), ref.loop().PendingCount())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(fast.loop().Now(), ref.loop().Now()) << "seed " << seed << " op " << op;
+      peak_pending = std::max(peak_pending, fast.loop().PendingCount());
+    }
+    fast.Drain();
+    ref.Drain();
+    ASSERT_EQ(fast.log(), ref.log()) << "seed " << seed;
+    EXPECT_EQ(fast.loop().PendingCount(), 0u);
+    // The scripts must build heaps deep enough for a removal's filler to
+    // belong above the hole.
+    EXPECT_GT(peak_pending, 64u) << "seed " << seed;
+  }
 }
 
 }  // namespace
