@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "src/telemetry/stats_stream.h"
 
@@ -33,74 +34,9 @@ size_t ResolveJobs(size_t requested) {
 
 ParallelRunner::ParallelRunner(size_t jobs) : jobs_(ResolveJobs(jobs)) {}
 
-void ParallelRunner::RunIndexed(size_t count, const std::function<void(size_t)>& fn,
-                                ParallelProgress* progress) const {
-  if (count == 0) {
-    return;
-  }
-  size_t workers = jobs_ < count ? jobs_ : count;
-  if (workers <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      if (progress != nullptr) {
-        progress->OnClaim(0, i);
-      }
-      fn(i);
-      if (progress != nullptr) {
-        progress->OnDone(0);
-      }
-    }
-    return;
-  }
-  std::atomic<size_t> next{0};
-  auto worker = [&](size_t w) {
-    for (;;) {
-      size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) {
-        return;
-      }
-      if (progress != nullptr) {
-        progress->OnClaim(w, i);
-      }
-      fn(i);
-      if (progress != nullptr) {
-        progress->OnDone(w);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    pool.emplace_back(worker, w);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-}
-
 size_t ParallelRunner::RunIndexed(size_t count, const std::function<void(size_t)>& fn,
                                   const std::function<bool()>& cancel,
                                   ParallelProgress* progress) const {
-  if (count == 0) {
-    return 0;
-  }
-  size_t workers = jobs_ < count ? jobs_ : count;
-  if (workers <= 1) {
-    size_t ran = 0;
-    for (size_t i = 0; i < count; ++i) {
-      if (cancel && cancel()) {
-        break;
-      }
-      if (progress != nullptr) {
-        progress->OnClaim(0, i);
-      }
-      fn(i);
-      if (progress != nullptr) {
-        progress->OnDone(0);
-      }
-      ++ran;
-    }
-    return ran;
-  }
   std::atomic<size_t> next{0};
   std::atomic<size_t> ran{0};
   auto worker = [&](size_t w) {
@@ -122,11 +58,12 @@ size_t ParallelRunner::RunIndexed(size_t count, const std::function<void(size_t)
       ran.fetch_add(1, std::memory_order_relaxed);
     }
   };
+  size_t workers = jobs_ < count ? jobs_ : count;
   std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
+  for (size_t w = 1; w < workers; ++w) {
     pool.emplace_back(worker, w);
   }
+  worker(0);
   for (std::thread& t : pool) {
     t.join();
   }

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace mfc {
 
@@ -30,35 +29,24 @@ class ParallelRunner {
 
   size_t Jobs() const { return jobs_; }
 
-  // Runs fn(i) for every i in [0, count). Blocks until all tasks finish.
-  // With Jobs() == 1 the tasks run inline on the calling thread in index
-  // order, reproducing sequential behavior exactly; otherwise min(Jobs(),
-  // count) workers pull indices from a shared atomic cursor.
+  // Runs fn(i) for every i in [0, count) and returns how many ran. Blocks
+  // until every started task finishes. min(Jobs(), count) workers pull
+  // indices from a shared atomic cursor, and the calling thread is worker 0:
+  // with Jobs() == 1 it runs every task itself, in index order, reproducing
+  // sequential behavior exactly.
+  //
+  // |cancel|, when set, is polled before claiming each index; once it
+  // returns true no new indices start, but tasks already claimed run to
+  // completion (a graceful drain, not an abort). Which indices ran is
+  // scheduling-dependent under cancellation — callers must track completion
+  // per index, not assume a prefix.
   //
   // |progress|, when non-null, receives OnClaim/OnDone for every task (by
-  // worker id; the inline path reports as worker 0) so an external sampler
-  // can observe per-worker state. It must be sized for at least Jobs()
-  // workers and never alters scheduling.
-  void RunIndexed(size_t count, const std::function<void(size_t)>& fn,
-                  ParallelProgress* progress = nullptr) const;
-
-  // Cancelable variant: |cancel| is polled before claiming each index; once
-  // it returns true no new indices start, but tasks already claimed run to
-  // completion (a graceful drain, not an abort). Returns the number of tasks
-  // that ran. Which indices ran is scheduling-dependent under cancellation —
-  // callers must track completion per index, not assume a prefix.
+  // worker id) so an external sampler can observe per-worker state. It must
+  // be sized for at least Jobs() workers and never alters scheduling.
   size_t RunIndexed(size_t count, const std::function<void(size_t)>& fn,
-                    const std::function<bool()>& cancel,
+                    const std::function<bool()>& cancel = nullptr,
                     ParallelProgress* progress = nullptr) const;
-
-  // Convenience: materializes make(i) for every index into an index-ordered
-  // vector. T must be default-constructible and movable.
-  template <typename T, typename MakeFn>
-  std::vector<T> Map(size_t count, MakeFn&& make) const {
-    std::vector<T> results(count);
-    RunIndexed(count, [&](size_t i) { results[i] = make(i); });
-    return results;
-  }
 
  private:
   size_t jobs_;

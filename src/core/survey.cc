@@ -197,19 +197,13 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
   }
 
   std::vector<ExperimentResult> results(local_count);
-  if (journal != nullptr) {
-    // Journaled runs are cancelable: a shutdown signal drains in-flight
-    // sites (which still reach the journal) and skips the rest.
-    runner.RunIndexed(
-        local_count, [&](size_t local) { results[local] = run_site(local); },
-        [] { return ShutdownRequested(); }, worker_progress.get());
-    if (processed.load(std::memory_order_relaxed) < local_count) {
-      journal->interrupted.store(true, std::memory_order_relaxed);
-    }
-  } else {
-    runner.RunIndexed(
-        local_count, [&](size_t local) { results[local] = run_site(local); },
-        worker_progress.get());
+  // Journaled runs are cancelable: a shutdown signal drains in-flight sites
+  // (which still reach the journal) and skips the rest.
+  runner.RunIndexed(
+      local_count, [&](size_t local) { results[local] = run_site(local); },
+      journal != nullptr ? ShutdownRequested : nullptr, worker_progress.get());
+  if (journal != nullptr && processed.load(std::memory_order_relaxed) < local_count) {
+    journal->interrupted.store(true, std::memory_order_relaxed);
   }
   if (sampler != nullptr) {
     sampler->Stop();  // emits the final done/total snapshot

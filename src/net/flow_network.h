@@ -29,8 +29,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/net/indexed_heap.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/indexed_heap.h"
 
 namespace mfc {
 

@@ -46,40 +46,25 @@ void Reactor::UnwatchFd(int fd) {
 }
 
 Reactor::TimerId Reactor::ScheduleAt(double when, std::function<void()> callback) {
-  TimerId id = next_timer_id_++;
-  timers_.push(TimerEntry{when, next_seq_++, id});
-  timer_callbacks_.emplace(id, std::move(callback));
-  return id;
+  return timers_.ScheduleAt(when, std::move(callback));
 }
 
 Reactor::TimerId Reactor::ScheduleAfter(double delay, std::function<void()> callback) {
   return ScheduleAt(Now() + delay, std::move(callback));
 }
 
-bool Reactor::CancelTimer(TimerId id) { return timer_callbacks_.erase(id) > 0; }
+bool Reactor::CancelTimer(TimerId id) { return timers_.Cancel(id); }
 
 void Reactor::FireDueTimers() {
-  double now = Now();
-  while (!timers_.empty() && timers_.top().when <= now) {
-    TimerEntry top = timers_.top();
-    timers_.pop();
-    auto it = timer_callbacks_.find(top.id);
-    if (it == timer_callbacks_.end()) {
-      continue;  // cancelled
-    }
-    auto callback = std::move(it->second);
-    timer_callbacks_.erase(it);
-    ++stats_.timers_fired;
-    callback();
-  }
+  timers_.RunUntil(Now());
+  stats_.timers_fired = timers_.ExecutedCount();
 }
 
 double Reactor::NextTimerDelay() const {
-  // Skim over cancelled heads without mutating (they drain in FireDueTimers).
-  if (timers_.empty()) {
+  if (timers_.PendingCount() == 0) {
     return 0.1;
   }
-  return std::max(0.0, timers_.top().when - Now());
+  return std::max(0.0, timers_.NextTime() - Now());
 }
 
 void Reactor::PollOnce(double max_wait) {

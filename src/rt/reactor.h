@@ -1,18 +1,21 @@
-// Real-time event loop (epoll + timer heap) for the live-socket runtime.
+// Real-time event loop (epoll + timer queue) for the live-socket runtime.
 //
 // The simulation substrate runs the MFC control logic against virtual time;
 // this reactor runs the very same logic against CLOCK_MONOTONIC and real
 // sockets — the deployable form of the paper's coordinator/client programs.
+// Its timers live in an EventLoop whose clock is the monotonic instant of
+// the last poll, so a cancelled timer leaves the queue at once. A timer due
+// before that instant is clamped to it: several overdue timers run at the
+// next poll in scheduling order, not deadline order.
 // Single-threaded: all callbacks fire on the thread calling Run/Poll.
 #ifndef MFC_SRC_RT_REACTOR_H_
 #define MFC_SRC_RT_REACTOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
 #include <unordered_map>
-#include <unordered_set>
+
+#include "src/sim/event_loop.h"
 
 namespace mfc {
 
@@ -28,7 +31,7 @@ struct ReactorStats {
 class Reactor {
  public:
   using FdCallback = std::function<void(uint32_t epoll_events)>;
-  using TimerId = uint64_t;
+  using TimerId = EventId;  // 0 is never a valid id
 
   Reactor();
   ~Reactor();
@@ -61,28 +64,13 @@ class Reactor {
   const ReactorStats& stats() const { return stats_; }
 
  private:
-  struct TimerEntry {
-    double when;
-    uint64_t seq;
-    TimerId id;
-    bool operator<(const TimerEntry& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      return seq > other.seq;
-    }
-  };
-
   void FireDueTimers();
   double NextTimerDelay() const;
 
   int epoll_fd_ = -1;
   bool running_ = false;
   ReactorStats stats_;
-  uint64_t next_seq_ = 0;
-  TimerId next_timer_id_ = 1;
-  std::priority_queue<TimerEntry> timers_;
-  std::unordered_map<TimerId, std::function<void()>> timer_callbacks_;
+  EventLoop timers_;  // clock: Now() at the last FireDueTimers
   std::unordered_map<int, FdCallback> fd_callbacks_;
 };
 

@@ -13,13 +13,12 @@ ServerCluster::ServerCluster(EventLoop& loop, const WebServerConfig& config, siz
     replica_config.name = config.name + "-" + std::to_string(i);
     replicas_.push_back(std::make_unique<WebServer>(loop, replica_config, content));
   }
-  outstanding_.assign(replica_count, 0);
 }
 
 size_t ServerCluster::PickReplica() const {
   size_t best = 0;
-  for (size_t i = 1; i < outstanding_.size(); ++i) {
-    if (outstanding_[i] < outstanding_[best]) {
+  for (size_t i = 1; i < replicas_.size(); ++i) {
+    if (replicas_[i]->OutstandingRequests() < replicas_[best]->OutstandingRequests()) {
       best = i;
     }
   }
@@ -28,21 +27,7 @@ size_t ServerCluster::PickReplica() const {
 
 void ServerCluster::OnRequest(const HttpRequest& request, bool is_mfc,
                               ResponseTransport transport) {
-  size_t idx = PickReplica();
-  ++outstanding_[idx];
-  auto wrapped = [this, idx, transport = std::move(transport)](
-                     HttpStatus status, double bytes, std::function<void()> on_sent) mutable {
-    auto release = [this, idx, on_sent = std::move(on_sent)]() mutable {
-      if (outstanding_[idx] > 0) {
-        --outstanding_[idx];
-      }
-      if (on_sent) {
-        on_sent();
-      }
-    };
-    transport(status, bytes, std::move(release));
-  };
-  replicas_[idx]->OnRequest(request, is_mfc, std::move(wrapped));
+  replicas_[PickReplica()]->OnRequest(request, is_mfc, std::move(transport));
 }
 
 size_t ServerCluster::TotalActiveThreads() const {

@@ -38,7 +38,6 @@ class ServerCluster : public HttpTarget {
 
   const ContentStore* content_;
   std::vector<std::unique_ptr<WebServer>> replicas_;
-  std::vector<size_t> outstanding_;
 };
 
 }  // namespace mfc

@@ -25,6 +25,7 @@ void WebServer::OnRequest(const HttpRequest& request, bool is_mfc, ResponseTrans
   access_log_.push_back(AccessLogEntry{loop_.Now(), request.method, request.target,
                                        HttpStatus::kOk, 0.0, is_mfc});
   CtxHandle handle = requests_.Acquire();
+  ++outstanding_;
   Ctx& ctx = Record(handle);
   ctx.method = request.method;
   ctx.object = content_ != nullptr ? content_->Find(request.Path()) : nullptr;
@@ -246,6 +247,7 @@ void WebServer::OnSent(CtxHandle handle) {
   }
   bool had_thread = ctx.had_thread;
   requests_.Release(handle);
+  --outstanding_;
   if (had_thread) {
     ReleaseThread();
   }

@@ -109,6 +109,9 @@ class WebServer : public HttpTarget {
   double MemoryUsedBytes() const { return memory_.UsedBytes(); }
   size_t ActiveCgiProcesses() const { return active_cgi_; }
   uint64_t Rejected503() const { return rejected_; }
+  // Requests between arrival and their last byte sent: the load balancer's
+  // least-outstanding-requests measure.
+  size_t OutstandingRequests() const { return outstanding_; }
 
   CpuResource& Cpu() { return cpu_; }
   DiskResource& Disk() { return disk_; }
@@ -194,6 +197,7 @@ class WebServer : public HttpTarget {
   Telemetry* telemetry_ = nullptr;
   size_t active_threads_ = 0;
   RecordPool<Ctx> requests_;
+  size_t outstanding_ = 0;  // live records in requests_
   std::deque<CtxHandle> accept_queue_;
   size_t active_cgi_ = 0;
   std::deque<CtxHandle> cgi_wait_;  // Mongrel admission queue

@@ -1,14 +1,15 @@
-// Indexed binary min-heap over dense item indices.
+// Indexed 4-ary min-heap over dense item indices.
 //
-// The flow allocator keeps one heap of predicted completion instants and one
-// of slow-start doubling instants, keyed by flow slot. Unlike
+// EventLoop keys its pending events by callback record, and the flow
+// allocator keeps one heap of predicted completion instants and one of
+// slow-start doubling instants, keyed by flow slot. Unlike
 // std::priority_queue, entries can be reprioritized or removed in O(log n)
-// through a position index, so a reallocation that changes a handful of flow
-// rates never rebuilds or lazily poisons the queue. Ties are broken by a
-// caller-supplied sequence number (flow creation order), which keeps pop
-// order deterministic.
-#ifndef MFC_SRC_NET_INDEXED_HEAP_H_
-#define MFC_SRC_NET_INDEXED_HEAP_H_
+// through a position index, so a cancel or a re-key never rebuilds or lazily
+// poisons the queue. Ties are broken by a caller-supplied sequence number,
+// which keeps pop order deterministic. Four children per node halve a binary
+// heap's depth; DESIGN.md §10 records how the arity measured.
+#ifndef MFC_SRC_SIM_INDEXED_HEAP_H_
+#define MFC_SRC_SIM_INDEXED_HEAP_H_
 
 #include <cassert>
 #include <cstddef>
@@ -43,26 +44,22 @@ class IndexedMinHeap {
   }
 
   // Inserts |item| or changes its priority. |seq| orders equal keys
-  // (ascending), so it should be stable per item across updates.
+  // (ascending).
   void Update(uint32_t item, double key, uint64_t seq) {
     if (item >= pos_.size()) {
       pos_.resize(item + 1, kAbsent);
     }
+    Node node{key, seq, item};
     if (pos_[item] == kAbsent) {
-      pos_[item] = static_cast<uint32_t>(nodes_.size());
-      nodes_.push_back(Node{key, seq, item});
-      SiftUp(pos_[item]);
+      nodes_.emplace_back();
+      SiftUp(nodes_.size() - 1, node);
       return;
     }
     size_t i = pos_[item];
-    Node& node = nodes_[i];
-    bool decreased = key < node.key || (key == node.key && seq < node.seq);
-    node.key = key;
-    node.seq = seq;
-    if (decreased) {
-      SiftUp(i);
+    if (node.Before(nodes_[i])) {
+      SiftUp(i, node);
     } else {
-      SiftDown(i);
+      SiftDown(i, node);
     }
   }
 
@@ -73,20 +70,18 @@ class IndexedMinHeap {
     }
     size_t i = pos_[item];
     pos_[item] = kAbsent;
-    if (i + 1 == nodes_.size()) {
-      nodes_.pop_back();
+    Node filler = nodes_.back();
+    nodes_.pop_back();
+    if (i == nodes_.size()) {
       return;
     }
-    nodes_[i] = nodes_.back();
-    nodes_.pop_back();
-    pos_[nodes_[i].item] = static_cast<uint32_t>(i);
     // The filler came from the bottom: if it beats its new parent the subtree
     // below i is already fine (parent bounded i's old children), else the
     // ancestors are fine and it sifts down. Exactly one direction applies.
-    if (i > 0 && nodes_[i].Before(nodes_[(i - 1) / 2])) {
-      SiftUp(i);
+    if (i > 0 && filler.Before(nodes_[(i - 1) / kArity])) {
+      SiftUp(i, filler);
     } else {
-      SiftDown(i);
+      SiftDown(i, filler);
     }
   }
 
@@ -113,43 +108,49 @@ class IndexedMinHeap {
     }
   };
 
+  static constexpr size_t kArity = 4;
   static constexpr uint32_t kAbsent = UINT32_MAX;
 
-  void SiftUp(size_t i) {
-    Node node = nodes_[i];
-    while (i > 0) {
-      size_t parent = (i - 1) / 2;
-      if (!node.Before(nodes_[parent])) {
-        break;
-      }
-      nodes_[i] = nodes_[parent];
-      pos_[nodes_[i].item] = static_cast<uint32_t>(i);
-      i = parent;
-    }
+  void Place(size_t i, const Node& node) {
     nodes_[i] = node;
     pos_[node.item] = static_cast<uint32_t>(i);
   }
 
-  void SiftDown(size_t i) {
-    Node node = nodes_[i];
-    size_t n = nodes_.size();
-    for (;;) {
-      size_t child = 2 * i + 1;
-      if (child >= n) {
+  // Moves the hole at |i| up until |node| fits, then fills it.
+  void SiftUp(size_t i, Node node) {
+    while (i > 0) {
+      size_t parent = (i - 1) / kArity;
+      if (!node.Before(nodes_[parent])) {
         break;
       }
-      if (child + 1 < n && nodes_[child + 1].Before(nodes_[child])) {
-        ++child;
-      }
-      if (!nodes_[child].Before(node)) {
-        break;
-      }
-      nodes_[i] = nodes_[child];
-      pos_[nodes_[i].item] = static_cast<uint32_t>(i);
-      i = child;
+      Place(i, nodes_[parent]);
+      i = parent;
     }
-    nodes_[i] = node;
-    pos_[node.item] = static_cast<uint32_t>(i);
+    Place(i, node);
+  }
+
+  // Moves the hole at |i| down until |node| fits, then fills it.
+  void SiftDown(size_t i, Node node) {
+    const size_t n = nodes_.size();
+    for (;;) {
+      size_t first = kArity * i + 1;
+      if (first >= n) {
+        break;
+      }
+      size_t end = first + kArity < n ? first + kArity : n;
+      size_t best = first;
+      for (size_t child = first + 1; child < end; ++child) {
+        if (nodes_[child].Before(nodes_[best])) {
+          best = child;
+        }
+      }
+      if (!nodes_[best].Before(node)) {
+        break;
+      }
+      Place(i, nodes_[best]);
+      i = best;
+    }
+    Place(i, node);
   }
 
   std::vector<Node> nodes_;
@@ -158,4 +159,4 @@ class IndexedMinHeap {
 
 }  // namespace mfc
 
-#endif  // MFC_SRC_NET_INDEXED_HEAP_H_
+#endif  // MFC_SRC_SIM_INDEXED_HEAP_H_

@@ -1,6 +1,5 @@
 // Runtime health snapshots: the typed record a running survey, experiment,
-// or live fleet periodically captures about itself, plus the fixed-size ring
-// that retains the most recent ones.
+// or live fleet periodically captures about itself.
 //
 // A snapshot is pure data — capturing one never blocks the work being
 // observed. Survey snapshots are built from atomics the workers already
@@ -89,33 +88,6 @@ struct StatsSnapshot {
   // Named counter deltas since the previous snapshot of this stream (from a
   // MetricsRegistry the sampling thread may legally read). Insertion order.
   std::vector<std::pair<std::string, double>> counter_deltas;
-};
-
-// Fixed-capacity retention ring: Push overwrites the oldest snapshot once
-// full, so a week-long run holds a bounded window of recent history for the
-// final report and for tests.
-class SnapshotRing {
- public:
-  explicit SnapshotRing(size_t capacity);
-
-  void Push(StatsSnapshot snapshot);
-
-  size_t Capacity() const { return capacity_; }
-  size_t Size() const { return size_; }
-  bool Empty() const { return size_ == 0; }
-  // Snapshots pushed over the ring's lifetime, including overwritten ones.
-  uint64_t TotalPushed() const { return pushed_; }
-
-  // i = 0 is the oldest retained snapshot, i = Size() - 1 the newest.
-  const StatsSnapshot& At(size_t i) const;
-  const StatsSnapshot* Latest() const;
-
- private:
-  size_t capacity_;
-  size_t size_ = 0;
-  size_t head_ = 0;  // slot the next Push writes
-  uint64_t pushed_ = 0;
-  std::vector<StatsSnapshot> slots_;
 };
 
 }  // namespace mfc

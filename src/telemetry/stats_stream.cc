@@ -185,8 +185,8 @@ void MetricsDeltaTracker::Collect(const MetricsRegistry& metrics,
 
 // --- StatsStream ------------------------------------------------------------
 
-StatsStream::StatsStream(FILE* file, bool owned, std::string path, size_t retain)
-    : file_(file), owned_(owned), path_(std::move(path)), ring_(retain) {}
+StatsStream::StatsStream(FILE* file, bool owned, std::string path)
+    : file_(file), owned_(owned), path_(std::move(path)) {}
 
 StatsStream::~StatsStream() {
   if (file_ != nullptr) {
@@ -197,10 +197,9 @@ StatsStream::~StatsStream() {
   }
 }
 
-std::unique_ptr<StatsStream> StatsStream::Open(const std::string& path, std::string* error,
-                                               size_t retain) {
+std::unique_ptr<StatsStream> StatsStream::Open(const std::string& path, std::string* error) {
   if (path == "-") {
-    return std::unique_ptr<StatsStream>(new StatsStream(stdout, false, path, retain));
+    return std::unique_ptr<StatsStream>(new StatsStream(stdout, false, path));
   }
   FILE* f = fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -209,7 +208,7 @@ std::unique_ptr<StatsStream> StatsStream::Open(const std::string& path, std::str
     }
     return nullptr;
   }
-  return std::unique_ptr<StatsStream>(new StatsStream(f, true, path, retain));
+  return std::unique_ptr<StatsStream>(new StatsStream(f, true, path));
 }
 
 void StatsStream::Emit(StatsSnapshot snapshot) {
@@ -219,7 +218,6 @@ void StatsStream::Emit(StatsSnapshot snapshot) {
   line += '\n';
   fwrite(line.data(), 1, line.size(), file_);
   fflush(file_);
-  ring_.Push(std::move(snapshot));
   emitted_.fetch_add(1, std::memory_order_relaxed);
 }
 

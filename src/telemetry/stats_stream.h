@@ -1,8 +1,8 @@
 // Streaming runtime-health plane: serializes StatsSnapshots as JSONL to a
-// file (or stdout), retains recent history in a SnapshotRing, and provides
-// the samplers that capture snapshots at a fixed cadence — wall-clock for
-// surveys (a sampler thread reading worker atomics) and simulated-time for
-// single experiments (read-only events on the world's own EventLoop).
+// file (or stdout) and provides the samplers that capture snapshots at a
+// fixed cadence — wall-clock for surveys (a sampler thread reading worker
+// atomics) and simulated-time for single experiments (read-only events on
+// the world's own EventLoop).
 //
 // Everything here is opt-in: with no stream and no progress line attached,
 // the instrumented code paths cost one null test and all tool outputs stay
@@ -73,32 +73,29 @@ class MetricsDeltaTracker {
 };
 
 // Append-only JSONL sink for snapshots. Thread-safe: Emit may be called from
-// a sampler thread while the owner later reads History().
+// several sampler threads.
 class StatsStream {
  public:
   // |path| "-" writes to stdout. Returns null (with |error| set) when the
-  // file cannot be created. |retain| bounds the in-memory history ring.
-  static std::unique_ptr<StatsStream> Open(const std::string& path, std::string* error,
-                                           size_t retain = 256);
+  // file cannot be created.
+  static std::unique_ptr<StatsStream> Open(const std::string& path, std::string* error);
   ~StatsStream();
   StatsStream(const StatsStream&) = delete;
   StatsStream& operator=(const StatsStream&) = delete;
 
-  // Stamps |snapshot|.seq, appends one JSON line, and retains the snapshot.
+  // Stamps |snapshot|.seq and appends one JSON line.
   void Emit(StatsSnapshot snapshot);
 
   bool Flush();
   const std::string& Path() const { return path_; }
 
-  // History must not race Emit; read it after the samplers stopped.
-  const SnapshotRing& History() const { return ring_; }
   uint64_t Emitted() const { return emitted_.load(std::memory_order_relaxed); }
 
   // One snapshot as a single JSON object line (no trailing newline).
   static std::string ToJsonLine(const StatsSnapshot& snapshot);
 
  private:
-  StatsStream(FILE* file, bool owned, std::string path, size_t retain);
+  StatsStream(FILE* file, bool owned, std::string path);
 
   std::mutex mu_;
   FILE* file_;
@@ -106,7 +103,6 @@ class StatsStream {
   std::string path_;
   uint64_t next_seq_ = 0;
   std::atomic<uint64_t> emitted_{0};
-  SnapshotRing ring_;
 };
 
 // Rate-limited single-line progress report on stderr: the replacement for

@@ -36,14 +36,23 @@ TEST(ParallelRunnerTest, SingleJobRunsInlineInIndexOrder) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(ParallelRunnerTest, MapCollectsIndexOrderedResults) {
-  ParallelRunner runner(8);
-  std::vector<uint64_t> out =
-      runner.Map<uint64_t>(100, [](size_t i) { return static_cast<uint64_t>(i * i); });
-  ASSERT_EQ(out.size(), 100u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], i * i);
-  }
+// Cancellation stops claiming new indices; a single worker stops after
+// exactly the tasks that ran before the cancel turned true.
+TEST(ParallelRunnerTest, CancelStopsClaimingNewIndices) {
+  ParallelRunner single(1);
+  std::vector<size_t> order;
+  size_t ran = single.RunIndexed(
+      16, [&](size_t i) { order.push_back(i); }, [&] { return order.size() == 3; });
+  EXPECT_EQ(ran, 3u);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
+
+  ParallelRunner pool(4);
+  std::atomic<size_t> started{0};
+  ran = pool.RunIndexed(
+      64, [&](size_t) { started.fetch_add(1); }, [&] { return started.load() >= 8; });
+  EXPECT_EQ(ran, started.load());
+  EXPECT_GE(ran, 8u);
+  EXPECT_LT(ran, 64u);
 }
 
 TEST(ParallelRunnerTest, ResolveJobsPrefersExplicitThenEnv) {

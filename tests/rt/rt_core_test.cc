@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/rt/reactor.h"
 #include "src/rt/sockets.h"
 #include "src/rt/wire.h"
@@ -43,6 +45,20 @@ TEST(ReactorTest, CancelledTimerNeverFires) {
   EXPECT_FALSE(reactor.CancelTimer(id));
   reactor.RunUntil([] { return false; }, reactor.Now() + 0.05);
   EXPECT_FALSE(fired);
+}
+
+// A deadline before the last poll is clamped to that poll's instant, so
+// overdue timers fire on the next poll, in scheduling order.
+TEST(ReactorTest, TimerDueInThePastFiresOnNextPoll) {
+  Reactor reactor;
+  reactor.PollOnce(0.0);
+  std::vector<int> order;
+  reactor.ScheduleAt(reactor.Now() - 5.0, [&] { order.push_back(1); });
+  reactor.ScheduleAt(reactor.Now() - 10.0, [&] { order.push_back(2); });
+  double start = reactor.Now();
+  reactor.PollOnce(1.0);
+  EXPECT_LT(reactor.Now() - start, 0.5);  // the due timers cut the wait short
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(ReactorTest, RunUntilHonorsDeadline) {

@@ -237,6 +237,26 @@ TEST(EventLoopTest, StaleIdCannotCancelReusedSlot) {
   EXPECT_TRUE(ran);
 }
 
+// An id that names a free slot with the slot's current generation (one
+// generation past a cancelled id) is no live event: Cancel and Reschedule
+// must reject it without freeing the slot a second time.
+TEST(EventLoopTest, ForgedIdNamingAFreeSlotIsRejected) {
+  EventLoop loop;
+  EventId cancelled = loop.ScheduleAt(1.0, [] {});
+  ASSERT_TRUE(loop.Cancel(cancelled));
+  EventId forged = cancelled + (EventId{1} << 32);
+  EXPECT_FALSE(loop.Cancel(forged));
+  EXPECT_EQ(loop.Reschedule(forged, 2.0), 0u);
+  EXPECT_EQ(loop.PendingCount(), 0u);
+  std::vector<int> order;
+  EventId a = loop.ScheduleAt(3.0, [&] { order.push_back(1); });
+  EventId b = loop.ScheduleAt(4.0, [&] { order.push_back(2); });
+  EXPECT_NE(a & 0xffffffffu, b & 0xffffffffu);  // distinct slots
+  EXPECT_EQ(loop.PendingCount(), 2u);
+  loop.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(EventLoopTest, IdsStayUniqueAcrossHeavySlotReuse) {
   EventLoop loop;
   EventId last = 0;

@@ -1,4 +1,4 @@
-#include "src/net/indexed_heap.h"
+#include "src/sim/indexed_heap.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -148,6 +149,72 @@ TEST(IndexedHeapTest, RandomOpsMatchOracle) {
     if (!oracle.empty()) {
       ASSERT_EQ(heap.TopItem(), std::get<2>(*oracle.begin()));
     }
+  }
+}
+
+// Seeded scripts of Update, Remove and Pop against an ordered-set reference.
+// Keys sit on a coarse grid, so equal keys are common and the seq tie-break
+// decides the order. Even seeds take a fresh seq on every update (the event
+// loop's rule), odd seeds keep one seq per item (the flow allocator's rule).
+// Most scripts insert more than they remove, so the heap grows past five
+// levels and removals' fillers come from other subtrees.
+TEST(IndexedHeapTest, SeededScriptsMatchOrderedSetReference) {
+  constexpr uint64_t kSeeds = 24;
+  constexpr int kOps = 4000;
+  constexpr uint32_t kItems = 600;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+    const bool fresh_seq = seed % 2 == 0;
+    IndexedMinHeap heap;
+    std::set<std::tuple<double, uint64_t, uint32_t>> ref;
+    std::vector<std::pair<double, uint64_t>> key_of(kItems);
+    std::vector<bool> present(kItems, false);
+    uint64_t next_seq = 0;
+    size_t peak = 0;
+    for (int op = 0; op < kOps; ++op) {
+      uint32_t item = static_cast<uint32_t>(rng.NextBelow(kItems));
+      uint64_t kind = rng.NextBelow(10);
+      if (kind < 6) {
+        double key = static_cast<double>(rng.NextBelow(16));
+        uint64_t seq = fresh_seq ? next_seq++ : item;
+        if (present[item]) {
+          ref.erase({key_of[item].first, key_of[item].second, item});
+        }
+        heap.Update(item, key, seq);
+        ref.insert({key, seq, item});
+        key_of[item] = {key, seq};
+        present[item] = true;
+      } else if (kind < 8) {
+        heap.Remove(item);
+        if (present[item]) {
+          ref.erase({key_of[item].first, key_of[item].second, item});
+          present[item] = false;
+        }
+      } else if (!ref.empty()) {
+        uint32_t top = std::get<2>(*ref.begin());
+        ASSERT_EQ(heap.TopItem(), top) << "seed " << seed << " op " << op;
+        heap.Pop();
+        ref.erase(ref.begin());
+        present[top] = false;
+      }
+      ASSERT_EQ(heap.Size(), ref.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(heap.Contains(item), present[item]) << "seed " << seed << " op " << op;
+      if (present[item]) {
+        ASSERT_EQ(heap.KeyOf(item), key_of[item].first) << "seed " << seed << " op " << op;
+      }
+      if (!ref.empty()) {
+        ASSERT_EQ(heap.TopItem(), std::get<2>(*ref.begin())) << "seed " << seed << " op " << op;
+        ASSERT_EQ(heap.TopKey(), std::get<0>(*ref.begin())) << "seed " << seed << " op " << op;
+      }
+      peak = std::max(peak, heap.Size());
+    }
+    // 1 + 4 + 16 + 64 = 85 entries fill four levels.
+    EXPECT_GT(peak, 85u) << "seed " << seed;
+    for (const auto& entry : ref) {
+      ASSERT_EQ(heap.TopItem(), std::get<2>(entry)) << "seed " << seed;
+      heap.Pop();
+    }
+    EXPECT_TRUE(heap.Empty());
   }
 }
 

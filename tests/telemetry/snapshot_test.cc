@@ -1,12 +1,13 @@
-// Runtime health plane unit tests: snapshot ring retention, worker progress
-// cells, counter-delta tracking, JSONL serialization, survey-progress
-// arithmetic, and the read-only guarantee of the simulated-time sampler.
+// Runtime health plane unit tests: worker progress cells, counter-delta
+// tracking, JSONL serialization, survey-progress arithmetic, and the
+// read-only guarantee of the simulated-time sampler.
 #include "src/telemetry/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -22,47 +23,20 @@
 namespace mfc {
 namespace {
 
-StatsSnapshot Stamped(double t) {
-  StatsSnapshot s;
-  s.t = t;
-  return s;
-}
-
-TEST(SnapshotRingTest, ZeroCapacityClampsToOne) {
-  SnapshotRing ring(0);
-  EXPECT_EQ(ring.Capacity(), 1u);
-  ring.Push(Stamped(1.0));
-  ring.Push(Stamped(2.0));
-  EXPECT_EQ(ring.Size(), 1u);
-  ASSERT_NE(ring.Latest(), nullptr);
-  EXPECT_DOUBLE_EQ(ring.Latest()->t, 2.0);
-}
-
-TEST(SnapshotRingTest, PartialFillKeepsInsertionOrder) {
-  SnapshotRing ring(4);
-  EXPECT_TRUE(ring.Empty());
-  EXPECT_EQ(ring.Latest(), nullptr);
-  ring.Push(Stamped(1.0));
-  ring.Push(Stamped(2.0));
-  EXPECT_EQ(ring.Size(), 2u);
-  EXPECT_EQ(ring.TotalPushed(), 2u);
-  EXPECT_DOUBLE_EQ(ring.At(0).t, 1.0);
-  EXPECT_DOUBLE_EQ(ring.At(1).t, 2.0);
-  EXPECT_DOUBLE_EQ(ring.Latest()->t, 2.0);
-}
-
-TEST(SnapshotRingTest, OverwritesOldestWhenFull) {
-  SnapshotRing ring(3);
-  for (int i = 1; i <= 5; ++i) {
-    ring.Push(Stamped(static_cast<double>(i)));
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
   }
-  EXPECT_EQ(ring.Size(), 3u);
-  EXPECT_EQ(ring.TotalPushed(), 5u);
-  // 1 and 2 were overwritten; oldest-to-newest reads 3, 4, 5.
-  EXPECT_DOUBLE_EQ(ring.At(0).t, 3.0);
-  EXPECT_DOUBLE_EQ(ring.At(1).t, 4.0);
-  EXPECT_DOUBLE_EQ(ring.At(2).t, 5.0);
-  EXPECT_DOUBLE_EQ(ring.Latest()->t, 5.0);
+  return lines;
+}
+
+// The "t" field every stats line starts with.
+double LineTime(const std::string& line) {
+  const std::string prefix = "{\"t\":";
+  EXPECT_EQ(line.compare(0, prefix.size(), prefix), 0) << line;
+  return std::strtod(line.c_str() + prefix.size(), nullptr);
 }
 
 TEST(ParallelProgressTest, ClaimAndDoneLifecycle) {
@@ -121,7 +95,7 @@ TEST(MetricsDeltaTrackerTest, ReportsOnlyChangedCounters) {
 TEST(StatsStreamTest, EmitStampsSequenceAndRetainsHistory) {
   std::string path = testing::TempDir() + "/stats_stream_emit.jsonl";
   std::string error;
-  auto stream = StatsStream::Open(path, &error, /*retain=*/2);
+  auto stream = StatsStream::Open(path, &error);
   ASSERT_NE(stream, nullptr) << error;
 
   for (int i = 0; i < 3; ++i) {
@@ -131,23 +105,17 @@ TEST(StatsStreamTest, EmitStampsSequenceAndRetainsHistory) {
     stream->Emit(std::move(snap));
   }
   EXPECT_EQ(stream->Emitted(), 3u);
-  // Retention ring holds only the last two, but seq counts every emit.
-  EXPECT_EQ(stream->History().Size(), 2u);
-  EXPECT_EQ(stream->History().At(0).seq, 1u);
-  EXPECT_EQ(stream->History().Latest()->seq, 2u);
 
   stream.reset();  // flush + close
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    std::string expect_seq = "\"seq\":" + std::to_string(lines);
-    EXPECT_NE(line.find(expect_seq), std::string::npos) << line;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    ++lines;
+  // The file holds the whole history: one line per emit, stamped in order.
+  std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 3u);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    std::string expect_head = "\"t\":" + std::to_string(i) + ",\"seq\":" + std::to_string(i);
+    EXPECT_NE(lines[i].find(expect_head), std::string::npos) << lines[i];
+    EXPECT_EQ(lines[i].front(), '{');
+    EXPECT_EQ(lines[i].back(), '}');
   }
-  EXPECT_EQ(lines, 3);
 }
 
 TEST(StatsStreamTest, OpenFailureReportsError) {
@@ -275,14 +243,15 @@ TEST(SimStatsSamplerTest, SamplingIsReadOnlyAndOnCadence) {
   EXPECT_DOUBLE_EQ(sampled.Now(), plain.Now());
 
   // Seven ticks (t = 10..70) plus the final Stop() snapshot at t = 75.
-  const SnapshotRing& history = stream->History();
-  ASSERT_EQ(history.Size(), 8u);
+  ASSERT_TRUE(stream->Flush());
+  std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 8u);
   for (size_t i = 0; i < 7; ++i) {
-    EXPECT_DOUBLE_EQ(history.At(i).t, 10.0 * static_cast<double>(i + 1));
-    EXPECT_EQ(history.At(i).clock, "sim");
-    EXPECT_TRUE(history.At(i).has_sim);
+    EXPECT_DOUBLE_EQ(LineTime(lines[i]), 10.0 * static_cast<double>(i + 1));
+    EXPECT_NE(lines[i].find("\"clock\":\"sim\""), std::string::npos) << lines[i];
+    EXPECT_NE(lines[i].find("\"sim\":{"), std::string::npos) << lines[i];
   }
-  EXPECT_DOUBLE_EQ(history.Latest()->t, 75.0);
+  EXPECT_DOUBLE_EQ(LineTime(lines[7]), 75.0);
 }
 
 }  // namespace

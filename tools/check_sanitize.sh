@@ -14,15 +14,16 @@ cd "$(dirname "$0")/.."
 
 # Reactor polls and socket waits make these tests timing-sensitive; the
 # sanitizer slowdown is real, so give ctest headroom instead of flaking.
-FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal'
+FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|RecordPool|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal'
 TIMEOUT=600
 # Only the binaries the filter can hit — building every bench/example under
 # two sanitizers would dominate the wall clock for no extra coverage.
 # (Undiscovered sibling test binaries surface as *_NOT_BUILT placeholders,
 # which the filter never matches.)
-# mfc_net_tests/mfc_sim_tests cover the incremental flow allocator and its
+# mfc_net_tests/mfc_sim_tests cover the incremental flow allocator, the
+# shared indexed heap and the record pool under the event loop and its
 # slot/generation handle reuse — exactly the pointer-lifetime surface the
-# hot-path rework touches, including the 10k-op differential test.
+# hot-path rework touches, including the differential tests.
 # mfc_telemetry_tests covers the health-plane snapshot/stream machinery —
 # its background writer thread and the shared progress cells the survey
 # workers update are precisely what TSan should see.
