@@ -55,10 +55,7 @@ Reactor::TimerId Reactor::ScheduleAfter(double delay, std::function<void()> call
 
 bool Reactor::CancelTimer(TimerId id) { return timers_.Cancel(id); }
 
-void Reactor::FireDueTimers() {
-  timers_.RunUntil(Now());
-  stats_.timers_fired = timers_.ExecutedCount();
-}
+void Reactor::FireDueTimers() { timers_.RunUntil(Now()); }
 
 double Reactor::NextTimerDelay() const {
   if (timers_.PendingCount() == 0) {
@@ -71,14 +68,12 @@ void Reactor::PollOnce(double max_wait) {
   double wait = std::min(max_wait, NextTimerDelay());
   int timeout_ms = static_cast<int>(wait * 1000.0);
   epoll_event events[64];
-  ++stats_.polls;
   int n = epoll_wait(epoll_fd_, events, 64, std::max(0, timeout_ms));
   for (int i = 0; i < n; ++i) {
     auto it = fd_callbacks_.find(events[i].data.fd);
     if (it != fd_callbacks_.end()) {
       // Copy: the callback may unwatch (and thus erase) itself.
       FdCallback callback = it->second;
-      ++stats_.fd_dispatches;
       callback(events[i].events);
     }
   }

@@ -19,15 +19,6 @@
 
 namespace mfc {
 
-// Loop-health counters, exported by the live harness through
-// MetricsRegistry (live.reactor.*): how often the loop turned, how much fd
-// and timer work each turn dispatched.
-struct ReactorStats {
-  uint64_t polls = 0;         // PollOnce calls (epoll_wait syscalls)
-  uint64_t fd_dispatches = 0;  // fd events handed to callbacks
-  uint64_t timers_fired = 0;   // timer callbacks run
-};
-
 class Reactor {
  public:
   using FdCallback = std::function<void(uint32_t epoll_events)>;
@@ -61,15 +52,12 @@ class Reactor {
   void Run();
   void Stop() { running_ = false; }
 
-  const ReactorStats& stats() const { return stats_; }
-
  private:
   void FireDueTimers();
   double NextTimerDelay() const;
 
   int epoll_fd_ = -1;
   bool running_ = false;
-  ReactorStats stats_;
   EventLoop timers_;  // clock: Now() at the last FireDueTimers
   std::unordered_map<int, FdCallback> fd_callbacks_;
 };

@@ -17,6 +17,7 @@
 #include "src/server/lru_cache.h"
 #include "src/server/resources.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/record_pool.h"
 
 namespace mfc {
 
@@ -39,7 +40,8 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  // Runs the query; |done| fires when the result is ready to serialize.
+  // Runs the query; |done| fires when the result is ready to serialize. The
+  // key is copied: the caller's string may go before the query completes.
   void Execute(const std::string& key, uint64_t rows, double result_bytes,
                std::function<void()> done);
 
@@ -47,20 +49,30 @@ class Database {
   size_t QueuedQueries() const { return waiting_.size(); }
   const LruByteCache& QueryCache() const { return cache_; }
   uint64_t ExecutedQueries() const { return executed_; }
+  // Pooled query records, live or free: the most queries ever in flight
+  // (running or waiting) at once.
+  size_t QueryRecords() const { return queries_.Capacity(); }
 
   // Flushes the query cache (table modification, in MySQL semantics).
   void InvalidateCache() { cache_.Clear(); }
 
  private:
-  struct Pending {
+  // One query, pooled from Execute until |done| fires. Each disk and CPU
+  // step captures {this, handle}, and a released record keeps its key's
+  // buffer for the next query.
+  struct Query {
     std::string key;
-    uint64_t rows;
-    double result_bytes;
+    uint64_t rows = 0;
+    double result_bytes = 0.0;
     std::function<void()> done;
   };
+  using QueryHandle = RecordPool<Query>::Handle;
 
-  void Admit(Pending pending);
-  void Finish(Pending pending);
+  // The live record |handle| names; every step runs exactly once.
+  Query& Record(QueryHandle handle);
+  void Admit(QueryHandle handle);
+  void Scan(QueryHandle handle);
+  void Finish(QueryHandle handle);
 
   EventLoop& loop_;
   DatabaseConfig config_;
@@ -69,7 +81,8 @@ class Database {
   LruByteCache cache_;
   size_t active_ = 0;
   uint64_t executed_ = 0;
-  std::deque<Pending> waiting_;
+  RecordPool<Query> queries_;
+  std::deque<QueryHandle> waiting_;
 };
 
 }  // namespace mfc

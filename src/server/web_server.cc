@@ -34,17 +34,37 @@ void WebServer::OnRequest(const HttpRequest& request, bool is_mfc, ResponseTrans
   if (telemetry_ != nullptr && telemetry_->Enabled()) {
     RequestTrace& trace = ctx.trace.emplace();
     trace.arrival = loop_.Now();
-    trace.stage = telemetry_->stage;
+    trace.stage = StageIndex(telemetry_->stage);
     if (telemetry_->tracer != nullptr) {
       Tracer& tracer = *telemetry_->tracer;
       trace.root = tracer.StartSpan("request", "server", 0, loop_.Now());
       tracer.Attr(trace.root, "target", request.target);
       tracer.Attr(trace.root, "method", std::string(MethodName(request.method)));
-      tracer.Attr(trace.root, "stage", trace.stage);
+      tracer.Attr(trace.root, "stage", telemetry_->stage);
       tracer.Attr(trace.root, "is_mfc", std::string(is_mfc ? "true" : "false"));
     }
   }
   Enqueue(handle);
+}
+
+void WebServer::SetTelemetry(Telemetry* telemetry) {
+  telemetry_ = telemetry;
+  // Labels stay: a request in flight holds its stage's index.
+  for (StageSlots& stage : stage_slots_) {
+    stage = StageSlots{std::move(stage.label)};
+  }
+  server_slots_ = ServerSlots();
+}
+
+uint32_t WebServer::StageIndex(const std::string& label) {
+  // A handful of labels per experiment (idle and one per stage).
+  for (size_t i = 0; i < stage_slots_.size(); ++i) {
+    if (stage_slots_[i].label == label) {
+      return static_cast<uint32_t>(i);
+    }
+  }
+  stage_slots_.push_back(StageSlots{label});
+  return static_cast<uint32_t>(stage_slots_.size() - 1);
 }
 
 WebServer::Ctx& WebServer::Record(CtxHandle handle) {
@@ -76,17 +96,34 @@ void WebServer::FinishRequestTrace(const RequestTrace& trace, HttpStatus status,
   }
   if (telemetry_->metrics != nullptr) {
     MetricsRegistry& m = *telemetry_->metrics;
-    const std::string prefix = "span." + trace.stage + ".";
-    m.Add(prefix + "count");
-    m.Add(prefix + "queue_s", trace.queue_s);
-    m.Add(prefix + "cpu_s", trace.cpu_s);
-    m.Add(prefix + "db_s", trace.db_s);
-    m.Add(prefix + "disk_s", trace.disk_s);
-    m.Add(prefix + "net_s", trace.net_s);
-    m.Add("server.requests_total");
+    StageSlots& stage = stage_slots_[trace.stage];
+    if (stage.count == nullptr) {
+      auto slot = [&](const char* field) {
+        return &m.CounterSlot("span." + stage.label + "." + field);
+      };
+      stage.count = slot("count");
+      stage.queue_s = slot("queue_s");
+      stage.cpu_s = slot("cpu_s");
+      stage.db_s = slot("db_s");
+      stage.disk_s = slot("disk_s");
+      stage.net_s = slot("net_s");
+    }
+    ServerSlots& server = server_slots_;
+    if (server.requests_total == nullptr) {
+      server.requests_total = &m.CounterSlot("server.requests_total");
+      server.request_ms_hist = &m.HistSlot("server.request_ms", LatencyBucketEdgesMs());
+      server.request_ms = &m.SummarySlot("server.request_ms");
+    }
+    *stage.count += 1.0;
+    *stage.queue_s += trace.queue_s;
+    *stage.cpu_s += trace.cpu_s;
+    *stage.db_s += trace.db_s;
+    *stage.disk_s += trace.disk_s;
+    *stage.net_s += trace.net_s;
+    *server.requests_total += 1.0;
     double total_ms = ToMillis(now - trace.arrival);
-    m.HistObserve("server.request_ms", LatencyBucketEdgesMs(), total_ms);
-    m.Observe("server.request_ms", total_ms);
+    server.request_ms_hist->Add(total_ms);
+    server.request_ms->Add(total_ms);
   }
 }
 
@@ -103,7 +140,10 @@ void WebServer::Enqueue(CtxHandle handle) {
   // Listen backlog exhausted: immediate refusal, no worker consumed.
   ++rejected_;
   if (telemetry_ != nullptr && telemetry_->metrics != nullptr) {
-    telemetry_->metrics->Add("server.rejected_503");
+    if (server_slots_.rejected_503 == nullptr) {
+      server_slots_.rejected_503 = &telemetry_->metrics->CounterSlot("server.rejected_503");
+    }
+    *server_slots_.rejected_503 += 1.0;
   }
   Send(handle, HttpStatus::kServiceUnavailable, 0.0);
 }

@@ -31,6 +31,7 @@
 #include "src/server/resources.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/record_pool.h"
+#include "src/telemetry/stats.h"
 #include "src/telemetry/trace.h"
 
 namespace mfc {
@@ -127,8 +128,10 @@ class WebServer : public HttpTarget {
   // Optional tracing/metrics sink. Null (the default) keeps the request path
   // identical to the uninstrumented server; when set, every request gets a
   // root "request" span with queue/cpu/db/disk/net children and per-stage
-  // span-time totals accumulate in the registry.
-  void SetTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
+  // span-time totals accumulate in the registry. The server keeps slots into
+  // the registry (metrics.h), so the registry must stay put while attached;
+  // calling SetTelemetry again drops them.
+  void SetTelemetry(Telemetry* telemetry);
 
  private:
   // Per-request span state, kept in the request's record while telemetry is
@@ -136,7 +139,7 @@ class WebServer : public HttpTarget {
   struct RequestTrace {
     SpanId root = 0;        // 0 when only metrics are enabled
     SimTime arrival = 0.0;
-    std::string stage;      // coordinator stage label at arrival
+    uint32_t stage = 0;     // index into stage_slots_ of the label at arrival
     double queue_s = 0.0;
     double cpu_s = 0.0;
     double db_s = 0.0;
@@ -173,6 +176,30 @@ class WebServer : public HttpTarget {
   // Closes the root span and flushes per-stage totals into the registry.
   void FinishRequestTrace(const RequestTrace& trace, HttpStatus status, double body_bytes);
 
+  // Registry slots one coordinator stage label's finished requests add to.
+  // They are resolved at the stage's first finished request, so its
+  // span.<Stage>.* entries appear exactly then: metrics CSV rows and
+  // --stats-stream deltas depend on when an entry appears.
+  struct StageSlots {
+    std::string label;
+    double* count = nullptr;  // null until resolved
+    double* queue_s = nullptr;
+    double* cpu_s = nullptr;
+    double* db_s = nullptr;
+    double* disk_s = nullptr;
+    double* net_s = nullptr;
+  };
+  // The index of |label|'s slot set, added unresolved when new.
+  uint32_t StageIndex(const std::string& label);
+  // Server-wide registry slots: the first three are resolved at the first
+  // finished request, rejected_503 at the first 503.
+  struct ServerSlots {
+    double* requests_total = nullptr;
+    Histogram* request_ms_hist = nullptr;
+    RunningStats* request_ms = nullptr;
+    double* rejected_503 = nullptr;
+  };
+
   void Enqueue(CtxHandle handle);
   void Process(CtxHandle handle);
   void Dispatch(CtxHandle handle);
@@ -195,6 +222,10 @@ class WebServer : public HttpTarget {
   LruByteCache page_cache_;
 
   Telemetry* telemetry_ = nullptr;
+  // Slots into telemetry_->metrics, each resolved when its entry first gets
+  // a value, never ahead of it; SetTelemetry drops them all.
+  std::vector<StageSlots> stage_slots_;
+  ServerSlots server_slots_;
   size_t active_threads_ = 0;
   RecordPool<Ctx> requests_;
   size_t outstanding_ = 0;  // live records in requests_

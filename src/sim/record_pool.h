@@ -17,6 +17,7 @@
 #define MFC_SRC_SIM_RECORD_POOL_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -76,6 +77,9 @@ class RecordPool {
     ++entries_[index].generation;
     return HandleOf(index);
   }
+
+  // Records held, live or free: the most ever live at once.
+  size_t Capacity() const { return entries_.size(); }
 
   // The record index a handle names, and the current handle of the record at
   // |index|. Indices are dense, so a caller can key a side table by them.

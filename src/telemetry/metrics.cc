@@ -4,24 +4,28 @@
 
 namespace mfc {
 
-void MetricsRegistry::Add(const std::string& name, double delta) { counters_[name] += delta; }
+void MetricsRegistry::Add(const std::string& name, double delta) { CounterSlot(name) += delta; }
 
 void MetricsRegistry::Set(const std::string& name, double value) { gauges_[name] = value; }
 
-void MetricsRegistry::Observe(const std::string& name, double x) { summaries_[name].Add(x); }
+void MetricsRegistry::Observe(const std::string& name, double x) { SummarySlot(name).Add(x); }
 
 void MetricsRegistry::HistObserve(const std::string& name, const std::vector<double>& edges,
                                   double x) {
-  auto it = hists_.find(name);
-  if (it == hists_.end()) {
-    it = hists_.emplace(name, Histogram(edges)).first;
-  }
-  it->second.Add(x);
+  HistSlot(name, edges).Add(x);
+}
+
+double& MetricsRegistry::CounterSlot(const std::string& name) { return counters_[name]; }
+
+RunningStats& MetricsRegistry::SummarySlot(const std::string& name) { return summaries_[name]; }
+
+Histogram& MetricsRegistry::HistSlot(const std::string& name, const std::vector<double>& edges) {
+  return hists_.try_emplace(name, edges).first->second;
 }
 
 void MetricsRegistry::Merge(const MetricsRegistry& other) {
   for (const auto& [name, value] : other.counters_) {
-    counters_[name] += value;
+    CounterSlot(name) += value;
   }
   for (const auto& [name, value] : other.gauges_) {
     auto it = gauges_.find(name);
@@ -32,15 +36,10 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
     }
   }
   for (const auto& [name, stats] : other.summaries_) {
-    summaries_[name].Merge(stats);
+    SummarySlot(name).Merge(stats);
   }
   for (const auto& [name, hist] : other.hists_) {
-    auto it = hists_.find(name);
-    if (it == hists_.end()) {
-      hists_.emplace(name, hist);
-    } else {
-      it->second.Merge(hist);
-    }
+    HistSlot(name, hist.Edges()).Merge(hist);
   }
 }
 

@@ -8,6 +8,15 @@
 // (bucket edges must match), summaries combine with the parallel Welford
 // rule — and every container is an ordered map, so merging per-job
 // registries in index order produces the same bytes regardless of --jobs.
+//
+// Slots. CounterSlot/SummarySlot/HistSlot return the entry a name names,
+// creating it on first use, and Add/Observe/HistObserve are one-line
+// wrappers over them. An entry lives in a std::map node, which never moves,
+// so a hot path can resolve its names once and keep the references. Merge,
+// RestoreSummary and RestoreHist keep every slot valid: they add entries or
+// assign into existing ones. Assigning, moving or destroying the registry
+// does not; whoever keeps slots must drop them first (WebServer drops its
+// slots in SetTelemetry).
 #ifndef MFC_SRC_TELEMETRY_METRICS_H_
 #define MFC_SRC_TELEMETRY_METRICS_H_
 
@@ -32,6 +41,12 @@ class MetricsRegistry {
   // use. Passing different edges for the same name later is a programming
   // error (the first edges win).
   void HistObserve(const std::string& name, const std::vector<double>& edges, double x);
+
+  // Stable slots (see file comment): a counter starts at 0, a summary
+  // empty, a histogram empty with |edges| (the first edges win, as above).
+  double& CounterSlot(const std::string& name);
+  RunningStats& SummarySlot(const std::string& name);
+  Histogram& HistSlot(const std::string& name, const std::vector<double>& edges);
 
   // Deterministic pairwise combine (see file comment for per-kind rules).
   void Merge(const MetricsRegistry& other);

@@ -17,6 +17,7 @@
 #include "src/core/config.h"
 #include "src/core/experiment_runner.h"
 #include "src/core/population.h"
+#include "src/telemetry/metrics.h"
 
 namespace {
 
@@ -46,11 +47,13 @@ namespace {
 // a std::function capture per hop, 2,142 with a copied request per hop).
 // Each guard allows 25% growth over its measurement. Since the event loop
 // moved onto the shared indexed heap, whose position index grows inside the
-// counted epoch, this epoch reads 221 and the Small Query one 501.
+// counted epoch, this epoch reads 221.
 constexpr double kBaseBudgetPerRequest = 4.30;
 // The Small Query epoch of long-tail site 0 (survey seed 1), background
-// requests included: 497 over 50 (1,303 with a std::function capture per hop).
-constexpr double kQueryBudgetPerRequest = 9.94;
+// requests included: 422 over 50 with pooled database queries (501 when each
+// query copied its key into a Pending that every CPU and disk step captured
+// by value, 1,303 with a std::function capture per hop).
+constexpr double kQueryBudgetPerRequest = 8.44;
 // The Base epoch on the 16-replica QTP cluster: 318 over 50, with the load
 // balancer reading each replica's own in-flight count (412 when it wrapped
 // every transport and on_sent in a std::function capture).
@@ -107,15 +110,23 @@ class EpochWindowHarness : public ClientHarness {
 
 struct EpochCount {
   ExperimentResult result;
+  uint64_t allocations = 0;
   double per_request = 0.0;  // allocations per launched request
 };
 
 // Runs the first epoch of |stage| against |deployment|, with its background
-// load on, and counts the allocations of that epoch alone.
-EpochCount CountFirstEpoch(Deployment& deployment, StageKind stage) {
+// load on, and counts the allocations of that epoch alone. A non-null
+// |telemetry| is attached to the deployment (the server's request path and
+// the flow network) but not to the coordinator, whose per-epoch metric
+// writes use the registry's by-name API.
+EpochCount CountFirstEpoch(Deployment& deployment, StageKind stage,
+                           Telemetry* telemetry = nullptr) {
   ExperimentConfig config;
   config.crowd_step = 50;
   config.max_epochs = 1;
+  if (telemetry != nullptr) {
+    deployment.SetTelemetry(telemetry);
+  }
   EpochWindowHarness harness(deployment.Testbed());
   Coordinator coordinator(harness, config, 5);
   StageObjects objects = deployment.ObjectsFromContent();
@@ -126,9 +137,11 @@ EpochCount CountFirstEpoch(Deployment& deployment, StageKind stage) {
   g_counting = false;
   deployment.StopBackground();
   EXPECT_EQ(harness.Launched(), 50u);
+  count.allocations = g_allocations;
   count.per_request =
       static_cast<double>(g_allocations) / static_cast<double>(harness.Launched());
-  std::printf("allocations: %llu over %zu launched requests (%.2f per request)\n",
+  std::printf("allocations%s: %llu over %zu launched requests (%.2f per request)\n",
+              telemetry != nullptr ? " (metrics on)" : "",
               static_cast<unsigned long long>(g_allocations), harness.Launched(),
               count.per_request);
   return count;
@@ -189,6 +202,45 @@ TEST(RequestAllocationTest, LongTailQueryEpochAllocationsPerRequestStayWithinBud
   }
   EXPECT_GT(background, 0u);
   EXPECT_LE(count.per_request, kQueryBudgetPerRequest * 1.25);
+}
+
+// With the server's metrics on, an epoch allocates exactly what it does with
+// them off: the server resolves its registry slots at the first finished
+// request, a base fetch before the counted window, and from then on a
+// finished request only adds through them. (The coordinator is not
+// attached, so every request carries the default stage label.)
+uint64_t BaseEpochAllocations(Telemetry* telemetry) {
+  DeploymentOptions options;
+  options.seed = 11;
+  Deployment deployment(MakeQtnpProfile(), options);
+  return CountFirstEpoch(deployment, StageKind::kBase, telemetry).allocations;
+}
+
+uint64_t LongTailQueryEpochAllocations(Telemetry* telemetry) {
+  SiteInstance site = SampleSiteAt(1, Cohort::kLongTail, 0);
+  DeploymentOptions options;
+  options.seed = SiteExperimentSeed(1, Cohort::kLongTail, 0);
+  options.background_rps = site.background_rps;
+  Deployment deployment(site, options);
+  return CountFirstEpoch(deployment, StageKind::kSmallQuery, telemetry).allocations;
+}
+
+TEST(RequestAllocationTest, BaseEpochAllocatesTheSameWithMetricsOn) {
+  MetricsRegistry metrics;
+  Telemetry telemetry;
+  telemetry.metrics = &metrics;
+  uint64_t on = BaseEpochAllocations(&telemetry);
+  EXPECT_EQ(on, BaseEpochAllocations(nullptr));
+  EXPECT_GT(metrics.Counter("server.requests_total"), 50.0);
+}
+
+TEST(RequestAllocationTest, LongTailQueryEpochAllocatesTheSameWithMetricsOn) {
+  MetricsRegistry metrics;
+  Telemetry telemetry;
+  telemetry.metrics = &metrics;
+  uint64_t on = LongTailQueryEpochAllocations(&telemetry);
+  EXPECT_EQ(on, LongTailQueryEpochAllocations(nullptr));
+  EXPECT_GT(metrics.Counter("span.idle.db_s"), 0.0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // intentional instrumentation change.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -41,10 +42,11 @@ struct Traced {
   ExperimentResult result;
 };
 
-Traced RunTracedQtnp(uint64_t seed) {
+// |with_tracer| false runs with metrics alone.
+Traced RunTracedQtnp(uint64_t seed, bool with_tracer = true) {
   Traced traced;
   Telemetry telemetry;
-  telemetry.tracer = &traced.tracer;
+  telemetry.tracer = with_tracer ? &traced.tracer : nullptr;
   telemetry.metrics = &traced.metrics;
   traced.result = RunSiteExperiment(MakeQtnpProfile(), SmallConfig(),
                                     {StageKind::kBase, StageKind::kSmallQuery,
@@ -124,6 +126,98 @@ TEST(TelemetryIntegrationTest, RequestSpansDecomposeTheLifecycle) {
                    static_cast<double>(requests.size()));
   ASSERT_NE(traced.metrics.Hist("server.request_ms"), nullptr);
   EXPECT_EQ(traced.metrics.Hist("server.request_ms")->Total(), requests.size());
+}
+
+// The stage label a request root span was stamped with at arrival.
+std::string StageOf(const TraceSpan& request) {
+  for (const auto& [key, value] : request.attrs) {
+    if (key == "stage") {
+      return value;
+    }
+  }
+  ADD_FAILURE() << "request span " << request.id << " has no stage";
+  return "";
+}
+
+// The oracles below recompute the server's per-stage counters and request
+// latency metrics from the span tree alone, sharing nothing with the
+// server's registry slots.
+TEST(TelemetryIntegrationTest, StageCountersMatchTheRequestSpans) {
+  Traced traced = RunTracedQtnp(17);
+  ASSERT_FALSE(traced.result.aborted);
+  const std::vector<TraceSpan>& spans = traced.tracer.Spans();
+
+  // span.<Stage>.<field> from the spans: one count per request root, and
+  // each child's duration under <child name>_s of its root's stage.
+  std::map<std::string, double> expected;
+  for (const TraceSpan& span : spans) {
+    if (span.parent == 0 && span.name == "request") {
+      EXPECT_FALSE(span.open);
+      const std::string prefix = "span." + StageOf(span) + ".";
+      expected[prefix + "count"] += 1.0;
+      for (const char* field : {"queue_s", "cpu_s", "db_s", "disk_s", "net_s"}) {
+        expected[prefix + field] += 0.0;
+      }
+    }
+  }
+  for (const TraceSpan& span : spans) {
+    if (span.parent == 0 || spans[span.parent - 1].name != "request") {
+      continue;
+    }
+    const std::string field = span.name + "_s";
+    const std::string name = "span." + StageOf(spans[span.parent - 1]) + "." + field;
+    ASSERT_EQ(expected.count(name), 1u) << "unexpected request child " << span.name;
+    expected[name] += span.Duration();
+  }
+  ASSERT_GE(expected.size(), 3u * 6u);  // all three stages served requests
+
+  std::map<std::string, double> actual;
+  for (const auto& [name, value] : traced.metrics.Counters()) {
+    if (name.rfind("span.", 0) == 0) {
+      actual[name] = value;
+    }
+  }
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [name, value] : expected) {
+    ASSERT_EQ(actual.count(name), 1u) << name;
+    if (name.size() > 6 && name.compare(name.size() - 6, 6, ".count") == 0) {
+      EXPECT_EQ(actual[name], value) << name;
+    } else {
+      EXPECT_LE(std::abs(actual[name] - value), 1e-9 * std::abs(value)) << name;
+    }
+  }
+}
+
+TEST(TelemetryIntegrationTest, RequestLatencyMetricsMatchTheRequestSpans) {
+  Traced traced = RunTracedQtnp(17);
+  ASSERT_FALSE(traced.result.aborted);
+  Histogram hist(LatencyBucketEdgesMs());
+  RunningStats stats;
+  for (const TraceSpan* request : traced.tracer.Named("request")) {
+    double ms = ToMillis(request->Duration());
+    hist.Add(ms);
+    stats.Add(ms);
+  }
+  ASSERT_GT(stats.Count(), 0u);
+  EXPECT_EQ(traced.metrics.Counter("server.requests_total"), static_cast<double>(stats.Count()));
+  const Histogram* registry_hist = traced.metrics.Hist("server.request_ms");
+  ASSERT_NE(registry_hist, nullptr);
+  EXPECT_TRUE(*registry_hist == hist);
+  // The registry adds in finish order and the spans list arrivals, so only
+  // the order-free parts of the summary must match exactly.
+  const RunningStats* summary = traced.metrics.Summary("server.request_ms");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->Count(), stats.Count());
+  EXPECT_EQ(summary->MinValue(), stats.MinValue());
+  EXPECT_EQ(summary->MaxValue(), stats.MaxValue());
+}
+
+TEST(TelemetryIntegrationTest, MetricsOnlyRunMatchesTheTracedRegistry) {
+  Traced traced = RunTracedQtnp(17);
+  Traced metrics_only = RunTracedQtnp(17, /*with_tracer=*/false);
+  EXPECT_EQ(metrics_only.tracer.SpanCount(), 0u);
+  EXPECT_FALSE(metrics_only.metrics.Empty());
+  EXPECT_TRUE(metrics_only.metrics == traced.metrics);
 }
 
 TEST(TelemetryIntegrationTest, CoordinatorSpansCoverEpochsAndDecisions) {

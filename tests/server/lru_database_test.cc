@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/server/database.h"
 #include "src/server/lru_cache.h"
 #include "src/server/resources.h"
@@ -161,6 +164,67 @@ TEST_F(DatabaseTest, ConnectionPoolSerializesOverflow) {
   EXPECT_EQ(done, 6);
   EXPECT_EQ(db.ActiveConnections(), 0u);
   EXPECT_EQ(db.ExecutedQueries(), 6u);
+}
+
+TEST_F(DatabaseTest, QueryOutlivesTheCallersKey) {
+  DatabaseConfig config;
+  config.connection_pool = 1;
+  config.per_row_cpu_s = 1e-5;
+  config.disk_miss_fraction = 0.0;
+  Database db = MakeDb(config);
+  // Longer than any inline string buffer, so the key lives on the heap and
+  // a query that kept a reference to it would read freed memory.
+  const std::string key = "/search?q=" + std::string(48, 'k');
+  db.Execute("busy", 1000, 100.0, [] {});
+  {
+    std::string caller_key = key;
+    db.Execute(caller_key, 1000, 100.0, [] {});
+  }
+  // The keyed query waits for the busy one; its cache lookup and insert
+  // both run after the caller's string is gone.
+  EXPECT_EQ(db.QueuedQueries(), 1u);
+  loop_.RunUntilIdle();
+  EXPECT_TRUE(db.QueryCache().Contains(key));
+  uint64_t hits = db.QueryCache().Hits();
+  SimTime start = loop_.Now();
+  SimTime done = 0.0;
+  db.Execute(key, 1000, 100.0, [&] { done = loop_.Now(); });
+  loop_.RunUntilIdle();
+  EXPECT_EQ(db.QueryCache().Hits(), hits + 1);
+  EXPECT_NEAR(done - start, config.base_query_cpu_s, 1e-6);
+}
+
+TEST_F(DatabaseTest, OverflowFiresEachDoneOnceAndReusesRecords) {
+  DatabaseConfig config;
+  config.connection_pool = 2;
+  config.base_query_cpu_s = 0.01;
+  config.per_row_cpu_s = 0.0;
+  config.query_cache_bytes = 0.0;
+  config.disk_miss_fraction = 0.0;
+  Database db = MakeDb(config);
+  std::vector<int> fired(12, 0);
+  for (int i = 0; i < 6; ++i) {
+    db.Execute("q" + std::to_string(i), 0, 10.0, [&fired, i] { ++fired[i]; });
+  }
+  // Running and waiting queries each hold a record.
+  EXPECT_EQ(db.ActiveConnections(), 2u);
+  EXPECT_EQ(db.QueuedQueries(), 4u);
+  EXPECT_EQ(db.QueryRecords(), 6u);
+  loop_.RunUntilIdle();
+  // A second overflow, each done issuing one more query from inside its
+  // callback, runs on the six released records.
+  for (int i = 6; i < 9; ++i) {
+    db.Execute("q" + std::to_string(i), 0, 10.0, [&db, &fired, i] {
+      ++fired[i];
+      db.Execute("q" + std::to_string(i + 3), 0, 10.0, [&fired, i] { ++fired[i + 3]; });
+    });
+  }
+  loop_.RunUntilIdle();
+  EXPECT_EQ(fired, std::vector<int>(12, 1));
+  EXPECT_EQ(db.QueryRecords(), 6u);
+  EXPECT_EQ(db.ActiveConnections(), 0u);
+  EXPECT_EQ(db.QueuedQueries(), 0u);
+  EXPECT_EQ(db.ExecutedQueries(), 12u);
 }
 
 TEST_F(DatabaseTest, DiskMissFractionTouchesDisk) {

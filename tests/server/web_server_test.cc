@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "src/telemetry/metrics.h"
+
 namespace mfc {
 namespace {
 
@@ -274,6 +276,46 @@ TEST_F(WebServerTest, BacklogOverflowGets503WithoutThread) {
   EXPECT_EQ(recs[3].status, HttpStatus::kServiceUnavailable);
   loop_.RunUntilIdle();
   EXPECT_EQ(recs[0].status, HttpStatus::kOk);
+}
+
+// Registry entries appear with their first value: a stage's span.* counters
+// at its first finished request, server.rejected_503 at the first 503.
+// SetTelemetry moves every later write, in-flight requests' included, to the
+// newly attached registry.
+TEST_F(WebServerTest, MetricEntriesAppearWithTheirFirstValue) {
+  WebServerConfig config = DefaultConfig();
+  config.worker_threads = 1;
+  config.accept_backlog = 1;
+  WebServer server(loop_, config, &content_);
+  MetricsRegistry first;
+  Telemetry telemetry;
+  telemetry.metrics = &first;
+  telemetry.stage = "Base";
+  server.SetTelemetry(&telemetry);
+  std::vector<SentRecord> recs(4);
+  server.OnRequest(Head("/"), true, Record(loop_, &recs[0]));
+  server.OnRequest(Head("/"), true, Record(loop_, &recs[1]));  // queued
+  EXPECT_TRUE(first.Empty());
+  telemetry.stage = "SmallQuery";
+  server.OnRequest(Head("/"), true, Record(loop_, &recs[2]));  // 503, done at once
+  EXPECT_EQ(first.Counter("server.rejected_503"), 1.0);
+  EXPECT_EQ(first.Counter("span.SmallQuery.count"), 1.0);
+  EXPECT_EQ(first.Counters().count("span.Base.count"), 0u);
+  loop_.RunUntilIdle();
+  EXPECT_EQ(first.Counter("span.Base.count"), 2.0);
+  EXPECT_EQ(first.Counter("server.requests_total"), 3.0);
+
+  MetricsRegistry second;
+  server.OnRequest(Head("/"), true, Record(loop_, &recs[3]));  // in flight
+  const MetricsRegistry first_before = first;
+  telemetry.metrics = &second;
+  server.SetTelemetry(&telemetry);
+  loop_.RunUntilIdle();
+  EXPECT_TRUE(first == first_before);
+  EXPECT_EQ(second.Counter("span.SmallQuery.count"), 1.0);
+  EXPECT_EQ(second.Counter("server.requests_total"), 1.0);
+  EXPECT_EQ(second.Counters().count("server.rejected_503"), 0u);
+  EXPECT_EQ(second.Counters().count("span.Base.count"), 0u);
 }
 
 TEST_F(WebServerTest, AccessLogRecordsEverything) {

@@ -197,6 +197,62 @@ TEST(MetricsRegistryTest, MergeIntoEmptyEqualsCopy) {
   EXPECT_TRUE(dst == src);
 }
 
+TEST(MetricsRegistryTest, SlotsSurviveMergeAndRestore) {
+  MetricsRegistry m;
+  double& counter = m.CounterSlot("c");
+  RunningStats& summary = m.SummarySlot("s");
+  Histogram& hist = m.HistSlot("h", {1.0, 10.0});
+  counter += 2.0;
+  summary.Add(3.0);
+  hist.Add(5.0);
+  // Merging a few hundred new names rebalances every map around the slots.
+  MetricsRegistry other;
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "new." + std::to_string(i);
+    other.Add(name);
+    other.Set(name, i);
+    other.Observe(name, i);
+    other.HistObserve(name, {1.0, 10.0}, i);
+  }
+  other.Add("c", 5.0);
+  m.Merge(other);
+  // Restoring a slot's own name assigns in place.
+  m.RestoreSummary("s", RunningStats::FromParts(4, 1.0, 0.5, 0.0, 2.0));
+  m.RestoreHist("h", Histogram::FromParts({1.0, 10.0}, {1, 2, 3}));
+  EXPECT_EQ(&m.CounterSlot("c"), &counter);
+  EXPECT_EQ(&m.SummarySlot("s"), &summary);
+  EXPECT_EQ(&m.HistSlot("h", {1.0, 10.0}), &hist);
+  // Writes through the old references land in the registry.
+  counter += 1.0;
+  summary.Add(2.0);
+  hist.Add(50.0);
+  EXPECT_DOUBLE_EQ(m.Counter("c"), 8.0);
+  ASSERT_NE(m.Summary("s"), nullptr);
+  EXPECT_EQ(m.Summary("s")->Count(), 5u);
+  EXPECT_DOUBLE_EQ(m.Summary("s")->MaxValue(), 2.0);
+  ASSERT_NE(m.Hist("h"), nullptr);
+  EXPECT_EQ(m.Hist("h")->Total(), 7u);
+  EXPECT_EQ(m.Hist("h")->BucketValue(2), 4u);
+}
+
+TEST(MetricsRegistryTest, NamedWritesEqualSlotWrites) {
+  MetricsRegistry by_name;
+  MetricsRegistry by_slot;
+  for (double x : {0.0, 1.5, 0.25, 7.0, 1e4}) {
+    by_name.Add("c", x);
+    by_slot.CounterSlot("c") += x;
+    by_name.Observe("s", x);
+    by_slot.SummarySlot("s").Add(x);
+    by_name.HistObserve("h", LatencyBucketEdgesMs(), x);
+    by_slot.HistSlot("h", LatencyBucketEdgesMs()).Add(x);
+  }
+  // A zero delta still creates the entry, and so does resolving a slot.
+  by_name.Add("zero", 0.0);
+  by_slot.CounterSlot("zero") += 0.0;
+  EXPECT_TRUE(by_name == by_slot);
+  EXPECT_EQ(by_name.Counters().count("zero"), 1u);
+}
+
 TEST(MetricsRegistryTest, EmptyAndEquality) {
   MetricsRegistry a, b;
   EXPECT_TRUE(a.Empty());

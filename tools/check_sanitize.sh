@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 # Reactor polls and socket waits make these tests timing-sensitive; the
 # sanitizer slowdown is real, so give ctest headroom instead of flaking.
-FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|RecordPool|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal'
+FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|RecordPool|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal|MetricsRegistry|TelemetryIntegration|Database'
 TIMEOUT=600
 # Only the binaries the filter can hit — building every bench/example under
 # two sanitizers would dominate the wall clock for no extra coverage.
@@ -36,6 +36,10 @@ TIMEOUT=600
 # The Journal suites (SurveyJournalTest, JournalCodecTest, JournalJsonTest)
 # cover the codec's mutation corpus and the group-commit state that
 # ParallelRunner workers share under the journal's mutex.
+# MetricsRegistryTest and TelemetryIntegrationTest cover the registry slots
+# the server keeps across Merge/Restore and a whole experiment, and
+# DatabaseTest the pooled query records: ASan is what sees a dangling slot
+# or a key read after its caller's string is gone.
 TARGETS=(mfc_rt_tests mfc_core_tests mfc_net_tests mfc_sim_tests mfc_telemetry_tests mfc_supervisor_tests mfc_server_tests)
 
 run_one() {
