@@ -17,15 +17,6 @@
 namespace mfc {
 namespace {
 
-struct Shim : HttpTarget {
-  HttpTarget* inner = nullptr;
-  const ContentStore* content = nullptr;
-  void OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) override {
-    inner->OnRequest(request, is_mfc, std::move(transport));
-  }
-  const ContentStore* Content() const override { return content; }
-};
-
 void RunRule(const char* label, double percentile) {
   Rng rng(42);
   SiteSpec spec;
@@ -39,13 +30,11 @@ void RunRule(const char* label, double percentile) {
   testbed_config.wan.pop_bottleneck_bps = {3e6, 1e9};
 
   auto fleet = MakePlanetLabFleet(rng, 85, 2);  // alternating POP assignment
-  Shim shim;
-  shim.content = &content;
-  SimTestbed testbed(9, testbed_config, std::move(fleet), shim);
+  SimTestbed testbed(9, testbed_config, std::move(fleet), nullptr);
   WebServerConfig server_config;
   server_config.cpu_cores = 8;
   WebServer server(testbed.Loop(), server_config, &content);
-  shim.inner = &server;
+  testbed.SetTarget(&server);
 
   ExperimentConfig config;
   config.threshold = Millis(100);

@@ -16,25 +16,16 @@
 namespace mfc {
 namespace {
 
-class LateTarget : public HttpTarget {
- public:
-  HttpTarget* inner = nullptr;
-  void OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) override {
-    inner->OnRequest(request, is_mfc, std::move(transport));
-  }
-};
-
 void Run() {
   PrintHeader("Request arrival synchronization, crowd of 45",
               "Figure 3 (Section 3.1): 70% within 5 ms, 90% within 30 ms");
 
   TestbedConfig config;
   config.wan.jitter_sigma = 0.03;
-  LateTarget late;
   Rng fleet_rng(2008);
-  SimTestbed testbed(42, config, MakePlanetLabFleet(fleet_rng, 65, 0), late);
+  SimTestbed testbed(42, config, MakePlanetLabFleet(fleet_rng, 65, 0), nullptr);
   SyntheticModelServer server(testbed.Loop(), ConstantModel(0.0), 0.001, 200.0);
-  late.inner = &server;
+  testbed.SetTarget(&server);
 
   const size_t kCrowd = 45;
   std::vector<ClientLatencyEstimate> latencies;

@@ -14,25 +14,16 @@
 namespace mfc {
 namespace {
 
-class LateTarget : public HttpTarget {
- public:
-  HttpTarget* inner = nullptr;
-  void OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) override {
-    inner->OnRequest(request, is_mfc, std::move(transport));
-  }
-};
-
 // Runs fixed-size synchronized crowds (no stop rule: we want the full curve)
 // and returns (crowd, median normalized ms) pairs.
 void RunModel(const std::string& name, ResponseTimeModel model,
               ResponseTimeModel ideal /* same shape, for the printed truth */) {
   TestbedConfig config;
   config.wan.jitter_sigma = 0.02;
-  LateTarget late;
   Rng fleet_rng(7);
-  SimTestbed testbed(1234, config, MakePlanetLabFleet(fleet_rng, 65, 0), late);
+  SimTestbed testbed(1234, config, MakePlanetLabFleet(fleet_rng, 65, 0), nullptr);
   SyntheticModelServer server(testbed.Loop(), std::move(model), 0.002, 500.0);
-  late.inner = &server;
+  testbed.SetTarget(&server);
 
   // Base response time per client, measured sequentially.
   const size_t kClients = 60;

@@ -28,7 +28,8 @@ BENCHMARK(BM_EventLoopScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 
 // The cancel-heavy pattern of the simulation (kill timers, TCP timeouts that
 // mostly don't fire): schedule a batch, cancel half of it, drain the rest.
-// Exercises the O(1) free-listed cancel path and stale-entry skipping.
+// Exercises the in-place cancel path: Cancel removes the entry from the
+// indexed heap and frees its pooled record, so the drain meets no stale entry.
 void BM_EventLoopScheduleCancelRun(benchmark::State& state) {
   EventLoop loop;
   size_t batch = static_cast<size_t>(state.range(0));

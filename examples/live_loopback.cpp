@@ -267,7 +267,6 @@ int main(int argc, char** argv) {
   config.schedule_lead = mfc::Seconds(0.1);
   config.epoch_gap = mfc::Seconds(0.05);
   if (faults.Enabled()) {
-    config.retry = retry;
     // Commands are re-sent across the lead and held client-side until the
     // burst instant, so a longer lead buys retry headroom, not idle time.
     config.schedule_lead = mfc::Seconds(0.25);

@@ -86,14 +86,6 @@ struct ExperimentConfig {
   // Safety bound on epochs per stage.
   size_t max_epochs = 200;
 
-  // Small Query uniqueness: append a per-client parameter so each client
-  // requests a unique dynamically generated object when the site supports it.
-  bool unique_queries = true;
-
-  // Control-plane retry policy (consumed by harnesses that retry, e.g.
-  // LiveHarness; the simulated testbed models loss without retransmission).
-  RetryPolicy retry;
-
   // Graceful degradation (Section 3's flaky-client reality). Both knobs
   // default off so the unhardened behaviour is bit-identical.
   //

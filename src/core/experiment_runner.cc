@@ -9,23 +9,6 @@ Deployment::Deployment(const SiteInstance& instance, const DeploymentOptions& op
   Rng rng(options.seed);
   content_ = GenerateSite(rng, instance.site);
 
-  // Server or cluster. The EventLoop lives inside the testbed, so build the
-  // testbed core first: construct testbed with a placeholder? No — the
-  // servers need the loop; create testbed after servers but the servers need
-  // the loop owned by the testbed. Order: testbed owns the loop, so the
-  // servers are created against it afterwards and the target pointer is
-  // injected. SimTestbed takes the target by reference at construction, so a
-  // small indirection target shim is used instead.
-  struct Shim : HttpTarget {
-    HttpTarget* inner = nullptr;
-    const ContentStore* content = nullptr;
-    void OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) override {
-      inner->OnRequest(request, is_mfc, std::move(transport));
-    }
-    const ContentStore* Content() const override { return content; }
-  };
-  static_assert(sizeof(Shim) > 0);
-
   TestbedConfig testbed_config;
   testbed_config.wan.server_access_bps = instance.server_access_bps;
   testbed_config.wan.jitter_sigma = options.jitter_sigma;
@@ -34,14 +17,10 @@ Deployment::Deployment(const SiteInstance& instance, const DeploymentOptions& op
   auto fleet = options.lan_clients ? MakeLanFleet(options.fleet_size)
                                    : MakePlanetLabFleet(rng, options.fleet_size);
 
-  auto shim = std::make_unique<Shim>();
-  shim->content = &content_;
-  Shim* shim_raw = shim.get();
-  shim_.reset(shim.release());
-
+  // The testbed owns the event loop the server runs on, so the server is
+  // built after it and bound as its target.
   testbed_ = std::make_unique<SimTestbed>(rng.NextU64(), testbed_config, std::move(fleet),
-                                          *shim_raw);
-
+                                          nullptr);
   if (instance.replicas > 1) {
     cluster_ = std::make_unique<ServerCluster>(testbed_->Loop(), instance.server,
                                                instance.replicas, &content_);
@@ -50,7 +29,7 @@ Deployment::Deployment(const SiteInstance& instance, const DeploymentOptions& op
     server_ = std::make_unique<WebServer>(testbed_->Loop(), instance.server, &content_);
     target_ = server_.get();
   }
-  shim_raw->inner = target_;
+  testbed_->SetTarget(target_);
 
   if (options.background_rps > 0.0) {
     BackgroundTrafficConfig bg;
@@ -83,10 +62,8 @@ ContentProfile Deployment::CrawlProfile(CrawlLimits limits, ProfileThresholds th
 }
 
 StageObjects Deployment::ProfileByCrawl(CrawlLimits limits, ProfileThresholds thresholds) {
-  return SelectStageObjects(CrawlProfile(limits, thresholds),
-                            content_.Objects().empty()
-                                ? true
-                                : true /* uniqueness assumed, as in the paper */);
+  // Query uniqueness is assumed, as in the paper.
+  return SelectStageObjects(CrawlProfile(limits, thresholds));
 }
 
 StageObjects Deployment::ObjectsFromContent() const {

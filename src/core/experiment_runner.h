@@ -66,8 +66,6 @@ class Deployment {
 
  private:
   ContentStore content_;
-  // Indirection injected into the testbed before the real target exists.
-  std::unique_ptr<HttpTarget> shim_;
   size_t background_client_ = 0;
   std::unique_ptr<WebServer> server_;
   std::unique_ptr<ServerCluster> cluster_;

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <numeric>
 
+#include "src/core/journal/json.h"
+
 namespace mfc {
 namespace {
 
@@ -13,29 +15,6 @@ std::string FormatMs(SimDuration d) {
   char buf[32];
   snprintf(buf, sizeof(buf), "%.3f", ToMillis(d));
   return buf;
-}
-
-// Minimal JSON string escaping for the fields we emit (stage names and abort
-// reasons are ASCII, but abort reasons may carry quotes in principle).
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -59,7 +38,8 @@ std::string ExportJson(const ExperimentResult& result) {
   std::string json = "{";
   json += "\"aborted\":" + std::string(result.aborted ? "true" : "false");
   if (result.aborted) {
-    json += ",\"abort_reason\":\"" + JsonEscape(result.abort_reason) + "\"";
+    json += ",\"abort_reason\":";
+    JsonAppendQuoted(json, result.abort_reason);
   }
   json += ",\"registered_clients\":" + std::to_string(result.registered_clients);
   json += ",\"stages\":[";
@@ -76,7 +56,8 @@ std::string ExportJson(const ExperimentResult& result) {
     json += ",\"max_crowd_tested\":" + std::to_string(stage.max_crowd_tested);
     json += ",\"end_reason\":\"" + std::string(StageEndReasonName(stage.end_reason)) + "\"";
     if (!stage.end_detail.empty()) {
-      json += ",\"end_detail\":\"" + JsonEscape(stage.end_detail) + "\"";
+      json += ",\"end_detail\":";
+      JsonAppendQuoted(json, stage.end_detail);
     }
     json += ",\"total_requests\":" + std::to_string(stage.total_requests);
     json += ",\"epochs\":[";
@@ -127,16 +108,22 @@ std::string ExportTraceJson(const Tracer& tracer) {
       json += ",";
     }
     first = false;
-    json += "\n{\"name\":\"" + JsonEscape(span.name) + "\",\"cat\":\"" +
-            JsonEscape(span.category) + "\",\"ph\":\"X\",\"ts\":" + micros(span.start) +
-            ",\"dur\":" + micros(span.Duration()) + ",\"pid\":" + std::to_string(span.pid) +
+    json += "\n{\"name\":";
+    JsonAppendQuoted(json, span.name);
+    json += ",\"cat\":";
+    JsonAppendQuoted(json, span.category);
+    json += ",\"ph\":\"X\",\"ts\":" + micros(span.start) + ",\"dur\":" +
+            micros(span.Duration()) + ",\"pid\":" + std::to_string(span.pid) +
             ",\"tid\":" + std::to_string(span.track);
     json += ",\"args\":{\"id\":" + std::to_string(span.id);
     if (span.parent != 0) {
       json += ",\"parent\":" + std::to_string(span.parent);
     }
     for (const auto& [key, value] : span.attrs) {
-      json += ",\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+      json += ',';
+      JsonAppendQuoted(json, key);
+      json += ':';
+      JsonAppendQuoted(json, value);
     }
     json += "}}";
   }

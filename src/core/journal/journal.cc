@@ -687,20 +687,16 @@ std::string EncodeHeader(const std::string& tool, const std::string& fingerprint
   return body;
 }
 
-// One pass over a journal's bytes, shared by SurveyJournal::Open (which then
-// truncates/appends) and the read-only ReadJournalFile. |valid_end| is the
-// offset just past the last fully valid record; |corrupt| names the first
-// recoverable defect (drop the suffix), |hard_error| an unrecoverable one
-// (not a journal at all / wrong version) — the file must then be left alone.
+// One pass over a journal's bytes. |data| holds the records of the valid
+// prefix, which ends at offset |valid_end| of the |size| bytes read;
+// |corrupt| names the first recoverable defect (drop the suffix),
+// |hard_error| an unrecoverable one (not a journal at all / wrong version) —
+// the file must then be left alone.
 struct JournalScan {
+  JournalFileData data;
   bool saw_header = false;
-  std::string tool;
-  std::string fingerprint;
-  std::vector<JournalCohortRecord> cohorts;
-  std::map<std::pair<size_t, size_t>, JournalSiteRecord> sites;
-  std::vector<JournalQuarantineRecord> quarantines;
-  std::map<std::pair<size_t, size_t>, size_t> quarantine_index;
   size_t valid_end = 0;
+  size_t size = 0;
   std::string corrupt;
   std::string hard_error;
 };
@@ -747,19 +743,19 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
                            std::to_string(kJournalVersion);
         return;
       }
-      if (!GetString(body, "tool", &scan->tool) ||
-          !GetString(body, "fingerprint", &scan->fingerprint)) {
+      if (!GetString(body, "tool", &scan->data.tool) ||
+          !GetString(body, "fingerprint", &scan->data.fingerprint)) {
         scan->hard_error = path + ": malformed journal header";
         return;
       }
       scan->saw_header = true;
     } else if (type == "cohort") {
       JournalCohortRecord record;
-      if (!DecodeCohortRecord(body, &record) || record.ordinal != scan->cohorts.size()) {
+      if (!DecodeCohortRecord(body, &record) || record.ordinal != scan->data.cohorts.size()) {
         scan->corrupt = "record " + std::to_string(record_index) + ": malformed cohort record";
         break;
       }
-      scan->cohorts.push_back(record);
+      scan->data.cohorts.push_back(record);
     } else if (type == "site") {
       JournalSiteRecord record;
       if (!DecodeSiteRecord(body, &record)) {
@@ -769,8 +765,8 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
       // Bind the site to its cohort declaration when one exists (survey
       // journals always write the cohort record first): seed must follow the
       // SplitMix64 derivation and the index must belong to its shard.
-      if (record.cohort_ordinal < scan->cohorts.size()) {
-        const JournalCohortRecord& cohort = scan->cohorts[record.cohort_ordinal];
+      if (record.cohort_ordinal < scan->data.cohorts.size()) {
+        const JournalCohortRecord& cohort = scan->data.cohorts[record.cohort_ordinal];
         if (record.site_index >= cohort.servers || record.stage != cohort.stage ||
             record.seed != SiteExperimentSeed(cohort.seed, cohort.cohort, record.site_index) ||
             record.pid != cohort.pid_base + record.site_index ||
@@ -781,14 +777,14 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
         }
       }
       auto key = std::make_pair(record.cohort_ordinal, record.site_index);
-      if (scan->quarantine_index.count(key) != 0) {
+      if (scan->data.quarantine_index.count(key) != 0) {
         // A quarantined site must never execute: a site record after the
         // quarantine means two writers disagreed about this journal.
         scan->corrupt = "record " + std::to_string(record_index) +
                         ": site record for a quarantined site";
         break;
       }
-      if (!scan->sites.emplace(key, std::move(record)).second) {
+      if (!scan->data.sites.emplace(key, std::move(record)).second) {
         scan->corrupt = "record " + std::to_string(record_index) + ": duplicate site record";
         break;
       }
@@ -799,8 +795,8 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
             "record " + std::to_string(record_index) + ": malformed quarantine record";
         break;
       }
-      if (record.cohort_ordinal < scan->cohorts.size()) {
-        const JournalCohortRecord& cohort = scan->cohorts[record.cohort_ordinal];
+      if (record.cohort_ordinal < scan->data.cohorts.size()) {
+        const JournalCohortRecord& cohort = scan->data.cohorts[record.cohort_ordinal];
         if (record.site_index >= cohort.servers ||
             record.site_index % cohort.shards != cohort.shard_index) {
           scan->corrupt = "record " + std::to_string(record_index) +
@@ -809,17 +805,17 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
         }
       }
       auto key = std::make_pair(record.cohort_ordinal, record.site_index);
-      if (scan->sites.count(key) != 0) {
+      if (scan->data.sites.count(key) != 0) {
         scan->corrupt = "record " + std::to_string(record_index) +
                         ": quarantine for an already-executed site";
         break;
       }
-      if (!scan->quarantine_index.emplace(key, scan->quarantines.size()).second) {
+      if (!scan->data.quarantine_index.emplace(key, scan->data.quarantines.size()).second) {
         scan->corrupt =
             "record " + std::to_string(record_index) + ": duplicate quarantine record";
         break;
       }
-      scan->quarantines.push_back(std::move(record));
+      scan->data.quarantines.push_back(std::move(record));
     } else {
       scan->corrupt = "record " + std::to_string(record_index) + ": unknown type \"" + type +
                       "\"";
@@ -842,6 +838,55 @@ size_t CountDroppedRecords(const std::string& contents, size_t valid_end) {
   return dropped;
 }
 
+// Reads all of |file| and scans it: the step every journal reader shares.
+// A corrupt suffix is noted in scan->data.warning as |dropped_as| ("dropped"
+// by a writer, which truncates it; "ignored" by a read-only reader).
+// Returns the error that makes the file unusable, or "" for a journal: a
+// failed read, another format's header, or bytes with no valid header. An
+// empty file has no header either; it passes only when |allow_empty| (a
+// journal Open is about to create).
+std::string ReadJournalScan(FILE* file, const std::string& path, bool allow_empty,
+                            const char* dropped_as, JournalScan* scan) {
+  std::string contents;
+  char buf[1 << 16];
+  size_t n = 0;
+  while ((n = fread(buf, 1, sizeof(buf), file)) > 0) {
+    contents.append(buf, n);
+  }
+  if (ferror(file)) {
+    return "cannot read journal " + path;
+  }
+  scan->size = contents.size();
+  ScanJournalContents(path, contents, scan);
+  if (!scan->hard_error.empty()) {
+    return scan->hard_error;
+  }
+  if (!scan->saw_header && (!contents.empty() || !allow_empty)) {
+    // Some other file, not a corrupt journal: never truncate or overwrite it.
+    return path + ": not an mfc journal (no valid header record)";
+  }
+  if (!scan->corrupt.empty()) {
+    scan->data.records_dropped = CountDroppedRecords(contents, scan->valid_end);
+    scan->data.warning = "journal corruption (" + scan->corrupt + "): " + dropped_as + " " +
+                         std::to_string(scan->data.records_dropped) +
+                         " record(s) after the valid prefix";
+  }
+  return "";
+}
+
+// Cuts |file| back to the valid prefix |scan| found, so appended records
+// continue a clean stream, and seeks to its end. Returns the error, or "".
+std::string TruncateToValidPrefix(FILE* file, const std::string& path, const JournalScan& scan) {
+  if (scan.valid_end < scan.size &&
+      ftruncate(fileno(file), static_cast<off_t>(scan.valid_end)) != 0) {
+    return "cannot truncate corrupt journal suffix in " + path;
+  }
+  if (fseek(file, static_cast<long>(scan.valid_end), SEEK_SET) != 0) {
+    return "cannot seek journal " + path;
+  }
+  return "";
+}
+
 }  // namespace
 
 std::unique_ptr<SurveyJournal> SurveyJournal::Open(const std::string& path,
@@ -862,68 +907,32 @@ std::unique_ptr<SurveyJournal> SurveyJournal::Open(const std::string& path,
   if (file == nullptr) {
     return fail("cannot open journal " + path);
   }
-
-  // Slurp the existing contents.
-  std::string contents;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = fread(buf, 1, sizeof(buf), file)) > 0) {
-    contents.append(buf, n);
-  }
-  if (ferror(file)) {
-    fclose(file);
-    return fail("cannot read journal " + path);
-  }
-
   std::unique_ptr<SurveyJournal> journal(new SurveyJournal());
   journal->path_ = path;
   journal->file_ = file;
 
+  // A corrupt tail is recovered by replaying only the valid prefix: the
+  // scan counts what it drops and warns, and the truncation below cuts it.
   JournalScan scan;
-  ScanJournalContents(path, contents, &scan);
-  if (!scan.hard_error.empty()) {
-    return fail(scan.hard_error);
+  if (std::string message = ReadJournalScan(file, path, /*allow_empty=*/true, "dropped", &scan);
+      !message.empty()) {
+    return fail(message);
   }
-  if (scan.saw_header && (scan.tool != tool || scan.fingerprint != fingerprint)) {
+  const JournalFileData& data = scan.data;
+  if (scan.saw_header && (data.tool != tool || data.fingerprint != fingerprint)) {
     // The journal belongs to a different run and must never be reused.
-    return fail(path + ": journal belongs to a different run (tool \"" + scan.tool +
-                "\", fingerprint \"" + scan.fingerprint + "\"; this run is tool \"" + tool +
+    return fail(path + ": journal belongs to a different run (tool \"" + data.tool +
+                "\", fingerprint \"" + data.fingerprint + "\"; this run is tool \"" + tool +
                 "\", fingerprint \"" + fingerprint + "\")");
   }
-  journal->cohorts_ = std::move(scan.cohorts);
-  journal->sites_ = std::move(scan.sites);
-  journal->quarantines_ = std::move(scan.quarantines);
-  journal->quarantine_index_ = std::move(scan.quarantine_index);
-
-  if (!scan.corrupt.empty()) {
-    // Recover by replaying only the valid prefix: count what we drop, warn,
-    // and truncate so appended records continue a clean stream.
-    journal->records_dropped_ = CountDroppedRecords(contents, scan.valid_end);
-    journal->warning_ = "journal corruption (" + scan.corrupt + "): dropped " +
-                        std::to_string(journal->records_dropped_) +
-                        " record(s) after the valid prefix";
-  }
-
-  if (!scan.saw_header && !contents.empty()) {
-    // No valid header record at all: this is some other file, not a corrupt
-    // journal — never truncate or overwrite it.
-    return fail(path + ": not an mfc journal (no valid header record)");
-  }
-
-  if (!resume &&
-      (!journal->cohorts_.empty() || !journal->sites_.empty() || !journal->quarantines_.empty())) {
+  if (!resume && (!data.cohorts.empty() || !data.sites.empty() || !data.quarantines.empty())) {
     return fail(path + ": journal already contains experiment records; pass --resume to replay "
                        "them or remove the file to start over");
   }
-
-  if (scan.valid_end < contents.size()) {
-    if (ftruncate(fileno(file), static_cast<off_t>(scan.valid_end)) != 0) {
-      return fail("cannot truncate corrupt journal suffix in " + path);
-    }
+  if (std::string message = TruncateToValidPrefix(file, path, scan); !message.empty()) {
+    return fail(message);
   }
-  if (fseek(file, static_cast<long>(scan.valid_end), SEEK_SET) != 0) {
-    return fail("cannot seek journal " + path);
-  }
+  journal->data_ = std::move(scan.data);
 
   journal->written_bytes_ = scan.valid_end;
   journal->last_sync_ = std::chrono::steady_clock::now();
@@ -940,47 +949,20 @@ std::unique_ptr<SurveyJournal> SurveyJournal::Open(const std::string& path,
 }
 
 bool ReadJournalFile(const std::string& path, JournalFileData* out, std::string* error) {
-  auto fail = [error](const std::string& message) {
+  FILE* file = fopen(path.c_str(), "rb");
+  std::string message = "cannot open journal " + path;
+  JournalScan scan;
+  if (file != nullptr) {
+    message = ReadJournalScan(file, path, /*allow_empty=*/false, "ignored", &scan);
+    fclose(file);
+  }
+  if (!message.empty()) {
     if (error != nullptr) {
       *error = message;
     }
     return false;
-  };
-  FILE* file = fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return fail("cannot open journal " + path);
   }
-  std::string contents;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = fread(buf, 1, sizeof(buf), file)) > 0) {
-    contents.append(buf, n);
-  }
-  bool read_error = ferror(file) != 0;
-  fclose(file);
-  if (read_error) {
-    return fail("cannot read journal " + path);
-  }
-
-  JournalScan scan;
-  ScanJournalContents(path, contents, &scan);
-  if (!scan.hard_error.empty()) {
-    return fail(scan.hard_error);
-  }
-  if (!scan.saw_header) {
-    return fail(path + ": not an mfc journal (no valid header record)");
-  }
-  *out = JournalFileData{};
-  out->tool = std::move(scan.tool);
-  out->fingerprint = std::move(scan.fingerprint);
-  out->cohorts = std::move(scan.cohorts);
-  out->sites = std::move(scan.sites);
-  out->quarantines = std::move(scan.quarantines);
-  if (!scan.corrupt.empty()) {
-    out->records_dropped = CountDroppedRecords(contents, scan.valid_end);
-    out->warning = "journal corruption (" + scan.corrupt + "): ignored " +
-                   std::to_string(out->records_dropped) + " record(s) after the valid prefix";
-  }
+  *out = std::move(scan.data);
   return true;
 }
 
@@ -1028,8 +1010,8 @@ bool SurveyJournal::BeginCohort(Cohort cohort, StageKind stage, size_t servers, 
                                 size_t shards, size_t shard_index) {
   size_t ordinal = begun_cohorts_++;
   current_ordinal_ = ordinal;
-  if (ordinal < cohorts_.size()) {
-    const JournalCohortRecord& rec = cohorts_[ordinal];
+  if (ordinal < data_.cohorts.size()) {
+    const JournalCohortRecord& rec = data_.cohorts[ordinal];
     if (rec.cohort != cohort || rec.stage != stage || rec.servers != servers ||
         rec.max_crowd != max_crowd || rec.seed != seed || rec.pid_base != pid_base ||
         rec.shards != shards || rec.shard_index != shard_index) {
@@ -1061,7 +1043,7 @@ bool SurveyJournal::BeginCohort(Cohort cohort, StageKind stage, size_t servers, 
   record.pid_base = pid_base;
   record.shards = shards;
   record.shard_index = shard_index;
-  cohorts_.push_back(record);
+  data_.cohorts.push_back(record);
   std::lock_guard<std::mutex> lock(mu_);
   AppendFrameLocked(EncodeCohortRecord(record), /*sync_now=*/false);
   return true;
@@ -1072,8 +1054,8 @@ const JournalSiteRecord* SurveyJournal::Replayed(size_t index) const {
 }
 
 const JournalSiteRecord* SurveyJournal::SiteAt(size_t ordinal, size_t index) const {
-  auto it = sites_.find(std::make_pair(ordinal, index));
-  return it == sites_.end() ? nullptr : &it->second;
+  auto it = data_.sites.find(std::make_pair(ordinal, index));
+  return it == data_.sites.end() ? nullptr : &it->second;
 }
 
 const JournalQuarantineRecord* SurveyJournal::Quarantined(size_t index) const {
@@ -1081,8 +1063,8 @@ const JournalQuarantineRecord* SurveyJournal::Quarantined(size_t index) const {
 }
 
 const JournalQuarantineRecord* SurveyJournal::QuarantineAt(size_t ordinal, size_t index) const {
-  auto it = quarantine_index_.find(std::make_pair(ordinal, index));
-  return it == quarantine_index_.end() ? nullptr : &quarantines_[it->second];
+  auto it = data_.quarantine_index.find(std::make_pair(ordinal, index));
+  return it == data_.quarantine_index.end() ? nullptr : &data_.quarantines[it->second];
 }
 
 void SurveyJournal::AppendSite(const JournalSiteRecord& record) {
@@ -1116,62 +1098,32 @@ uint64_t SurveyJournal::SyncedBytes() const {
 
 bool AppendQuarantineRecord(const std::string& path, const JournalQuarantineRecord& record,
                             std::string* error) {
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
   FILE* file = fopen(path.c_str(), "r+b");
-  if (file == nullptr) {
-    return fail("cannot open journal " + path);
-  }
-  std::string contents;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = fread(buf, 1, sizeof(buf), file)) > 0) {
-    contents.append(buf, n);
-  }
-  if (ferror(file)) {
-    fclose(file);
-    return fail("cannot read journal " + path);
-  }
-
-  JournalScan scan;
-  ScanJournalContents(path, contents, &scan);
-  if (!scan.hard_error.empty()) {
-    fclose(file);
-    return fail(scan.hard_error);
-  }
-  if (!scan.saw_header) {
-    fclose(file);
-    return fail(path + ": not an mfc journal (no valid header record)");
-  }
-  auto key = std::make_pair(record.cohort_ordinal, record.site_index);
-  if (scan.sites.count(key) != 0 || scan.quarantine_index.count(key) != 0) {
+  std::string message = "cannot open journal " + path;
+  if (file != nullptr) {
+    JournalScan scan;
+    message = ReadJournalScan(file, path, /*allow_empty=*/false, "dropped", &scan);
+    auto key = std::make_pair(record.cohort_ordinal, record.site_index);
     // Already executed (the crash was blamed on the wrong site) or already
     // quarantined: nothing to record.
-    fclose(file);
-    return true;
-  }
-
-  // The writer died mid-append in the worst case: drop the torn tail exactly
-  // as Open would, so our record continues the valid prefix.
-  if (scan.valid_end < contents.size()) {
-    if (ftruncate(fileno(file), static_cast<off_t>(scan.valid_end)) != 0) {
-      fclose(file);
-      return fail("cannot truncate corrupt journal suffix in " + path);
+    const bool recorded =
+        scan.data.sites.count(key) != 0 || scan.data.quarantine_index.count(key) != 0;
+    if (message.empty() && !recorded) {
+      // The writer died mid-append in the worst case: drop the torn tail
+      // exactly as Open would, so our record continues the valid prefix.
+      message = TruncateToValidPrefix(file, path, scan);
+      std::string line = FrameJournalRecord(EncodeQuarantineRecord(record));
+      if (message.empty() && (fwrite(line.data(), 1, line.size(), file) != line.size() ||
+                              fflush(file) != 0 || fsync(fileno(file)) != 0)) {
+        message = "cannot append quarantine record to " + path;
+      }
     }
-  }
-  if (fseek(file, static_cast<long>(scan.valid_end), SEEK_SET) != 0) {
     fclose(file);
-    return fail("cannot seek journal " + path);
   }
-  std::string line = FrameJournalRecord(EncodeQuarantineRecord(record));
-  bool ok = fwrite(line.data(), 1, line.size(), file) == line.size() && fflush(file) == 0 &&
-            fsync(fileno(file)) == 0;
-  fclose(file);
-  return ok ? true : fail("cannot append quarantine record to " + path);
+  if (!message.empty() && error != nullptr) {
+    *error = message;
+  }
+  return message.empty();
 }
 
 }  // namespace mfc

@@ -145,6 +145,23 @@ std::string EncodeQuarantineRecord(const JournalQuarantineRecord& record);
 // Frames |body| as one journal line with its checksum.
 std::string FrameJournalRecord(const std::string& body);
 
+// The valid records of one journal file, as one scan reads them: what
+// ReadJournalFile returns and what an open SurveyJournal replays from.
+struct JournalFileData {
+  std::string tool;
+  std::string fingerprint;
+  std::vector<JournalCohortRecord> cohorts;
+  // (ordinal, index) -> site record.
+  std::map<std::pair<size_t, size_t>, JournalSiteRecord> sites;
+  // In journal order, plus (ordinal, index) -> position in |quarantines|.
+  std::vector<JournalQuarantineRecord> quarantines;
+  std::map<std::pair<size_t, size_t>, size_t> quarantine_index;
+  // Non-empty when a corrupt suffix was left out; it held |records_dropped|
+  // records.
+  std::string warning;
+  size_t records_dropped = 0;
+};
+
 // Appends a quarantine record to the journal at |path| without opening it for
 // replay. Used by the supervisor on a journal whose writer process is dead:
 // any torn tail record is truncated first (exactly as Open would), so the
@@ -176,10 +193,10 @@ class SurveyJournal {
 
   const std::string& Path() const { return path_; }
   // Non-empty when a corrupt suffix was dropped at open.
-  const std::string& Warning() const { return warning_; }
-  size_t RecordsDropped() const { return records_dropped_; }
+  const std::string& Warning() const { return data_.warning; }
+  size_t RecordsDropped() const { return data_.records_dropped; }
   // True when the journal already held site records at open (a resume).
-  bool HasReplayableSites() const { return !sites_.empty(); }
+  bool HasReplayableSites() const { return !data_.sites.empty(); }
 
   // Declares the next cohort run (cohorts are strictly sequential). If the
   // journal already holds a cohort record at this ordinal its parameters
@@ -206,9 +223,9 @@ class SurveyJournal {
   const JournalQuarantineRecord* Quarantined(size_t index) const;
   const JournalQuarantineRecord* QuarantineAt(size_t ordinal, size_t index) const;
   // All quarantine records, in journal order.
-  const std::vector<JournalQuarantineRecord>& Quarantines() const { return quarantines_; }
+  const std::vector<JournalQuarantineRecord>& Quarantines() const { return data_.quarantines; }
 
-  const std::vector<JournalCohortRecord>& Cohorts() const { return cohorts_; }
+  const std::vector<JournalCohortRecord>& Cohorts() const { return data_.cohorts; }
 
   // Appends one completed site experiment, verdict and epoch summary only.
   // The record is written and flushed before this returns, so it survives
@@ -257,14 +274,9 @@ class SurveyJournal {
   size_t unsynced_records_ = 0;
   size_t fsyncs_ = 0;
   std::chrono::steady_clock::time_point last_sync_;
-  std::string warning_;
-  size_t records_dropped_ = 0;
-  std::vector<JournalCohortRecord> cohorts_;
-  // Immutable after Open: (ordinal, index) -> replay record.
-  std::map<std::pair<size_t, size_t>, JournalSiteRecord> sites_;
-  // Immutable after Open, in journal order (plus a lookup map).
-  std::vector<JournalQuarantineRecord> quarantines_;
-  std::map<std::pair<size_t, size_t>, size_t> quarantine_index_;
+  // The records loaded at Open. Only BeginCohort changes it afterwards, by
+  // appending cohort records; the sites and quarantines are immutable.
+  JournalFileData data_;
   size_t current_ordinal_ = 0;
   size_t begun_cohorts_ = 0;
 };
@@ -273,15 +285,6 @@ class SurveyJournal {
 // never opens for append, never truncates. A corrupt suffix is dropped from
 // the parsed view with a note in |warning|; a missing/invalid header is a
 // hard error.
-struct JournalFileData {
-  std::string tool;
-  std::string fingerprint;
-  std::vector<JournalCohortRecord> cohorts;
-  std::map<std::pair<size_t, size_t>, JournalSiteRecord> sites;
-  std::vector<JournalQuarantineRecord> quarantines;
-  std::string warning;
-  size_t records_dropped = 0;
-};
 bool ReadJournalFile(const std::string& path, JournalFileData* out, std::string* error);
 
 }  // namespace mfc

@@ -190,19 +190,9 @@ bool MergeShardJournals(const std::vector<std::string>& paths, ShardMergeResult*
         return false;
       }
       const JournalSiteRecord& record = it->second;
-      AccumulateBreakdown(breakdown, record.result);
-      if (record.has_metrics) {
-        out->has_metrics = true;
-        out->metrics.Merge(record.metrics);
-      }
-      if (record.has_trace) {
-        out->has_trace = true;
-        Tracer site;
-        for (const TraceSpan& span : record.trace_spans) {
-          site.RestoreSpan(span);
-        }
-        out->trace.MergeFrom(site, record.pid);
-      }
+      FoldSiteRecord(record, &breakdown, &out->metrics, &out->trace);
+      out->has_metrics = out->has_metrics || record.has_metrics;
+      out->has_trace = out->has_trace || record.has_trace;
       sites[i] = record.result;
     }
 

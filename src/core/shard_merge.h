@@ -17,9 +17,9 @@
 //      instead of failing the merge. A shard with a cohort record but zero
 //      site records is classified "resumable, zero progress" — a worker
 //      that died between BeginCohort and its first site, not corruption;
-//   4. sites fold in (ordinal, global index) order: breakdown accumulation,
-//      metrics Merge, trace MergeFrom at the journaled pid — the same walk
-//      RunSurveyCohortParallel does, so the outputs are byte-identical.
+//   4. sites fold in (ordinal, global index) order through FoldSiteRecord,
+//      the function RunSurveyCohortParallel folds its own site records
+//      with, so the outputs are byte-identical.
 #ifndef MFC_SRC_CORE_SHARD_MERGE_H_
 #define MFC_SRC_CORE_SHARD_MERGE_H_
 

@@ -10,7 +10,7 @@
 namespace mfc {
 
 SimTestbed::SimTestbed(uint64_t seed, TestbedConfig config, std::vector<ClientNetProfile> fleet,
-                       HttpTarget& target)
+                       HttpTarget* target)
     : rng_(seed), config_(std::move(config)), fleet_size_(fleet.size()), target_(target) {
   // The coordinator participates in the network as one extra host (for its
   // crawl fetches); it is not part of the probe fleet.
@@ -71,11 +71,11 @@ void SimTestbed::OnArrival(RequestHandle handle) {
   }
   // The record holds the request only until arrival.
   std::shared_ptr<const HttpRequest> request = std::move(state->request);
-  target_.OnRequest(*request, /*is_mfc=*/true,
-                    [this, handle](HttpStatus status, double bytes,
-                                   std::function<void()> on_sent) {
-                      OnTransport(handle, status, bytes, std::move(on_sent));
-                    });
+  target_->OnRequest(*request, /*is_mfc=*/true,
+                     [this, handle](HttpStatus status, double bytes,
+                                    std::function<void()> on_sent) {
+                       OnTransport(handle, status, bytes, std::move(on_sent));
+                     });
 }
 
 void SimTestbed::OnTransport(RequestHandle handle, HttpStatus status, double bytes,
@@ -203,7 +203,7 @@ HttpResponse SimTestbed::Fetch(const HttpRequest& request) {
   }
   response.status = sample.code;
 
-  const ContentStore* content = target_.Content();
+  const ContentStore* content = target_->Content();
   const WebObject* object =
       content != nullptr ? content->Find(request.Path()) : nullptr;
   if (object != nullptr && IsSuccess(sample.code)) {

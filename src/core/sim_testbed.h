@@ -38,12 +38,14 @@ struct TestbedConfig {
 
 class SimTestbed : public ClientHarness, public Fetcher {
  public:
+  // A null |target| must be bound with SetTarget before the first request:
+  // a server built on this testbed's own loop exists only after it.
   SimTestbed(uint64_t seed, TestbedConfig config, std::vector<ClientNetProfile> fleet,
-             HttpTarget& target);
+             HttpTarget* target);
+  void SetTarget(HttpTarget* target) { target_ = target; }
 
   EventLoop& Loop() { return loop_; }
   WideAreaNetwork& Wan() { return *wan_; }
-  HttpTarget& Target() { return target_; }
   Rng& TestRng() { return rng_; }
 
   // ClientHarness:
@@ -105,7 +107,7 @@ class SimTestbed : public ClientHarness, public Fetcher {
   size_t fleet_size_ = 0;
   size_t coordinator_index_ = 0;  // appended pseudo-client for crawl fetches
   std::unique_ptr<WideAreaNetwork> wan_;
-  HttpTarget& target_;
+  HttpTarget* target_ = nullptr;
   SimDuration request_timeout_ = Seconds(10);
   RecordPool<PendingRequest> requests_;
   // Samples of the crowd ExecuteCrowd is polling. A request settling after

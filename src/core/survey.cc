@@ -35,6 +35,19 @@ void AccumulateBreakdown(SurveyBreakdown& breakdown, const ExperimentResult& res
   }
 }
 
+void FoldSiteRecord(const JournalSiteRecord& record, SurveyBreakdown* breakdown,
+                    MetricsRegistry* metrics, Tracer* trace) {
+  if (breakdown != nullptr) {
+    AccumulateBreakdown(*breakdown, record.result);
+  }
+  if (metrics != nullptr) {
+    metrics->Merge(record.metrics);
+  }
+  if (trace != nullptr) {
+    trace->MergeFrom(record.trace_spans, record.pid);
+  }
+}
+
 SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t servers,
                                         size_t max_crowd, uint64_t seed, size_t jobs,
                                         std::vector<ExperimentResult>* per_site,
@@ -61,19 +74,14 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
     return shard_index + local * shard_count;
   };
 
-  // Per-site observability shards: each task fills only its local slot, and
-  // the slots are folded in (global) index order below — merged telemetry is
-  // therefore byte-identical for any jobs count (the same invariant the
-  // results vector itself relies on).
+  // One site record per local slot, filled only by the task that owns it:
+  // an executed site writes its result, spans and metrics into its record, a
+  // replayed site takes the journal's record, and a quarantined or skipped
+  // site stays empty (a default result, which AccumulateBreakdown ignores).
+  // The records fold in (global) index order below, so the breakdown and
+  // merged telemetry are byte-identical for any jobs count.
   const bool observe = telemetry != nullptr && telemetry->Enabled();
-  struct SiteTelemetry {
-    Tracer tracer;
-    MetricsRegistry metrics;
-  };
-  std::vector<std::unique_ptr<SiteTelemetry>> shards;
-  if (observe) {
-    shards.resize(local_count);
-  }
+  std::vector<JournalSiteRecord> records(local_count);
   std::atomic<size_t> completed{0};
   std::atomic<size_t> processed{0};
   const uint64_t pid_base = telemetry != nullptr ? telemetry->next_pid : 0;
@@ -89,9 +97,9 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
 
   auto run_site = [&](size_t local) {
     const size_t i = global_of(local);
+    JournalSiteRecord& record = records[local];
     // A quarantined site (poisoned: it crashed this shard's worker
-    // repeatedly) is skipped entirely: its slot keeps a default
-    // ExperimentResult, which AccumulateBreakdown ignores, and no site
+    // repeatedly) is skipped entirely: its record stays empty and no site
     // record is ever appended for it.
     if (journal != nullptr && journal->Quarantined(i) != nullptr) {
       processed.fetch_add(1, std::memory_order_relaxed);
@@ -100,21 +108,13 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
         fprintf(stderr, "[survey] site %zu/%zu (index %zu): quarantined, skipped\n", done,
                 local_count, i);
       }
-      return ExperimentResult{};
+      return;
     }
     // Replay from the journal when this site already completed in an
-    // earlier (interrupted) run: restore the result and the telemetry shard
-    // exactly as the live path would have produced them.
-    const JournalSiteRecord* replay =
-        journal != nullptr ? journal->Replayed(i) : nullptr;
-    if (replay != nullptr) {
-      if (observe) {
-        shards[local] = std::make_unique<SiteTelemetry>();
-        for (const TraceSpan& span : replay->trace_spans) {
-          shards[local]->tracer.RestoreSpan(span);
-        }
-        shards[local]->metrics = replay->metrics;
-      }
+    // earlier (interrupted) run: its record is exactly what the live path
+    // would have produced.
+    if (const JournalSiteRecord* replay = journal != nullptr ? journal->Replayed(i) : nullptr) {
+      record = *replay;
       journal->resumed_sites.fetch_add(1, std::memory_order_relaxed);
       processed.fetch_add(1, std::memory_order_relaxed);
       if (telemetry != nullptr && telemetry->progress) {
@@ -122,47 +122,36 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
         fprintf(stderr, "[survey] site %zu/%zu (index %zu): replayed from journal\n", done,
                 local_count, i);
       }
-      return replay->result;
+      return;
     }
 
+    record.cohort_ordinal = journal != nullptr ? journal->CurrentOrdinal() : 0;
+    record.site_index = i;
+    record.seed = SiteExperimentSeed(seed, cohort, i);
+    record.stage = stage;
+    record.pid = pid_base + i;
+    Tracer tracer;
     Telemetry site_telemetry;
     if (observe) {
-      shards[local] = std::make_unique<SiteTelemetry>();
-      if (telemetry->collect_trace) {
-        site_telemetry.tracer = &shards[local]->tracer;
-      }
-      if (telemetry->collect_metrics) {
-        site_telemetry.metrics = &shards[local]->metrics;
-      }
+      record.has_trace = telemetry->collect_trace;
+      record.has_metrics = telemetry->collect_metrics;
+      site_telemetry.tracer = record.has_trace ? &tracer : nullptr;
+      site_telemetry.metrics = record.has_metrics ? &record.metrics : nullptr;
     }
     if (crash_site >= 0 && i == static_cast<size_t>(crash_site)) {
       fprintf(stderr, "[survey] MFC_CRASH_SITE: crashing on site index %zu\n", i);
       abort();
     }
-    const uint64_t site_seed = SiteExperimentSeed(seed, cohort, i);
-    ExperimentResult result = RunSiteExperiment(SampleSiteAt(seed, cohort, i), config, {stage},
-                                                site_seed, observe ? &site_telemetry : nullptr);
+    record.result = RunSiteExperiment(SampleSiteAt(seed, cohort, i), config, {stage}, record.seed,
+                                      observe ? &site_telemetry : nullptr);
+    record.trace_spans = tracer.Spans();
     if (journal != nullptr) {
-      JournalSiteRecord record;
-      record.cohort_ordinal = journal->CurrentOrdinal();
-      record.site_index = i;
-      record.seed = site_seed;
-      record.stage = stage;
-      record.pid = pid_base + i;
-      record.result = result;
-      if (observe && telemetry->collect_trace) {
-        record.has_trace = true;
-        record.trace_spans = shards[local]->tracer.Spans();
-      }
-      if (observe && telemetry->collect_metrics) {
-        record.has_metrics = true;
-        record.metrics = shards[local]->metrics;
-      }
       journal->AppendSite(record);
     }
     processed.fetch_add(1, std::memory_order_relaxed);
     if (telemetry != nullptr && telemetry->progress) {
       size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
+      const ExperimentResult& result = record.result;
       const StageResult* sr = result.stages.empty() ? nullptr : &result.stages[0];
       fprintf(stderr, "[survey] site %zu/%zu (index %zu): %s\n", done, local_count, i,
               result.aborted ? "aborted"
@@ -171,7 +160,6 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
                   ? ("stopped at " + std::to_string(sr->stopping_crowd_size)).c_str()
                   : "NoStop");
     }
-    return result;
   };
 
   ParallelRunner runner(jobs);
@@ -196,12 +184,10 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
     sampler->Start();
   }
 
-  std::vector<ExperimentResult> results(local_count);
   // Journaled runs are cancelable: a shutdown signal drains in-flight sites
   // (which still reach the journal) and skips the rest.
-  runner.RunIndexed(
-      local_count, [&](size_t local) { results[local] = run_site(local); },
-      journal != nullptr ? ShutdownRequested : nullptr, worker_progress.get());
+  runner.RunIndexed(local_count, run_site, journal != nullptr ? ShutdownRequested : nullptr,
+                    worker_progress.get());
   if (journal != nullptr && processed.load(std::memory_order_relaxed) < local_count) {
     journal->interrupted.store(true, std::memory_order_relaxed);
   }
@@ -209,29 +195,22 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
     sampler->Stop();  // emits the final done/total snapshot
   }
 
+  SurveyBreakdown breakdown;
+  breakdown.cohort = cohort;
+  for (const JournalSiteRecord& record : records) {
+    FoldSiteRecord(record, &breakdown, observe ? &telemetry->metrics : nullptr,
+                   observe ? &telemetry->trace : nullptr);
+  }
   if (observe) {
-    for (size_t local = 0; local < shards.size(); ++local) {
-      if (shards[local] == nullptr) {
-        continue;  // skipped under graceful shutdown
-      }
-      telemetry->metrics.Merge(shards[local]->metrics);
-      telemetry->trace.MergeFrom(shards[local]->tracer, telemetry->next_pid + global_of(local));
-    }
     // Advance by the GLOBAL site count: successive cohorts get the same pid
     // layout in every shard, matching the single-process run they merge to.
     telemetry->next_pid += servers;
   }
-
-  SurveyBreakdown breakdown;
-  breakdown.cohort = cohort;
-  for (const ExperimentResult& result : results) {
-    AccumulateBreakdown(breakdown, result);
-  }
   if (per_site != nullptr) {
     per_site->clear();
     per_site->resize(servers);
-    for (size_t local = 0; local < results.size(); ++local) {
-      (*per_site)[global_of(local)] = std::move(results[local]);
+    for (size_t local = 0; local < records.size(); ++local) {
+      (*per_site)[global_of(local)] = std::move(records[local].result);
     }
   }
   return breakdown;

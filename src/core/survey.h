@@ -25,10 +25,11 @@ namespace mfc {
 class ProgressLine;
 class StatsStream;
 class SurveyJournal;
+struct JournalSiteRecord;
 
-// Optional observability for a survey run. Each site experiment gets its own
-// private Tracer / MetricsRegistry (its simulation world runs on one worker
-// thread); after all tasks finish they are folded into |metrics| and |trace|
+// Optional observability for a survey run. Each site experiment records into
+// its own site record (its simulation world runs on one worker thread);
+// after all tasks finish the records are folded into |metrics| and |trace|
 // in site-index order, so the merged outputs are byte-identical for any
 // --jobs value. In the merged trace each site's spans carry pid = its global
 // site index (offset by |next_pid| across successive cohorts).
@@ -72,6 +73,15 @@ struct SurveyBreakdown {
 // object-less stages are skipped, matching the paper's "could not run" rows).
 void AccumulateBreakdown(SurveyBreakdown& breakdown, const ExperimentResult& result);
 
+// Folds one finished site into a survey's outputs: its verdict into
+// |breakdown|, its metrics into |metrics| and its spans into |trace| under
+// pid record.pid. A null output is skipped. Surveys (executed and replayed
+// sites alike), shard merge and mfc_profile's single experiment all fold
+// through here, sites in global index order, which is what makes their
+// outputs byte-identical to one another.
+void FoldSiteRecord(const JournalSiteRecord& record, SurveyBreakdown* breakdown,
+                    MetricsRegistry* metrics, Tracer* trace);
+
 // How one RunSurveyCohortParallel call partitions and seeds the survey.
 // Sharding is by interleaved site index: this process runs global sites i
 // with i % shards == shard_index (global index = shard_index + local *
@@ -97,10 +107,10 @@ struct SurveyRunOptions {
 //
 // |journal|, when non-null, makes the run crash-safe: the caller must have
 // called journal->BeginCohort for this cohort first (with matching shard
-// options). Sites already present in the journal replay from it (results
-// and, when collected, telemetry shards) instead of executing; every live
+// options). Sites already present in the journal replay their site record
+// (result and, when collected, telemetry) instead of executing; every live
 // site is appended as it completes (fsynced in groups, DESIGN.md §9).
-// Because shards fold in index order either way, a resumed run is
+// Because records fold in index order either way, a resumed run is
 // byte-identical to an uninterrupted one for any --jobs. With a journal the
 // run also polls ShutdownRequested(): on a signal, in-flight sites drain,
 // unstarted sites are skipped (their per_site slots stay default — ignored

@@ -50,10 +50,11 @@ void Tracer::Attr(SpanId id, std::string key, uint64_t value) {
   Attr(id, std::move(key), std::to_string(value));
 }
 
-void Tracer::MergeFrom(const Tracer& other, uint64_t pid) {
+void Tracer::MergeFrom(const std::vector<TraceSpan>& spans, uint64_t pid) {
   SpanId offset = next_id_ - 1;
-  spans_.reserve(spans_.size() + other.spans_.size());
-  for (const TraceSpan& span : other.spans_) {
+  // No reserve: an exact one per merged site reallocates the whole merged
+  // trace every time, which makes a survey's fold quadratic in its spans.
+  for (const TraceSpan& span : spans) {
     TraceSpan copy = span;
     copy.id += offset;
     if (copy.parent != 0) {
@@ -63,12 +64,7 @@ void Tracer::MergeFrom(const Tracer& other, uint64_t pid) {
     copy.pid = pid;
     spans_.push_back(std::move(copy));
   }
-  next_id_ += other.spans_.size();
-}
-
-void Tracer::RestoreSpan(TraceSpan span) {
-  spans_.push_back(std::move(span));
-  next_id_ = spans_.size() + 1;
+  next_id_ += spans.size();
 }
 
 std::vector<const TraceSpan*> Tracer::Named(const std::string& name) const {

@@ -13,8 +13,8 @@
 // The tracer is passive: call sites pass explicit SimTime stamps, nothing is
 // scheduled on the event loop, and a null tracer costs one pointer test — so
 // tracing off is bit-identical to the pre-telemetry code path. Each
-// simulation world owns its own Tracer (no cross-thread sharing); per-job
-// tracers from a parallel survey combine with MergeFrom() in index order,
+// simulation world owns its own Tracer (no cross-thread sharing); per-site
+// spans from a parallel survey combine with MergeFrom() in index order,
 // which keeps the merged trace independent of the jobs count.
 #ifndef MFC_SRC_TELEMETRY_TRACE_H_
 #define MFC_SRC_TELEMETRY_TRACE_H_
@@ -65,18 +65,15 @@ class Tracer {
   const std::vector<TraceSpan>& Spans() const { return spans_; }
   size_t SpanCount() const { return spans_.size(); }
 
-  // Appends |other|'s spans under process id |pid|, remapping span ids past
-  // our own so merged traces stay internally consistent. Merging per-site
-  // tracers in index order yields the same bytes for any jobs count.
-  void MergeFrom(const Tracer& other, uint64_t pid);
+  // Appends one site's |spans| (another tracer's Spans(), live or decoded
+  // from a journal, so ids 1..n in order) under process id |pid|, remapping
+  // span ids past our own so merged traces stay internally consistent.
+  // Merging per-site spans in index order yields the same bytes for any jobs
+  // count.
+  void MergeFrom(const std::vector<TraceSpan>& spans, uint64_t pid);
 
   // Spans with matching |name| (tests / structural golden files).
   std::vector<const TraceSpan*> Named(const std::string& name) const;
-
-  // Journal-replay restore: appends |span| verbatim. Spans must be restored
-  // in id order (1..n) so the id-to-index invariant holds; next_id_ advances
-  // past every restored span.
-  void RestoreSpan(TraceSpan span);
 
  private:
   SpanId next_id_ = 1;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace mfc {
 namespace {
 
@@ -60,12 +63,18 @@ TEST(ExportJsonTest, StructureAndVerdicts) {
 }
 
 TEST(ExportJsonTest, AbortedCarriesEscapedReason) {
-  ExperimentResult result;
-  result.aborted = true;
-  result.abort_reason = "only \"12\" clients\nresponded";
-  std::string json = ExportJson(result);
-  EXPECT_NE(json.find("\"aborted\":true"), std::string::npos);
-  EXPECT_NE(json.find("only \\\"12\\\" clients\\nresponded"), std::string::npos);
+  const std::pair<std::string, std::string> cases[] = {
+      {"only \"12\" clients\nresponded", "only \\\"12\\\" clients\\nresponded"},
+      {"probe\ttimed out", "probe\\ttimed out"},
+  };
+  for (const auto& [reason, escaped] : cases) {
+    ExperimentResult result;
+    result.aborted = true;
+    result.abort_reason = reason;
+    std::string json = ExportJson(result);
+    EXPECT_NE(json.find("\"aborted\":true"), std::string::npos);
+    EXPECT_NE(json.find("\"abort_reason\":\"" + escaped + "\""), std::string::npos) << json;
+  }
 }
 
 TEST(ExportJsonTest, NoStoppingSizeWhenNotStopped) {

@@ -410,6 +410,8 @@ TEST(SurveyJournalTest, GroupCommitLosesOnlyTheUnsyncedTail) {
     auto crashed = SurveyJournal::Open(crash_path, kTool, kPrint, true, &error);
     ASSERT_NE(crashed, nullptr) << error;
     EXPECT_NE(crashed->Warning().find("corruption"), std::string::npos) << i;
+    // Open cut the zero page off: appends continue the valid prefix.
+    EXPECT_EQ(FileSize(crash_path), synced) << i;
     for (size_t j = 0; j < kSites; ++j) {
       const JournalSiteRecord* replayed = crashed->SiteAt(0, j);
       if (j < synced_sites) {
@@ -507,13 +509,27 @@ TEST(SurveyJournalTest, FingerprintMismatchIsHardError) {
 
 TEST(SurveyJournalTest, NotAJournalIsHardError) {
   std::string path = TempPath("journal_not_a_journal.jsonl");
-  Spit(path, "this is not a journal\n");
-  std::string error;
-  EXPECT_EQ(SurveyJournal::Open(path, kTool, kPrint, true, &error), nullptr);
-  EXPECT_NE(error.find("not an mfc journal"), std::string::npos) << error;
-  // Crucially, the unrecognized file must survive untouched — Open must
-  // never truncate or overwrite something that is not a journal.
-  EXPECT_EQ(Slurp(path), "this is not a journal\n");
+  JournalQuarantineRecord quarantine;
+  quarantine.crashes = 1;
+  quarantine.signature = "signal 6 (Aborted)";
+  // An empty file is a journal only to Open, which then writes its header;
+  // the read-only reader and the supervisor's append refuse it.
+  for (const std::string contents : {"this is not a journal\n", ""}) {
+    Spit(path, contents);
+    std::string error;
+    if (!contents.empty()) {
+      EXPECT_EQ(SurveyJournal::Open(path, kTool, kPrint, true, &error), nullptr);
+      EXPECT_NE(error.find("not an mfc journal"), std::string::npos) << error;
+    }
+    JournalFileData data;
+    EXPECT_FALSE(ReadJournalFile(path, &data, &error));
+    EXPECT_NE(error.find("not an mfc journal"), std::string::npos) << error;
+    EXPECT_FALSE(AppendQuarantineRecord(path, quarantine, &error));
+    EXPECT_NE(error.find("not an mfc journal"), std::string::npos) << error;
+    // Crucially, the unrecognized file must survive untouched — no reader
+    // may truncate or overwrite something that is not a journal.
+    EXPECT_EQ(Slurp(path), contents);
+  }
   remove(path.c_str());
 }
 

@@ -89,7 +89,7 @@ TEST(RobustnessTest, DeadTargetProducesEmptyStage) {
   BlackHole hole;
   TestbedConfig testbed_config;
   std::vector<ClientNetProfile> fleet = MakeLanFleet(55);
-  SimTestbed testbed(74, testbed_config, std::move(fleet), hole);
+  SimTestbed testbed(74, testbed_config, std::move(fleet), &hole);
   testbed.set_request_timeout(Seconds(1));  // keep the test quick
   ExperimentConfig config;
   config.request_timeout = Seconds(1);

@@ -55,33 +55,11 @@ ContentStore LabSite() {
 }
 
 TEST(SimTestbedTest, FetchOnceMeasuresHandshakePlusServiceTime) {
-  EventLoop* loop = nullptr;
-  ContentStore content = LabSite();
-  // Synthetic zero-delay server: response time == network time only.
-  SimTestbed* testbed_ptr = nullptr;
-  (void)loop;
-  (void)testbed_ptr;
-
-  // Build against a synthetic server with no service delay.
-  struct Wrapper {
-    std::unique_ptr<SyntheticModelServer> server;
-  } wrapper;
-  TestbedConfig config = QuietConfig();
-  // Two-phase init: SimTestbed needs the target at construction; allocate a
-  // holder whose inner server is created against the testbed's loop.
-  class LateTarget : public HttpTarget {
-   public:
-    HttpTarget* inner = nullptr;
-    void OnRequest(const HttpRequest& request, bool is_mfc,
-                   ResponseTransport transport) override {
-      inner->OnRequest(request, is_mfc, std::move(transport));
-    }
-  };
-  LateTarget late;
-  SimTestbed testbed(1, config, UniformFleet(5), late);
-  wrapper.server =
-      std::make_unique<SyntheticModelServer>(testbed.Loop(), ConstantModel(0.0), 0.0, 100.0);
-  late.inner = wrapper.server.get();
+  // Synthetic zero-delay server: response time == network time only. It
+  // runs on the testbed's loop, so it is bound after the testbed exists.
+  SimTestbed testbed(1, QuietConfig(), UniformFleet(5), nullptr);
+  SyntheticModelServer server(testbed.Loop(), ConstantModel(0.0), 0.0, 100.0);
+  testbed.SetTarget(&server);
 
   HttpRequest req;
   req.method = HttpMethod::kHead;
@@ -103,7 +81,7 @@ TEST(SimTestbedTest, SlowServerTriggersClientKillTimer) {
     }
   };
   BlackHole hole;
-  SimTestbed testbed(2, config, UniformFleet(3), hole);
+  SimTestbed testbed(2, config, UniformFleet(3), &hole);
   testbed.set_request_timeout(Seconds(10));
   HttpRequest req;
   req.target = "/";
@@ -124,7 +102,7 @@ TEST(SimTestbedTest, ProbeClientsFindsWholeQuietFleet) {
     }
   };
   Null target;
-  SimTestbed testbed(3, config, UniformFleet(60), target);
+  SimTestbed testbed(3, config, UniformFleet(60), &target);
   EXPECT_EQ(testbed.ProbeClients(Seconds(1)).size(), 60u);
 }
 
@@ -138,7 +116,7 @@ TEST(SimTestbedTest, ControlLossShrinksProbeResponses) {
     }
   };
   Null target;
-  SimTestbed testbed(4, config, UniformFleet(100), target);
+  SimTestbed testbed(4, config, UniformFleet(100), &target);
   size_t responsive = testbed.ProbeClients(Seconds(1)).size();
   EXPECT_LT(responsive, 60u);   // ~0.36 expected survival
   EXPECT_GT(responsive, 15u);
@@ -147,18 +125,10 @@ TEST(SimTestbedTest, ControlLossShrinksProbeResponses) {
 TEST(SimTestbedTest, ExecuteCrowdSynchronizesArrivals) {
   TestbedConfig config = QuietConfig();
   config.wan.jitter_sigma = 0.03;  // realistic jitter
-  class Late2 : public HttpTarget {
-   public:
-    HttpTarget* inner = nullptr;
-    void OnRequest(const HttpRequest& r, bool m, ResponseTransport t) override {
-      inner->OnRequest(r, m, std::move(t));
-    }
-  };
-  Late2 late;
   Rng fleet_rng(77);
-  SimTestbed testbed(5, config, MakePlanetLabFleet(fleet_rng, 45, 0), late);
+  SimTestbed testbed(5, config, MakePlanetLabFleet(fleet_rng, 45, 0), nullptr);
   SyntheticModelServer server(testbed.Loop(), ConstantModel(0.0), 0.001, 200.0);
-  late.inner = &server;
+  testbed.SetTarget(&server);
 
   // Build latency estimates the way the coordinator would.
   std::vector<ClientLatencyEstimate> latencies;
@@ -190,21 +160,10 @@ TEST(SimTestbedTest, ExecuteCrowdSynchronizesArrivals) {
 TEST(SimTestbedTest, CrawlFetchReturnsRealPageBodies) {
   TestbedConfig config = QuietConfig();
   ContentStore content = LabSite();
-  class Late3 : public HttpTarget {
-   public:
-    HttpTarget* inner = nullptr;
-    const ContentStore* content = nullptr;
-    void OnRequest(const HttpRequest& r, bool m, ResponseTransport t) override {
-      inner->OnRequest(r, m, std::move(t));
-    }
-    const ContentStore* Content() const override { return content; }
-  };
-  Late3 late;
-  late.content = &content;
-  SimTestbed testbed(6, config, UniformFleet(3), late);
+  SimTestbed testbed(6, config, UniformFleet(3), nullptr);
   WebServerConfig server_config;
   WebServer server(testbed.Loop(), server_config, &content);
-  late.inner = &server;
+  testbed.SetTarget(&server);
 
   HttpRequest get;
   get.method = HttpMethod::kGet;
@@ -298,7 +257,7 @@ void ExpectEachOnce(const std::vector<int>& counts) {
 
 TEST(SimTestbedRecordTest, KillBeforeArrivalNeverReachesTheTarget) {
   ScriptedTarget target;
-  SimTestbed testbed(21, QuietConfig(), UniformFleet(2), target);
+  SimTestbed testbed(21, QuietConfig(), UniformFleet(2), &target);
   testbed.set_request_timeout(Millis(50));  // the handshake alone takes 120 ms
   Launcher launcher(testbed);
   launcher.Launch(0, "/a");
@@ -312,7 +271,7 @@ TEST(SimTestbedRecordTest, KillBeforeArrivalNeverReachesTheTarget) {
 TEST(SimTestbedRecordTest, KillAfterTransportCallAbortsTheFlowAndReleasesOnce) {
   ScriptedTarget target;
   target.answer_bytes = 1e9;  // 80 s at the server link's 12.5 MB/s
-  SimTestbed testbed(22, QuietConfig(), UniformFleet(2), target);
+  SimTestbed testbed(22, QuietConfig(), UniformFleet(2), &target);
   testbed.set_request_timeout(Seconds(1));
   Launcher launcher(testbed);
   launcher.Launch(0, "/big");
@@ -330,7 +289,7 @@ TEST(SimTestbedRecordTest, KillAfterTransportCallAbortsTheFlowAndReleasesOnce) {
 TEST(SimTestbedRecordTest, TransportCallAfterKillReleasesAtOnce) {
   ScriptedTarget target;
   target.hold = true;
-  SimTestbed testbed(23, QuietConfig(), UniformFleet(2), target);
+  SimTestbed testbed(23, QuietConfig(), UniformFleet(2), &target);
   testbed.set_request_timeout(Seconds(1));
   Launcher launcher(testbed);
   launcher.Launch(1, "/late");
@@ -347,7 +306,7 @@ TEST(SimTestbedRecordTest, TransportCallAfterKillReleasesAtOnce) {
 
 TEST(SimTestbedRecordTest, ClosedLoopOnDoneLaunchesTheNextRequest) {
   ScriptedTarget target;
-  SimTestbed testbed(24, QuietConfig(), UniformFleet(4), target);
+  SimTestbed testbed(24, QuietConfig(), UniformFleet(4), &target);
   constexpr size_t kRequests = 200;
   std::vector<int> done;
   std::function<void(size_t)> launch = [&](size_t client) {
@@ -376,7 +335,7 @@ TEST(SimTestbedRecordTest, ClosedLoopOnDoneLaunchesTheNextRequest) {
 TEST(SimTestbedRecordTest, LateCallbacksNeverTouchAReusedRecord) {
   ScriptedTarget target;
   target.hold = true;
-  SimTestbed testbed(25, QuietConfig(), UniformFleet(4), target);
+  SimTestbed testbed(25, QuietConfig(), UniformFleet(4), &target);
   testbed.set_request_timeout(Seconds(1));
   Launcher launcher(testbed);
   // Eight requests are killed while their transports are held: the pool

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -271,6 +272,27 @@ TEST(TelemetryIntegrationTest, SurveyMergedTelemetryIndependentOfJobs) {
   EXPECT_TRUE(sequential.metrics == parallel.metrics);
   EXPECT_EQ(ExportMetricsCsv(sequential.metrics), ExportMetricsCsv(parallel.metrics));
   EXPECT_EQ(ExportTraceJson(sequential.trace), ExportTraceJson(parallel.trace));
+}
+
+// Global site i of a survey takes pid next_pid + i in the merged trace, and
+// the next cohort starts past all of this one's sites, in every shard: the
+// layout shard merge and resume reproduce byte for byte.
+TEST(TelemetryIntegrationTest, SurveyTraceGivesEachSiteItsGlobalPid) {
+  SurveyTelemetry telemetry;
+  telemetry.collect_trace = true;
+  telemetry.next_pid = 10;
+  SurveyRunOptions run;
+  run.shards = 2;
+  run.shard_index = 1;
+  RunSurveyCohortParallel(Cohort::kRank100KTo1M, StageKind::kBase, /*servers=*/5,
+                          /*max_crowd=*/40, /*seed=*/5, /*jobs=*/2, nullptr, &telemetry,
+                          nullptr, run);
+  std::set<uint64_t> pids;
+  for (const TraceSpan& span : telemetry.trace.Spans()) {
+    pids.insert(span.pid);
+  }
+  EXPECT_EQ(pids, (std::set<uint64_t>{11, 13}));  // global sites 1 and 3
+  EXPECT_EQ(telemetry.next_pid, 15u);
 }
 
 class GoldenTest : public ::testing::Test {

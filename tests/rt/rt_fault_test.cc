@@ -432,7 +432,6 @@ TEST_F(FaultFleetTest, FaultedRunReachesSameVerdictAsClean) {
   config.epoch_gap = Seconds(0.05);
   RetryPolicy retry = FastRetry(8);
   retry.initial_backoff = Millis(10);
-  config.retry = retry;
   config.epoch_quorum = 0.5;
   config.evict_after_misses = 3;
 
@@ -441,7 +440,7 @@ TEST_F(FaultFleetTest, FaultedRunReachesSameVerdictAsClean) {
     harness_.reset();
     agent_injectors_.clear();
     coord_injector_.reset();
-    StartFleet(kFleet, agent_faults, coord_faults, config.retry);
+    StartFleet(kFleet, agent_faults, coord_faults, retry);
     EXPECT_GE(harness_->WaitForRegistrations(kFleet, 10.0), config.min_clients);
     Coordinator coordinator(*harness_, config, 5);
     StageObjects objects;

@@ -69,7 +69,7 @@ TEST(TracerTest, MergeFromRemapsIdsAndParents) {
   b.EndSpan(b_child, 5.8);
   b.EndSpan(b_root, 6.0);
 
-  a.MergeFrom(b, 7);
+  a.MergeFrom(b.Spans(), 7);
   ASSERT_EQ(a.SpanCount(), 3u);
   const TraceSpan& merged_root = a.Spans()[1];
   const TraceSpan& merged_child = a.Spans()[2];
@@ -96,11 +96,11 @@ TEST(TracerTest, MergeOrderIsDeterministic) {
   Tracer shard1 = make(10.0);
 
   Tracer merged_a;
-  merged_a.MergeFrom(shard0, 0);
-  merged_a.MergeFrom(shard1, 1);
+  merged_a.MergeFrom(shard0.Spans(), 0);
+  merged_a.MergeFrom(shard1.Spans(), 1);
   Tracer merged_b;
-  merged_b.MergeFrom(shard0, 0);
-  merged_b.MergeFrom(shard1, 1);
+  merged_b.MergeFrom(shard0.Spans(), 0);
+  merged_b.MergeFrom(shard1.Spans(), 1);
   ASSERT_EQ(merged_a.SpanCount(), merged_b.SpanCount());
   for (size_t i = 0; i < merged_a.SpanCount(); ++i) {
     EXPECT_EQ(merged_a.Spans()[i].id, merged_b.Spans()[i].id);

@@ -35,8 +35,9 @@ outputs, checks that config mismatches and a missing --resume are hard
 errors (exit 3 — see the README exit-code table), that an output file
 mfc_profile cannot write exits 1, and finally that a single experiment
 whose journal write fails (a file-size limit standing in for a full disk)
-exits 3. Exit status 0 = valid, 1 = validation failure, 2 = usage/setup
-error.
+exits 3, and that a single experiment replayed from its journal with
+--resume writes byte-identical trace, metrics and JSON outputs. Exit status
+0 = valid, 1 = validation failure, 2 = usage/setup error.
 """
 
 import json
@@ -480,6 +481,35 @@ def run_profile(profile_bin, workdir):
             % (proc.returncode, proc.stderr)
         )
     print("check_journal: OK: a failed journal write exits 3")
+
+    # 11. A single experiment journals as site (0, 0) with no cohort record.
+    #     Rerun with --resume, it replays that record without deploying the
+    #     site, and its trace, metrics and JSON must match the live run's.
+    single = os.path.join(workdir, "single.jsonl")
+
+    def single_cmd(tag, resume):
+        return [
+            profile_bin, "--profile=univ1", "--stages=base", "--max-crowd=20",
+            "--journal=" + single,
+            "--trace=" + os.path.join(workdir, "single_t%s.json" % tag),
+            "--metrics=" + os.path.join(workdir, "single_m%s.csv" % tag),
+            "--json=" + os.path.join(workdir, "single_r%s.json" % tag),
+        ] + (["--resume"] if resume else [])
+
+    proc = run(single_cmd("1", resume=False))
+    if proc.returncode != 0:
+        print(proc.stderr.decode(errors="replace"), file=sys.stderr)
+        return fail("journaled single experiment exited %d" % proc.returncode)
+    proc = run(single_cmd("2", resume=True))
+    if proc.returncode != 0:
+        print(proc.stderr.decode(errors="replace"), file=sys.stderr)
+        return fail("resumed single experiment exited %d" % proc.returncode)
+    if b"(replayed from journal)" not in proc.stdout:
+        return fail("resumed single experiment did not replay site (0, 0): %r" % proc.stdout)
+    for name in ("single_t%s.json", "single_m%s.csv", "single_r%s.json"):
+        if slurp(name % "1") != slurp(name % "2"):
+            return fail("%s differs after single-experiment replay" % (name % "2"))
+    print("check_journal: OK: single-experiment replay is byte-identical")
     return 0
 
 

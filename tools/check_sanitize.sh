@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 # Reactor polls and socket waits make these tests timing-sensitive; the
 # sanitizer slowdown is real, so give ctest headroom instead of flaking.
-FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|RecordPool|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal|MetricsRegistry|TelemetryIntegration|Database'
+FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|RecordPool|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal|MetricsRegistry|TelemetryIntegration|Database|ShardMerge|ShardedSurvey|SurveySession|Tracer'
 TIMEOUT=600
 # Only the binaries the filter can hit — building every bench/example under
 # two sanitizers would dominate the wall clock for no extra coverage.
@@ -25,7 +25,8 @@ TIMEOUT=600
 # slot/generation handle reuse — exactly the pointer-lifetime surface the
 # hot-path rework touches, including the differential tests.
 # mfc_telemetry_tests covers the health-plane snapshot/stream machinery —
-# its background writer thread and the shared progress cells the survey
+# the sampler thread (StatsStream::Emit writes and flushes on its caller's
+# thread, under the stream's mutex) and the shared progress cells the survey
 # workers update are precisely what TSan should see.
 # mfc_supervisor_tests forks real workers and exercises the hang-kill and
 # drain paths — the fork/exec/waitpid lifetime surface ASan should see.
@@ -40,6 +41,9 @@ TIMEOUT=600
 # the server keeps across Merge/Restore and a whole experiment, and
 # DatabaseTest the pooled query records: ASan is what sees a dangling slot
 # or a key read after its caller's string is gone.
+# ShardMergeTest, ShardedSurveyTest and SurveySessionTest run surveys whose
+# ParallelRunner workers fill the site records that FoldSiteRecord then
+# folds, and TracerTest covers the span merge the fold uses.
 TARGETS=(mfc_rt_tests mfc_core_tests mfc_net_tests mfc_sim_tests mfc_telemetry_tests mfc_supervisor_tests mfc_server_tests)
 
 run_one() {

@@ -681,24 +681,23 @@ int Run(const Options& options) {
     }
   }
 
-  Tracer tracer;
-  MetricsRegistry metrics;
-  ExperimentResult result;
   // Single experiments journal as site (0, 0) with no cohort record; a
-  // completed run replays without even deploying the site.
-  const JournalSiteRecord* replay = journal != nullptr ? journal->SiteAt(0, 0) : nullptr;
-  if (replay != nullptr) {
+  // completed run replays without even deploying the site. Either way the
+  // outputs below fold from the site record, as a survey's do.
+  JournalSiteRecord live;
+  const JournalSiteRecord* record = journal != nullptr ? journal->SiteAt(0, 0) : nullptr;
+  if (record != nullptr) {
     printf("target: %s  fleet=%zu  theta=%.0fms  step=%zu  max=%zu  mr=%zu  "
            "(replayed from journal)\n\n",
            site->server.name.c_str(), options.fleet, options.theta_ms, options.step,
            options.max_crowd, options.mr);
-    result = replay->result;
-    for (const TraceSpan& span : replay->trace_spans) {
-      tracer.RestoreSpan(span);
-    }
-    metrics = replay->metrics;
     journal->resumed_sites.fetch_add(1);
   } else {
+    record = &live;
+    live.seed = options.seed;
+    live.stage = options.stages.empty() ? StageKind::kBase : options.stages[0];
+    live.has_trace = want_trace;
+    live.has_metrics = want_metrics;
     DeploymentOptions deployment_options;
     deployment_options.seed = options.seed;
     deployment_options.fleet_size = options.fleet;
@@ -708,12 +707,13 @@ int Run(const Options& options) {
 
     // Telemetry sink; wired only when a --trace / --metrics output was asked
     // for, so plain runs keep the uninstrumented code path.
+    Tracer site_tracer;
     Telemetry telemetry;
     if (want_trace) {
-      telemetry.tracer = &tracer;
+      telemetry.tracer = &site_tracer;
     }
     if (want_metrics) {
-      telemetry.metrics = &metrics;
+      telemetry.metrics = &live.metrics;
     }
     telemetry.progress = telemetry.Enabled();
     if (telemetry.Enabled()) {
@@ -755,36 +755,29 @@ int Run(const Options& options) {
       };
       sampler = std::make_unique<SimStatsSampler>(deployment.Loop(), *stats,
                                                   flags.stats_interval, probe,
-                                                  want_metrics ? &metrics : nullptr);
+                                                  want_metrics ? &live.metrics : nullptr);
       sampler->Start();
     }
 
-    result = coordinator.Run(objects, options.stages);
+    live.result = coordinator.Run(objects, options.stages);
     if (sampler != nullptr) {
       sampler->Stop();  // cancels the pending tick, emits the final snapshot
     }
     deployment.StopBackground();
+    live.trace_spans = site_tracer.Spans();
 
     if (journal != nullptr) {
-      JournalSiteRecord record;
-      record.seed = options.seed;
-      record.stage = options.stages.empty() ? StageKind::kBase : options.stages[0];
-      record.result = result;
-      if (want_trace) {
-        record.has_trace = true;
-        record.trace_spans = tracer.Spans();
-      }
-      if (want_metrics) {
-        record.has_metrics = true;
-        record.metrics = metrics;
-      }
-      journal->AppendSite(record);
+      journal->AppendSite(live);
       if (!journal->Sync()) {
         fprintf(stderr, "journal error: %s\n", journal->Error().c_str());
         return kExitJournal;
       }
     }
   }
+  Tracer tracer;
+  MetricsRegistry metrics;
+  FoldSiteRecord(*record, nullptr, &metrics, &tracer);
+  const ExperimentResult& result = record->result;
 
   if (result.aborted) {
     printf("ABORTED: %s\n", result.abort_reason.c_str());
