@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   auto scaled = [&args](size_t n) {
     return std::max<size_t>(1, static_cast<size_t>(static_cast<double>(n) * args.scale));
   };
-  mfc::PerfReport report("event_loop", 1);
+  mfc::PerfReport report("event_loop");
   report.Add(Measure("churn_chains", args.repeats,
                      [&] { return RunChurn(scaled(512), scaled(400)); }));
   report.Add(Measure("cancel_storm", args.repeats,

@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   auto scaled = [&args](size_t n) {
     return std::max<size_t>(1, static_cast<size_t>(static_cast<double>(n) * args.scale));
   };
-  mfc::PerfReport report("flow_network", 1);
+  mfc::PerfReport report("flow_network");
 
   ChurnSpec components;
   components.groups = scaled(24);

@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   auto scaled = [&args](size_t n) {
     return std::max<size_t>(1, static_cast<size_t>(static_cast<double>(n) * args.scale));
   };
-  mfc::PerfReport report("rt", 1);
+  mfc::PerfReport report("rt");
 
   // Headline: loss-free reliable control-message throughput (send + deliver
   // + ack + complete, the whole session round trip).

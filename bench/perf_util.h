@@ -16,10 +16,10 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/core/arg_parse.h"
 #include "src/core/export.h"
 
 // Injected by bench/CMakeLists.txt at configure time; stale only until the
@@ -58,7 +58,7 @@ inline double PerfPercentile(std::vector<double> xs, double q) {
 // repeat measures nothing) and one wall-clock sample per repeat.
 struct PerfScenario {
   std::string name;
-  std::string items_unit = "events";  // "events" | "sites" | "ops"
+  std::string items_unit = "events";  // "events" | "ops"
   uint64_t items = 0;
   std::vector<double> wall_seconds;
   // Free-form numeric counters (allocator recompute counts etc.), emitted in
@@ -75,12 +75,11 @@ struct PerfScenario {
 
 // Accumulates scenarios, prints a human-readable table, and writes the
 // BENCH_<name>.json record (atomic write; schema in DESIGN.md §10). The
-// first scenario is the headline the acceptance trajectory tracks.
+// first scenario is the headline the acceptance trajectory tracks. Every
+// scenario runs on one thread, so the record's "jobs" is always 1.
 class PerfReport {
  public:
-  PerfReport(std::string bench, size_t jobs = 0)
-      : bench_(std::move(bench)),
-        jobs_(jobs > 0 ? jobs : static_cast<size_t>(std::thread::hardware_concurrency())) {}
+  explicit PerfReport(std::string bench) : bench_(std::move(bench)) {}
 
   void Add(PerfScenario scenario) {
     assert(!scenario.wall_seconds.empty());
@@ -113,8 +112,8 @@ class PerfReport {
     char line[512];
     snprintf(line, sizeof(line),
              "{\n  \"bench\": \"%s\",\n  \"schema\": 1,\n  \"commit\": \"%s\",\n"
-             "  \"flags\": \"%s\",\n  \"jobs\": %zu,\n",
-             bench_.c_str(), MFC_GIT_COMMIT, MFC_BENCH_FLAGS, jobs_);
+             "  \"flags\": \"%s\",\n  \"jobs\": 1,\n",
+             bench_.c_str(), MFC_GIT_COMMIT, MFC_BENCH_FLAGS);
     json += line;
     if (!scenarios_.empty()) {
       const PerfScenario& h = scenarios_.front();
@@ -145,18 +144,17 @@ class PerfReport {
 
  private:
   std::string bench_;
-  size_t jobs_;
   std::vector<PerfScenario> scenarios_;
 };
 
-// Common flag parsing for the perf binaries: --repeats=N --scale=X --out=PATH
-// plus bench-specific extras handled by |extra| (return false = unknown).
+// Common flag parsing for the perf binaries: --repeats=N --scale=X --out=PATH,
+// through the checked parsers of src/core/arg_parse.h. A malformed value, a
+// zero repeat count or a scale that is not positive clears |ok|, and main()
+// exits 2 rather than timing work nobody asked for.
 struct PerfArgs {
   size_t repeats = 5;
   double scale = 1.0;
   std::string out_path;
-  size_t sites = 0;  // perf_survey only
-  size_t jobs = 0;   // perf_survey only
   bool ok = true;
 };
 
@@ -170,22 +168,20 @@ inline PerfArgs ParsePerfArgs(int argc, char** argv, const char* default_out) {
       return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n : nullptr;
     };
     if (const char* v = value_of("--repeats=")) {
-      args.repeats = std::max<size_t>(1, static_cast<size_t>(atoi(v)));
+      args.ok &= ParseSizeFlag("--repeats", v, &args.repeats);
     } else if (const char* v = value_of("--scale=")) {
-      args.scale = atof(v);
+      args.ok &= ParseDoubleFlag("--scale", v, &args.scale);
     } else if (const char* v = value_of("--out=")) {
       args.out_path = v;
-    } else if (const char* v = value_of("--sites=")) {
-      args.sites = static_cast<size_t>(atoi(v));
-    } else if (const char* v = value_of("--jobs=")) {
-      args.jobs = static_cast<size_t>(atoi(v));
     } else {
-      fprintf(stderr,
-              "unknown flag '%s' (supported: --repeats=N --scale=X --out=PATH"
-              " [--sites=N --jobs=N])\n",
+      fprintf(stderr, "unknown flag '%s' (supported: --repeats=N --scale=X --out=PATH)\n",
               arg.c_str());
       args.ok = false;
     }
+  }
+  if (args.repeats == 0 || args.scale <= 0.0) {
+    fprintf(stderr, "--repeats must be at least 1 and --scale must be positive\n");
+    args.ok = false;
   }
   return args;
 }

@@ -10,6 +10,7 @@
 #define MFC_SRC_CORE_ARG_PARSE_H_
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,7 +44,9 @@ inline bool ParseSizeValue(const std::string& text, size_t* out) {
 }
 
 // Finite double, full-string (accepts the usual strtod forms incl. negative
-// values; callers wanting non-negative check the result).
+// values; callers wanting non-negative check the result). strtod also reads
+// "nan" and "inf" without setting errno; both are rejected here, since a NaN
+// slips past every range check a caller makes.
 inline bool ParseDoubleValue(const std::string& text, double* out) {
   if (text.empty()) {
     return false;
@@ -51,7 +54,7 @@ inline bool ParseDoubleValue(const std::string& text, double* out) {
   errno = 0;
   char* end = nullptr;
   double v = strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0') {
+  if (errno != 0 || end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
     return false;
   }
   *out = v;
@@ -80,7 +83,8 @@ inline bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* ou
 
 inline bool ParseDoubleFlag(const char* flag, const std::string& text, double* out) {
   if (!ParseDoubleValue(text, out)) {
-    fprintf(stderr, "invalid value for %s: '%s' (expected a number)\n", flag, text.c_str());
+    fprintf(stderr, "invalid value for %s: '%s' (expected a finite number)\n", flag,
+            text.c_str());
     return false;
   }
   return true;

@@ -51,6 +51,12 @@ TEST(SurveySessionTest, ParsesOnlyTheSharedFlagsInEqualsForm) {
   EXPECT_TRUE(ok);
   EXPECT_TRUE(ParseSurveyFlag("--jobs=four", &flags, &ok));
   EXPECT_FALSE(ok);
+  // strtod reads these, but no sampling period is NaN or infinite.
+  for (const char* arg : {"--stats-interval=nan", "--stats-interval=inf"}) {
+    ok = true;
+    EXPECT_TRUE(ParseSurveyFlag(arg, &flags, &ok)) << arg;
+    EXPECT_FALSE(ok) << arg;
+  }
 }
 
 TEST(SurveySessionTest, ValidationRejectsPartialAndInconsistentRuns) {

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-UNITS = {"events", "sites", "ops"}
+UNITS = {"events", "ops"}
 
 
 def fail(errors, path, msg):

@@ -17,8 +17,8 @@ scenario's throughput drops by more than --threshold (default 15%):
 non-headline scenarios are reported informationally, because trajectory
 baselines legitimately trade micro-scenario speed for algorithmic wins
 (see bench/baselines/). Scenarios whose 'items' differ are skipped, not
-failed — ctest smoke runs emit records at --scale=0.1 / --sites=4, and a
-throughput ratio across different workload sizes is meaningless.
+failed — ctest smoke runs emit records at --scale=0.1, and a throughput
+ratio across different workload sizes is meaningless.
 """
 
 import argparse

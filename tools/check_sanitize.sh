@@ -51,7 +51,9 @@ run_one() {
   echo "=== [${preset}] configure ==="
   cmake --preset "${preset}" >/dev/null
   echo "=== [${preset}] build (${TARGETS[*]}) ==="
-  cmake --build --preset "${preset}" -j --target "${TARGETS[@]}" >/dev/null
+  # A bare -j lets make start unlimited compiles, enough to exhaust memory or
+  # process ids on a small machine before any test runs.
+  cmake --build --preset "${preset}" -j "$(nproc)" --target "${TARGETS[@]}" >/dev/null
   echo "=== [${preset}] test (-R '${FILTER}') ==="
   # Reactor tests race real deadlines; oversubscribing cores under a
   # sanitizer's slowdown turns those deadlines into flakes, so parallelism
@@ -62,7 +64,7 @@ run_one() {
     # under a real SIGINT; run the kill/resume harness against the ASan
     # bench so leaks or use-after-free in the drain path fail the gate.
     echo "=== [${preset}] kill/resume harness ==="
-    cmake --build --preset "${preset}" -j --target fig7_survey_base >/dev/null
+    cmake --build --preset "${preset}" -j "$(nproc)" --target fig7_survey_base >/dev/null
     tools/check_resume.sh "build-asan/bench/fig7_survey_base"
   fi
 }
