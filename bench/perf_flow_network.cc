@@ -1,16 +1,17 @@
-// Perf microbench for the fluid-flow network allocator: high-churn
-// concurrent downloads over shared and component-disjoint bottlenecks, the
-// slow-start doubling storm, and abort churn. Emits BENCH_flow_network.json
-// (events/sec + allocator recompute counters) so the incremental-allocator
-// speedup stays auditable across PRs.
+// Perf microbench for the fluid-flow network allocator on the one topology
+// the simulator builds: a star, one server access link over per-client
+// access links, optionally through shared mid-path (POP) links, as
+// WideAreaNetwork lays it out. Every survey site runs its own network, so
+// every flow crosses the server link and every pass covers the live set.
+// Emits BENCH_flow_network.json (events/sec + allocator recompute counters)
+// so allocator changes stay auditable across PRs.
 //
-// The headline scenario (churn_components) is many disjoint bottleneck
-// groups — the shape a multi-site survey shard produces — where incremental
-// reallocation only touches the changed component. churn_shared is the
-// honest worst case: one bottleneck, every flow in one component.
-// saturated_star is the Large Object stage's shape: synchronized crowds of
-// slow-start downloads through one server link, where most passes follow a
-// single window doubling.
+// The headline scenario (saturated_star) is the Large Object stage's shape:
+// synchronized crowds of slow-start downloads through one server link, where
+// most passes follow a single window doubling. churn_shared is the widest
+// pass: 256 uncapped downloads churning on one bottleneck. slow_start_crowd
+// churns slow-start downloads, and abort_churn aborts every other download
+// on a star split over two POPs, one of them congested.
 //
 //   perf_flow_network [--repeats=N] [--scale=X] [--out=PATH]
 #include <algorithm>
@@ -28,9 +29,9 @@
 namespace {
 
 struct ChurnSpec {
-  size_t groups = 1;             // disjoint bottleneck components
-  size_t clients_per_group = 8;  // one access link each
-  size_t downloads = 4;          // sequential downloads per client
+  size_t clients = 8;           // one access link each
+  std::vector<double> pop_bps;  // POP links, clients spread round-robin; none if empty
+  size_t downloads = 4;         // downloads per client
   double bytes_base = 50e3;
   bool slow_start = false;
   bool aborts = false;  // abort every odd download mid-flight
@@ -56,58 +57,62 @@ struct Client {
 ChurnResult RunChurn(const ChurnSpec& spec) {
   mfc::EventLoop loop;
   mfc::FlowNetwork net(loop);
+  // 10 Mbps server access link, 2 Mbps client links: the server link is the
+  // bottleneck once ~5 downloads overlap, as in the paper's Large Object
+  // stage.
+  mfc::LinkId server = net.AddLink(1.25e6);
+  std::vector<mfc::LinkId> pops;
+  for (double bps : spec.pop_bps) {
+    pops.push_back(net.AddLink(bps));
+  }
   std::vector<std::unique_ptr<Client>> clients;
-  clients.reserve(spec.groups * spec.clients_per_group);
-  size_t idx = 0;
-  for (size_t g = 0; g < spec.groups; ++g) {
-    // 10 Mbps server access link per group, 2 Mbps client links: the server
-    // link is the bottleneck once ~5 downloads overlap, as in the paper's
-    // Large Object stage.
-    mfc::LinkId server = net.AddLink(1.25e6);
-    for (size_t c = 0; c < spec.clients_per_group; ++c, ++idx) {
-      mfc::LinkId access = net.AddLink(2.5e5);
-      auto client = std::make_unique<Client>();
-      client->loop = &loop;
-      client->net = &net;
-      client->path = {server, access};
-      client->bytes = spec.bytes_base * (1.0 + 0.25 * static_cast<double>(idx % 5));
-      client->rtt = 0.02 + 0.002 * static_cast<double>(idx % 7);
-      client->left = spec.downloads;
-      client->slow_start = spec.slow_start;
-      Client* p = client.get();
-      if (spec.aborts) {
-        // Kill-timer pattern: independent downloads at fixed instants, every
-        // odd one aborted mid-flight (chaining would double-advance when a
-        // flow completes before its abort timer fires).
-        double t0 = 0.01 * static_cast<double>(idx % 101);
-        for (size_t k = 0; k < spec.downloads; ++k) {
-          bool abort_it = k % 2 == 1;
-          loop.ScheduleAt(t0 + 0.4 * static_cast<double>(k), [p, abort_it] {
-            mfc::TcpParams tcp;
-            tcp.slow_start = p->slow_start;
-            mfc::FlowId id = p->net->StartFlow(p->path, p->bytes, p->rtt, tcp, [] {});
-            if (abort_it) {
-              mfc::FlowNetwork* net = p->net;
-              p->loop->ScheduleAfter(0.08, [net, id] { net->AbortFlow(id); });
-            }
-          });
-        }
-      } else {
-        client->start_next = [p] {
-          if (p->left == 0) {
-            return;
-          }
-          --p->left;
+  clients.reserve(spec.clients);
+  for (size_t idx = 0; idx < spec.clients; ++idx) {
+    auto client = std::make_unique<Client>();
+    client->loop = &loop;
+    client->net = &net;
+    client->path.push_back(server);
+    if (!pops.empty()) {
+      client->path.push_back(pops[idx % pops.size()]);
+    }
+    client->path.push_back(net.AddLink(2.5e5));
+    client->bytes = spec.bytes_base * (1.0 + 0.25 * static_cast<double>(idx % 5));
+    client->rtt = 0.02 + 0.002 * static_cast<double>(idx % 7);
+    client->left = spec.downloads;
+    client->slow_start = spec.slow_start;
+    Client* p = client.get();
+    if (spec.aborts) {
+      // Kill-timer pattern: independent downloads at fixed instants, every
+      // odd one aborted mid-flight (chaining would double-advance when a
+      // flow completes before its abort timer fires).
+      double t0 = 0.01 * static_cast<double>(idx % 101);
+      for (size_t k = 0; k < spec.downloads; ++k) {
+        bool abort_it = k % 2 == 1;
+        loop.ScheduleAt(t0 + 0.4 * static_cast<double>(k), [p, abort_it] {
           mfc::TcpParams tcp;
           tcp.slow_start = p->slow_start;
-          p->net->StartFlow(p->path, p->bytes, p->rtt, tcp,
-                            [p] { p->loop->ScheduleAfter(0.005, p->start_next); });
-        };
-        // Staggered arrivals keep the flow set churning instead of phased.
-        loop.ScheduleAfter(0.01 * static_cast<double>(idx % 101), p->start_next);
+          mfc::FlowId id = p->net->StartFlow(p->path, p->bytes, p->rtt, tcp, [] {});
+          if (abort_it) {
+            mfc::FlowNetwork* net = p->net;
+            p->loop->ScheduleAfter(0.08, [net, id] { net->AbortFlow(id); });
+          }
+        });
       }
-      clients.push_back(std::move(client));
+    } else {
+      client->start_next = [p] {
+        if (p->left == 0) {
+          return;
+        }
+        --p->left;
+        mfc::TcpParams tcp;
+        tcp.slow_start = p->slow_start;
+        p->net->StartFlow(p->path, p->bytes, p->rtt, tcp,
+                          [p] { p->loop->ScheduleAfter(0.005, p->start_next); });
+      };
+      // Staggered arrivals keep the flow set churning instead of phased.
+      loop.ScheduleAfter(0.01 * static_cast<double>(idx % 101), p->start_next);
     }
+    clients.push_back(std::move(client));
   }
   loop.RunUntilIdle();
   ChurnResult r;
@@ -198,34 +203,27 @@ int main(int argc, char** argv) {
   };
   mfc::PerfReport report("flow_network");
 
-  ChurnSpec components;
-  components.groups = scaled(24);
-  components.clients_per_group = 40;
-  components.downloads = 10;
-  report.Add(Measure("churn_components", args.repeats, [&] { return RunChurn(components); }));
+  report.Add(Measure("saturated_star", args.repeats, [&] { return RunStar(scaled(200)); }));
 
   ChurnSpec shared;
-  shared.groups = 1;
-  shared.clients_per_group = scaled(256);
+  shared.clients = scaled(256);
   shared.downloads = 8;
   report.Add(Measure("churn_shared", args.repeats, [&] { return RunChurn(shared); }));
 
   ChurnSpec slow_start;
-  slow_start.groups = scaled(8);
-  slow_start.clients_per_group = 48;
-  slow_start.downloads = 3;
+  slow_start.clients = 48;
+  slow_start.downloads = scaled(96);
   slow_start.bytes_base = 400e3;
   slow_start.slow_start = true;
   report.Add(Measure("slow_start_crowd", args.repeats, [&] { return RunChurn(slow_start); }));
 
   ChurnSpec aborts;
-  aborts.groups = scaled(12);
-  aborts.clients_per_group = 24;
-  aborts.downloads = 6;
+  aborts.clients = 24;
+  aborts.pop_bps = {8e5, 1e8};
+  aborts.downloads = scaled(288);
+  aborts.bytes_base = 25e3;
   aborts.aborts = true;
   report.Add(Measure("abort_churn", args.repeats, [&] { return RunChurn(aborts); }));
-
-  report.Add(Measure("saturated_star", args.repeats, [&] { return RunStar(scaled(200)); }));
 
   return report.Finish(args.out_path);
 }

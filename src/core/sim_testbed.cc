@@ -90,9 +90,9 @@ void SimTestbed::OnTransport(RequestHandle handle, HttpStatus status, double byt
   state->status = status;
   state->bytes = bytes;
   state->on_sent = std::move(on_sent);
-  FlowId flow =
+  DownloadId download =
       wan_->StartDownload(state->client, bytes, [this, handle] { OnDownloaded(handle); });
-  requests_.Find(handle)->flow = flow;
+  requests_.Find(handle)->download = download;
 }
 
 void SimTestbed::OnDownloaded(RequestHandle handle) {
@@ -120,8 +120,8 @@ void SimTestbed::OnKill(RequestHandle handle) {
   if (state == nullptr) {
     return;
   }
-  if (state->flow != 0) {
-    wan_->AbortDownload(state->flow);
+  if (state->download != 0) {
+    wan_->AbortDownload(state->download);
   }
   RequestSample sample;
   sample.client_id = state->client;

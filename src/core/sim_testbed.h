@@ -84,7 +84,7 @@ class SimTestbed : public ClientHarness, public Fetcher {
   struct PendingRequest {
     size_t client = 0;
     SimTime start = 0.0;
-    FlowId flow = 0;            // active download, 0 if none
+    DownloadId download = 0;    // active download, 0 if none
     EventId kill_timer = 0;
     HttpStatus status = HttpStatus::kOk;
     double bytes = 0.0;

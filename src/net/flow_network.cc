@@ -27,7 +27,6 @@ LinkId FlowNetwork::AddLink(double capacity) {
   link.capacity = capacity;
   link.cum_update = loop_.Now();
   links_.push_back(std::move(link));
-  component_cache_full_ = false;
   return links_.size() - 1;
 }
 
@@ -78,9 +77,9 @@ bool FlowNetwork::LiveCap(const CapKey& entry) const {
 void FlowNetwork::LogOrderKeys(uint32_t slot, bool started, bool unsaturated) {
   // An unsaturated network resolves most events without a pass (the caps-
   // only certificate), so logging there would be pure overhead: drop the
-  // orders instead and let the next whole-graph pass sort them afresh. Logs
-  // that outgrow the live set, because only passes over part of the graph
-  // ran since the last merge, are dropped the same way.
+  // orders instead and let the next pass sort them afresh. Logs that
+  // outgrow the live set, because only link-bound doublings ran since the
+  // last merge, are dropped the same way.
   if (!orders_valid_ || unsaturated || live_seq_.size() + cap_pending_.size() > 2 * live_ + 64) {
     orders_valid_ = false;
     return;
@@ -155,11 +154,11 @@ FlowId FlowNetwork::StartFlow(const std::vector<LinkId>& path, double bytes, dou
   }
   off_cap_flows_ += OffCap(flow);
   ++live_;
-  component_cache_full_ = false;  // membership changed
+  membership_unchanged_ = false;
   LogOrderKeys(slot, /*started=*/true, unsaturated);
   changed_scratch_.assign(1, slot);
   if (!TryCapsOnly(unsaturated, flows_[slot].path, changed_scratch_)) {
-    ReallocateFor(flows_[slot].path, slot);
+    Reallocate(flows_[slot].path);
   }
   if (flows_[slot].rate == 0.0) {
     // Never re-anchored, so never keyed: a zero-byte flow is still due at
@@ -176,17 +175,17 @@ void FlowNetwork::AbortFlow(FlowId id) {
     return;
   }
   const bool unsaturated = Unsaturated();
-  seed_scratch_ = flows_[slot].path;
+  touched_scratch_ = flows_[slot].path;
   DetachFromLinks(slot);
   finish_heap_.Remove(slot);
   early_heap_.Remove(slot);
   double_heap_.Remove(slot);
   ReleaseSlot(slot);
   --live_;
-  component_cache_full_ = false;  // membership changed
+  membership_unchanged_ = false;
   changed_scratch_.clear();
-  if (!TryCapsOnly(unsaturated, seed_scratch_, changed_scratch_)) {
-    ReallocateFor(seed_scratch_);
+  if (!TryCapsOnly(unsaturated, touched_scratch_, changed_scratch_)) {
+    Reallocate(touched_scratch_);
   }
   ScheduleNext();
 }
@@ -319,124 +318,69 @@ bool FlowNetwork::TryCapsOnly(bool unsaturated, const std::vector<LinkId>& touch
   return true;
 }
 
-void FlowNetwork::CollectComponent(const std::vector<LinkId>& seed_links, uint32_t seed_flow) {
-  dirty_flows_.clear();
-  dirty_links_.clear();
-  ++visit_epoch_;
-  if (force_full_) {
-    for (LinkId l = 0; l < links_.size(); ++l) {
-      links_[l].visit = visit_epoch_;
-      dirty_links_.push_back(l);
-    }
-    for (uint32_t slot = 0; slot < flows_.size(); ++slot) {
-      if (flows_[slot].active && flows_[slot].visit != visit_epoch_) {
-        flows_[slot].visit = visit_epoch_;
-        dirty_flows_.push_back(slot);
-      }
-    }
-  } else {
-    for (LinkId l : seed_links) {
-      if (links_[l].visit != visit_epoch_) {
-        links_[l].visit = visit_epoch_;
-        dirty_links_.push_back(l);
-      }
-    }
-    if (seed_flow != UINT32_MAX && flows_[seed_flow].visit != visit_epoch_) {
-      flows_[seed_flow].visit = visit_epoch_;
-      dirty_flows_.push_back(seed_flow);
-      for (LinkId l : flows_[seed_flow].path) {
-        if (links_[l].visit != visit_epoch_) {
-          links_[l].visit = visit_epoch_;
-          dirty_links_.push_back(l);
-        }
-      }
-    }
-  }
-  // BFS over the link↔flow incidence graph; dirty_links_ doubles as the
-  // worklist (indices only ever appended).
-  for (size_t head = 0; head < dirty_links_.size(); ++head) {
-    Link& link = links_[dirty_links_[head]];
-    for (uint32_t slot : link.members) {
-      Flow& flow = flows_[slot];
-      if (flow.visit == visit_epoch_) {
-        continue;
-      }
-      flow.visit = visit_epoch_;
-      dirty_flows_.push_back(slot);
-      for (LinkId l : flow.path) {
-        if (links_[l].visit != visit_epoch_) {
-          links_[l].visit = visit_epoch_;
-          dirty_links_.push_back(l);
-        }
-      }
-    }
-  }
-}
-
-const std::vector<FlowNetwork::CapKey>& FlowNetwork::OrderComponent(bool collected) {
+const std::vector<FlowNetwork::CapKey>& FlowNetwork::OrderPass() {
   // Deterministic pass order: flows by creation sequence, links by id — the
-  // orders the historical full pass would visit a single component in — and
-  // finite caps ascending by (rate_cap, seq, slot).
-  const bool whole = dirty_flows_.size() == live_;
-  if (orders_valid_ && whole && !force_full_) {
-    // The persistent orders cover exactly the live set, which is the
-    // component: filter and merge them instead of sorting. The forced-full
-    // oracle never gets here, so it shares none of this state.
-    if (collected) {
-      // Drop dead entries from live_seq_; the rest are the component.
+  // orders the historical full pass visited them in — and finite caps
+  // ascending by (rate_cap, seq, slot).
+  const bool refill = !membership_unchanged_ || force_full_;
+  if (refill) {
+    // A link without members never takes part in a round.
+    pass_links_.clear();
+    for (LinkId l = 0; l < links_.size(); ++l) {
+      if (!links_[l].members.empty()) {
+        pass_links_.push_back(l);
+      }
+    }
+  }
+  if (orders_valid_ && !force_full_) {
+    // The persistent orders cover exactly the live set: filter and merge
+    // them instead of sorting. The forced-full oracle never gets here, so
+    // it shares none of this state.
+    if (refill) {
+      // Drop dead entries from live_seq_; the rest are the live set.
       size_t kept = 0;
-      dirty_flows_.clear();
+      pass_flows_.clear();
       for (uint64_t key : live_seq_) {
         if (LiveKey(key)) {
           live_seq_[kept++] = key;
-          dirty_flows_.push_back(static_cast<uint32_t>(key));
+          pass_flows_.push_back(static_cast<uint32_t>(key));
         }
       }
       live_seq_.resize(kept);
       assert(kept == live_);
-      if (links_.size() <= 2 * dirty_links_.size()) {
-        // Most links are in the component: a walk over the BFS marks beats
-        // a sort.
-        dirty_links_.clear();
-        for (LinkId l = 0; l < links_.size(); ++l) {
-          if (links_[l].visit == visit_epoch_) {
-            dirty_links_.push_back(l);
-          }
-        }
-      } else {
-        std::sort(dirty_links_.begin(), dirty_links_.end());
-      }
     }
     MergeCapPending();
     return cap_order_;
   }
   stats_.order_rebuilds++;
-  if (collected) {
+  if (refill) {
     // Packed integer keys keep the sort flat instead of chasing Flow structs.
     order_scratch_.clear();
-    for (uint32_t slot : dirty_flows_) {
-      order_scratch_.push_back(OrderKey(slot));
+    for (uint32_t slot = 0; slot < flows_.size(); ++slot) {
+      if (flows_[slot].active) {
+        order_scratch_.push_back(OrderKey(slot));
+      }
     }
     std::sort(order_scratch_.begin(), order_scratch_.end());
-    for (size_t i = 0; i < order_scratch_.size(); ++i) {
-      dirty_flows_[i] = static_cast<uint32_t>(order_scratch_[i]);
+    pass_flows_.clear();
+    for (uint64_t key : order_scratch_) {
+      pass_flows_.push_back(static_cast<uint32_t>(key));
     }
-    std::sort(dirty_links_.begin(), dirty_links_.end());
   }
   caps_scratch_.clear();
-  for (uint32_t slot : dirty_flows_) {
+  for (uint32_t slot : pass_flows_) {
     if (flows_[slot].rate_cap < kInfinity) {
       caps_scratch_.emplace_back(flows_[slot].rate_cap, OrderKey(slot));
     }
   }
   std::sort(caps_scratch_.begin(), caps_scratch_.end());
-  if (!whole || force_full_) {
+  if (force_full_) {
     return caps_scratch_;
   }
-  // A whole-graph pass sorted the live set: adopt it as the persistent
-  // orders, which events keep current from here on.
+  // A pass that sorted adopts its orders as the persistent ones, which
+  // events keep current from here on.
   live_seq_.clear();
-  for (uint32_t slot : dirty_flows_) {
+  for (uint32_t slot : pass_flows_) {
     live_seq_.push_back(OrderKey(slot));
   }
   cap_order_.swap(caps_scratch_);
@@ -466,31 +410,18 @@ void FlowNetwork::UpdateCompletionKey(uint32_t slot) {
   early_heap_.Update(slot, early, flow.seq);
 }
 
-void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t seed_flow) {
-  const bool collected = !component_cache_full_ || force_full_;
-  if (collected) {
-    CollectComponent(seed_links, seed_flow);
-  }
-  // else: the previous pass covered every live flow and only slow-start
-  // doublings happened since (starts/aborts/completions/new links all clear
-  // the flag), so a fresh BFS from any seed would find the same flows and
-  // links, give or take a seed link a completion emptied (it has no
-  // members, so no round ever reads it). Reuse the sets as-is: dirty_flows_
-  // stays seq-sorted and dirty_links_ id-sorted from the pass that built
-  // them.
-  const std::vector<CapKey>& caps = OrderComponent(collected);
+void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
+  const std::vector<CapKey>& caps = OrderPass();
   stats_.reallocs++;
-  stats_.flows_touched += dirty_flows_.size();
-  stats_.links_touched += dirty_links_.size();
-  if (dirty_flows_.size() == live_) {
-    stats_.full_reallocs++;
-  }
-  for (LinkId li : dirty_links_) {
+  stats_.full_reallocs++;
+  stats_.flows_touched += pass_flows_.size();
+  stats_.links_touched += pass_links_.size();
+  for (LinkId li : pass_links_) {
     Link& link = links_[li];
     link.residual = link.capacity;
     link.unfixed = 0;
   }
-  for (uint32_t slot : dirty_flows_) {
+  for (uint32_t slot : pass_flows_) {
     Flow& flow = flows_[slot];
     flow.fixed = false;
     flow.new_rate = 0.0;
@@ -499,13 +430,12 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
     }
   }
 
-  // Water-filling max-min allocation with per-flow rate caps, restricted to
-  // the dirty component (identical arithmetic to the historical full pass:
-  // every link a dirty flow crosses is itself dirty, by construction).
+  // Water-filling max-min allocation with per-flow rate caps over the live
+  // set: the historical full pass, move for move.
   //
-  // Round bookkeeping avoids the historical per-round rescans three ways,
-  // none of which changes a single comparison outcome or double produced:
-  //  - |caps| holds the component's finite-capped flows ascending by
+  // Round bookkeeping avoids the historical per-round rescans two ways,
+  // neither of which changes a single comparison outcome or double produced:
+  //  - |caps| holds the live finite-capped flows ascending by
   //    (rate_cap, seq), so the smallest unfixed cap is a cursor skip.
   //    Dropping infinite caps is free: an infinite cap is never the minimum
   //    unless every remaining cap is infinite, and that case is handled
@@ -514,30 +444,12 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
   //    (see below); while the next cap sits at or below it the historical
   //    comparison cap_min <= share + eps must also pass, so consecutive cap
   //    rounds skip the exact min-share scan entirely.
-  //  - for large components, share_heap_ keys each contended link by
-  //    residual/unfixed (the identical division the scan computed), so the
-  //    exact bottleneck share is the heap top instead of a scan.
   // Fix order inside a round is unchanged: cap cohorts are re-sorted to seq
   // order before fixing (a cohort of one needs no sort), and link rounds
-  // still walk dirty_links_ ascending — the sequence of residual
-  // subtractions matches the scan version.
-  size_t remaining_flows = dirty_flows_.size();
+  // still walk pass_links_ ascending — the sequence of residual subtractions
+  // matches the scan version.
+  size_t remaining_flows = pass_flows_.size();
   size_t cap_cursor = 0;
-  // For small components a flat rescan of dirty_links_ beats heap
-  // maintenance (fewer than ~100 contiguous doubles vs pointer-chasing
-  // sifts); the share heap only pays off at scale. Either source yields the
-  // identical division residual/unfixed, so the allocation is unchanged.
-  const bool use_share_heap = dirty_links_.size() > 96;
-  if (use_share_heap) {
-    share_heap_.Clear();
-    for (LinkId li : dirty_links_) {
-      const Link& link = links_[li];
-      if (link.unfixed > 0) {
-        share_heap_.Update(static_cast<uint32_t>(li),
-                           link.residual / static_cast<double>(link.unfixed), li);
-      }
-    }
-  }
   // Invariant: share_lb <= the true smallest contended-link share. It starts
   // below everything (forcing an exact scan on the first round), is raised
   // to the exact minimum by every scan, and is lowered by fix_flow whenever
@@ -552,14 +464,7 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
       Link& link = links_[l];
       link.residual = std::max(0.0, link.residual - flow.new_rate);
       link.unfixed--;
-      if (use_share_heap) {
-        if (link.unfixed == 0) {
-          share_heap_.Remove(static_cast<uint32_t>(l));
-        } else {
-          share_heap_.Update(static_cast<uint32_t>(l),
-                             link.residual / static_cast<double>(link.unfixed), l);
-        }
-      } else if (link.unfixed > 0) {
+      if (link.unfixed > 0) {
         double share = link.residual / static_cast<double>(link.unfixed);
         if (share < share_lb) {
           share_lb = share;
@@ -577,23 +482,19 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
     double cap_min = cap_cursor < caps.size() ? caps[cap_cursor].first : kInfinity;
     bool cap_round;
     double link_share = kInfinity;
-    if (!use_share_heap && cap_min <= share_lb + kRateEpsilon) {
+    if (cap_min <= share_lb + kRateEpsilon) {
       // cap_min <= share_lb + eps <= true_share + eps: the historical test
       // would take the cap branch too — no need for the exact share.
       cap_round = true;
     } else {
       // Smallest equal-share across contended links, exactly.
-      if (use_share_heap) {
-        link_share = share_heap_.Empty() ? kInfinity : share_heap_.TopKey();
-      } else {
-        for (LinkId li : dirty_links_) {
-          const Link& link = links_[li];
-          if (link.unfixed > 0) {
-            link_share = std::min(link_share, link.residual / static_cast<double>(link.unfixed));
-          }
+      for (LinkId li : pass_links_) {
+        const Link& link = links_[li];
+        if (link.unfixed > 0) {
+          link_share = std::min(link_share, link.residual / static_cast<double>(link.unfixed));
         }
-        share_lb = link_share;
       }
+      share_lb = link_share;
       cap_round = cap_min <= link_share + kRateEpsilon;
     }
     if (cap_round) {
@@ -601,8 +502,8 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
         // cap_min and link_share are both infinite: no contended links
         // remain, and every remaining flow has an uncapped rate. The
         // historical pass fixed them all at their (infinite) caps in seq
-        // order; dirty_flows_ is already seq-sorted.
-        for (uint32_t slot : dirty_flows_) {
+        // order; pass_flows_ is already seq-sorted.
+        for (uint32_t slot : pass_flows_) {
           Flow& flow = flows_[slot];
           if (!flow.fixed) {
             fix_flow(flow, flow.rate_cap);
@@ -637,7 +538,7 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
       // bottleneck share. Shares here are recomputed on the fly (they shrink
       // as earlier links' members get fixed), exactly as the scan did.
       bool fixed_any = false;
-      for (LinkId li : dirty_links_) {
+      for (LinkId li : pass_links_) {
         Link& link = links_[li];
         if (link.unfixed == 0) {
           continue;
@@ -668,9 +569,9 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
   }
 
   // Commit: only flows whose rate changed are re-anchored and re-keyed, and
-  // only their links (plus the seeds, whose membership changed) get a fresh
-  // aggregate. A flow or link whose value is bit-identical keeps its anchor,
-  // exactly as under the forced-full oracle.
+  // only their links (plus |touched|, whose membership may have changed) get
+  // a fresh aggregate. A flow or link whose value is bit-identical keeps its
+  // anchor, exactly as under the forced-full oracle.
   SimTime now = loop_.Now();
   ++visit_epoch_;
   refresh_scratch_.clear();
@@ -680,10 +581,10 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
       refresh_scratch_.push_back(l);
     }
   };
-  for (LinkId l : seed_links) {
+  for (LinkId l : touched) {
     mark(l);
   }
-  for (uint32_t slot : dirty_flows_) {
+  for (uint32_t slot : pass_flows_) {
     Flow& flow = flows_[slot];
     if (flow.new_rate != flow.rate) {
       SetRate(slot, flow.new_rate, now);
@@ -700,9 +601,7 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
     }
     SetLinkRate(link, agg, now);
   }
-  // A pass that covered every live flow leaves dirty sets a doubling-only
-  // event can reuse verbatim; any membership change clears the flag.
-  component_cache_full_ = !dirty_flows_.empty() && dirty_flows_.size() == live_;
+  membership_unchanged_ = true;
 }
 
 void FlowNetwork::ScheduleNext() {
@@ -774,19 +673,19 @@ void FlowNetwork::OnTimer() {
   // finds the scratch empty.
   std::vector<std::function<void()>> done;
   done.swap(done_scratch_);
-  seed_scratch_.clear();
+  touched_scratch_.clear();
   for (uint32_t slot : due) {
     Flow& flow = flows_[slot];
     done.push_back(std::move(flow.on_complete));
     for (LinkId l : flow.path) {
-      seed_scratch_.push_back(l);
+      touched_scratch_.push_back(l);
     }
     DetachFromLinks(slot);
     ReleaseSlot(slot);
     --live_;
   }
   if (!due.empty()) {
-    component_cache_full_ = false;  // membership changed
+    membership_unchanged_ = false;
   }
 
   // Slow-start doublings due at this instant (completed flows were already
@@ -815,7 +714,7 @@ void FlowNetwork::OnTimer() {
     LogOrderKeys(slot, /*started=*/false, unsaturated);
     changed_scratch_.push_back(slot);
     for (LinkId l : flow.path) {
-      seed_scratch_.push_back(l);
+      touched_scratch_.push_back(l);
     }
   }
 
@@ -825,8 +724,8 @@ void FlowNetwork::OnTimer() {
     // plus kRateEpsilon, so a larger cap changes no round's decision, cap
     // cohort or fix order — the pass would reproduce every rate.
     stats_.skipped_reallocs++;
-  } else if (!TryCapsOnly(unsaturated, seed_scratch_, changed_scratch_)) {
-    ReallocateFor(seed_scratch_);
+  } else if (!TryCapsOnly(unsaturated, touched_scratch_, changed_scratch_)) {
+    Reallocate(touched_scratch_);
   }
   ScheduleNext();
   for (auto& cb : done) {

@@ -15,12 +15,11 @@
 // lookup and stale-handle rejection, and each link keeps a membership list
 // plus an aggregate rate so LinkRate() is O(1). Work follows the rates an
 // event changes (DESIGN.md §10): two exact certificates resolve most events
-// with no water-filling pass at all, the passes that remain cover only the
-// connected component of the changed flows, a pass over the whole graph
-// merges persistent seq and cap orders instead of sorting, a flow is
-// re-anchored (remaining bytes advanced, completion keys re-derived) only when
-// its rate changes, and indexed min-heaps (next completion, next cwnd
-// doubling) replace the per-event full-flow scans.
+// with no water-filling pass at all, every pass that remains water-fills the
+// live set by merging persistent seq and cap orders instead of sorting, a
+// flow is re-anchored (remaining bytes advanced, completion keys re-derived)
+// only when its rate changes, and indexed min-heaps (next completion, next
+// cwnd doubling) replace the per-event full-flow scans.
 #ifndef MFC_SRC_NET_FLOW_NETWORK_H_
 #define MFC_SRC_NET_FLOW_NETWORK_H_
 
@@ -53,7 +52,7 @@ struct TcpParams {
 struct FlowNetworkStats {
   uint64_t reallocs = 0;          // water-filling passes run
   uint64_t skipped_reallocs = 0;  // events a certificate resolved without a pass
-  uint64_t full_reallocs = 0;     // passes whose component was the whole graph
+  uint64_t full_reallocs = 0;     // passes over the whole live set: every pass
   uint64_t flows_touched = 0;     // flows visited, summed over passes
   uint64_t links_touched = 0;     // links visited, summed over passes
   uint64_t no_progress = 0;       // water-filling stalls (expected 0; see
@@ -107,13 +106,12 @@ class FlowNetwork {
   // to |metrics|. The registry must outlive this network.
   void SetMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  // Testing hook: every event runs the water-filling pass over the whole
-  // graph, with both certificates off (re-anchoring still follows rate
-  // changes only) and every order sorted from scratch. The differential test
+  // Testing hook: every event runs the water-filling pass, with both
+  // certificates off (re-anchoring still follows rate changes only) and the
+  // live set and every order sorted from scratch. The differential test
   // drives an identical workload through a forced-full network as the oracle.
   void set_force_full_reallocate(bool on) {
     force_full_ = on;
-    component_cache_full_ = false;
     orders_valid_ = false;
   }
 
@@ -135,7 +133,7 @@ class FlowNetwork {
     // Scratch for the water-filling pass.
     double residual = 0.0;
     size_t unfixed = 0;
-    uint64_t visit = 0;  // epoch mark: dirty-set BFS, dedup of touched links
+    uint64_t visit = 0;  // epoch mark: dedup of touched links
   };
 
   struct Flow {
@@ -159,7 +157,6 @@ class FlowNetwork {
     // |rate| only where the two differ.
     bool fixed = false;
     double new_rate = 0.0;
-    uint64_t visit = 0;  // dirty-set BFS epoch mark
   };
 
   // A FlowId packs {generation, slot + 1}; +1 keeps 0 invalid.
@@ -212,19 +209,17 @@ class FlowNetwork {
   // returns true, or changes nothing and returns false.
   bool TryCapsOnly(bool unsaturated, const std::vector<LinkId>& touched,
                    const std::vector<uint32_t>& changed);
-  // Water-fills the connected component(s) reachable from |seed_links| (and
-  // |seed_flow| when valid — covers link-less paths). Flows whose rate
-  // changed are re-anchored; their links and |seed_links| (membership
-  // changes) get fresh aggregates. The arithmetic is the historical full
-  // pass, restricted to the component.
-  void ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t seed_flow = UINT32_MAX);
-  // Dirty-set BFS from the seeds into dirty_flows_/dirty_links_, unordered.
-  void CollectComponent(const std::vector<LinkId>& seed_links, uint32_t seed_flow);
-  // Orders the component and its caps for the pass and returns the cap order:
-  // merged from the persistent orders when they are valid and the component
-  // is the whole graph, sorted from scratch otherwise. |collected| says
-  // whether CollectComponent just ran (else the cached sets are ordered).
-  const std::vector<CapKey>& OrderComponent(bool collected);
+  // Water-fills the live set. Flows whose rate changed are re-anchored;
+  // their links and |touched| (the links the event's flows cross, whose
+  // membership may have changed) get fresh aggregates.
+  void Reallocate(const std::vector<LinkId>& touched);
+  // Orders the live set for a pass and returns its cap order. Unless
+  // membership is unchanged since the last pass, pass_flows_ is refilled in
+  // seq order (filtered from live_seq_ while the orders are valid, sorted
+  // from the slots otherwise) and pass_links_ with the links that have
+  // members, in id order. The cap order is merged from the persistent
+  // orders when they are valid and sorted from scratch otherwise.
+  const std::vector<CapKey>& OrderPass();
   // Predicted exact finish instant and earliest byte-epsilon completion
   // instant for |flow|, from its current (advanced, remaining, rate).
   static void CompletionKeys(const Flow& flow, double* finish, double* early);
@@ -255,13 +250,11 @@ class FlowNetwork {
   IndexedMinHeap early_heap_;
   IndexedMinHeap double_heap_;  // next_double instants
 
-  // Scratch reused across passes. dirty_flows_/dirty_links_ survive between
-  // passes: when the previous pass covered every live flow and membership has
-  // not changed since (component_cache_full_), the BFS is skipped and the
-  // cached sets are reused verbatim.
-  std::vector<uint32_t> dirty_flows_;
-  std::vector<LinkId> dirty_links_;
-  std::vector<LinkId> seed_scratch_;
+  // The live set as the last pass ordered it: flows in seq order, links
+  // with members in id order. Reused verbatim while membership_unchanged_.
+  std::vector<uint32_t> pass_flows_;
+  std::vector<LinkId> pass_links_;
+  std::vector<LinkId> touched_scratch_;    // links an event's flows cross
   std::vector<uint32_t> changed_scratch_;  // flows an event started or doubled
   std::vector<uint32_t> due_scratch_;  // OnTimer's due-flow list
   std::vector<std::function<void()>> done_scratch_;  // OnTimer's completion callbacks
@@ -269,17 +262,15 @@ class FlowNetwork {
   std::vector<LinkId> refresh_scratch_;  // links whose aggregate a pass re-derives
   std::vector<std::pair<LinkId, double>> link_sums_;  // TryCapsOnly's totals
   // Water-filling pass scratch: flows ascending by (rate_cap, seq, slot) so
-  // cap rounds advance a cursor instead of rescanning, and a min-heap of
-  // per-link equal shares so each round's bottleneck share is O(1).
+  // cap rounds advance a cursor instead of rescanning.
   std::vector<CapKey> caps_scratch_;
-  IndexedMinHeap share_heap_;
 
   // Persistent orders, valid while |orders_valid_|: every live flow's
   // OrderKey in live_seq_ (ascending, since seq only grows), and every live
   // finite cap's CapKey in cap_order_ (sorted) or cap_pending_ (appended by
   // starts and doublings since the last merge). Releases write nothing; dead
-  // entries (see LiveKey/LiveCap) drop out when a whole-graph pass filters
-  // and merges them instead of sorting.
+  // entries (see LiveKey/LiveCap) drop out when a pass filters and merges
+  // them instead of sorting.
   std::vector<uint64_t> live_seq_;
   std::vector<CapKey> cap_order_;
   std::vector<CapKey> cap_pending_;
@@ -288,13 +279,12 @@ class FlowNetwork {
   FlowNetworkStats stats_;
   MetricsRegistry* metrics_ = nullptr;
   bool force_full_ = false;
-  // True while dirty_flows_/dirty_links_ hold the whole live flow set and no
-  // start/abort/completion (or new link) has occurred since — i.e. a fresh
-  // BFS would re-derive them, give or take a seed link a completion emptied.
-  // Doubling-only events then skip CollectComponent altogether.
-  bool component_cache_full_ = false;
+  // True while no start, abort or completion has happened since the last
+  // pass, so pass_flows_/pass_links_ still hold the live set. Doubling-only
+  // events then reuse them without walking links or slots.
+  bool membership_unchanged_ = false;
   // True while live_seq_/cap_order_/cap_pending_ cover every live flow. Only
-  // a whole-graph pass that sorted sets it, never under force_full_.
+  // a pass that sorted sets it, never under force_full_.
   bool orders_valid_ = false;
 };
 

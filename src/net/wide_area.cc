@@ -37,7 +37,8 @@ SimDuration WideAreaNetwork::SampleCoordOneWay(size_t client) {
   return 0.5 * clients_[client].rtt_to_coordinator * Jitter();
 }
 
-FlowId WideAreaNetwork::StartDownload(size_t client, double bytes, std::function<void()> on_done) {
+DownloadId WideAreaNetwork::StartDownload(size_t client, double bytes,
+                                          std::function<void()> on_done) {
   assert(client < clients_.size());
   path_scratch_.clear();
   path_scratch_.push_back(server_link_);
@@ -45,17 +46,17 @@ FlowId WideAreaNetwork::StartDownload(size_t client, double bytes, std::function
     path_scratch_.push_back(pop_links_[clients_[client].pop % pop_links_.size()]);
   }
   path_scratch_.push_back(client_links_[client]);
-  DownloadHandle handle = downloads_.Acquire();
-  Download& download = *downloads_.Find(handle);
+  DownloadId id = downloads_.Acquire();
+  Download& download = *downloads_.Find(id);
   download.client = client;
   download.on_done = std::move(on_done);
   FlowId flow = flows_.StartFlow(path_scratch_, bytes, clients_[client].rtt_to_target, TcpParams{},
-                                 [this, handle] { OnLastByteSent(handle); });
-  downloads_.Find(handle)->flow = flow;
-  return handle;
+                                 [this, id] { OnLastByteSent(id); });
+  downloads_.Find(id)->flow = flow;
+  return id;
 }
 
-void WideAreaNetwork::AbortDownload(FlowId id) {
+void WideAreaNetwork::AbortDownload(DownloadId id) {
   Download* download = downloads_.Find(id);
   if (download == nullptr || download->flow == 0) {
     return;
@@ -64,19 +65,18 @@ void WideAreaNetwork::AbortDownload(FlowId id) {
   downloads_.Release(id);
 }
 
-void WideAreaNetwork::OnLastByteSent(DownloadHandle handle) {
-  Download* download = downloads_.Find(handle);
+void WideAreaNetwork::OnLastByteSent(DownloadId id) {
+  Download* download = downloads_.Find(id);
   if (download == nullptr) {
     return;
   }
   download->flow = 0;
-  loop_.ScheduleAfter(SampleTargetOneWay(download->client),
-                      [this, handle] { OnDelivered(handle); });
+  loop_.ScheduleAfter(SampleTargetOneWay(download->client), [this, id] { OnDelivered(id); });
 }
 
-void WideAreaNetwork::OnDelivered(DownloadHandle handle) {
-  std::function<void()> on_done = std::move(downloads_.Find(handle)->on_done);
-  downloads_.Release(handle);
+void WideAreaNetwork::OnDelivered(DownloadId id) {
+  std::function<void()> on_done = std::move(downloads_.Find(id)->on_done);
+  downloads_.Release(id);
   on_done();
 }
 

@@ -9,7 +9,9 @@
 #ifndef MFC_SRC_NET_WIDE_AREA_H_
 #define MFC_SRC_NET_WIDE_AREA_H_
 
+#include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "src/net/flow_network.h"
@@ -19,6 +21,10 @@
 #include "src/sim/rng.h"
 
 namespace mfc {
+
+// A download's handle: a generation-packed id of one WideAreaNetwork's
+// download records, not a FlowId of its FlowNetwork (both are uint64_t).
+using DownloadId = uint64_t;
 
 // Network-side identity of one MFC client host.
 struct ClientNetProfile {
@@ -62,14 +68,13 @@ class WideAreaNetwork {
 
   // Starts a server->client response transfer of |bytes|. |on_done| runs when
   // the last byte reaches the client (propagation of the final byte
-  // included). Returns the download's id for AbortDownload (an id of this
-  // network's download records, not of Flows()).
-  FlowId StartDownload(size_t client, double bytes, std::function<void()> on_done);
+  // included). Returns the download's id for AbortDownload.
+  DownloadId StartDownload(size_t client, double bytes, std::function<void()> on_done);
 
   // Aborts the transfer; |on_done| never runs. No-op once the last byte has
   // left the server (it is then propagating and still gets delivered) and
   // for a stale id.
-  void AbortDownload(FlowId id);
+  void AbortDownload(DownloadId id);
 
   // Delivers a control-plane message to/from a client after one jittered
   // one-way coordinator-client latency; silently dropped with the configured
@@ -91,13 +96,13 @@ class WideAreaNetwork {
     FlowId flow = 0;  // the transfer's flow; 0 once its last byte has left
     std::function<void()> on_done;
   };
-  using DownloadHandle = RecordPool<Download>::Handle;
+  static_assert(std::is_same_v<RecordPool<Download>::Handle, DownloadId>);
 
   double Jitter();
   // The flow finished: the last byte propagates for one jittered one-way
   // delay, drawn now, before it reaches the client.
-  void OnLastByteSent(DownloadHandle handle);
-  void OnDelivered(DownloadHandle handle);
+  void OnLastByteSent(DownloadId id);
+  void OnDelivered(DownloadId id);
 
   EventLoop& loop_;
   Rng rng_;

@@ -88,14 +88,6 @@ class IndexedMinHeap {
 
   void Pop() { Remove(TopItem()); }
 
-  // Empties the heap in O(size) without shrinking the position index.
-  void Clear() {
-    for (const Node& node : nodes_) {
-      pos_[node.item] = kAbsent;
-    }
-    nodes_.clear();
-  }
-
  private:
   struct Node {
     double key;

@@ -1,8 +1,9 @@
 // Randomized differential test: the allocator's fast paths (the link-bound
-// doubling and caps-only certificates, component-restricted passes) vs a
-// forced full-recompute oracle (set_force_full_reallocate, certificates off),
-// driven through identical seeded workloads of flow arrivals, aborts, and
-// natural completions.
+// doubling and caps-only certificates, the persistent seq and cap orders,
+// the cap cohort of one) vs a forced full-recompute oracle
+// (set_force_full_reallocate, certificates off, every order sorted), driven
+// through identical seeded workloads of flow arrivals, aborts, and natural
+// completions.
 //
 // Both sides re-anchor a flow only when its rate changes, so as long as every
 // rate matches bit for bit, so must completion order, completion times and
@@ -362,9 +363,9 @@ Script MakeCapCohortScript(uint64_t seed, int episodes) {
 // slow-start flows whose caps sum under the capacity, with saturated ones:
 // uncapped flows, short-RTT flows that stay link-bound and so double more
 // than once between passes until their caps reach infinity, and aborts that
-// hit capped flows. A side link (1) is a second component whose flows come
-// and go through passes that cover only that component, so a slot they free
-// is reused by a star flow between two whole-graph passes.
+// hit capped flows. A side link (1) carries flows outside the star, so the
+// passes water-fill a disconnected live set, and a slot a side flow frees is
+// reused by a star flow.
 Script MakeOrderChurnScript(uint64_t seed, int stretches) {
   constexpr int kClients = 8;
   Rng rng(seed);
@@ -561,9 +562,9 @@ TEST(FlowNetworkDifferentialTest, SharedBottleneckSecondSeed) {
   EXPECT_GT(s.skipped_reallocs, 0u);
 }
 
-// Two disconnected server components: passes cover only the changed
-// component, yet with rate-change anchoring the untouched one never regroups
-// its arithmetic, so the match is still exact.
+// Two disconnected server components: every pass water-fills the whole live
+// set, both components, as the oracle's does, so the match is exact on a
+// disconnected graph too.
 TEST(FlowNetworkDifferentialTest, DisjointComponentsExactMatch) {
   Compare(MakeRandomScript(/*seed=*/0x5eed0002, /*arrivals=*/4000, true, Overloaded()));
 }

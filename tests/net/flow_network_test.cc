@@ -236,11 +236,11 @@ TEST(FlowNetworkTest, LinkRateAggregateStaysExactThroughChurn) {
   EXPECT_EQ(net.LinkRate(side), 0.0);
 }
 
-// A saturated 48-flow slow-start star, the Large Object stage's shape: every
-// pass covers the whole graph, and after a crowd's first pass sorts the seq
-// and cap orders, later passes merge the few keys that changed. A silent
-// fall-back to sorting every pass fails here. (Measured: 20 of 628 passes
-// sort, one to three per crowd; the forced-full oracle sorts on every pass.)
+// A saturated 48-flow slow-start star, the Large Object stage's shape: after
+// a crowd's first pass sorts the seq and cap orders, later passes merge the
+// few keys that changed. A silent fall-back to sorting every pass fails here.
+// (Measured: 20 of 628 passes sort, one to three per crowd; the forced-full
+// oracle sorts on every pass.)
 TEST(FlowNetworkTest, SaturatedStarPassesMergeInsteadOfSorting) {
   auto run = [](bool force_full) {
     EventLoop loop;
@@ -268,6 +268,38 @@ TEST(FlowNetworkTest, SaturatedStarPassesMergeInsteadOfSorting) {
   EXPECT_LE(fast.order_rebuilds * 20, fast.reallocs);
   FlowNetworkStats oracle = run(true);
   EXPECT_EQ(oracle.order_rebuilds, oracle.reallocs);
+}
+
+// Every pass water-fills the whole live set, even when an event touches one
+// of two disjoint stars: flows_touched grows by the live count, and every
+// pass counts as full.
+TEST(FlowNetworkTest, EveryPassCoversTheLiveSet) {
+  EventLoop loop;
+  FlowNetwork net(loop);
+  std::vector<std::vector<LinkId>> star_a;
+  std::vector<std::vector<LinkId>> star_b;
+  LinkId server_a = net.AddLink(1000.0);
+  LinkId server_b = net.AddLink(800.0);
+  for (int c = 0; c < 3; ++c) {
+    star_a.push_back({server_a, net.AddLink(600.0)});
+    star_b.push_back({server_b, net.AddLink(600.0)});
+  }
+  // Uncapped flows saturate both server links, so no certificate applies
+  // and every event runs a pass.
+  for (int c = 0; c < 3; ++c) {
+    net.StartFlow(star_a[c], 1e6, 0.01, NoSlowStart(), [] {});
+    net.StartFlow(star_b[c], 1e6, 0.01, NoSlowStart(), [] {});
+  }
+  FlowNetworkStats before = net.Stats();
+  FlowId extra = net.StartFlow(star_a[0], 1e6, 0.01, NoSlowStart(), [] {});
+  FlowNetworkStats after = net.Stats();
+  EXPECT_EQ(after.reallocs, before.reallocs + 1);
+  EXPECT_EQ(after.flows_touched, before.flows_touched + net.ActiveFlowCount());
+  net.AbortFlow(extra);
+  EXPECT_EQ(net.Stats().flows_touched, after.flows_touched + net.ActiveFlowCount());
+  EXPECT_EQ(net.Stats().full_reallocs, net.Stats().reallocs);
+  EXPECT_NEAR(net.LinkRate(server_a), 1000.0, 1e-9);
+  EXPECT_NEAR(net.LinkRate(server_b), 800.0, 1e-9);
 }
 
 // Property sweep: random flow sets never violate capacity, and max-min is

@@ -79,18 +79,6 @@ TEST(IndexedHeapTest, RemoveAbsentIsNoOp) {
   EXPECT_EQ(heap.TopItem(), 1u);
 }
 
-TEST(IndexedHeapTest, ClearEmptiesAndAllowsReuse) {
-  IndexedMinHeap heap;
-  heap.Update(0, 1.0, 0);
-  heap.Update(1, 2.0, 1);
-  heap.Clear();
-  EXPECT_TRUE(heap.Empty());
-  EXPECT_FALSE(heap.Contains(0));
-  heap.Update(1, 7.0, 9);
-  EXPECT_EQ(heap.TopItem(), 1u);
-  EXPECT_DOUBLE_EQ(heap.TopKey(), 7.0);
-}
-
 // Random interleaving of every operation against a multiset oracle.
 TEST(IndexedHeapTest, RandomOpsMatchOracle) {
   Rng rng(0xfeed5eed);

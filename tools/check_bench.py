@@ -8,8 +8,11 @@ Usage:
 Checks structure (required keys, types), metadata sanity (non-empty commit,
 jobs >= 1), and internal consistency: p50 <= p99, items > 0, items_per_sec
 matching items / wall_seconds_p50, headline pointing at the first scenario,
-and every extra counter being a non-negative finite number. Exits non-zero
-with a per-file report on any violation, so ctest can gate on it.
+and every extra counter being a non-negative finite number. All records
+given must share one build type ('flags'): throughput from a Release and a
+RelWithDebInfo build differs by more than any change a record tracks, so a
+set of records that mixes them compares build types, not code. Exits
+non-zero with a per-file report on any violation, so ctest can gate on it.
 """
 
 import argparse
@@ -111,6 +114,7 @@ def main():
         parser.error("no files given (pass records or --glob DIR)")
 
     errors = []
+    flags = {}
     for path in files:
         try:
             with open(path, encoding="utf-8") as f:
@@ -122,6 +126,11 @@ def main():
             fail(errors, path, f"invalid JSON: {e}")
             continue
         check_record(errors, path, record)
+        if isinstance(record, dict) and isinstance(record.get("flags"), str):
+            flags.setdefault(record["flags"], []).append(os.path.basename(path))
+    if len(flags) > 1:
+        mixed = "; ".join(f"{flag}: {', '.join(names)}" for flag, names in sorted(flags.items()))
+        errors.append(f"records mix build types ({mixed})")
 
     if errors:
         for error in errors:
