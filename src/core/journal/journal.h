@@ -195,8 +195,6 @@ class SurveyJournal {
   // Non-empty when a corrupt suffix was dropped at open.
   const std::string& Warning() const { return data_.warning; }
   size_t RecordsDropped() const { return data_.records_dropped; }
-  // True when the journal already held site records at open (a resume).
-  bool HasReplayableSites() const { return !data_.sites.empty(); }
 
   // Declares the next cohort run (cohorts are strictly sequential). If the
   // journal already holds a cohort record at this ordinal its parameters

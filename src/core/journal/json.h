@@ -34,7 +34,6 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 
   bool IsString() const { return kind == Kind::kString; }
-  bool IsNumber() const { return kind == Kind::kNumber; }
 
   // Numeric accessors parse the raw token; |ok| (optional) reports failure.
   uint64_t U64(bool* ok = nullptr) const;

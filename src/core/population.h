@@ -60,13 +60,11 @@ SiteInstance SampleSite(Rng& rng, Cohort cohort);
 // the historical seed * 1000 + i derivation made site 1000 of seed s reuse
 // the exact seed of site 0 of seed s+1, silently correlating surveys once a
 // cohort crosses 1000 sites. These helpers mix the full triple through
-// SplitMix64 instead; sampling and experiment execution use distinct domain
-// constants so a site's provisioning draw can never alias its workload
-// stream. check_journal.py / check_shard_merge.py reimplement the same math
-// in Python — keep them in sync.
+// SplitMix64 (src/sim/rng.h) instead; sampling and experiment execution use
+// distinct domain constants so a site's provisioning draw can never alias
+// its workload stream. check_journal.py / check_shard_merge.py reimplement
+// the same math in Python — keep them in sync.
 
-// The standard SplitMix64 finalizer (public domain, Steele et al.).
-uint64_t SplitMix64(uint64_t x);
 // Seed for running site |index|'s experiment.
 uint64_t SiteExperimentSeed(uint64_t survey_seed, Cohort cohort, uint64_t index);
 // Seed for drawing site |index|'s provisioning from the cohort distribution.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "src/core/arg_parse.h"
 #include "src/core/journal/journal.h"
 #include "src/core/journal/shutdown.h"
 #include "src/core/parallel_runner.h"
@@ -89,10 +90,17 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
   // Fault-injection hook for the supervisor's chaos gate (DESIGN.md §14):
   // when MFC_CRASH_SITE names a global site index, *executing* that site
   // aborts the process. Replayed and quarantined sites never trip it, so a
-  // quarantine decision demonstrably un-wedges the shard.
-  long long crash_site = -1;
-  if (const char* env = getenv("MFC_CRASH_SITE")) {
-    crash_site = strtoll(env, nullptr, 10);
+  // quarantine decision demonstrably un-wedges the shard. A value that is
+  // not a site index (empty, negative, trailing garbage) crashes nothing and
+  // warns once per process.
+  size_t crash_site = SIZE_MAX;
+  const char* crash_env = getenv("MFC_CRASH_SITE");
+  if (crash_env != nullptr && !ParseSizeValue(crash_env, &crash_site)) {
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
+      fprintf(stderr, "warning: MFC_CRASH_SITE=\"%s\" is not a site index; crashing no site\n",
+              crash_env);
+    }
   }
 
   auto run_site = [&](size_t local) {
@@ -138,7 +146,7 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
       site_telemetry.tracer = record.has_trace ? &tracer : nullptr;
       site_telemetry.metrics = record.has_metrics ? &record.metrics : nullptr;
     }
-    if (crash_site >= 0 && i == static_cast<size_t>(crash_site)) {
+    if (i == crash_site) {
       fprintf(stderr, "[survey] MFC_CRASH_SITE: crashing on site index %zu\n", i);
       abort();
     }

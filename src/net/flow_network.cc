@@ -62,34 +62,30 @@ void FlowNetwork::ReleaseSlot(uint32_t slot) {
   flow.on_complete = nullptr;
   flow.next_free = free_head_;
   free_head_ = slot;
-}
-
-bool FlowNetwork::LiveKey(uint64_t key) const {
-  uint32_t slot = static_cast<uint32_t>(key);
-  return flows_[slot].active && OrderKey(slot) == key;
+  const uint32_t moved = live_slots_.back();
+  live_slots_[flow.live_pos] = moved;
+  flows_[moved].live_pos = flow.live_pos;
+  live_slots_.pop_back();
 }
 
 bool FlowNetwork::LiveCap(const CapKey& entry) const {
-  return LiveKey(entry.second) &&
-         flows_[static_cast<uint32_t>(entry.second)].rate_cap == entry.first;
+  const uint32_t slot = static_cast<uint32_t>(entry.second);
+  return flows_[slot].active && OrderKey(slot) == entry.second &&
+         flows_[slot].rate_cap == entry.first;
 }
 
-void FlowNetwork::LogOrderKeys(uint32_t slot, bool started, bool unsaturated) {
+void FlowNetwork::LogCap(uint32_t slot, bool unsaturated) {
   // An unsaturated network resolves most events without a pass (the caps-
   // only certificate), so logging there would be pure overhead: drop the
-  // orders instead and let the next pass sort them afresh. Logs that
-  // outgrow the live set, because only link-bound doublings ran since the
-  // last merge, are dropped the same way.
-  if (!orders_valid_ || unsaturated || live_seq_.size() + cap_pending_.size() > 2 * live_ + 64) {
-    orders_valid_ = false;
+  // order instead and let the next pass sort it afresh. A log that outgrows
+  // the live set, because only link-bound doublings ran since the last
+  // merge, is dropped the same way.
+  if (!cap_order_valid_ || unsaturated || cap_pending_.size() > live_slots_.size() + 64) {
+    cap_order_valid_ = false;
     return;
   }
-  const uint64_t key = OrderKey(slot);
-  if (started) {
-    live_seq_.push_back(key);
-  }
   if (flows_[slot].rate_cap < kInfinity) {
-    cap_pending_.emplace_back(flows_[slot].rate_cap, key);
+    cap_pending_.emplace_back(flows_[slot].rate_cap, OrderKey(slot));
   }
 }
 
@@ -142,6 +138,8 @@ FlowId FlowNetwork::StartFlow(const std::vector<LinkId>& path, double bytes, dou
   flow.seq = next_seq_++;
   flow.on_complete = std::move(on_complete);
   flow.active = true;
+  flow.live_pos = static_cast<uint32_t>(live_slots_.size());
+  live_slots_.push_back(slot);
   if (tcp.slow_start) {
     flow.cwnd = tcp.init_cwnd_bytes;
     flow.rate_cap = flow.cwnd / flow.rtt;
@@ -153,9 +151,7 @@ FlowId FlowNetwork::StartFlow(const std::vector<LinkId>& path, double bytes, dou
     flow.next_double = kTimeInfinity;
   }
   off_cap_flows_ += OffCap(flow);
-  ++live_;
-  membership_unchanged_ = false;
-  LogOrderKeys(slot, /*started=*/true, unsaturated);
+  LogCap(slot, unsaturated);
   changed_scratch_.assign(1, slot);
   if (!TryCapsOnly(unsaturated, flows_[slot].path, changed_scratch_)) {
     Reallocate(flows_[slot].path);
@@ -181,8 +177,6 @@ void FlowNetwork::AbortFlow(FlowId id) {
   early_heap_.Remove(slot);
   double_heap_.Remove(slot);
   ReleaseSlot(slot);
-  --live_;
-  membership_unchanged_ = false;
   changed_scratch_.clear();
   if (!TryCapsOnly(unsaturated, touched_scratch_, changed_scratch_)) {
     Reallocate(touched_scratch_);
@@ -318,57 +312,26 @@ bool FlowNetwork::TryCapsOnly(bool unsaturated, const std::vector<LinkId>& touch
   return true;
 }
 
-const std::vector<FlowNetwork::CapKey>& FlowNetwork::OrderPass() {
-  // Deterministic pass order: flows by creation sequence, links by id — the
-  // orders the historical full pass visited them in — and finite caps
-  // ascending by (rate_cap, seq, slot).
-  const bool refill = !membership_unchanged_ || force_full_;
-  if (refill) {
-    // A link without members never takes part in a round.
-    pass_links_.clear();
-    for (LinkId l = 0; l < links_.size(); ++l) {
-      if (!links_[l].members.empty()) {
-        pass_links_.push_back(l);
-      }
+const std::vector<FlowNetwork::CapKey>& FlowNetwork::OrderPass(
+    const std::vector<uint32_t>& live) {
+  // Links go in id order, because link rounds recompute shares as they go; a
+  // link without members never takes part in a round.
+  pass_links_.clear();
+  for (LinkId l = 0; l < links_.size(); ++l) {
+    if (!links_[l].members.empty()) {
+      pass_links_.push_back(l);
     }
   }
-  if (orders_valid_ && !force_full_) {
-    // The persistent orders cover exactly the live set: filter and merge
-    // them instead of sorting. The forced-full oracle never gets here, so
-    // it shares none of this state.
-    if (refill) {
-      // Drop dead entries from live_seq_; the rest are the live set.
-      size_t kept = 0;
-      pass_flows_.clear();
-      for (uint64_t key : live_seq_) {
-        if (LiveKey(key)) {
-          live_seq_[kept++] = key;
-          pass_flows_.push_back(static_cast<uint32_t>(key));
-        }
-      }
-      live_seq_.resize(kept);
-      assert(kept == live_);
-    }
+  if (cap_order_valid_ && !force_full_) {
+    // The persistent cap order covers every live finite cap: merge it
+    // instead of sorting. The forced-full oracle never gets here, so it
+    // shares none of this state.
     MergeCapPending();
     return cap_order_;
   }
   stats_.order_rebuilds++;
-  if (refill) {
-    // Packed integer keys keep the sort flat instead of chasing Flow structs.
-    order_scratch_.clear();
-    for (uint32_t slot = 0; slot < flows_.size(); ++slot) {
-      if (flows_[slot].active) {
-        order_scratch_.push_back(OrderKey(slot));
-      }
-    }
-    std::sort(order_scratch_.begin(), order_scratch_.end());
-    pass_flows_.clear();
-    for (uint64_t key : order_scratch_) {
-      pass_flows_.push_back(static_cast<uint32_t>(key));
-    }
-  }
   caps_scratch_.clear();
-  for (uint32_t slot : pass_flows_) {
+  for (uint32_t slot : live) {
     if (flows_[slot].rate_cap < kInfinity) {
       caps_scratch_.emplace_back(flows_[slot].rate_cap, OrderKey(slot));
     }
@@ -377,15 +340,11 @@ const std::vector<FlowNetwork::CapKey>& FlowNetwork::OrderPass() {
   if (force_full_) {
     return caps_scratch_;
   }
-  // A pass that sorted adopts its orders as the persistent ones, which
-  // events keep current from here on.
-  live_seq_.clear();
-  for (uint32_t slot : pass_flows_) {
-    live_seq_.push_back(OrderKey(slot));
-  }
+  // A pass that sorted adopts its order as the persistent one, which events
+  // keep current from here on.
   cap_order_.swap(caps_scratch_);
   cap_pending_.clear();
-  orders_valid_ = true;
+  cap_order_valid_ = true;
   return cap_order_;
 }
 
@@ -411,17 +370,30 @@ void FlowNetwork::UpdateCompletionKey(uint32_t slot) {
 }
 
 void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
-  const std::vector<CapKey>& caps = OrderPass();
+  // The fast side walks the live list as swap-removals left it. The oracle
+  // rebuilds the live set from the slots, in slot order, so it shares no
+  // list with the fast side and visits the flows in another order.
+  const std::vector<uint32_t>* live = &live_slots_;
+  if (force_full_) {
+    slot_order_.clear();
+    for (uint32_t slot = 0; slot < flows_.size(); ++slot) {
+      if (flows_[slot].active) {
+        slot_order_.push_back(slot);
+      }
+    }
+    live = &slot_order_;
+  }
+  const std::vector<CapKey>& caps = OrderPass(*live);
   stats_.reallocs++;
   stats_.full_reallocs++;
-  stats_.flows_touched += pass_flows_.size();
+  stats_.flows_touched += live->size();
   stats_.links_touched += pass_links_.size();
   for (LinkId li : pass_links_) {
     Link& link = links_[li];
     link.residual = link.capacity;
     link.unfixed = 0;
   }
-  for (uint32_t slot : pass_flows_) {
+  for (uint32_t slot : *live) {
     Flow& flow = flows_[slot];
     flow.fixed = false;
     flow.new_rate = 0.0;
@@ -431,7 +403,10 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
   }
 
   // Water-filling max-min allocation with per-flow rate caps over the live
-  // set: the historical full pass, move for move.
+  // set. Cap rounds take flows from the cap order and link rounds from
+  // member lists, so no rate depends on the order this pass visits the live
+  // set in; only link id order, cap-cohort seq order and member order do
+  // (DESIGN.md §10).
   //
   // Round bookkeeping avoids the historical per-round rescans two ways,
   // neither of which changes a single comparison outcome or double produced:
@@ -439,7 +414,7 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
   //    (rate_cap, seq), so the smallest unfixed cap is a cursor skip.
   //    Dropping infinite caps is free: an infinite cap is never the minimum
   //    unless every remaining cap is infinite, and that case is handled
-  //    explicitly below with the same fix order the scan produced.
+  //    explicitly below.
   //  - share_lb is a proven lower bound on the smallest contended-link share
   //    (see below); while the next cap sits at or below it the historical
   //    comparison cap_min <= share + eps must also pass, so consecutive cap
@@ -448,7 +423,7 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
   // order before fixing (a cohort of one needs no sort), and link rounds
   // still walk pass_links_ ascending — the sequence of residual subtractions
   // matches the scan version.
-  size_t remaining_flows = pass_flows_.size();
+  size_t remaining_flows = live->size();
   size_t cap_cursor = 0;
   // Invariant: share_lb <= the true smallest contended-link share. It starts
   // below everything (forcing an exact scan on the first round), is raised
@@ -500,10 +475,10 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
     if (cap_round) {
       if (cap_cursor >= caps.size()) {
         // cap_min and link_share are both infinite: no contended links
-        // remain, and every remaining flow has an uncapped rate. The
-        // historical pass fixed them all at their (infinite) caps in seq
-        // order; pass_flows_ is already seq-sorted.
-        for (uint32_t slot : pass_flows_) {
+        // remain, so every remaining flow is uncapped and crosses no link
+        // (an unfixed member keeps its link contended). Fixing them touches
+        // no link, so their order changes nothing.
+        for (uint32_t slot : *live) {
           Flow& flow = flows_[slot];
           if (!flow.fixed) {
             fix_flow(flow, flow.rate_cap);
@@ -584,7 +559,7 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
   for (LinkId l : touched) {
     mark(l);
   }
-  for (uint32_t slot : pass_flows_) {
+  for (uint32_t slot : *live) {
     Flow& flow = flows_[slot];
     if (flow.new_rate != flow.rate) {
       SetRate(slot, flow.new_rate, now);
@@ -601,7 +576,6 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
     }
     SetLinkRate(link, agg, now);
   }
-  membership_unchanged_ = true;
 }
 
 void FlowNetwork::ScheduleNext() {
@@ -682,10 +656,6 @@ void FlowNetwork::OnTimer() {
     }
     DetachFromLinks(slot);
     ReleaseSlot(slot);
-    --live_;
-  }
-  if (!due.empty()) {
-    membership_unchanged_ = false;
   }
 
   // Slow-start doublings due at this instant (completed flows were already
@@ -711,7 +681,7 @@ void FlowNetwork::OnTimer() {
       double_heap_.Update(slot, flow.next_double, flow.seq);
     }
     off_cap_flows_ += OffCap(flow);
-    LogOrderKeys(slot, /*started=*/false, unsaturated);
+    LogCap(slot, unsaturated);
     changed_scratch_.push_back(slot);
     for (LinkId l : flow.path) {
       touched_scratch_.push_back(l);

@@ -15,11 +15,12 @@
 // lookup and stale-handle rejection, and each link keeps a membership list
 // plus an aggregate rate so LinkRate() is O(1). Work follows the rates an
 // event changes (DESIGN.md §10): two exact certificates resolve most events
-// with no water-filling pass at all, every pass that remains water-fills the
-// live set by merging persistent seq and cap orders instead of sorting, a
-// flow is re-anchored (remaining bytes advanced, completion keys re-derived)
-// only when its rate changes, and indexed min-heaps (next completion, next
-// cwnd doubling) replace the per-event full-flow scans.
+// with no water-filling pass at all, every pass that remains water-fills a
+// dense list of the live flows, in whatever order it holds, and merges a
+// persistent cap order instead of sorting, a flow is re-anchored (remaining
+// bytes advanced, completion keys re-derived) only when its rate changes, and
+// indexed min-heaps (next completion, next cwnd doubling) replace the
+// per-event full-flow scans.
 #ifndef MFC_SRC_NET_FLOW_NETWORK_H_
 #define MFC_SRC_NET_FLOW_NETWORK_H_
 
@@ -57,8 +58,8 @@ struct FlowNetworkStats {
   uint64_t links_touched = 0;     // links visited, summed over passes
   uint64_t no_progress = 0;       // water-filling stalls (expected 0; see
                                   // the flow_network.no_progress metric)
-  uint64_t order_rebuilds = 0;    // passes that sorted their flow and cap orders
-                                  // instead of merging the persistent ones
+  uint64_t order_rebuilds = 0;    // passes that sorted their cap order instead
+                                  // of merging the persistent one
 };
 
 class FlowNetwork {
@@ -82,7 +83,7 @@ class FlowNetwork {
   // (ids are generation-checked, so a recycled slot never aliases).
   void AbortFlow(FlowId id);
 
-  size_t ActiveFlowCount() const { return live_; }
+  size_t ActiveFlowCount() const { return live_slots_.size(); }
 
   // Instantaneous aggregate rate through a link (bytes/second). O(1): reads
   // the maintained aggregate (debug builds assert it against a fresh scan).
@@ -107,12 +108,13 @@ class FlowNetwork {
   void SetMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
   // Testing hook: every event runs the water-filling pass, with both
-  // certificates off (re-anchoring still follows rate changes only) and the
-  // live set and every order sorted from scratch. The differential test
-  // drives an identical workload through a forced-full network as the oracle.
+  // certificates off (re-anchoring still follows rate changes only), the live
+  // set walked from the slots in slot order and every cap order sorted from
+  // scratch. The differential test drives an identical workload through a
+  // forced-full network as the oracle.
   void set_force_full_reallocate(bool on) {
     force_full_ = on;
-    orders_valid_ = false;
+    cap_order_valid_ = false;
   }
 
  private:
@@ -152,6 +154,7 @@ class FlowNetwork {
     std::function<void()> on_complete;
     uint32_t generation = 1;
     uint32_t next_free = kNoFreeSlot;
+    uint32_t live_pos = 0;  // index in live_slots_ while active
     bool active = false;
     // Water-filling scratch: the pass writes |new_rate| and commits it to
     // |rate| only where the two differ.
@@ -171,15 +174,13 @@ class FlowNetwork {
 
   // seq << 32 | slot: sorts flows by creation order.
   uint64_t OrderKey(uint32_t slot) const { return (flows_[slot].seq << 32) | slot; }
-  // An order entry is live while its flow is active with the same seq (the
-  // slot was not reused) and, for a cap entry, the same rate_cap.
-  bool LiveKey(uint64_t key) const;
+  // A cap entry is live while its flow is active with the same seq (the slot
+  // was not reused) and the same rate_cap.
   bool LiveCap(const CapKey& entry) const;
-  // Logs |slot|'s new keys (its seq when |started|, its cap when finite)
-  // while the orders are valid, the network was saturated before the event
-  // and the logs stay within twice the live set; otherwise marks the orders
-  // invalid (DESIGN.md §10).
-  void LogOrderKeys(uint32_t slot, bool started, bool unsaturated);
+  // Logs |slot|'s new cap, when finite, while the cap order is valid, the
+  // network was saturated before the event and the log stays within the live
+  // set plus 64; otherwise marks the cap order invalid (DESIGN.md §10).
+  void LogCap(uint32_t slot, bool unsaturated);
   // Sorts cap_pending_ into cap_order_, dropping dead entries.
   void MergeCapPending();
 
@@ -213,13 +214,10 @@ class FlowNetwork {
   // their links and |touched| (the links the event's flows cross, whose
   // membership may have changed) get fresh aggregates.
   void Reallocate(const std::vector<LinkId>& touched);
-  // Orders the live set for a pass and returns its cap order. Unless
-  // membership is unchanged since the last pass, pass_flows_ is refilled in
-  // seq order (filtered from live_seq_ while the orders are valid, sorted
-  // from the slots otherwise) and pass_links_ with the links that have
-  // members, in id order. The cap order is merged from the persistent
-  // orders when they are valid and sorted from scratch otherwise.
-  const std::vector<CapKey>& OrderPass();
+  // Refills pass_links_ with the links that have members, in id order, and
+  // returns the pass's cap order: merged from the persistent one while it is
+  // valid, sorted from the live flows |live| otherwise.
+  const std::vector<CapKey>& OrderPass(const std::vector<uint32_t>& live);
   // Predicted exact finish instant and earliest byte-epsilon completion
   // instant for |flow|, from its current (advanced, remaining, rate).
   static void CompletionKeys(const Flow& flow, double* finish, double* early);
@@ -234,7 +232,10 @@ class FlowNetwork {
   std::vector<Link> links_;
   std::vector<Flow> flows_;  // dense slots; |active| distinguishes live ones
   uint32_t free_head_ = kNoFreeSlot;
-  size_t live_ = 0;
+  // The live flows' slots, densely: StartFlow appends, ReleaseSlot
+  // swap-removes through Flow::live_pos. Fast-side passes walk it in
+  // whatever order it holds; no rate depends on it (DESIGN.md §10).
+  std::vector<uint32_t> live_slots_;
   uint64_t next_seq_ = 0;
   uint64_t visit_epoch_ = 0;
   // Live flows with OffCap() and links with Tight(), kept current by every
@@ -250,10 +251,8 @@ class FlowNetwork {
   IndexedMinHeap early_heap_;
   IndexedMinHeap double_heap_;  // next_double instants
 
-  // The live set as the last pass ordered it: flows in seq order, links
-  // with members in id order. Reused verbatim while membership_unchanged_.
-  std::vector<uint32_t> pass_flows_;
-  std::vector<LinkId> pass_links_;
+  std::vector<LinkId> pass_links_;  // links with members, in id order
+  std::vector<uint32_t> slot_order_;  // the oracle's live set, in slot order
   std::vector<LinkId> touched_scratch_;    // links an event's flows cross
   std::vector<uint32_t> changed_scratch_;  // flows an event started or doubled
   std::vector<uint32_t> due_scratch_;  // OnTimer's due-flow list
@@ -265,13 +264,11 @@ class FlowNetwork {
   // cap rounds advance a cursor instead of rescanning.
   std::vector<CapKey> caps_scratch_;
 
-  // Persistent orders, valid while |orders_valid_|: every live flow's
-  // OrderKey in live_seq_ (ascending, since seq only grows), and every live
-  // finite cap's CapKey in cap_order_ (sorted) or cap_pending_ (appended by
-  // starts and doublings since the last merge). Releases write nothing; dead
-  // entries (see LiveKey/LiveCap) drop out when a pass filters and merges
-  // them instead of sorting.
-  std::vector<uint64_t> live_seq_;
+  // Persistent cap order, valid while |cap_order_valid_|: every live finite
+  // cap's CapKey in cap_order_ (sorted) or cap_pending_ (appended by starts
+  // and doublings since the last merge). Releases write nothing; dead
+  // entries (see LiveCap) drop out when a pass merges them instead of
+  // sorting.
   std::vector<CapKey> cap_order_;
   std::vector<CapKey> cap_pending_;
 
@@ -279,13 +276,9 @@ class FlowNetwork {
   FlowNetworkStats stats_;
   MetricsRegistry* metrics_ = nullptr;
   bool force_full_ = false;
-  // True while no start, abort or completion has happened since the last
-  // pass, so pass_flows_/pass_links_ still hold the live set. Doubling-only
-  // events then reuse them without walking links or slots.
-  bool membership_unchanged_ = false;
-  // True while live_seq_/cap_order_/cap_pending_ cover every live flow. Only
-  // a pass that sorted sets it, never under force_full_.
-  bool orders_valid_ = false;
+  // True while cap_order_/cap_pending_ cover every live finite cap. Only a
+  // pass that sorted sets it, never under force_full_.
+  bool cap_order_valid_ = false;
 };
 
 }  // namespace mfc

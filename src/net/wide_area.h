@@ -82,8 +82,6 @@ class WideAreaNetwork {
   void SendControl(size_t client, std::function<void()> deliver);
 
   // Telemetry over the server's access link.
-  double ServerLinkUtilization() const { return flows_.LinkUtilization(server_link_); }
-  double ServerLinkRateBps() const { return flows_.LinkRate(server_link_); }
   double ServerLinkCumulativeBytes() const { return flows_.LinkCumulativeBytes(server_link_); }
 
   FlowNetwork& Flows() { return flows_; }

@@ -47,7 +47,6 @@ class ClientAgent {
   void Register();
   bool Registered() const { return registered_; }
 
-  uint64_t ClientId() const { return client_id_; }
   // Control port of the UDP backend; 0 when riding a custom transport.
   uint16_t ControlPort() const;
   void set_request_timeout(double seconds) { request_timeout_ = seconds; }
@@ -57,7 +56,6 @@ class ClientAgent {
   // outlive the agent). nullptr restores fault-free operation.
   void set_fault_injector(FaultInjector* fault);
 
-  uint64_t RequestsFired() const { return requests_fired_; }
   const SessionStats& session_stats() const { return session_->stats(); }
 
   // Health payload piggybacked on every PONG and SAMPLE (wire.h [stats]):

@@ -32,14 +32,6 @@ struct FaultConfig {
     return drop_rate > 0.0 || duplicate_rate > 0.0 || delay_rate > 0.0 || dead_after > 0.0;
   }
   bool Enabled() const { return AffectsDatagrams() || connect_failure_rate > 0.0; }
-
-  // The sim testbed's single control-loss knob, mapped onto the live model.
-  static FaultConfig FromControlLossRate(double loss, uint64_t seed = 1) {
-    FaultConfig config;
-    config.drop_rate = loss;
-    config.seed = seed;
-    return config;
-  }
 };
 
 struct FaultStats {

@@ -288,8 +288,6 @@ void UdpSocket::OnReadable() {
     if (n <= 0) {
       return;  // EAGAIN (drained) or transient error
     }
-    ++recv_batches_;
-    datagrams_received_ += static_cast<uint64_t>(n);
     for (int i = 0; i < n; ++i) {
       if (on_datagram_) {
         on_datagram_(std::string_view(bufs[i], msgs[i].msg_len), froms[i]);
@@ -312,8 +310,6 @@ void UdpSocket::OnReadable() {
     if (n < 0) {
       return;
     }
-    ++recv_batches_;
-    ++datagrams_received_;
     if (on_datagram_) {
       on_datagram_(std::string_view(buf, static_cast<size_t>(n)), from);
     }

@@ -66,7 +66,6 @@ class TcpConnection {
 
   // Total payload bytes received so far.
   uint64_t BytesReceived() const { return bytes_received_; }
-  bool IsOpen() const { return fd_.Valid(); }
   void Close();
 
  private:
@@ -124,11 +123,6 @@ class UdpSocket {
   void SendTo(std::string_view payload, const sockaddr_in& to);
   uint16_t Port() const { return port_; }
 
-  // Datagrams handed to the receiver / receive batches drained; the ratio is
-  // the syscall amortization the batched path buys.
-  uint64_t DatagramsReceived() const { return datagrams_received_; }
-  uint64_t RecvBatches() const { return recv_batches_; }
-
  private:
   void OnReadable();
 
@@ -136,8 +130,6 @@ class UdpSocket {
   ScopedFd fd_;
   uint16_t port_ = 0;
   DatagramCallback on_datagram_;
-  uint64_t datagrams_received_ = 0;
-  uint64_t recv_batches_ = 0;
 };
 
 }  // namespace mfc

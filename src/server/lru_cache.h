@@ -26,7 +26,6 @@ class LruByteCache {
   void Clear();
 
   double UsedBytes() const { return used_; }
-  double CapacityBytes() const { return capacity_; }
   size_t EntryCount() const { return index_.size(); }
 
   uint64_t Hits() const { return hits_; }

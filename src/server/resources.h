@@ -42,7 +42,6 @@ class CpuResource {
   size_t ActiveJobs() const { return jobs_.size(); }
   // Instantaneous utilization in [0, 1].
   double Utilization() const;
-  size_t Cores() const { return cores_; }
 
  private:
   struct Job {
@@ -91,7 +90,6 @@ class DiskResource {
   void Submit(double bytes, std::function<void()> done);
 
   size_t QueueDepth() const { return queue_.size() + (busy_ ? 1 : 0); }
-  bool Busy() const { return busy_; }
   // Cumulative busy seconds — callers derive utilization over a window.
   double BusySeconds() const;
 
@@ -122,7 +120,6 @@ class MemoryModel {
   void Free(double bytes);
 
   double UsedBytes() const { return used_; }
-  double RamBytes() const { return ram_; }
   bool Swapping() const { return used_ > ram_; }
 
   // >= 1; 1 while resident fits in RAM, then grows linearly with overcommit.

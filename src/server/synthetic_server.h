@@ -44,7 +44,6 @@ class SyntheticModelServer : public HttpTarget {
   size_t Concurrent() const { return pending_.size(); }
   // Arrival timestamps of every request, for the Figure 3 analysis.
   const std::vector<SimTime>& Arrivals() const { return arrivals_; }
-  void ClearArrivals() { arrivals_.clear(); }
 
  private:
   struct Pending {

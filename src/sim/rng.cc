@@ -3,22 +3,25 @@
 namespace mfc {
 namespace {
 
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+constexpr uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
+uint64_t SplitMix64(uint64_t x) {
+  x += kGoldenGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 Rng::Rng(uint64_t seed) {
-  uint64_t s = seed;
+  // The splitmix64 generator's first four outputs: word i is
+  // SplitMix64(seed + i * gamma).
   for (auto& word : state_) {
-    word = SplitMix64(s);
+    word = SplitMix64(seed);
+    seed += kGoldenGamma;
   }
 }
 

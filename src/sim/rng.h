@@ -12,6 +12,10 @@
 
 namespace mfc {
 
+// The standard SplitMix64 finalizer (public domain, Steele et al.): mixes
+// x + 0x9e3779b97f4a7c15. It seeds Rng and derives survey site seeds.
+uint64_t SplitMix64(uint64_t x);
+
 class Rng {
  public:
   explicit Rng(uint64_t seed);

@@ -23,10 +23,8 @@ constexpr SimTime kTimeInfinity = std::numeric_limits<double>::infinity();
 
 constexpr SimDuration Seconds(double s) { return s; }
 constexpr SimDuration Millis(double ms) { return ms / 1e3; }
-constexpr SimDuration Micros(double us) { return us / 1e6; }
 
 constexpr double ToMillis(SimDuration d) { return d * 1e3; }
-constexpr double ToMicros(SimDuration d) { return d * 1e6; }
 
 // Smallest delta that reliably advances a double-precision clock sitting at
 // absolute time |t|. Continuous processes (fluid flows, processor sharing)

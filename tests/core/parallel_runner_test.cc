@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/core/survey.h"
@@ -119,6 +120,26 @@ TEST(ParallelRunnerTest, SurveyCohortIsBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(a.epochs.size(), b.epochs.size()) << "site " << i;
     }
   }
+}
+
+// Runs a three-site Base survey with MFC_CRASH_SITE set to |value| and exits
+// with status 0 if it returns.
+void SurveyWithCrashSite(const char* value) {
+  setenv("MFC_CRASH_SITE", value, 1);
+  RunSurveyCohortParallel(Cohort::kRank100KTo1M, StageKind::kBase, 3, 20, 12345, 1);
+  exit(0);
+}
+
+// The chaos gate's crash hook crashes only the site it names. A value that
+// is not a site index, such as an empty or non-numeric one, must not read as
+// site 0: it warns and crashes nothing.
+TEST(SurveyCrashHookDeathTest, MalformedCrashSiteCrashesNoSite) {
+  for (const char* value : {"", "abc", "-1", "1x"}) {
+    EXPECT_EXIT(SurveyWithCrashSite(value), testing::ExitedWithCode(0),
+                "MFC_CRASH_SITE=\"" + std::string(value) + "\" is not a site index")
+        << "MFC_CRASH_SITE='" << value << "'";
+  }
+  EXPECT_DEATH(SurveyWithCrashSite("1"), "crashing on site index 1");
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
+
+#include "src/sim/rng.h"
 
 namespace mfc {
 namespace {
@@ -215,6 +219,119 @@ TEST_P(ParserChunkingTest, ResponseRoundTripUnderChunking) {
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, ParserChunkingTest,
                          ::testing::Values(1, 2, 3, 5, 7, 16, 64, 1024));
+
+// ---- seeded mutation corpus --------------------------------------------------
+
+// Parses |wire| whole and byte by byte: both must end in the same phase with
+// the same error text and the same message. An accepted message must survive
+// the canonical round trip: its serialization parses back, whole, to a
+// message that serializes to the same bytes. Counts accepted messages in
+// |accepted|.
+template <typename Parser>
+void ExpectConsistentOrRejected(std::string_view wire, bool expect_body, size_t* accepted) {
+  Parser whole;
+  whole.set_expect_body(expect_body);
+  whole.Feed(wire);
+  Parser bytewise;
+  bytewise.set_expect_body(expect_body);
+  for (size_t pos = 0; pos < wire.size() && !bytewise.Done() && !bytewise.Failed(); ++pos) {
+    bytewise.Feed(wire.substr(pos, 1));
+  }
+  ASSERT_EQ(whole.Phase(), bytewise.Phase()) << testing::PrintToString(std::string(wire));
+  ASSERT_EQ(whole.ErrorText(), bytewise.ErrorText()) << testing::PrintToString(std::string(wire));
+  ASSERT_EQ(whole.Message().Serialize(), bytewise.Message().Serialize())
+      << testing::PrintToString(std::string(wire));
+  if (!whole.Done()) {
+    return;
+  }
+  ++*accepted;
+  const std::string canonical = whole.Message().Serialize();
+  Parser again;
+  again.set_expect_body(expect_body);
+  ASSERT_EQ(again.Feed(canonical), canonical.size()) << testing::PrintToString(canonical);
+  ASSERT_TRUE(again.Done()) << testing::PrintToString(canonical);
+  EXPECT_EQ(again.Message().Serialize(), canonical);
+}
+
+// Applies one to four random edits to |mutant|: flip, delete or insert a
+// byte from |alphabet|, or truncate.
+std::string Mutate(Rng& rng, std::string mutant, const std::string& alphabet) {
+  const size_t edits = 1 + rng.NextBelow(4);
+  for (size_t e = 0; e < edits && !mutant.empty(); ++e) {
+    const size_t at = rng.NextBelow(mutant.size());
+    switch (rng.NextBelow(4)) {
+      case 0:  // flip
+        mutant[at] = alphabet[rng.NextBelow(alphabet.size())];
+        break;
+      case 1:  // delete
+        mutant.erase(at, 1);
+        break;
+      case 2:  // insert
+        mutant.insert(at, 1, alphabet[rng.NextBelow(alphabet.size())]);
+        break;
+      default:  // truncate
+        mutant.resize(at);
+        break;
+    }
+  }
+  return mutant;
+}
+
+// Seeded random mutations of serialized requests and responses (the
+// parsers read bytes from real sockets in the live runtime): no mutant may
+// crash either parser, feeding it whole or byte by byte must agree, and every
+// accepted mutant must satisfy the canonical round trip.
+TEST(HttpParserCorpusTest, SeededMutationCorpusNeverCrashesOrMisparses) {
+  std::vector<std::string> requests;
+  requests.push_back(
+      HttpRequest::For(HttpMethod::kGet, *ParseUrl("http://target.example.com/index.html"))
+          .Serialize());
+  requests.push_back(
+      HttpRequest::For(HttpMethod::kHead, *ParseUrl("http://h.example:8080/a/b.jpg"))
+          .Serialize());
+  HttpRequest post = HttpRequest::For(HttpMethod::kPost,
+                                      *ParseUrl("http://target.example.com/cgi/q.php?q=x&mfc=7"));
+  post.body = "payload-0123456789";
+  requests.push_back(post.Serialize());
+  requests.push_back("\r\nGET / HTTP/1.0\nX-Pad:  v \t\nContent-Length: 3\n\nabc");
+
+  std::vector<std::string> responses;
+  responses.push_back(
+      HttpResponse::Make(HttpStatus::kOk, "text/html", "<html><body>hi</body></html>")
+          .Serialize());
+  responses.push_back(HttpResponse::Make(HttpStatus::kNotFound, "text/plain", "").Serialize());
+  responses.push_back("HTTP/1.1 204\r\nServer: s\r\n\r\n");
+  responses.push_back("HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n");
+
+  const std::string alphabet = " \t\r\n:/?0123456789ABCZaz-+.\x01\x7f\xff";
+  Rng rng(20261019);
+  size_t mutants = 0;
+  size_t accepted = 0;
+  for (int round = 0; round < 1000; ++round) {
+    for (const std::string& seedling : requests) {
+      ++mutants;
+      ExpectConsistentOrRejected<RequestParser>(Mutate(rng, seedling, alphabet), true,
+                                                &accepted);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+    for (const std::string& seedling : responses) {
+      for (bool expect_body : {true, false}) {
+        ++mutants;
+        ExpectConsistentOrRejected<ResponseParser>(Mutate(rng, seedling, alphabet), expect_body,
+                                                   &accepted);
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+  }
+  // The corpus reaches both outcomes: mutants the parsers accept and
+  // mutants they reject or leave incomplete.
+  EXPECT_GT(accepted, mutants / 10);
+  EXPECT_LT(accepted, mutants - mutants / 10);
+}
 
 }  // namespace
 }  // namespace mfc

@@ -1,9 +1,11 @@
 // Randomized differential test: the allocator's fast paths (the link-bound
-// doubling and caps-only certificates, the persistent seq and cap orders,
-// the cap cohort of one) vs a forced full-recompute oracle
-// (set_force_full_reallocate, certificates off, every order sorted), driven
-// through identical seeded workloads of flow arrivals, aborts, and natural
-// completions.
+// doubling and caps-only certificates, the persistent cap order, the cap
+// cohort of one, passes that walk the live list in swap-removal order) vs a
+// forced full-recompute oracle (set_force_full_reallocate, certificates off,
+// the live set walked from the slots in slot order, every cap order sorted),
+// driven through identical seeded workloads of flow arrivals, aborts, and
+// natural completions. So every script also compares two orders of visiting
+// the live set, which no rate may depend on.
 //
 // Both sides re-anchor a flow only when its rate changes, so as long as every
 // rate matches bit for bit, so must completion order, completion times and
@@ -46,6 +48,8 @@ struct Op {
   int target = 0;
   // Probe expectation: the target is link-bound (rate below its cap).
   bool expect_link_bound = false;
+  // Probe expectation when positive: the target's exact rate.
+  double expect_rate = 0.0;
 };
 
 struct Script {
@@ -358,7 +362,7 @@ Script MakeCapCohortScript(uint64_t seed, int episodes) {
   return script;
 }
 
-// Churn aimed at the allocator's persistent seq and cap orders. A star
+// Churn aimed at the allocator's persistent cap order and live list. A star
 // (server link 0 over client links 2..9) alternates unsaturated stretches,
 // slow-start flows whose caps sum under the capacity, with saturated ones:
 // uncapped flows, short-RTT flows that stay link-bound and so double more
@@ -414,6 +418,47 @@ Script MakeOrderChurnScript(uint64_t seed, int stretches) {
   return script;
 }
 
+// Two links whose shares tie within kRateEpsilon: link 0 has capacity 2S
+// and link 1 has 3S + 1.5 kRateEpsilon. Each episode starts two uncapped
+// flows over {0, 1} and one over {1}, in a random order. The first link round
+// finds the smallest share, S on link 0, and walks the links in id order:
+// link 0 fixes its two flows at S, which lifts link 1's share to
+// S + 1.5 kRateEpsilon, past the epsilon, so the third flow is fixed a round
+// later at that share. Walked in reverse, link 1 would come first with share
+// S + 0.5 kRateEpsilon, within the epsilon, and fix all three at S. Link id
+// order is one of the orders a pass's rates depend on; the order it visits
+// the live set in is not.
+Script MakeLinkTieScript(uint64_t seed, int episodes) {
+  const double share = 1e5;
+  Rng rng(seed);
+  Script script;
+  script.capacities = {2.0 * share, 3.0 * share + 1.5 * kRateEpsilon};
+  int ordinal = 0;
+  for (int e = 0; e < episodes; ++e) {
+    const SimTime t = 1.0 + static_cast<double>(e);  // the links idle in between
+    const int lone = static_cast<int>(rng.NextBelow(3));  // the flow over {1}
+    for (int i = 0; i < 3; ++i) {
+      Op op;
+      op.at = t;
+      op.path = i == lone ? std::vector<LinkId>{1} : std::vector<LinkId>{0, 1};
+      op.bytes = share * rng.Uniform(0.3, 0.6);
+      op.rtt = 0.02;
+      op.tcp.slow_start = false;
+      script.ops.push_back(op);
+    }
+    Op probe;  // all three still live
+    probe.at = t + 0.01;
+    probe.kind = Op::Kind::kProbe;
+    probe.target = ordinal + lone;
+    probe.expect_link_bound = true;
+    // Link 1's residual once link 0's round fixed its two flows at S.
+    probe.expect_rate = (script.capacities[1] - share) - share;
+    script.ops.push_back(probe);
+    ordinal += 3;
+  }
+  return script;
+}
+
 // ---- replay -----------------------------------------------------------------
 
 // One side of the comparison: a loop, a network, and the state that replays
@@ -427,6 +472,7 @@ struct Side {
   std::vector<int> live;        // live arrival ordinals (unordered)
   std::vector<size_t> live_at;  // ordinal -> index in |live|, SIZE_MAX if not live
   std::vector<bool> probes;     // link-bound observations, in probe order
+  std::vector<double> rates;    // rates seen by probes with an expected rate
 
   void Retire(int ordinal) {
     size_t at = live_at[static_cast<size_t>(ordinal)];
@@ -456,9 +502,12 @@ void Run(Side& side, const Script& script, bool certify) {
         });
         break;
       case Op::Kind::kProbe:
-        side.loop.ScheduleAt(op.at, [&side, target = op.target] {
-          FlowId id = side.ids[static_cast<size_t>(target)];
+        side.loop.ScheduleAt(op.at, [&side, &op] {
+          FlowId id = side.ids[static_cast<size_t>(op.target)];
           side.probes.push_back(side.net.FlowRate(id) < side.net.FlowRateCap(id));
+          if (op.expect_rate > 0.0) {
+            side.rates.push_back(side.net.FlowRate(id));
+          }
         });
         break;
       case Op::Kind::kStart: {
@@ -505,6 +554,17 @@ std::vector<bool> Expectations(const Script& script) {
   return expected;
 }
 
+// Expected rates of the script's probes that name one, in order.
+std::vector<double> ExpectedRates(const Script& script) {
+  std::vector<double> expected;
+  for (const Op& op : script.ops) {
+    if (op.kind == Op::Kind::kProbe && op.expect_rate > 0.0) {
+      expected.push_back(op.expect_rate);
+    }
+  }
+  return expected;
+}
+
 // Runs |script| on the fast path and on the forced-full oracle and requires
 // bit-identical results. Returns the fast side's counters.
 FlowNetworkStats Compare(const Script& script) {
@@ -535,6 +595,8 @@ FlowNetworkStats Compare(const Script& script) {
   // Probes pin the edge a script constructs (same answer on both sides).
   EXPECT_EQ(fast.probes, Expectations(script));
   EXPECT_EQ(oracle.probes, fast.probes);
+  EXPECT_EQ(fast.rates, ExpectedRates(script));
+  EXPECT_EQ(oracle.rates, fast.rates);
   EXPECT_EQ(fast.net.ActiveFlowCount(), 0u);
   EXPECT_EQ(oracle.net.ActiveFlowCount(), 0u);
 
@@ -597,12 +659,19 @@ TEST(FlowNetworkDifferentialTest, CapCohortWithinEpsilonFixesInSeqOrder) {
 
 // Slot reuse between whole-graph passes, repeated doublings between passes,
 // caps reaching infinity, aborts of capped flows and alternating unsaturated
-// and saturated stretches, against the persistent orders.
+// and saturated stretches, against the persistent cap order.
 TEST(FlowNetworkDifferentialTest, OrderChurnAcrossSaturationStretches) {
   FlowNetworkStats s = Compare(MakeOrderChurnScript(/*seed=*/0x5eed0007, /*stretches=*/60));
   EXPECT_GT(s.skipped_reallocs, 0u);
   EXPECT_GT(s.order_rebuilds, 0u);
   EXPECT_LT(s.order_rebuilds, s.reallocs);
+}
+
+// Shares of two links within kRateEpsilon of each other: link rounds must
+// walk the links in id order, on both sides.
+TEST(FlowNetworkDifferentialTest, LinkTieWithinEpsilonFollowsLinkOrder) {
+  FlowNetworkStats s = Compare(MakeLinkTieScript(/*seed=*/0x5eed0008, /*episodes=*/60));
+  EXPECT_GT(s.reallocs, 0u);
 }
 
 }  // namespace

@@ -237,8 +237,8 @@ TEST(FlowNetworkTest, LinkRateAggregateStaysExactThroughChurn) {
 }
 
 // A saturated 48-flow slow-start star, the Large Object stage's shape: after
-// a crowd's first pass sorts the seq and cap orders, later passes merge the
-// few keys that changed. A silent fall-back to sorting every pass fails here.
+// a crowd's first pass sorts the cap order, later passes merge the few keys
+// that changed. A silent fall-back to sorting every pass fails here.
 // (Measured: 20 of 628 passes sort, one to three per crowd; the forced-full
 // oracle sorts on every pass.)
 TEST(FlowNetworkTest, SaturatedStarPassesMergeInsteadOfSorting) {

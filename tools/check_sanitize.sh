@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 # Reactor polls and socket waits make these tests timing-sensitive; the
 # sanitizer slowdown is real, so give ctest headroom instead of flaking.
-FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|RecordPool|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal|MetricsRegistry|TelemetryIntegration|Database|ShardMerge|ShardedSurvey|SurveySession|Tracer'
+FILTER='Fault|LiveHttp|LiveFleet|Reactor|UdpSocket|Tcp|Wire|ClientAgent|Session|Transport|WireCodec|MemoryHub|Robustness|FlowNetwork|IndexedHeap|RecordPool|EventLoop|Snapshot|StatsStream|SimStatsSampler|ParallelProgress|MetricsDelta|BuildSurveyProgress|RunningStats|Histogram|Supervisor|WorkerExit|QuarantineTracker|NextPendingSite|CpuResource|WebServer|Cluster|SimTestbed|Coordinator|Journal|MetricsRegistry|TelemetryIntegration|Database|ShardMerge|ShardedSurvey|SurveySession|Tracer|RequestParser|ResponseParser|ParserChunking|HttpParserCorpus'
 TIMEOUT=600
 # Only the binaries the filter can hit — building every bench/example under
 # two sanitizers would dominate the wall clock for no extra coverage.
@@ -44,7 +44,11 @@ TIMEOUT=600
 # ShardMergeTest, ShardedSurveyTest and SurveySessionTest run surveys whose
 # ParallelRunner workers fill the site records that FoldSiteRecord then
 # folds, and TracerTest covers the span merge the fold uses.
-TARGETS=(mfc_rt_tests mfc_core_tests mfc_net_tests mfc_sim_tests mfc_telemetry_tests mfc_supervisor_tests mfc_server_tests)
+# mfc_http_tests' parser suites (RequestParserTest, ResponseParserTest,
+# ParserChunkingTest and the HttpParserCorpusTest mutation corpus) feed the
+# HTTP parsers, which read bytes from real sockets, malformed and chunked
+# input: ASan is what sees a read past a line or a header.
+TARGETS=(mfc_rt_tests mfc_core_tests mfc_net_tests mfc_sim_tests mfc_telemetry_tests mfc_supervisor_tests mfc_server_tests mfc_http_tests)
 
 run_one() {
   local preset="$1"
