@@ -156,7 +156,7 @@ inline int RunSurveyBench(int argc, char** argv, const SurveyBench& bench) {
     fprintf(stderr,
             "unknown flag '%s' (supported: <servers> --jobs=N --shards=K --shard-index=J "
             "--json=<path> --trace=<path> --metrics=<path> --journal=<path> --resume "
-            "--stats-stream=<path> --stats-interval=<S> --progress)\n",
+            "--stats-stream=<path> --stats-interval=<S>)\n",
             arg.c_str());
     ok = false;
   }

@@ -236,14 +236,6 @@ EpochResult Coordinator::RunEpoch(StageKind kind, std::vector<ClientState>& clie
       if (telemetry_ != nullptr && telemetry_->metrics != nullptr) {
         telemetry_->metrics->Add("coord.clients_evicted");
       }
-      if (telemetry_ != nullptr && telemetry_->progress) {
-        if (transport_unhealthy && c.consecutive_misses < config_.evict_after_misses) {
-          fprintf(stderr, "[mfc] client %zu evicted: control plane unhealthy\n", c.id);
-        } else {
-          fprintf(stderr, "[mfc] client %zu evicted after %zu consecutive misses\n", c.id,
-                  c.consecutive_misses);
-        }
-      }
     }
   }
 
@@ -267,12 +259,6 @@ EpochResult Coordinator::RunEpoch(StageKind kind, std::vector<ClientState>& clie
       m.Add("coord.samples_received", static_cast<double>(result.samples_received));
       m.Observe("coord.epoch_metric_ms", ToMillis(result.metric));
       m.HistObserve("coord.epoch_metric_ms", LatencyBucketEdgesMs(), ToMillis(result.metric));
-    }
-    if (telemetry_->progress) {
-      fprintf(stderr, "[mfc] stage=%s crowd=%zu samples=%zu metric=%.1fms%s%s\n",
-              telemetry_->stage.c_str(), crowd_size, result.samples_received,
-              ToMillis(result.metric), check_phase ? " [check]" : "",
-              result.exceeded_threshold ? " EXCEEDED" : "");
     }
   }
   return result;
@@ -462,11 +448,6 @@ StageResult Coordinator::RunStage(StageKind kind, const StageObjects& objects,
         m.Add("coord.stages_stopped");
         m.Observe("coord.stopping_crowd", static_cast<double>(stage.stopping_crowd_size));
       }
-    }
-    if (telemetry_->progress) {
-      fprintf(stderr, "[mfc] stage=%s done: %s\n", std::string(StageName(kind)).c_str(),
-              stage.stopped ? ("stopped at crowd " + std::to_string(stage.stopping_crowd_size)).c_str()
-                            : "NoStop");
     }
     telemetry_->stage = "idle";
   }

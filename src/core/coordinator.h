@@ -60,9 +60,8 @@ class Coordinator {
   // Optional tracing/metrics sink. When set, the run is wrapped in
   // "experiment" > "stage" > "prepare"/"epoch"/"check_phase"/"stop_decision"
   // spans (the decision metric rides as span attributes), epoch counters and
-  // metric histograms accumulate in the registry, the coordinator publishes
-  // its current stage label for the server's request spans, and — when
-  // telemetry->progress — live per-epoch lines go to stderr.
+  // metric histograms accumulate in the registry, and the coordinator
+  // publishes its current stage label for the server's request spans.
   void SetTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
   const ExperimentConfig& Config() const { return config_; }

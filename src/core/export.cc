@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <numeric>
 
-#include "src/core/journal/json.h"
+#include "src/telemetry/json_quote.h"
 
 namespace mfc {
 namespace {

@@ -2,582 +2,472 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 #include <utility>
+
+#include "src/core/journal/json.h"
+#include "src/telemetry/json_quote.h"
 
 namespace mfc {
 namespace {
 
 constexpr char kMagic[] = "mfc-journal";
 
-// ---- encode helpers ------------------------------------------------------
+// ---- field lists -----------------------------------------------------------
+//
+// Each record type has one field list: a function template over the
+// direction that names the record's fields in order with their encodings.
+// Driven by a Writer it appends the record's canonical bytes; driven by a
+// Reader it consumes exactly those bytes and fails on anything else, so a
+// reader never accepts a record that would re-encode differently. The record
+// is const when writing (Rec below). Every primitive returns whether it
+// succeeded, a Writer's always, so a field list is one && chain.
 
-void AppendU64(std::string& out, uint64_t v) { out += std::to_string(v); }
+class Writer {
+ public:
+  static constexpr bool kWrites = true;
 
-void AppendKeyU64(std::string& out, const char* key, uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  AppendU64(out, v);
-}
+  explicit Writer(std::string& out, bool samples = false) : samples(samples), out_(out) {}
 
-void AppendKeyBool(std::string& out, const char* key, bool v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
-
-void AppendKeyString(std::string& out, const char* key, std::string_view v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  JsonAppendQuoted(out, v);
-}
-
-void AppendKeyExact(std::string& out, const char* key, double v) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += EncodeExactDouble(v);
-  out += '"';
-}
-
-// ---- decode helpers ------------------------------------------------------
-
-bool GetU64(const JsonValue& obj, const char* key, uint64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) {
-    return false;
+  bool Lit(std::string_view text) {
+    out_ += text;
+    return true;
   }
-  bool ok = false;
-  *out = v->U64(&ok);
-  return ok;
-}
-
-bool GetSize(const JsonValue& obj, const char* key, size_t* out) {
-  uint64_t v = 0;
-  if (!GetU64(obj, key, &v)) {
-    return false;
+  bool Num(uint64_t v) {
+    char buf[20];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    return true;
   }
-  *out = static_cast<size_t>(v);
-  return true;
-}
-
-bool GetBool(const JsonValue& obj, const char* key, bool* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) {
-    return false;
+  template <class E>
+  bool Enum(E v, E /*max*/) {
+    return Num(static_cast<uint64_t>(v));
   }
-  bool ok = false;
-  *out = v->Bool(&ok);
-  return ok;
-}
-
-bool GetString(const JsonValue& obj, const char* key, std::string* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->IsString()) {
-    return false;
+  bool Bool(bool v) { return Lit(v ? "true" : "false"); }
+  bool Bit(bool v) { return Lit(v ? "1" : "0"); }
+  bool Str(std::string_view v) {
+    JsonAppendQuoted(out_, v);
+    return true;
   }
-  *out = v->scalar;
-  return true;
-}
-
-bool GetExact(const JsonValue& obj, const char* key, double* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->IsString()) {
-    return false;
+  bool Exact(double v) {
+    out_ += '"';
+    out_ += EncodeExactDouble(v);
+    out_ += '"';
+    return true;
   }
-  return DecodeExactDouble(v->scalar, out);
-}
-
-bool DecodeExactItem(const JsonValue& v, double* out) {
-  return v.IsString() && DecodeExactDouble(v.scalar, out);
-}
-
-}  // namespace
-
-// ---- ExperimentResult codec ----------------------------------------------
-
-namespace {
-
-// The one result encoding: EncodeExperimentResult with |samples|, the site
-// record's summary without.
-void AppendExperimentResult(std::string& out, const ExperimentResult& result, bool samples) {
-  out += '{';
-  AppendKeyBool(out, "aborted", result.aborted);
-  out += ',';
-  AppendKeyString(out, "abort_reason", result.abort_reason);
-  out += ',';
-  AppendKeyU64(out, "registered_clients", result.registered_clients);
-  out += ",\"stages\":[";
-  for (size_t s = 0; s < result.stages.size(); ++s) {
-    const StageResult& stage = result.stages[s];
-    if (s > 0) {
-      out += ',';
+  // An optional field: |key| and its value follow only when |present|.
+  bool Opt(std::string_view key, bool present) { return present && Lit(key); }
+  template <class T, class F>
+  bool List(const std::vector<T>& items, F each) {
+    out_ += '[';
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) {
+        out_ += ',';
+      }
+      each(items[i]);
     }
-    out += '{';
-    AppendKeyU64(out, "kind", static_cast<uint64_t>(stage.kind));
-    out += ',';
-    AppendKeyBool(out, "stopped", stage.stopped);
-    out += ',';
-    AppendKeyU64(out, "stop_at", stage.stopping_crowd_size);
-    out += ',';
-    AppendKeyU64(out, "max_tested", stage.max_crowd_tested);
-    out += ',';
-    AppendKeyU64(out, "end_reason", static_cast<uint64_t>(stage.end_reason));
-    out += ',';
-    AppendKeyString(out, "end_detail", stage.end_detail);
-    out += ',';
-    AppendKeyU64(out, "total_requests", stage.total_requests);
-    out += ',';
-    AppendKeyExact(out, "started", stage.started);
-    out += ',';
-    AppendKeyExact(out, "finished", stage.finished);
-    out += ",\"epochs\":[";
-    for (size_t e = 0; e < stage.epochs.size(); ++e) {
-      const EpochResult& epoch = stage.epochs[e];
-      if (e > 0) {
-        out += ',';
+    out_ += ']';
+    return true;
+  }
+  template <class T>
+  bool List(const std::vector<T>& items) {
+    return List(items, [this](const T& item) { return Fields(*this, item); });
+  }
+  // A metrics map: [name,<value>] entries in the map's name order.
+  template <class V, class F>
+  bool Entries(const std::map<std::string, V>& map, F value) {
+    out_ += '[';
+    for (auto it = map.begin(); it != map.end(); ++it) {
+      Lit(it == map.begin() ? "[" : ",[");
+      Str(it->first);
+      out_ += ',';
+      value(it->second);
+      out_ += ']';
+    }
+    out_ += ']';
+    return true;
+  }
+
+  // Epochs carry their raw samples (EncodeExperimentResult only).
+  const bool samples;
+
+ private:
+  std::string& out_;
+};
+
+class Reader {
+ public:
+  static constexpr bool kWrites = false;
+
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  bool Done() const { return pos_ == in_.size(); }
+
+  bool Lit(std::string_view text) {
+    if (in_.substr(pos_, text.size()) != text) {
+      return false;
+    }
+    pos_ += text.size();
+    return true;
+  }
+  // "0", or digits with no leading zero (from_chars takes no sign).
+  template <class T>
+  bool Num(T& v) {
+    const char* first = in_.data() + pos_;
+    const char* last = in_.data() + in_.size();
+    uint64_t x = 0;
+    auto [end, ec] = std::from_chars(first, first != last && *first == '0' ? first + 1 : last, x);
+    if (ec != std::errc() || x > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    pos_ += static_cast<size_t>(end - first);
+    v = static_cast<T>(x);
+    return true;
+  }
+  template <class E>
+  bool Enum(E& v, E max) {
+    uint64_t x = 0;
+    if (!Num(x) || x > static_cast<uint64_t>(max)) {
+      return false;
+    }
+    v = static_cast<E>(x);
+    return true;
+  }
+  bool Bool(bool& v) { return (v = Lit("true")) || Lit("false"); }
+  bool Bit(bool& v) { return (v = Lit("1")) || Lit("0"); }
+  // Exactly the escapes JsonAppendQuoted writes; a raw control byte fails.
+  bool Str(std::string& v) {
+    if (!Lit("\"")) {
+      return false;
+    }
+    v.clear();
+    for (;;) {
+      size_t run = pos_;
+      while (run < in_.size() && in_[run] != '"' && in_[run] != '\\' &&
+             static_cast<unsigned char>(in_[run]) >= 0x20) {
+        ++run;
       }
-      out += '{';
-      AppendKeyU64(out, "crowd", epoch.crowd_size);
-      out += ',';
-      AppendKeyU64(out, "received", epoch.samples_received);
-      out += ',';
-      AppendKeyU64(out, "expected", epoch.samples_expected);
-      out += ',';
-      AppendKeyExact(out, "metric", epoch.metric);
-      out += ',';
-      AppendKeyBool(out, "exceeded", epoch.exceeded_threshold);
-      out += ',';
-      AppendKeyBool(out, "check", epoch.check_phase);
-      out += ',';
-      AppendKeyBool(out, "requeued", epoch.requeued);
-      if (!samples) {
-        out += '}';
-        continue;
+      v.append(in_.substr(pos_, run - pos_));
+      pos_ = run;
+      if (pos_ == in_.size()) {
+        return false;
       }
-      out += ",\"samples\":[";
-      for (size_t i = 0; i < epoch.samples.size(); ++i) {
-        const RequestSample& sample = epoch.samples[i];
-        if (i > 0) {
-          out += ',';
+      const char c = in_[pos_++];
+      if (c == '"') {
+        return true;
+      }
+      if (c != '\\' || pos_ == in_.size()) {  // a raw control byte or a cut escape
+        return false;
+      }
+      const char esc = in_[pos_++];
+      if (esc == '"' || esc == '\\') {
+        v.push_back(esc);
+      } else if (esc == 'n' || esc == 't' || esc == 'r') {
+        v.push_back(esc == 'n' ? '\n' : esc == 't' ? '\t' : '\r');
+      } else if (esc == 'u' && in_.size() - pos_ >= 4 && in_.substr(pos_, 2) == "00") {
+        // \u00xx in lowercase hex: every control byte without a short escape.
+        constexpr std::string_view kHex = "0123456789abcdef";
+        const size_t hi = kHex.find(in_[pos_ + 2]);
+        const size_t lo = kHex.find(in_[pos_ + 3]);
+        const char byte = static_cast<char>(hi * 16 + lo);
+        if (hi > 1 || lo == std::string_view::npos || byte == '\n' || byte == '\t' ||
+            byte == '\r') {
+          return false;
         }
-        out += '[';
-        AppendU64(out, sample.client_id);
-        out += ',';
-        out += std::to_string(static_cast<int>(sample.code));
-        out += ",\"";
-        out += EncodeExactDouble(sample.bytes);
-        out += "\",\"";
-        out += EncodeExactDouble(sample.response_time);
-        out += "\",\"";
-        out += EncodeExactDouble(sample.normalized);
-        out += "\",";
-        out += sample.timed_out ? "1" : "0";
-        out += ']';
-      }
-      out += "]}";
-    }
-    out += "]}";
-  }
-  out += "]}";
-}
-
-// The seven summary fields of an epoch object.
-constexpr size_t kEpochSummaryFields = 7;
-
-}  // namespace
-
-std::string EncodeExperimentResult(const ExperimentResult& result) {
-  std::string out;
-  AppendExperimentResult(out, result, /*samples=*/true);
-  return out;
-}
-
-std::string EncodeExperimentSummary(const ExperimentResult& result) {
-  std::string out;
-  AppendExperimentResult(out, result, /*samples=*/false);
-  return out;
-}
-
-bool DecodeExperimentSummary(const JsonValue& value, ExperimentResult* out) {
-  *out = ExperimentResult{};
-  if (!GetBool(value, "aborted", &out->aborted) ||
-      !GetString(value, "abort_reason", &out->abort_reason) ||
-      !GetSize(value, "registered_clients", &out->registered_clients)) {
-    return false;
-  }
-  const JsonValue* stages = value.Find("stages");
-  if (stages == nullptr || stages->kind != JsonValue::Kind::kArray) {
-    return false;
-  }
-  out->stages.reserve(stages->items.size());
-  for (const JsonValue& sv : stages->items) {
-    StageResult stage;
-    uint64_t kind = 0;
-    uint64_t end_reason = 0;
-    if (!GetU64(sv, "kind", &kind) || kind > 2 || !GetBool(sv, "stopped", &stage.stopped) ||
-        !GetSize(sv, "stop_at", &stage.stopping_crowd_size) ||
-        !GetSize(sv, "max_tested", &stage.max_crowd_tested) ||
-        !GetU64(sv, "end_reason", &end_reason) || end_reason > 2 ||
-        !GetString(sv, "end_detail", &stage.end_detail) ||
-        !GetU64(sv, "total_requests", &stage.total_requests) ||
-        !GetExact(sv, "started", &stage.started) ||
-        !GetExact(sv, "finished", &stage.finished)) {
-      return false;
-    }
-    stage.kind = static_cast<StageKind>(kind);
-    stage.end_reason = static_cast<StageEndReason>(end_reason);
-    const JsonValue* epochs = sv.Find("epochs");
-    if (epochs == nullptr || epochs->kind != JsonValue::Kind::kArray) {
-      return false;
-    }
-    stage.epochs.reserve(epochs->items.size());
-    for (const JsonValue& ev : epochs->items) {
-      // Exactly the summary: a samples array (the whole-result form) or any
-      // other extra field makes the epoch malformed.
-      EpochResult epoch;
-      if (ev.fields.size() != kEpochSummaryFields || !GetSize(ev, "crowd", &epoch.crowd_size) ||
-          !GetSize(ev, "received", &epoch.samples_received) ||
-          !GetSize(ev, "expected", &epoch.samples_expected) ||
-          !GetExact(ev, "metric", &epoch.metric) ||
-          !GetBool(ev, "exceeded", &epoch.exceeded_threshold) ||
-          !GetBool(ev, "check", &epoch.check_phase) ||
-          !GetBool(ev, "requeued", &epoch.requeued)) {
+        v.push_back(byte);
+        pos_ += 4;
+      } else {
         return false;
       }
-      stage.epochs.push_back(std::move(epoch));
     }
-    out->stages.push_back(std::move(stage));
   }
-  return true;
-}
-
-// ---- trace codec ---------------------------------------------------------
-
-std::string EncodeTraceSpans(const std::vector<TraceSpan>& spans) {
-  std::string out = "[";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const TraceSpan& span = spans[i];
-    if (i > 0) {
-      out += ',';
+  bool Exact(double& v) {
+    if (in_.size() - pos_ < 19 || in_[pos_] != '"' || in_[pos_ + 18] != '"' ||
+        !DecodeExactDouble(in_.substr(pos_ + 1, 17), &v)) {
+      return false;
     }
-    out += '[';
-    AppendU64(out, span.id);
-    out += ',';
-    AppendU64(out, span.parent);
-    out += ',';
-    JsonAppendQuoted(out, span.name);
-    out += ',';
-    JsonAppendQuoted(out, span.category);
-    out += ",\"";
-    out += EncodeExactDouble(span.start);
-    out += "\",\"";
-    out += EncodeExactDouble(span.end);
-    out += "\",";
-    out += span.open ? "1" : "0";
-    out += ',';
-    AppendU64(out, span.pid);
-    out += ',';
-    AppendU64(out, span.track);
-    out += ",[";
-    for (size_t a = 0; a < span.attrs.size(); ++a) {
-      if (a > 0) {
-        out += ',';
-      }
-      out += '[';
-      JsonAppendQuoted(out, span.attrs[a].first);
-      out += ',';
-      JsonAppendQuoted(out, span.attrs[a].second);
-      out += ']';
-    }
-    out += "]]";
+    pos_ += 19;
+    return true;
   }
-  out += ']';
-  return out;
-}
-
-bool DecodeTraceSpans(const JsonValue& value, std::vector<TraceSpan>* out) {
-  out->clear();
-  if (value.kind != JsonValue::Kind::kArray) {
-    return false;
-  }
-  out->reserve(value.items.size());
-  for (const JsonValue& sv : value.items) {
-    if (sv.kind != JsonValue::Kind::kArray || sv.items.size() != 10) {
+  bool Opt(std::string_view key, bool& present) { return present = Lit(key); }
+  // Appends to |items|, which starts empty.
+  template <class T, class F>
+  bool List(std::vector<T>& items, F each) {
+    if (!Lit("[")) {
       return false;
     }
-    TraceSpan span;
-    bool ok = false;
-    span.id = sv.items[0].U64(&ok);
-    if (!ok) {
-      return false;
+    if (Lit("]")) {
+      return true;
     }
-    span.parent = sv.items[1].U64(&ok);
-    if (!ok) {
-      return false;
-    }
-    if (!sv.items[2].IsString() || !sv.items[3].IsString()) {
-      return false;
-    }
-    span.name = sv.items[2].scalar;
-    span.category = sv.items[3].scalar;
-    if (!DecodeExactItem(sv.items[4], &span.start) ||
-        !DecodeExactItem(sv.items[5], &span.end)) {
-      return false;
-    }
-    uint64_t open = sv.items[6].U64(&ok);
-    if (!ok || open > 1) {
-      return false;
-    }
-    span.open = open == 1;
-    span.pid = sv.items[7].U64(&ok);
-    if (!ok) {
-      return false;
-    }
-    span.track = sv.items[8].U64(&ok);
-    if (!ok) {
-      return false;
-    }
-    const JsonValue& attrs = sv.items[9];
-    if (attrs.kind != JsonValue::Kind::kArray) {
-      return false;
-    }
-    for (const JsonValue& av : attrs.items) {
-      if (av.kind != JsonValue::Kind::kArray || av.items.size() != 2 ||
-          !av.items[0].IsString() || !av.items[1].IsString()) {
+    do {
+      if (!each(items.emplace_back())) {
         return false;
       }
-      span.attrs.emplace_back(av.items[0].scalar, av.items[1].scalar);
-    }
-    out->push_back(std::move(span));
+    } while (Lit(","));
+    return Lit("]");
   }
-  return true;
+  template <class T>
+  bool List(std::vector<T>& items) {
+    return List(items, [this](T& item) { return Fields(*this, item); });
+  }
+  // A metrics map: [name,<value>] entries with names strictly ascending, as
+  // the registry's maps order them. |value| reads one entry under |name|.
+  template <class F>
+  bool Entries(F value) {
+    if (!Lit("[")) {
+      return false;
+    }
+    if (Lit("]")) {
+      return true;
+    }
+    std::string name;
+    std::string prev;
+    bool first = true;
+    do {
+      if (!Lit("[") || !Str(name) || (!first && name <= prev) || !Lit(",") || !value(name) ||
+          !Lit("]")) {
+        return false;
+      }
+      prev.swap(name);
+      first = false;
+    } while (Lit(","));
+    return Lit("]");
+  }
+
+ private:
+  std::string_view in_;
+  size_t pos_ = 0;
+};
+
+// A field list's record: const when writing.
+template <class IO, class T>
+using Rec = std::conditional_t<IO::kWrites, const T, T>;
+
+// Raw samples ride only in EncodeExperimentResult. No record holds them, so
+// nothing reads them.
+bool Samples(Reader&, const EpochResult&) { return true; }
+bool Samples(Writer& w, const EpochResult& epoch) {
+  return !w.samples ||
+         (w.Lit(",\"samples\":") && w.List(epoch.samples, [&](const RequestSample& s) {
+           return w.Lit("[") && w.Num(s.client_id) && w.Lit(",") &&
+                  w.Num(static_cast<uint64_t>(s.code)) && w.Lit(",") && w.Exact(s.bytes) &&
+                  w.Lit(",") && w.Exact(s.response_time) && w.Lit(",") && w.Exact(s.normalized) &&
+                  w.Lit(",") && w.Bit(s.timed_out) && w.Lit("]");
+         }));
 }
 
-// ---- metrics codec -------------------------------------------------------
-
-std::string EncodeMetrics(const MetricsRegistry& metrics) {
-  std::string out = "{\"counters\":[";
-  bool first = true;
-  for (const auto& [name, value] : metrics.Counters()) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '[';
-    JsonAppendQuoted(out, name);
-    out += ",\"";
-    out += EncodeExactDouble(value);
-    out += "\"]";
-  }
-  out += "],\"gauges\":[";
-  first = true;
-  for (const auto& [name, value] : metrics.Gauges()) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '[';
-    JsonAppendQuoted(out, name);
-    out += ",\"";
-    out += EncodeExactDouble(value);
-    out += "\"]";
-  }
-  out += "],\"summaries\":[";
-  first = true;
-  for (const auto& [name, stats] : metrics.Summaries()) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '[';
-    JsonAppendQuoted(out, name);
-    out += ',';
-    AppendU64(out, stats.Count());
-    out += ",\"";
-    out += EncodeExactDouble(stats.Mean());
-    out += "\",\"";
-    out += EncodeExactDouble(stats.M2());
-    out += "\",\"";
-    out += EncodeExactDouble(stats.MinValue());
-    out += "\",\"";
-    out += EncodeExactDouble(stats.MaxValue());
-    out += "\"]";
-  }
-  out += "],\"hists\":[";
-  first = true;
-  for (const auto& [name, hist] : metrics.Histograms()) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '[';
-    JsonAppendQuoted(out, name);
-    out += ",[";
-    const std::vector<double>& edges = hist.Edges();
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      out += '"';
-      out += EncodeExactDouble(edges[i]);
-      out += '"';
-    }
-    out += "],[";
-    for (size_t i = 0; i < hist.BucketCount(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      AppendU64(out, hist.BucketValue(i));
-    }
-    out += "]]";
-  }
-  out += "]}";
-  return out;
+template <class IO>
+bool Fields(IO& io, Rec<IO, EpochResult>& e) {
+  return io.Lit(R"({"crowd":)") && io.Num(e.crowd_size) && io.Lit(R"(,"received":)") &&
+         io.Num(e.samples_received) && io.Lit(R"(,"expected":)") && io.Num(e.samples_expected) &&
+         io.Lit(R"(,"metric":)") && io.Exact(e.metric) && io.Lit(R"(,"exceeded":)") &&
+         io.Bool(e.exceeded_threshold) && io.Lit(R"(,"check":)") && io.Bool(e.check_phase) &&
+         io.Lit(R"(,"requeued":)") && io.Bool(e.requeued) && Samples(io, e) && io.Lit("}");
 }
 
-bool DecodeMetrics(const JsonValue& value, MetricsRegistry* out) {
-  *out = MetricsRegistry{};
-  const JsonValue* counters = value.Find("counters");
-  const JsonValue* gauges = value.Find("gauges");
-  const JsonValue* summaries = value.Find("summaries");
-  const JsonValue* hists = value.Find("hists");
-  if (counters == nullptr || counters->kind != JsonValue::Kind::kArray || gauges == nullptr ||
-      gauges->kind != JsonValue::Kind::kArray || summaries == nullptr ||
-      summaries->kind != JsonValue::Kind::kArray || hists == nullptr ||
-      hists->kind != JsonValue::Kind::kArray) {
-    return false;
-  }
-  for (const JsonValue& cv : counters->items) {
+template <class IO>
+bool Fields(IO& io, Rec<IO, StageResult>& s) {
+  return io.Lit(R"({"kind":)") && io.Enum(s.kind, StageKind::kLargeObject) &&
+         io.Lit(R"(,"stopped":)") && io.Bool(s.stopped) && io.Lit(R"(,"stop_at":)") &&
+         io.Num(s.stopping_crowd_size) && io.Lit(R"(,"max_tested":)") &&
+         io.Num(s.max_crowd_tested) && io.Lit(R"(,"end_reason":)") &&
+         io.Enum(s.end_reason, StageEndReason::kQuorumFailed) && io.Lit(R"(,"end_detail":)") &&
+         io.Str(s.end_detail) && io.Lit(R"(,"total_requests":)") && io.Num(s.total_requests) &&
+         io.Lit(R"(,"started":)") && io.Exact(s.started) && io.Lit(R"(,"finished":)") &&
+         io.Exact(s.finished) && io.Lit(R"(,"epochs":)") && io.List(s.epochs) && io.Lit("}");
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, ExperimentResult>& r) {
+  return io.Lit(R"({"aborted":)") && io.Bool(r.aborted) && io.Lit(R"(,"abort_reason":)") &&
+         io.Str(r.abort_reason) && io.Lit(R"(,"registered_clients":)") &&
+         io.Num(r.registered_clients) && io.Lit(R"(,"stages":)") && io.List(r.stages) &&
+         io.Lit("}");
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, TraceSpan>& s) {
+  return io.Lit("[") && io.Num(s.id) && io.Lit(",") && io.Num(s.parent) && io.Lit(",") &&
+         io.Str(s.name) && io.Lit(",") && io.Str(s.category) && io.Lit(",") && io.Exact(s.start) &&
+         io.Lit(",") && io.Exact(s.end) && io.Lit(",") && io.Bit(s.open) && io.Lit(",") &&
+         io.Num(s.pid) && io.Lit(",") && io.Num(s.track) && io.Lit(",") &&
+         io.List(s.attrs,
+                 [&](auto& attr) {
+                   return io.Lit("[") && io.Str(attr.first) && io.Lit(",") &&
+                          io.Str(attr.second) && io.Lit("]");
+                 }) &&
+         io.Lit("]");
+}
+
+// The metrics registry is written from its maps and restored through its
+// slots, so it is one writer and one reader over the same primitives.
+// Counters are restored by assignment: adding to 0.0 would turn -0.0 into
+// +0.0. Histogram edges are strictly ascending, as the histogram keeps them.
+bool Fields(Writer& w, const MetricsRegistry& m) {
+  auto exact = [&](double v) { return w.Exact(v); };
+  auto summary = [&](const RunningStats& s) {
+    return w.Num(s.Count()) && w.Lit(",") && w.Exact(s.Mean()) && w.Lit(",") &&
+           w.Exact(s.M2()) && w.Lit(",") && w.Exact(s.MinValue()) && w.Lit(",") &&
+           w.Exact(s.MaxValue());
+  };
+  auto hist = [&](const Histogram& h) {
+    return w.List(h.Edges(), exact) && w.Lit(",") &&
+           w.List(h.Counts(), [&](size_t c) { return w.Num(c); });
+  };
+  return w.Lit(R"({"counters":)") && w.Entries(m.Counters(), exact) &&
+         w.Lit(R"(,"gauges":)") && w.Entries(m.Gauges(), exact) &&
+         w.Lit(R"(,"summaries":)") && w.Entries(m.Summaries(), summary) &&
+         w.Lit(R"(,"hists":)") && w.Entries(m.Histograms(), hist) && w.Lit("}");
+}
+
+bool Fields(Reader& r, MetricsRegistry& m) {
+  auto counter = [&](const std::string& name) { return r.Exact(m.CounterSlot(name)); };
+  auto gauge = [&](const std::string& name) {
     double v = 0.0;
-    if (cv.kind != JsonValue::Kind::kArray || cv.items.size() != 2 ||
-        !cv.items[0].IsString() || !DecodeExactItem(cv.items[1], &v)) {
+    if (!r.Exact(v)) {
       return false;
     }
-    out->Add(cv.items[0].scalar, v);
-  }
-  for (const JsonValue& gv : gauges->items) {
-    double v = 0.0;
-    if (gv.kind != JsonValue::Kind::kArray || gv.items.size() != 2 ||
-        !gv.items[0].IsString() || !DecodeExactItem(gv.items[1], &v)) {
-      return false;
-    }
-    out->Set(gv.items[0].scalar, v);
-  }
-  for (const JsonValue& sv : summaries->items) {
-    if (sv.kind != JsonValue::Kind::kArray || sv.items.size() != 6 || !sv.items[0].IsString()) {
-      return false;
-    }
-    bool ok = false;
-    uint64_t count = sv.items[1].U64(&ok);
+    m.Set(name, v);
+    return true;
+  };
+  auto summary = [&](const std::string& name) {
+    size_t count = 0;
     double mean = 0.0;
     double m2 = 0.0;
     double min = 0.0;
     double max = 0.0;
-    if (!ok || !DecodeExactItem(sv.items[2], &mean) || !DecodeExactItem(sv.items[3], &m2) ||
-        !DecodeExactItem(sv.items[4], &min) || !DecodeExactItem(sv.items[5], &max)) {
+    if (!r.Num(count) || !r.Lit(",") || !r.Exact(mean) || !r.Lit(",") || !r.Exact(m2) ||
+        !r.Lit(",") || !r.Exact(min) || !r.Lit(",") || !r.Exact(max)) {
       return false;
     }
-    out->RestoreSummary(sv.items[0].scalar,
-                        RunningStats::FromParts(static_cast<size_t>(count), mean, m2, min, max));
-  }
-  for (const JsonValue& hv : hists->items) {
-    if (hv.kind != JsonValue::Kind::kArray || hv.items.size() != 3 || !hv.items[0].IsString() ||
-        hv.items[1].kind != JsonValue::Kind::kArray ||
-        hv.items[2].kind != JsonValue::Kind::kArray) {
-      return false;
-    }
+    m.RestoreSummary(name, RunningStats::FromParts(count, mean, m2, min, max));
+    return true;
+  };
+  auto hist = [&](const std::string& name) {
     std::vector<double> edges;
-    edges.reserve(hv.items[1].items.size());
-    for (const JsonValue& ev : hv.items[1].items) {
-      double e = 0.0;
-      if (!DecodeExactItem(ev, &e)) {
-        return false;
-      }
-      edges.push_back(e);
-    }
     std::vector<size_t> counts;
-    counts.reserve(hv.items[2].items.size());
-    for (const JsonValue& cv : hv.items[2].items) {
-      bool ok = false;
-      counts.push_back(static_cast<size_t>(cv.U64(&ok)));
-      if (!ok) {
-        return false;
-      }
-    }
-    if (counts.size() != edges.size() + 1) {
+    if (!r.List(edges, [&](double& e) { return r.Exact(e); }) || !r.Lit(",") ||
+        !r.List(counts, [&](size_t& c) { return r.Num(c); }) ||
+        counts.size() != edges.size() + 1 ||
+        std::adjacent_find(edges.begin(), edges.end(),
+                           [](double a, double b) { return !(a < b); }) != edges.end()) {
       return false;
     }
-    out->RestoreHist(hv.items[0].scalar, Histogram::FromParts(std::move(edges), std::move(counts)));
-  }
-  return true;
+    m.RestoreHist(name, Histogram::FromParts(std::move(edges), std::move(counts)));
+    return true;
+  };
+  return r.Lit(R"({"counters":)") && r.Entries(counter) && r.Lit(R"(,"gauges":)") &&
+         r.Entries(gauge) && r.Lit(R"(,"summaries":)") && r.Entries(summary) &&
+         r.Lit(R"(,"hists":)") && r.Entries(hist) && r.Lit("}");
 }
 
-// ---- record framing ------------------------------------------------------
+// The first record. Its reader tells a foreign file (no magic), another
+// version and a malformed header apart, so |version| starts at this version:
+// a header whose version cannot be read is malformed, not another version's.
+struct JournalHeader {
+  std::string magic;
+  uint64_t version = kJournalVersion;
+  std::string tool;
+  std::string fingerprint;
+};
 
-std::string EncodeCohortRecord(const JournalCohortRecord& record) {
-  std::string body = "{\"type\":\"cohort\",";
-  AppendKeyU64(body, "ordinal", record.ordinal);
-  body += ',';
-  AppendKeyU64(body, "cohort", static_cast<uint64_t>(record.cohort));
-  body += ',';
-  AppendKeyU64(body, "stage", static_cast<uint64_t>(record.stage));
-  body += ',';
-  AppendKeyU64(body, "servers", record.servers);
-  body += ',';
-  AppendKeyU64(body, "max_crowd", record.max_crowd);
-  body += ',';
-  AppendKeyU64(body, "seed", record.seed);
-  body += ',';
-  AppendKeyU64(body, "pid_base", record.pid_base);
-  body += ',';
-  AppendKeyU64(body, "shards", record.shards);
-  body += ',';
-  AppendKeyU64(body, "shard_index", record.shard_index);
-  body += '}';
-  return body;
+template <class IO>
+bool Fields(IO& io, Rec<IO, JournalHeader>& h) {
+  return io.Lit(R"({"type":"header","magic":)") && io.Str(h.magic) &&
+         io.Lit(R"(,"version":)") && io.Num(h.version) && io.Lit(R"(,"tool":)") &&
+         io.Str(h.tool) && io.Lit(R"(,"fingerprint":)") && io.Str(h.fingerprint) &&
+         io.Lit("}");
 }
 
-std::string EncodeSiteRecord(const JournalSiteRecord& record) {
-  std::string body = "{\"type\":\"site\",";
-  AppendKeyU64(body, "cohort", record.cohort_ordinal);
-  body += ',';
-  AppendKeyU64(body, "index", record.site_index);
-  body += ',';
-  AppendKeyU64(body, "seed", record.seed);
-  body += ',';
-  AppendKeyU64(body, "stage", static_cast<uint64_t>(record.stage));
-  body += ',';
-  AppendKeyU64(body, "pid", record.pid);
-  body += ",\"result\":";
-  AppendExperimentResult(body, record.result, /*samples=*/false);
-  if (record.has_trace) {
-    body += ",\"trace\":";
-    body += EncodeTraceSpans(record.trace_spans);
-  }
-  if (record.has_metrics) {
-    body += ",\"metrics\":";
-    body += EncodeMetrics(record.metrics);
-  }
-  body += '}';
-  return body;
+template <class IO>
+bool Fields(IO& io, Rec<IO, JournalCohortRecord>& c) {
+  return io.Lit(R"({"type":"cohort","ordinal":)") && io.Num(c.ordinal) &&
+         io.Lit(R"(,"cohort":)") && io.Enum(c.cohort, Cohort::kLongTail) &&
+         io.Lit(R"(,"stage":)") && io.Enum(c.stage, StageKind::kLargeObject) &&
+         io.Lit(R"(,"servers":)") && io.Num(c.servers) && io.Lit(R"(,"max_crowd":)") &&
+         io.Num(c.max_crowd) && io.Lit(R"(,"seed":)") && io.Num(c.seed) &&
+         io.Lit(R"(,"pid_base":)") && io.Num(c.pid_base) && io.Lit(R"(,"shards":)") &&
+         io.Num(c.shards) && io.Lit(R"(,"shard_index":)") && io.Num(c.shard_index) &&
+         io.Lit("}");
 }
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, JournalSiteRecord>& s) {
+  return io.Lit(R"({"type":"site","cohort":)") && io.Num(s.cohort_ordinal) &&
+         io.Lit(R"(,"index":)") && io.Num(s.site_index) && io.Lit(R"(,"seed":)") &&
+         io.Num(s.seed) && io.Lit(R"(,"stage":)") && io.Enum(s.stage, StageKind::kLargeObject) &&
+         io.Lit(R"(,"pid":)") && io.Num(s.pid) && io.Lit(R"(,"result":)") &&
+         Fields(io, s.result) &&
+         (!io.Opt(R"(,"trace":)", s.has_trace) || io.List(s.trace_spans)) &&
+         (!io.Opt(R"(,"metrics":)", s.has_metrics) || Fields(io, s.metrics)) && io.Lit("}");
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, JournalQuarantineRecord>& q) {
+  return io.Lit(R"({"type":"quarantine","cohort":)") && io.Num(q.cohort_ordinal) &&
+         io.Lit(R"(,"index":)") && io.Num(q.site_index) && io.Lit(R"(,"crashes":)") &&
+         io.Num(q.crashes) && io.Lit(R"(,"signature":)") && io.Str(q.signature) &&
+         io.Lit("}");
+}
+
+template <class T>
+std::string Encode(const T& value, bool samples = false) {
+  std::string out;
+  Writer writer(out, samples);
+  Fields(writer, value);
+  return out;
+}
+
+// Reads all of |text| into |out|, which starts default-constructed.
+template <class T>
+bool Decode(std::string_view text, T& out) {
+  Reader reader(text);
+  return Fields(reader, out) && reader.Done();
+}
+
+}  // namespace
+
+std::string EncodeExperimentResult(const ExperimentResult& result) {
+  return Encode(result, /*samples=*/true);
+}
+
+std::string EncodeExperimentSummary(const ExperimentResult& result) { return Encode(result); }
+
+bool DecodeExperimentSummary(std::string_view text, ExperimentResult* out) {
+  *out = ExperimentResult{};
+  return Decode(text, *out);
+}
+
+std::string EncodeTraceSpans(const std::vector<TraceSpan>& spans) {
+  std::string out;
+  Writer writer(out);
+  writer.List(spans);
+  return out;
+}
+
+bool DecodeTraceSpans(std::string_view text, std::vector<TraceSpan>* out) {
+  out->clear();
+  Reader reader(text);
+  return reader.List(*out) && reader.Done();
+}
+
+std::string EncodeMetrics(const MetricsRegistry& metrics) { return Encode(metrics); }
+
+bool DecodeMetrics(std::string_view text, MetricsRegistry* out) {
+  *out = MetricsRegistry{};
+  return Decode(text, *out);
+}
+
+std::string EncodeCohortRecord(const JournalCohortRecord& record) { return Encode(record); }
+
+std::string EncodeSiteRecord(const JournalSiteRecord& record) { return Encode(record); }
 
 std::string EncodeQuarantineRecord(const JournalQuarantineRecord& record) {
-  std::string body = "{\"type\":\"quarantine\",";
-  AppendKeyU64(body, "cohort", record.cohort_ordinal);
-  body += ',';
-  AppendKeyU64(body, "index", record.site_index);
-  body += ',';
-  AppendKeyU64(body, "crashes", record.crashes);
-  body += ',';
-  AppendKeyString(body, "signature", record.signature);
-  body += '}';
-  return body;
+  return Encode(record);
 }
 
 std::string FrameJournalRecord(const std::string& body) {
@@ -625,68 +515,6 @@ bool UnframeLine(std::string_view line, std::string_view* body) {
   return Fnv1a64(*body) == crc;
 }
 
-bool DecodeCohortRecord(const JsonValue& body, JournalCohortRecord* out) {
-  uint64_t cohort = 0;
-  uint64_t stage = 0;
-  if (!GetSize(body, "ordinal", &out->ordinal) || !GetU64(body, "cohort", &cohort) ||
-      cohort > static_cast<uint64_t>(Cohort::kLongTail) || !GetU64(body, "stage", &stage) ||
-      stage > 2 || !GetSize(body, "servers", &out->servers) ||
-      !GetSize(body, "max_crowd", &out->max_crowd) || !GetU64(body, "seed", &out->seed) ||
-      !GetU64(body, "pid_base", &out->pid_base)) {
-    return false;
-  }
-  out->cohort = static_cast<Cohort>(cohort);
-  out->stage = static_cast<StageKind>(stage);
-  return GetSize(body, "shards", &out->shards) && out->shards != 0 &&
-         GetSize(body, "shard_index", &out->shard_index) && out->shard_index < out->shards;
-}
-
-bool DecodeSiteRecord(const JsonValue& body, JournalSiteRecord* out) {
-  uint64_t stage = 0;
-  if (!GetSize(body, "cohort", &out->cohort_ordinal) || !GetSize(body, "index", &out->site_index) ||
-      !GetU64(body, "seed", &out->seed) || !GetU64(body, "stage", &stage) || stage > 2 ||
-      !GetU64(body, "pid", &out->pid)) {
-    return false;
-  }
-  out->stage = static_cast<StageKind>(stage);
-  const JsonValue* result = body.Find("result");
-  if (result == nullptr || !DecodeExperimentSummary(*result, &out->result)) {
-    return false;
-  }
-  if (const JsonValue* trace = body.Find("trace")) {
-    if (!DecodeTraceSpans(*trace, &out->trace_spans)) {
-      return false;
-    }
-    out->has_trace = true;
-  }
-  if (const JsonValue* metrics = body.Find("metrics")) {
-    if (!DecodeMetrics(*metrics, &out->metrics)) {
-      return false;
-    }
-    out->has_metrics = true;
-  }
-  return true;
-}
-
-bool DecodeQuarantineRecord(const JsonValue& body, JournalQuarantineRecord* out) {
-  return GetSize(body, "cohort", &out->cohort_ordinal) &&
-         GetSize(body, "index", &out->site_index) && GetSize(body, "crashes", &out->crashes) &&
-         out->crashes >= 1 && GetString(body, "signature", &out->signature);
-}
-
-std::string EncodeHeader(const std::string& tool, const std::string& fingerprint) {
-  std::string body = "{\"type\":\"header\",";
-  AppendKeyString(body, "magic", kMagic);
-  body += ',';
-  AppendKeyU64(body, "version", kJournalVersion);
-  body += ',';
-  AppendKeyString(body, "tool", tool);
-  body += ',';
-  AppendKeyString(body, "fingerprint", fingerprint);
-  body += '}';
-  return body;
-}
-
 // One pass over a journal's bytes. |data| holds the records of the valid
 // prefix, which ends at offset |valid_end| of the |size| bytes read;
 // |corrupt| names the first recoverable defect (drop the suffix),
@@ -705,61 +533,58 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
                          JournalScan* scan) {
   size_t pos = 0;
   size_t record_index = 0;
+  auto corrupt = [&](const std::string& what) {
+    scan->corrupt = "record " + std::to_string(record_index) + ": " + what;
+  };
   while (pos < contents.size() && scan->corrupt.empty()) {
     size_t newline = contents.find('\n', pos);
     if (newline == std::string::npos) {
       scan->corrupt = "truncated tail record (no trailing newline)";
       break;
     }
-    std::string_view line(contents.data() + pos, newline - pos);
-    std::string_view body_text;
-    if (!UnframeLine(line, &body_text)) {
-      scan->corrupt = "record " + std::to_string(record_index) + ": bad frame or checksum";
-      break;
-    }
-    JsonValue body;
-    std::string parse_error;
-    if (!ParseJson(body_text, &body, &parse_error)) {
-      scan->corrupt = "record " + std::to_string(record_index) + ": " + parse_error;
+    std::string_view body;
+    if (!UnframeLine(std::string_view(contents.data() + pos, newline - pos), &body)) {
+      corrupt("bad frame or checksum");
       break;
     }
     std::string type;
-    if (!GetString(body, "type", &type)) {
-      scan->corrupt = "record " + std::to_string(record_index) + ": missing type";
+    if (Reader peek(body); !peek.Lit(R"({"type":)") || !peek.Str(type)) {
+      corrupt("missing type");
       break;
     }
     if (record_index == 0) {
       // Header mismatches are hard errors, not recoverable corruption: the
       // file is either not a journal or from an incompatible writer.
-      std::string magic;
-      uint64_t version = 0;
-      if (type != "header" || !GetString(body, "magic", &magic) || magic != kMagic ||
-          !GetU64(body, "version", &version)) {
+      JournalHeader header;
+      const bool canonical = Decode(body, header);
+      if (header.magic != kMagic) {
         scan->hard_error = path + ": not an mfc journal";
         return;
       }
-      if (version != kJournalVersion) {
-        scan->hard_error = path + ": journal version " + std::to_string(version) + " != " +
-                           std::to_string(kJournalVersion);
+      if (header.version != kJournalVersion) {
+        scan->hard_error = path + ": journal version " + std::to_string(header.version) +
+                           " != " + std::to_string(kJournalVersion);
         return;
       }
-      if (!GetString(body, "tool", &scan->data.tool) ||
-          !GetString(body, "fingerprint", &scan->data.fingerprint)) {
+      if (!canonical) {
         scan->hard_error = path + ": malformed journal header";
         return;
       }
+      scan->data.tool = std::move(header.tool);
+      scan->data.fingerprint = std::move(header.fingerprint);
       scan->saw_header = true;
     } else if (type == "cohort") {
       JournalCohortRecord record;
-      if (!DecodeCohortRecord(body, &record) || record.ordinal != scan->data.cohorts.size()) {
-        scan->corrupt = "record " + std::to_string(record_index) + ": malformed cohort record";
+      if (!Decode(body, record) || record.shards == 0 || record.shard_index >= record.shards ||
+          record.ordinal != scan->data.cohorts.size()) {
+        corrupt("malformed cohort record");
         break;
       }
       scan->data.cohorts.push_back(record);
     } else if (type == "site") {
       JournalSiteRecord record;
-      if (!DecodeSiteRecord(body, &record)) {
-        scan->corrupt = "record " + std::to_string(record_index) + ": malformed site record";
+      if (!Decode(body, record)) {
+        corrupt("malformed site record");
         break;
       }
       // Bind the site to its cohort declaration when one exists (survey
@@ -771,8 +596,7 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
             record.seed != SiteExperimentSeed(cohort.seed, cohort.cohort, record.site_index) ||
             record.pid != cohort.pid_base + record.site_index ||
             record.site_index % cohort.shards != cohort.shard_index) {
-          scan->corrupt = "record " + std::to_string(record_index) +
-                          ": site record inconsistent with its cohort";
+          corrupt("site record inconsistent with its cohort");
           break;
         }
       }
@@ -780,45 +604,39 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
       if (scan->data.quarantine_index.count(key) != 0) {
         // A quarantined site must never execute: a site record after the
         // quarantine means two writers disagreed about this journal.
-        scan->corrupt = "record " + std::to_string(record_index) +
-                        ": site record for a quarantined site";
+        corrupt("site record for a quarantined site");
         break;
       }
       if (!scan->data.sites.emplace(key, std::move(record)).second) {
-        scan->corrupt = "record " + std::to_string(record_index) + ": duplicate site record";
+        corrupt("duplicate site record");
         break;
       }
     } else if (type == "quarantine") {
       JournalQuarantineRecord record;
-      if (!DecodeQuarantineRecord(body, &record)) {
-        scan->corrupt =
-            "record " + std::to_string(record_index) + ": malformed quarantine record";
+      if (!Decode(body, record) || record.crashes == 0) {
+        corrupt("malformed quarantine record");
         break;
       }
       if (record.cohort_ordinal < scan->data.cohorts.size()) {
         const JournalCohortRecord& cohort = scan->data.cohorts[record.cohort_ordinal];
         if (record.site_index >= cohort.servers ||
             record.site_index % cohort.shards != cohort.shard_index) {
-          scan->corrupt = "record " + std::to_string(record_index) +
-                          ": quarantine record inconsistent with its cohort";
+          corrupt("quarantine record inconsistent with its cohort");
           break;
         }
       }
       auto key = std::make_pair(record.cohort_ordinal, record.site_index);
       if (scan->data.sites.count(key) != 0) {
-        scan->corrupt = "record " + std::to_string(record_index) +
-                        ": quarantine for an already-executed site";
+        corrupt("quarantine for an already-executed site");
         break;
       }
       if (!scan->data.quarantine_index.emplace(key, scan->data.quarantines.size()).second) {
-        scan->corrupt =
-            "record " + std::to_string(record_index) + ": duplicate quarantine record";
+        corrupt("duplicate quarantine record");
         break;
       }
       scan->data.quarantines.push_back(std::move(record));
     } else {
-      scan->corrupt = "record " + std::to_string(record_index) + ": unknown type \"" + type +
-                      "\"";
+      corrupt("unknown type \"" + type + "\"");
       break;
     }
     pos = newline + 1;
@@ -940,7 +758,8 @@ std::unique_ptr<SurveyJournal> SurveyJournal::Open(const std::string& path,
     // Fresh journal: write the header and fsync it at once. A torn header
     // would make the file "not an mfc journal" after a machine crash, not a
     // recoverable tail.
-    journal->AppendFrameLocked(EncodeHeader(tool, fingerprint), /*sync_now=*/true);
+    journal->AppendFrameLocked(Encode(JournalHeader{kMagic, kJournalVersion, tool, fingerprint}),
+                               /*sync_now=*/true);
     if (!journal->error_.empty()) {
       return fail(journal->error_);
     }

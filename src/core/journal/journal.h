@@ -39,13 +39,14 @@
 // re-executes them to the same bytes. The header and quarantine records are
 // fsynced at once.
 //
-// Corruption recovery: loading stops at the first record that fails to
-// parse, fails its checksum, or is internally inconsistent; that record and
-// everything after it are dropped (with a warning) and the file is truncated
-// back to the valid prefix before appending resumes. A header that does not
-// match the current version, tool and fingerprint is a hard error that
-// leaves the file untouched — a journal is never silently reused for a
-// different run or read by a writer of another format.
+// Corruption recovery: loading stops at the first record that fails its
+// checksum, is not in the canonical form its encoder writes, or is
+// internally inconsistent; that record and everything after it are dropped
+// (with a warning) and the file is truncated back to the valid prefix before
+// appending resumes. A header that does not match the current version, tool
+// and fingerprint is a hard error that leaves the file untouched — a journal
+// is never silently reused for a different run or read by a writer of
+// another format.
 #ifndef MFC_SRC_CORE_JOURNAL_JOURNAL_H_
 #define MFC_SRC_CORE_JOURNAL_JOURNAL_H_
 
@@ -57,9 +58,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "src/core/journal/json.h"
 #include "src/core/population.h"
 #include "src/core/types.h"
 #include "src/telemetry/metrics.h"
@@ -123,8 +124,13 @@ struct JournalQuarantineRecord {
   std::string signature;
 };
 
-// Record-body codecs, exposed for tests and tools. Encoders emit compact
-// single-line JSON; decoders reject structurally invalid input.
+// Record-body codecs, exposed for tests and tools. Each record type has one
+// field list (journal.cc) that both writes and reads it: encoders emit its
+// canonical compact JSON, and decoders accept exactly those bytes, so an
+// accepted body re-encodes to itself. Whitespace, a sign or leading zero on
+// an integer, a reordered, missing or extra field, an escape the encoder
+// never writes, a raw control byte, a metric name out of ascending order and
+// an enum past its last value are all refused.
 //
 // EncodeExperimentResult is the whole result, every epoch's raw samples
 // included; verdict digests hash it. A site record carries the summary
@@ -133,11 +139,11 @@ struct JournalQuarantineRecord {
 // is malformed), so the result it fills has empty EpochResult::samples.
 std::string EncodeExperimentResult(const ExperimentResult& result);
 std::string EncodeExperimentSummary(const ExperimentResult& result);
-bool DecodeExperimentSummary(const JsonValue& value, ExperimentResult* out);
+bool DecodeExperimentSummary(std::string_view text, ExperimentResult* out);
 std::string EncodeTraceSpans(const std::vector<TraceSpan>& spans);
-bool DecodeTraceSpans(const JsonValue& value, std::vector<TraceSpan>* out);
+bool DecodeTraceSpans(std::string_view text, std::vector<TraceSpan>* out);
 std::string EncodeMetrics(const MetricsRegistry& metrics);
-bool DecodeMetrics(const JsonValue& value, MetricsRegistry* out);
+bool DecodeMetrics(std::string_view text, MetricsRegistry* out);
 std::string EncodeCohortRecord(const JournalCohortRecord& record);
 std::string EncodeSiteRecord(const JournalSiteRecord& record);
 std::string EncodeQuarantineRecord(const JournalQuarantineRecord& record);

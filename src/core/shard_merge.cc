@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <map>
 
-#include "src/core/journal/json.h"
+#include "src/telemetry/json_quote.h"
 
 namespace mfc {
 namespace {

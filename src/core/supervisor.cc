@@ -15,6 +15,7 @@
 
 #include "src/core/journal/shutdown.h"
 #include "src/core/population.h"
+#include "src/core/survey_session.h"
 #include "src/telemetry/stats_stream.h"
 
 namespace mfc {
@@ -27,13 +28,13 @@ WorkerExitClass ClassifyWorkerExit(int wait_status) {
     return WorkerExitClass::kRetryable;
   }
   switch (WEXITSTATUS(wait_status)) {
-    case 0:
+    case kExitOk:
       return WorkerExitClass::kSuccess;
-    case 2:   // usage error
-    case 3:   // journal/merge config error
-    case 127: // exec failure
+    case kExitUsage:
+    case kExitJournal:
+    case 127:  // exec failure
       return WorkerExitClass::kPermanent;
-    case 130:
+    case kExitInterrupted:
       return WorkerExitClass::kInterrupted;
     default:
       return WorkerExitClass::kRetryable;

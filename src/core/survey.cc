@@ -83,7 +83,6 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
   // merged telemetry are byte-identical for any jobs count.
   const bool observe = telemetry != nullptr && telemetry->Enabled();
   std::vector<JournalSiteRecord> records(local_count);
-  std::atomic<size_t> completed{0};
   std::atomic<size_t> processed{0};
   const uint64_t pid_base = telemetry != nullptr ? telemetry->next_pid : 0;
 
@@ -111,11 +110,6 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
     // record is ever appended for it.
     if (journal != nullptr && journal->Quarantined(i) != nullptr) {
       processed.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry != nullptr && telemetry->progress) {
-        size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-        fprintf(stderr, "[survey] site %zu/%zu (index %zu): quarantined, skipped\n", done,
-                local_count, i);
-      }
       return;
     }
     // Replay from the journal when this site already completed in an
@@ -125,11 +119,6 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
       record = *replay;
       journal->resumed_sites.fetch_add(1, std::memory_order_relaxed);
       processed.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry != nullptr && telemetry->progress) {
-        size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-        fprintf(stderr, "[survey] site %zu/%zu (index %zu): replayed from journal\n", done,
-                local_count, i);
-      }
       return;
     }
 
@@ -157,17 +146,6 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
       journal->AppendSite(record);
     }
     processed.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry != nullptr && telemetry->progress) {
-      size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-      const ExperimentResult& result = record.result;
-      const StageResult* sr = result.stages.empty() ? nullptr : &result.stages[0];
-      fprintf(stderr, "[survey] site %zu/%zu (index %zu): %s\n", done, local_count, i,
-              result.aborted ? "aborted"
-              : sr == nullptr ? "no stage"
-              : sr->stopped
-                  ? ("stopped at " + std::to_string(sr->stopping_crowd_size)).c_str()
-                  : "NoStop");
-    }
   };
 
   ParallelRunner runner(jobs);

@@ -36,12 +36,6 @@ struct JournalSiteRecord;
 struct SurveyTelemetry {
   bool collect_trace = false;
   bool collect_metrics = false;
-  // Verbose per-site "site k/N ..." lines on stderr as workers finish
-  // (unordered under --jobs > 1; purely informational). Off by default —
-  // tools expose it as --progress; without it long surveys report through
-  // the rate-limited |progress_line| / |stats| below instead.
-  bool progress = false;
-
   // Runtime health plane (DESIGN.md §11): while the cohort runs, a sampler
   // thread periodically captures done/total, sites/sec, ETA, journal lag and
   // per-worker state, feeding the JSONL |stats| stream and/or the single

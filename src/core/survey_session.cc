@@ -40,8 +40,6 @@ bool ParseSurveyFlag(const std::string& arg, SurveyFlags* flags, bool* ok) {
     flags->stats_stream_path = v;
   } else if (value_of("--stats-interval=", &v)) {
     *ok &= ParseDoubleFlag("--stats-interval", v, &flags->stats_interval);
-  } else if (arg == "--progress") {
-    flags->progress = true;
   } else {
     return false;
   }
@@ -102,14 +100,12 @@ SurveySession::SurveySession(std::string tool, const SurveyFlags& flags)
   run_.shard_index = flags.shard_index;
   telemetry_.collect_trace = !flags.trace_path.empty();
   telemetry_.collect_metrics = !flags.metrics_path.empty();
-  telemetry_.progress = flags.progress;
   telemetry_.stats_interval = flags.stats_interval;
 }
 
 int SurveySession::Open() {
-  // Health plane: the verbose per-site lines are opt-in (--progress); by
-  // default a rate-limited terminal line and/or the --stats-stream JSONL
-  // feed report progress instead.
+  // Health plane: a rate-limited terminal line and/or the --stats-stream
+  // JSONL feed report survey progress.
   if (!flags_.stats_stream_path.empty()) {
     std::string error;
     stats_ = StatsStream::Open(flags_.stats_stream_path, &error);
@@ -119,7 +115,7 @@ int SurveySession::Open() {
     }
     telemetry_.stats = stats_.get();
   }
-  if (!flags_.progress && progress_line_.Enabled()) {
+  if (progress_line_.Enabled()) {
     telemetry_.progress_line = &progress_line_;
   }
   if (!flags_.journal_path.empty()) {

@@ -18,8 +18,6 @@
 //   --resume          replay journaled sites, execute only the remainder
 //   --stats-stream=<path>  runtime health snapshots as JSONL ('-' = stdout)
 //   --stats-interval=<S>   snapshot cadence in wall-clock seconds
-//   --progress        verbose per-site stderr lines (default: a rate-limited
-//                     single progress line, terminal only)
 //
 // Exit codes (the README table): 0 success, 1 aborted run or output write
 // failure, 2 usage error, 3 journal or merge error, 130 interrupted. The
@@ -60,7 +58,6 @@ struct SurveyFlags {
   bool resume = false;
   std::string stats_stream_path;  // empty = no JSONL health feed
   double stats_interval = 1.0;
-  bool progress = false;
 };
 
 // Consumes |arg| when it is one of the shared flags above and returns true;

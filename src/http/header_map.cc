@@ -46,17 +46,20 @@ size_t HeaderMap::Remove(std::string_view name) {
 }
 
 std::optional<uint64_t> HeaderMap::ContentLength() const {
-  auto value = Get("Content-Length");
-  if (!value.has_value()) {
-    return std::nullopt;
+  std::optional<uint64_t> length;
+  for (const Entry& e : entries_) {
+    if (!HeaderNameEquals(e.name, "Content-Length")) {
+      continue;
+    }
+    uint64_t n = 0;
+    const char* end = e.value.data() + e.value.size();
+    auto [ptr, ec] = std::from_chars(e.value.data(), end, n);
+    if (ec != std::errc() || ptr != end || (length.has_value() && *length != n)) {
+      return std::nullopt;
+    }
+    length = n;
   }
-  uint64_t n = 0;
-  auto sv = *value;
-  auto [ptr, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), n);
-  if (ec != std::errc() || ptr != sv.data() + sv.size()) {
-    return std::nullopt;
-  }
-  return n;
+  return length;
 }
 
 }  // namespace mfc

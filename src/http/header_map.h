@@ -31,7 +31,9 @@ class HeaderMap {
   // Removes every header with |name|; returns how many were removed.
   size_t Remove(std::string_view name);
 
-  // Content-Length parsed as an integer, if present and well-formed.
+  // Content-Length parsed as an integer, if present and every value is
+  // well-formed and equal. Values that disagree are invalid framing (RFC 9112
+  // §6.3), so they yield nothing, as a malformed one does.
   std::optional<uint64_t> ContentLength() const;
 
   const std::vector<Entry>& Entries() const { return entries_; }

@@ -84,6 +84,7 @@ class Histogram {
   size_t BucketValue(size_t i) const { return counts_[i]; }
   size_t Total() const { return total_; }
   const std::vector<double>& Edges() const { return edges_; }
+  const std::vector<size_t>& Counts() const { return counts_; }
 
   // Rebuilds a histogram from serialized state (journal replay). |counts|
   // must have edges.size() + 1 entries; the total is recomputed.

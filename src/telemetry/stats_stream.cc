@@ -6,46 +6,12 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/telemetry/json_quote.h"
 #include "src/telemetry/metrics.h"
 
 namespace mfc {
 
 namespace {
-
-// Minimal JSON string escape (labels and counter names are plain ASCII, but
-// stay safe for anything a caller passes through).
-std::string Escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 // JSON has no inf/nan; clamp them so the feed always parses.
 std::string Num(double v) {
@@ -77,8 +43,10 @@ void AppendWorkers(const std::vector<WorkerSnapshot>& workers, std::string* json
 }
 
 void AppendSurvey(const SurveyProgressSnapshot& s, std::string* json) {
-  *json += "\"survey\":{\"label\":\"" + Escape(s.label) + "\",\"done\":" + Num(s.done) +
-           ",\"total\":" + Num(s.total) + ",\"sites_per_sec\":" + Num(s.sites_per_sec);
+  *json += "\"survey\":{\"label\":";
+  JsonAppendQuoted(*json, s.label);
+  *json += ",\"done\":" + Num(s.done) + ",\"total\":" + Num(s.total) +
+           ",\"sites_per_sec\":" + Num(s.sites_per_sec);
   if (s.eta_seconds >= 0) {
     *json += ",\"eta_seconds\":" + Num(s.eta_seconds);
   }
@@ -228,8 +196,10 @@ bool StatsStream::Flush() {
 
 std::string StatsStream::ToJsonLine(const StatsSnapshot& snapshot) {
   std::string json = "{\"t\":" + Num(snapshot.t) + ",\"seq\":" + Num(snapshot.seq) +
-                     ",\"clock\":\"" + Escape(snapshot.clock) + "\",\"source\":\"" +
-                     Escape(snapshot.source) + "\"";
+                     ",\"clock\":";
+  JsonAppendQuoted(json, snapshot.clock);
+  json += ",\"source\":";
+  JsonAppendQuoted(json, snapshot.source);
   if (snapshot.has_survey) {
     json += ",";
     AppendSurvey(snapshot.survey, &json);
@@ -248,8 +218,8 @@ std::string StatsStream::ToJsonLine(const StatsSnapshot& snapshot) {
       if (i > 0) {
         json += ",";
       }
-      json += "\"" + Escape(snapshot.counter_deltas[i].first) +
-              "\":" + Num(snapshot.counter_deltas[i].second);
+      JsonAppendQuoted(json, snapshot.counter_deltas[i].first);
+      json += ":" + Num(snapshot.counter_deltas[i].second);
     }
     json += "}";
   }

@@ -89,8 +89,6 @@ struct Telemetry {
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
   std::string stage = "idle";
-  // When set, the coordinator emits live per-epoch progress lines on stderr.
-  bool progress = false;
 
   bool Enabled() const { return tracer != nullptr || metrics != nullptr; }
 };

@@ -50,6 +50,11 @@ TEST(HeaderMapTest, ContentLengthParsing) {
   EXPECT_FALSE(h.ContentLength().has_value());
   h.Set("Content-Length", "12x");
   EXPECT_FALSE(h.ContentLength().has_value());
+  h.Set("Content-Length", "7");
+  h.Add("content-length", "7");
+  EXPECT_EQ(h.ContentLength().value(), 7u);
+  h.Add("Content-Length", "8");
+  EXPECT_FALSE(h.ContentLength().has_value());
   h.Remove("Content-Length");
   EXPECT_FALSE(h.ContentLength().has_value());
 }

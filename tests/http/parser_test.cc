@@ -120,6 +120,24 @@ TEST(RequestParserTest, RejectsMalformedContentLength) {
   EXPECT_TRUE(parser.Failed());
 }
 
+// Content-Length values that disagree are invalid framing (RFC 9112 §6.3);
+// reading the first would leave the rest of the body as the next message.
+TEST(RequestParserTest, RejectsDisagreeingContentLengths) {
+  RequestParser parser;
+  parser.Feed("POST /s HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 7\r\n\r\nabcdefg");
+  ASSERT_TRUE(parser.Failed());
+  EXPECT_EQ(parser.ErrorText(), "malformed Content-Length");
+}
+
+TEST(RequestParserTest, AcceptsEqualDuplicateContentLengths) {
+  RequestParser parser;
+  const std::string message =
+      "POST /s HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc";
+  EXPECT_EQ(parser.Feed(message), message.size());
+  ASSERT_TRUE(parser.Done());
+  EXPECT_EQ(parser.Message().body, "abc");
+}
+
 TEST(RequestParserTest, StaysFailedAfterError) {
   RequestParser parser;
   parser.Feed("BREW / HTTP/1.1\r\n\r\n");
@@ -134,6 +152,13 @@ TEST(ResponseParserTest, ParsesSimpleResponse) {
   ASSERT_TRUE(parser.Done());
   EXPECT_EQ(parser.Message().status, HttpStatus::kOk);
   EXPECT_EQ(parser.Message().body, "abc");
+}
+
+TEST(ResponseParserTest, RejectsDisagreeingContentLengths) {
+  ResponseParser parser;
+  parser.Feed("HTTP/1.1 200 OK\r\nContent-Length: 3\r\ncontent-length: 7\r\n\r\nabcdefg");
+  ASSERT_TRUE(parser.Failed());
+  EXPECT_EQ(parser.ErrorText(), "malformed Content-Length");
 }
 
 TEST(ResponseParserTest, HeadResponseSkipsBody) {

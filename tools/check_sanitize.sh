@@ -34,7 +34,7 @@ TIMEOUT=600
 # SimTestbed/Coordinator tests cover the request path: one immutable request
 # shared by every epoch, connection and testbed hop, borrowed by the server
 # for the length of OnRequest, and the heap-ordered processor-sharing CPU.
-# The Journal suites (SurveyJournalTest, JournalCodecTest, JournalJsonTest)
+# The Journal suites (SurveyJournalTest, JournalCodecTest)
 # cover the codec's mutation corpus and the group-commit state that
 # ParallelRunner workers share under the journal's mutex.
 # MetricsRegistryTest and TelemetryIntegrationTest cover the registry slots

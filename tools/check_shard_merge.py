@@ -9,8 +9,9 @@ Drives mfc_profile (stdlib only, no third-party deps) through:
      under a different --jobs count; the --merge of the shard journals must
      reproduce the reference report, trace and metrics BYTE FOR BYTE;
   3. seed validation: every journaled site seed must equal the SplitMix64
-     derivation SiteExperimentSeed(seed, cohort, index) reimplemented here
-     (the collision-free scheme that replaced seed * 1000 + index);
+     derivation SiteExperimentSeed(seed, cohort, index), as
+     check_journal.py reimplements it (the collision-free scheme that
+     replaced seed * 1000 + index);
   4. merge of an incomplete shard: hard error naming --resume;
   5. a 100k-site --sample-only streaming pass over the long-tail cohort:
      its digest must be reproducible across invocations.
@@ -27,23 +28,9 @@ import subprocess
 import sys
 import tempfile
 
+from check_journal import site_experiment_seed
+
 SURVEY = ["--cohort=startup", "--survey=8", "--seed=5", "--max-crowd=20", "--quiet"]
-
-MASK64 = 0xFFFFFFFFFFFFFFFF
-EXPERIMENT_DOMAIN = 0x6D66632D65787072  # "mfc-expr", see src/core/population.cc
-
-
-def splitmix64(x):
-    x = (x + 0x9E3779B97F4A7C15) & MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
-    return x ^ (x >> 31)
-
-
-def site_experiment_seed(survey_seed, cohort, index):
-    h = splitmix64(survey_seed ^ EXPERIMENT_DOMAIN)
-    h = splitmix64(h ^ cohort)
-    return splitmix64(h ^ index)
 
 
 def fail(msg):

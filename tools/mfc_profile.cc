@@ -53,7 +53,7 @@ struct Options {
   uint64_t seed = 1;
   size_t survey = 0;            // when > 0: survey this many cohort sites
   // --jobs, --shards, --json, --trace, --metrics, --journal, --resume,
-  // --stats-stream/-interval, --progress: shared with the survey benches
+  // --stats-stream/-interval: shared with the survey benches
   // (survey_session.h); the single-experiment mode reads the same flags.
   SurveyFlags flags;
   std::vector<std::string> merge_paths;  // --merge: shard journals to fold
@@ -109,8 +109,6 @@ void Usage() {
       "  --stats-stream=<path> stream runtime health snapshots as JSONL ('-' = stdout)\n"
       "  --stats-interval=<S>  snapshot cadence in seconds (wall-clock for surveys,\n"
       "                        simulated time for single experiments; default 1)\n"
-      "  --progress            verbose per-site survey lines on stderr (default: a\n"
-      "                        rate-limited progress line, terminal only)\n"
       "  --seed=<N>            RNG seed\n"
       "  --quiet               suppress per-epoch output\n");
 }
@@ -715,7 +713,6 @@ int Run(const Options& options) {
     if (want_metrics) {
       telemetry.metrics = &live.metrics;
     }
-    telemetry.progress = telemetry.Enabled();
     if (telemetry.Enabled()) {
       deployment.SetTelemetry(&telemetry);
     }
