@@ -172,18 +172,13 @@ int main(int argc, char** argv) {
   // hundreds of agents would otherwise need one socket each).
   mfc::ReactorTimerSource hub_clock(reactor);
   mfc::MemoryHub hub(hub_clock);
-  std::unique_ptr<mfc::LiveHarness> harness;
-  mfc::TransportAddress coordinator_address;
-  if (transport_kind == "memory") {
-    auto endpoint = hub.CreateEndpoint();
-    coordinator_address = endpoint->LocalAddress();
-    harness = std::make_unique<mfc::LiveHarness>(reactor, server.Port(),
-                                                 std::move(endpoint));
-  } else {
-    harness = std::make_unique<mfc::LiveHarness>(reactor, server.Port());
-    coordinator_address =
-        mfc::TransportAddress::Udp(mfc::LoopbackEndpoint(harness->ControlPort()));
-  }
+  auto make_endpoint = [&]() -> std::unique_ptr<mfc::Transport> {
+    if (transport_kind == "memory") {
+      return hub.CreateEndpoint();
+    }
+    return std::make_unique<mfc::UdpTransport>(reactor, 0);
+  };
+  auto harness = std::make_unique<mfc::LiveHarness>(reactor, server.Port(), make_endpoint());
   harness->set_request_timeout(2.0);
   harness->set_retry_policy(retry);
   mfc::MetricsRegistry metrics;
@@ -230,13 +225,8 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<mfc::FaultInjector>> injectors;
   std::vector<std::unique_ptr<mfc::ClientAgent>> agents;
   for (size_t i = 0; i < fleet_size; ++i) {
-    if (transport_kind == "memory") {
-      agents.push_back(std::make_unique<mfc::ClientAgent>(
-          reactor, i, hub.CreateEndpoint(), coordinator_address));
-    } else {
-      agents.push_back(std::make_unique<mfc::ClientAgent>(
-          reactor, i, mfc::LoopbackEndpoint(harness->ControlPort())));
-    }
+    agents.push_back(std::make_unique<mfc::ClientAgent>(reactor, i, make_endpoint(),
+                                                        harness->ControlAddress()));
     agents.back()->set_request_timeout(2.0);
     agents.back()->set_retry_policy(retry);
     if (faults.Enabled()) {

@@ -45,10 +45,9 @@ struct ExperimentConfig {
   // the tested load).
   size_t max_crowd = 50;
 
-  // The coordinator aborts unless this many clients answer its probe within
-  // |registration_probe_timeout| (Figure 2a, step 2: "If k < 50, abort").
+  // The coordinator aborts unless this many clients answer its one-second
+  // registration probe (Figure 2a, step 2: "If k < 50, abort").
   size_t min_clients = 50;
-  SimDuration registration_probe_timeout = Seconds(1);
 
   // Epochs smaller than this auto-progress regardless of the measured
   // degradation — medians over fewer clients are not statistically robust.
@@ -70,13 +69,12 @@ struct ExperimentConfig {
   // the same request. 1 = standard MFC.
   size_t requests_per_client = 1;
 
-  // Decision-rule percentiles (Section 2.2.3). A stage stops when the
-  // configured percentile of normalized response times exceeds θ. The median
-  // (P50 > θ ⟺ at least 50% of clients degraded) is used everywhere except
-  // the Large Object stage, which requires 90% of the clients to see the
-  // degradation — i.e. P10 > θ — so congestion at shared remote bottlenecks
-  // is not mistaken for the server's access link.
-  double default_percentile = 50.0;
+  // Decision-rule percentile (Section 2.2.3). A stage stops when a
+  // percentile of normalized response times exceeds θ. The median (P50 > θ
+  // ⟺ at least 50% of clients degraded) is used everywhere except the Large
+  // Object stage, which requires 90% of the clients to see the degradation —
+  // i.e. P10 > θ — so congestion at shared remote bottlenecks is not mistaken
+  // for the server's access link.
   double large_object_percentile = 10.0;
 
   // Staggered MFC (Section 6): when > 0, client arrivals are spaced this far

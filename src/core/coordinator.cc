@@ -53,9 +53,9 @@ double Coordinator::MetricPercentile(StageKind kind) const {
   // Large Object demands that 90% of clients observe the degradation (the
   // 10th percentile must exceed θ) so congestion at shared remote
   // bottlenecks — which only some clients sit behind — is not mistaken for
-  // the server's access link (Section 2.2.3).
-  return kind == StageKind::kLargeObject ? config_.large_object_percentile
-                                         : config_.default_percentile;
+  // the server's access link (Section 2.2.3). Every other stage uses the
+  // median.
+  return kind == StageKind::kLargeObject ? config_.large_object_percentile : 50.0;
 }
 
 HttpRequest Coordinator::RequestFor(StageKind kind, const StageObjects& objects,
@@ -465,7 +465,7 @@ ExperimentResult Coordinator::Run(const StageObjects& objects,
                                   const std::vector<StageKind>& stages) {
   ExperimentResult result;
   experiment_span_ = BeginSpan("experiment", 0);
-  std::vector<size_t> registered = harness_.ProbeClients(config_.registration_probe_timeout);
+  std::vector<size_t> registered = harness_.ProbeClients(Seconds(1));
   result.registered_clients = registered.size();
   if (experiment_span_ != 0) {
     telemetry_->tracer->Attr(experiment_span_, "registered_clients",

@@ -64,8 +64,6 @@ class Coordinator {
   // publishes its current stage label for the server's request spans.
   void SetTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
-  const ExperimentConfig& Config() const { return config_; }
-
  private:
   struct ClientState {
     size_t id = 0;

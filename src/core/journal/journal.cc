@@ -601,7 +601,7 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
         }
       }
       auto key = std::make_pair(record.cohort_ordinal, record.site_index);
-      if (scan->data.quarantine_index.count(key) != 0) {
+      if (scan->data.quarantines.count(key) != 0) {
         // A quarantined site must never execute: a site record after the
         // quarantine means two writers disagreed about this journal.
         corrupt("site record for a quarantined site");
@@ -630,11 +630,10 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
         corrupt("quarantine for an already-executed site");
         break;
       }
-      if (!scan->data.quarantine_index.emplace(key, scan->data.quarantines.size()).second) {
+      if (!scan->data.quarantines.emplace(key, std::move(record)).second) {
         corrupt("duplicate quarantine record");
         break;
       }
-      scan->data.quarantines.push_back(std::move(record));
     } else {
       corrupt("unknown type \"" + type + "\"");
       break;
@@ -882,8 +881,8 @@ const JournalQuarantineRecord* SurveyJournal::Quarantined(size_t index) const {
 }
 
 const JournalQuarantineRecord* SurveyJournal::QuarantineAt(size_t ordinal, size_t index) const {
-  auto it = data_.quarantine_index.find(std::make_pair(ordinal, index));
-  return it == data_.quarantine_index.end() ? nullptr : &data_.quarantines[it->second];
+  auto it = data_.quarantines.find(std::make_pair(ordinal, index));
+  return it == data_.quarantines.end() ? nullptr : &it->second;
 }
 
 void SurveyJournal::AppendSite(const JournalSiteRecord& record) {
@@ -926,7 +925,7 @@ bool AppendQuarantineRecord(const std::string& path, const JournalQuarantineReco
     // Already executed (the crash was blamed on the wrong site) or already
     // quarantined: nothing to record.
     const bool recorded =
-        scan.data.sites.count(key) != 0 || scan.data.quarantine_index.count(key) != 0;
+        scan.data.sites.count(key) != 0 || scan.data.quarantines.count(key) != 0;
     if (message.empty() && !recorded) {
       // The writer died mid-append in the worst case: drop the torn tail
       // exactly as Open would, so our record continues the valid prefix.

@@ -157,11 +157,9 @@ struct JournalFileData {
   std::string tool;
   std::string fingerprint;
   std::vector<JournalCohortRecord> cohorts;
-  // (ordinal, index) -> site record.
+  // (ordinal, index) -> site record, and -> quarantine record.
   std::map<std::pair<size_t, size_t>, JournalSiteRecord> sites;
-  // In journal order, plus (ordinal, index) -> position in |quarantines|.
-  std::vector<JournalQuarantineRecord> quarantines;
-  std::map<std::pair<size_t, size_t>, size_t> quarantine_index;
+  std::map<std::pair<size_t, size_t>, JournalQuarantineRecord> quarantines;
   // Non-empty when a corrupt suffix was left out; it held |records_dropped|
   // records.
   std::string warning;
@@ -226,8 +224,10 @@ class SurveyJournal {
   // loop: never executed, never journaled as site records.
   const JournalQuarantineRecord* Quarantined(size_t index) const;
   const JournalQuarantineRecord* QuarantineAt(size_t ordinal, size_t index) const;
-  // All quarantine records, in journal order.
-  const std::vector<JournalQuarantineRecord>& Quarantines() const { return data_.quarantines; }
+  // All quarantine records, keyed by (ordinal, index).
+  const std::map<std::pair<size_t, size_t>, JournalQuarantineRecord>& Quarantines() const {
+    return data_.quarantines;
+  }
 
   const std::vector<JournalCohortRecord>& Cohorts() const { return data_.cohorts; }
 

@@ -105,15 +105,6 @@ bool MergeShardJournals(const std::vector<std::string>& paths, ShardMergeResult*
     return false;
   }
 
-  // Quarantine records are keyed by (ordinal, global index); the scan layer
-  // already validated shard membership and site/quarantine exclusivity.
-  std::map<std::pair<size_t, size_t>, const JournalQuarantineRecord*> quarantined;
-  for (const JournalFileData& file : files) {
-    for (const JournalQuarantineRecord& q : file.quarantines) {
-      quarantined[{q.cohort_ordinal, q.site_index}] = &q;
-    }
-  }
-
   out->tool = files[0].tool;
   out->fingerprint = files[0].fingerprint;
   out->cohorts.clear();
@@ -172,9 +163,11 @@ bool MergeShardJournals(const std::vector<std::string>& paths, ShardMergeResult*
       const size_t f = owner[i % shard_count];
       auto it = files[f].sites.find({ord, i});
       if (it == files[f].sites.end()) {
-        auto q = quarantined.find({ord, i});
-        if (q != quarantined.end()) {
-          cohort_quarantined.push_back(*q->second);
+        // The scan keeps a quarantine only in the journal of the shard that
+        // owns its site, and never beside that site's record.
+        auto q = files[f].quarantines.find({ord, i});
+        if (q != files[f].quarantines.end()) {
+          cohort_quarantined.push_back(q->second);
           continue;
         }
         if (CountSitesForOrdinal(files[f], ord) == 0) {

@@ -46,7 +46,6 @@ class SimTestbed : public ClientHarness, public Fetcher {
 
   EventLoop& Loop() { return loop_; }
   WideAreaNetwork& Wan() { return *wan_; }
-  Rng& TestRng() { return rng_; }
 
   // ClientHarness:
   size_t ClientCount() const override { return fleet_size_; }

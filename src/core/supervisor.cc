@@ -10,7 +10,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <set>
+#include <map>
+#include <string_view>
 #include <thread>
 
 #include "src/core/journal/shutdown.h"
@@ -65,14 +66,10 @@ double SupervisorBackoffSeconds(const RetryPolicy& policy, size_t attempt, uint6
 }
 
 std::optional<std::pair<size_t, size_t>> NextPendingSite(const JournalFileData& data) {
-  std::set<std::pair<size_t, size_t>> quarantined;
-  for (const JournalQuarantineRecord& q : data.quarantines) {
-    quarantined.emplace(q.cohort_ordinal, q.site_index);
-  }
   for (const JournalCohortRecord& cohort : data.cohorts) {
     for (size_t i = cohort.shard_index; i < cohort.servers; i += cohort.shards) {
       auto key = std::make_pair(cohort.ordinal, i);
-      if (data.sites.count(key) == 0 && quarantined.count(key) == 0) {
+      if (data.sites.count(key) == 0 && data.quarantines.count(key) == 0) {
         return key;
       }
     }
@@ -127,10 +124,7 @@ struct ShardState {
   Phase phase = Phase::kBackoff;
   double next_launch = 0.0;  // monotonic deadline while kBackoff
   pid_t pid = -1;
-  size_t launches = 0;
   size_t failures = 0;  // consecutive exits without journal progress
-  size_t crashes = 0;
-  size_t hang_kills = 0;
   double last_activity = 0.0;
   uint64_t journal_size = 0;
   uint64_t heartbeat_size = 0;
@@ -176,35 +170,38 @@ SupervisorResult SurveySupervisor::Run() {
     shard.next_launch = start;  // first launches are immediate
   }
 
-  // supervisor.* counters, emitted as deltas to the stats stream.
-  struct Counters {
-    double launches = 0, restarts = 0, crashes = 0, hang_kills = 0, quarantined = 0,
-           completed = 0;
-  };
-  Counters totals, emitted;
+  // supervisor.* counters: each stats snapshot carries what |result| gained
+  // since the last one.
+  std::map<std::string_view, size_t> emitted;
   double next_stats = start;
   auto emit_stats = [&](double now) {
     if (opt.stats == nullptr) {
       return;
     }
-    size_t running = 0;
-    for (const ShardState& shard : shards) {
-      running += shard.phase == ShardState::Phase::kRunning ? 1 : 0;
+    size_t running = 0, launches = 0, crashes = 0, completed = 0;
+    for (size_t i = 0; i < shards.size(); ++i) {
+      running += shards[i].phase == ShardState::Phase::kRunning ? 1 : 0;
+      launches += result.shards[i].launches;
+      crashes += result.shards[i].crashes;
+      completed += result.shards[i].completed ? 1 : 0;
     }
+    const std::pair<const char*, size_t> totals[] = {
+        {"supervisor.launches", launches},
+        {"supervisor.restarts", result.restarts},
+        {"supervisor.crashes", crashes},
+        {"supervisor.hang_kills", result.hang_kills},
+        {"supervisor.quarantined", result.quarantines.size()},
+        {"supervisor.shards_completed", completed},
+    };
     StatsSnapshot snapshot;
     snapshot.t = now - start;
     snapshot.clock = "wall";
     snapshot.source = "supervisor";
-    snapshot.counter_deltas = {
-        {"supervisor.workers_running", static_cast<double>(running)},
-        {"supervisor.launches", totals.launches - emitted.launches},
-        {"supervisor.restarts", totals.restarts - emitted.restarts},
-        {"supervisor.crashes", totals.crashes - emitted.crashes},
-        {"supervisor.hang_kills", totals.hang_kills - emitted.hang_kills},
-        {"supervisor.quarantined", totals.quarantined - emitted.quarantined},
-        {"supervisor.shards_completed", totals.completed - emitted.completed},
-    };
-    emitted = totals;
+    snapshot.counter_deltas = {{"supervisor.workers_running", static_cast<double>(running)}};
+    for (const auto& [name, total] : totals) {
+      snapshot.counter_deltas.emplace_back(name, static_cast<double>(total - emitted[name]));
+      emitted[name] = total;
+    }
     opt.stats->Emit(std::move(snapshot));
   };
 
@@ -239,12 +236,9 @@ SupervisorResult SurveySupervisor::Run() {
       logf("supervisor: shard %zu fork failed (%s); retrying\n", index, strerror(errno));
       return;
     }
-    ++shard.launches;
-    ++result.shards[index].launches;
-    totals.launches += 1;
-    if (shard.launches > 1) {
+    const size_t attempt = ++result.shards[index].launches;
+    if (attempt > 1) {
       ++result.restarts;
-      totals.restarts += 1;
     }
     shard.phase = ShardState::Phase::kRunning;
     shard.pid = pid;
@@ -254,7 +248,7 @@ SupervisorResult SurveySupervisor::Run() {
     shard.journal_at_launch = shard.journal_size;
     shard.heartbeat_size = FileSize(heartbeat_path(index));
     logf("supervisor: shard %zu pid %d started (attempt %zu%s)\n", index,
-         static_cast<int>(pid), shard.launches, shard.sequential ? ", sequential" : "");
+         static_cast<int>(pid), attempt, shard.sequential ? ", sequential" : "");
   };
 
   auto schedule_restart = [&](size_t index) {
@@ -317,7 +311,6 @@ SupervisorResult SurveySupervisor::Run() {
       case WorkerExitClass::kSuccess:
         shard.phase = ShardState::Phase::kDone;
         result.shards[index].completed = true;
-        totals.completed += 1;
         tracker.Reset(index);
         logf("supervisor: shard %zu completed\n", index);
         return;
@@ -343,9 +336,7 @@ SupervisorResult SurveySupervisor::Run() {
     // Retryable crash. Progress means this attempt grew the journal (read
     // before any quarantine record is appended below).
     const bool progressed = FileSize(opt.journal_paths[index]) > shard.journal_at_launch;
-    ++shard.crashes;
     ++result.shards[index].crashes;
-    totals.crashes += 1;
     logf("supervisor: shard %zu crashed: %s\n", index, description.c_str());
     if (draining) {
       shard.phase = ShardState::Phase::kFailed;
@@ -381,7 +372,6 @@ SupervisorResult SurveySupervisor::Run() {
              index, record.site_index, record.cohort_ordinal, record.crashes,
              record.signature.c_str());
         result.quarantines.push_back(record);
-        totals.quarantined += 1;
         tracker.Reset(index);
         shard.failures = 0;  // the quarantine unblocks the shard
         shard.sequential = false;
@@ -466,10 +456,8 @@ SupervisorResult SurveySupervisor::Run() {
       } else if (opt.hang_timeout > 0 && now - shard.last_activity > opt.hang_timeout) {
         logf("supervisor: shard %zu pid %d hung (no heartbeat for %.1fs); killing\n", i,
              static_cast<int>(shard.pid), now - shard.last_activity);
-        ++shard.hang_kills;
         ++result.shards[i].hang_kills;
         ++result.hang_kills;
-        totals.hang_kills += 1;
         shard.kill_sent = true;
         kill(shard.pid, SIGKILL);
         kill(shard.pid, SIGCONT);  // a stopped process must resume to die

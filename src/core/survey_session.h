@@ -127,7 +127,7 @@ class SurveySession {
   SurveyRunOptions run_;
   SurveyTelemetry telemetry_;
   std::unique_ptr<StatsStream> stats_;
-  ProgressLine progress_line_{1.0};
+  ProgressLine progress_line_;
   std::unique_ptr<SurveyJournal> journal_;
   bool interrupted_ = false;
 };

@@ -7,18 +7,12 @@
 
 namespace mfc {
 
-ClientAgent::ClientAgent(Reactor& reactor, uint64_t client_id, const sockaddr_in& coordinator)
-    : ClientAgent(reactor, client_id,
-                  std::make_unique<UdpTransport>(reactor, static_cast<uint16_t>(0)),
-                  TransportAddress::Udp(coordinator)) {}
-
 ClientAgent::ClientAgent(Reactor& reactor, uint64_t client_id,
                          std::unique_ptr<Transport> transport,
                          const TransportAddress& coordinator)
     : reactor_(reactor), client_id_(client_id), coordinator_(coordinator),
+      transport_(std::make_unique<FaultedTransport>(std::move(transport))),
       alive_(std::make_shared<bool>(true)) {
-  udp_ = dynamic_cast<UdpTransport*>(transport.get());
-  transport_ = std::make_unique<FaultedTransport>(std::move(transport));
   SessionConfig config;
   config.conn = AgentConn(client_id);
   config.retry = retry_;
@@ -28,8 +22,6 @@ ClientAgent::ClientAgent(Reactor& reactor, uint64_t client_id,
 }
 
 ClientAgent::~ClientAgent() { *alive_ = false; }
-
-uint16_t ClientAgent::ControlPort() const { return udp_ != nullptr ? udp_->Port() : 0; }
 
 void ClientAgent::set_retry_policy(const RetryPolicy& policy) {
   retry_ = policy;
@@ -142,10 +134,10 @@ void ClientAgent::FireNow(const MsgFire& message) {
   }
 }
 
-void ClientAgent::LaunchFetch(uint64_t token, const std::string& method, uint16_t port,
+void ClientAgent::LaunchFetch(uint64_t token, HttpMethod method, uint16_t port,
                               const std::string& target, size_t attempt, bool retry_connect) {
   HttpRequest request;
-  request.method = method == "HEAD" ? HttpMethod::kHead : HttpMethod::kGet;
+  request.method = method;
   request.target = target;
   request.headers.Set("Host", "127.0.0.1");
   request.headers.Set("User-Agent", "mfc-live-client/1.0");

@@ -32,10 +32,8 @@ inline uint64_t AgentConn(uint64_t client_id) { return client_id + 2; }
 
 class ClientAgent {
  public:
-  // UDP backend: binds an ephemeral control socket on |reactor|.
-  ClientAgent(Reactor& reactor, uint64_t client_id, const sockaddr_in& coordinator);
-  // Custom backend (e.g. a MemoryHub endpoint): control datagrams ride
-  // |transport|; HTTP fetches still use |reactor| sockets.
+  // Control datagrams ride |transport| (a UdpTransport or a MemoryHub
+  // endpoint); HTTP fetches use |reactor| sockets.
   ClientAgent(Reactor& reactor, uint64_t client_id, std::unique_ptr<Transport> transport,
               const TransportAddress& coordinator);
   ~ClientAgent();
@@ -47,8 +45,8 @@ class ClientAgent {
   void Register();
   bool Registered() const { return registered_; }
 
-  // Control port of the UDP backend; 0 when riding a custom transport.
-  uint16_t ControlPort() const;
+  // Where the coordinator's commands reach this agent.
+  TransportAddress ControlAddress() const { return transport_->LocalAddress(); }
   void set_request_timeout(double seconds) { request_timeout_ = seconds; }
   void set_retry_policy(const RetryPolicy& policy);
 
@@ -70,8 +68,8 @@ class ClientAgent {
   // to this at the commanded fire_at instant.
   void FireNow(const MsgFire& message);
   void HandleRttProbe(const MsgRttProbe& message);
-  void LaunchFetch(uint64_t token, const std::string& method, uint16_t port,
-                   const std::string& target, size_t attempt, bool retry_connect);
+  void LaunchFetch(uint64_t token, HttpMethod method, uint16_t port, const std::string& target,
+                   size_t attempt, bool retry_connect);
   // Reliable session send to the coordinator.
   void Reply(const ControlMessage& message, uint8_t lane = kLaneControl);
 
@@ -79,7 +77,6 @@ class ClientAgent {
   uint64_t client_id_;
   TransportAddress coordinator_;
   std::unique_ptr<FaultedTransport> transport_;
-  UdpTransport* udp_ = nullptr;  // inner transport when UDP-backed, else null
   std::unique_ptr<Session> session_;
   double request_timeout_ = 10.0;
   RetryPolicy retry_;

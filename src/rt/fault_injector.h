@@ -2,8 +2,9 @@
 //
 // The paper's deployment ran against flaky PlanetLab nodes and a lossy wide
 // area; the simulation models that with WideAreaConfig::control_loss_rate.
-// FaultInjector gives the live substrate the same failure model: hooked into
-// UdpSocket it drops, delays, and duplicates control datagrams; hooked into
+// FaultInjector gives the live substrate the same failure model: through a
+// FaultedTransport (src/rt/transport.h), which wraps any control-plane
+// transport, it drops, delays, and duplicates control datagrams; hooked into
 // TcpConnection::Connect it fails connection attempts — each with a
 // configurable probability drawn from its own deterministic stream, so a
 // fixed seed reproduces the same fault schedule.

@@ -1,21 +1,17 @@
 #include "src/rt/live_harness.h"
 
 #include <algorithm>
-#include <string>
 
 #include "src/rt/client_agent.h"
 #include "src/telemetry/metrics.h"
 
 namespace mfc {
 
-LiveHarness::LiveHarness(Reactor& reactor, uint16_t target_port, uint16_t control_port)
-    : LiveHarness(reactor, target_port, std::make_unique<UdpTransport>(reactor, control_port)) {}
-
 LiveHarness::LiveHarness(Reactor& reactor, uint16_t target_port,
                          std::unique_ptr<Transport> transport)
-    : reactor_(reactor), target_port_(target_port), alive_(std::make_shared<bool>(true)) {
-  udp_ = dynamic_cast<UdpTransport*>(transport.get());
-  transport_ = std::make_unique<FaultedTransport>(std::move(transport));
+    : reactor_(reactor), target_port_(target_port),
+      transport_(std::make_unique<FaultedTransport>(std::move(transport))),
+      alive_(std::make_shared<bool>(true)) {
   SessionConfig config;
   config.conn = kCoordinatorConn;
   config.retry = retry_;
@@ -27,8 +23,6 @@ LiveHarness::LiveHarness(Reactor& reactor, uint16_t target_port,
 }
 
 LiveHarness::~LiveHarness() { *alive_ = false; }
-
-uint16_t LiveHarness::ControlPort() const { return udp_ != nullptr ? udp_->Port() : 0; }
 
 void LiveHarness::set_retry_policy(const RetryPolicy& policy) {
   retry_ = policy;
@@ -308,7 +302,7 @@ RequestSample LiveHarness::FetchOnce(size_t client, const HttpRequest& request) 
 
   MsgMeasure measure;
   measure.token = token;
-  measure.method = std::string(MethodName(request.method));
+  measure.method = request.method;
   measure.tcp_port = target_port_;
   measure.target = request.target;
   Session::TransferId transfer = SendTo(client, measure);
@@ -350,7 +344,7 @@ std::vector<RequestSample> LiveHarness::ExecuteCrowd(const std::vector<CrowdRequ
     MsgFire fire;
     fire.token = token;
     fire.connections = static_cast<uint32_t>(plan.connections);
-    fire.method = std::string(MethodName(plan.request->method));
+    fire.method = plan.request->method;
     fire.tcp_port = target_port_;
     fire.target = plan.request->target;
     // Ship the burst instant with the command and transmit right away: the

@@ -45,16 +45,14 @@ struct ControlPlaneStats {
 
 class LiveHarness : public ClientHarness {
  public:
-  // UDP backend. |target_port|: TCP port of the server under test (requests
-  // carry only the path; the harness owns the endpoint). |control_port| 0 =
-  // ephemeral.
-  LiveHarness(Reactor& reactor, uint16_t target_port, uint16_t control_port = 0);
-  // Custom control-plane backend (e.g. a MemoryHub endpoint).
+  // |target_port|: TCP port of the server under test (requests carry only the
+  // path; the harness owns the endpoint). Control datagrams ride |transport|
+  // (a UdpTransport or a MemoryHub endpoint).
   LiveHarness(Reactor& reactor, uint16_t target_port, std::unique_ptr<Transport> transport);
   ~LiveHarness() override;
 
-  // Control port of the UDP backend; 0 when riding a custom transport.
-  uint16_t ControlPort() const;
+  // Where agents send their control datagrams: the transport's own address.
+  TransportAddress ControlAddress() const { return transport_->LocalAddress(); }
 
   // Blocks (runs the reactor) until |count| clients have registered or
   // |timeout| passes. Returns the registered count.
@@ -125,7 +123,6 @@ class LiveHarness : public ClientHarness {
   Reactor& reactor_;
   uint16_t target_port_;
   std::unique_ptr<FaultedTransport> transport_;
-  UdpTransport* udp_ = nullptr;  // inner transport when UDP-backed, else null
   std::unique_ptr<Session> session_;
   double request_timeout_ = 10.0;
   RetryPolicy retry_;
@@ -149,11 +146,10 @@ class LiveHarness : public ClientHarness {
     // token -> samples this command may still contribute (connections).
     std::map<uint64_t, uint32_t> budget;
     // (token, sample_id) pairs already counted. The session's (conn, seq)
-    // dedup window is bounded (SessionConfig::dedup_ttl/dedup_cap), so a
-    // sample retransmitted after its pair was evicted is delivered again;
-    // this set keeps it out of the crowd and counts it in
-    // live.duplicate_samples. The budget does the same for an agent that
-    // reports more samples than the command's connections.
+    // dedup window is bounded, so a sample retransmitted after its pair was
+    // evicted is delivered again; this set keeps it out of the crowd and
+    // counts it in live.duplicate_samples. The budget does the same for an
+    // agent that reports more samples than the command's connections.
     std::set<std::pair<uint64_t, uint64_t>> seen;
     std::vector<RequestSample> samples;
   };

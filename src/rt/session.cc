@@ -5,6 +5,14 @@
 #include "src/telemetry/metrics.h"
 
 namespace mfc {
+namespace {
+
+// Receiver-side dedup window: (conn, seq) pairs older than kDedupTtl seconds
+// are forgotten, and at most kDedupCap pairs are held (oldest evicted first).
+constexpr double kDedupTtl = 60.0;
+constexpr size_t kDedupCap = 4096;
+
+}  // namespace
 
 Session::Session(Transport& transport, const SessionConfig& config)
     : transport_(transport), config_(config) {
@@ -39,7 +47,6 @@ Session::TransferId Session::SendReliable(const ControlMessage& message,
   frame.conn = config_.conn;
   frame.seq = next_seq_++;
   frame.lane = lane;
-  frame.reliable = true;
   frame.body = message;
 
   PendingTransfer transfer;
@@ -149,8 +156,7 @@ void Session::OnRetryTimer() {
 bool Session::SeenFrame(uint64_t conn, uint64_t seq) {
   double now = transport_.clock().Now();
   while (!seen_order_.empty() &&
-         (seen_order_.size() >= config_.dedup_cap ||
-          now - seen_[seen_order_.front()] > config_.dedup_ttl)) {
+         (seen_order_.size() >= kDedupCap || now - seen_[seen_order_.front()] > kDedupTtl)) {
     seen_.erase(seen_order_.front());
     seen_order_.pop_front();
   }
@@ -190,37 +196,27 @@ void Session::OnAck(const SessionAck& ack) {
 }
 
 void Session::OnDatagram(std::string_view payload, const TransportAddress& from) {
-  if (!LooksLikeSessionDatagram(payload)) {
+  auto datagram = DecodeDatagram(payload);
+  if (!datagram.has_value()) {
     Bump(stats_.decode_errors, "live.session.decode_errors");
     return;
   }
-  if (payload[0] == 'A') {
-    auto ack = DecodeSessionAck(payload);
-    if (!ack.has_value()) {
-      Bump(stats_.decode_errors, "live.session.decode_errors");
-      return;
-    }
+  if (const auto* ack = std::get_if<SessionAck>(&*datagram)) {
     OnAck(*ack);
     return;
   }
-  auto frame = DecodeSessionFrame(payload);
-  if (!frame.has_value()) {
-    Bump(stats_.decode_errors, "live.session.decode_errors");
-    return;
-  }
-  if (frame->reliable) {
-    // Ack before the dedup check — duplicates mean the first ack was
-    // lost, and only another ack stops the sender's retransmit loop.
-    transport_.Send(EncodeSessionAck({frame->conn, frame->seq}), from);
-    Bump(stats_.acks_sent, "live.session.acks_sent");
-  }
-  if (SeenFrame(frame->conn, frame->seq)) {
+  const SessionFrame& frame = std::get<SessionFrame>(*datagram);
+  // Ack before the dedup check — duplicates mean the first ack was lost, and
+  // only another ack stops the sender's retransmit loop.
+  transport_.Send(EncodeSessionAck({frame.conn, frame.seq}), from);
+  Bump(stats_.acks_sent, "live.session.acks_sent");
+  if (SeenFrame(frame.conn, frame.seq)) {
     Bump(stats_.duplicates, "live.session.duplicates");
     return;
   }
   Bump(stats_.delivered, "live.session.delivered");
   if (handler_) {
-    handler_(frame->body, from);
+    handler_(frame.body, from);
   }
 }
 

@@ -4,13 +4,14 @@
 // message type needs a retry or dedup path of its own:
 //
 //   * every endpoint owns a connection id; outgoing frames carry
-//     (conn, seq) and an optional reliable bit,
+//     (conn, seq) and a lane,
 //   * SendReliable retransmits a frame with RetryPolicy backoff until the
 //     peer's session-level ack arrives (or attempts run out), driven by a
 //     single time-ordered retry queue with ONE armed clock timer,
-//   * receivers ack reliable frames — duplicates included, so the sender's
+//   * receivers ack every frame — duplicates included, so the sender's
 //     loop always terminates — and deduplicate by (conn, seq) before
-//     delivery, so the application sees each frame exactly once,
+//     delivery, so the application sees each frame exactly once (within a
+//     window of 60 s and at most 4096 pairs, oldest forgotten first),
 //   * two priority lanes: when a retry batch comes due, control frames
 //     (PING/RTTPROBE/MEASURE/FIRE/...) retransmit before bulk (SAMPLE),
 //     so a loss burst can't starve command delivery behind sample backlog.
@@ -44,11 +45,6 @@ struct SessionConfig {
   // Endpoint's connection id; must be unique fleet-wide.
   uint64_t conn = 1;
   RetryPolicy retry;
-  // Receiver-side dedup window: (conn, seq) pairs older than |dedup_ttl|
-  // seconds are forgotten, and at most |dedup_cap| pairs are held (oldest
-  // evicted first).
-  double dedup_ttl = 60.0;
-  size_t dedup_cap = 4096;
 };
 
 // Mirrored to MetricsRegistry under live.session.* when SetMetrics is set.

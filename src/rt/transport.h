@@ -131,8 +131,6 @@ class UdpTransport : public Transport {
   TransportAddress LocalAddress() const override;
   TimerSource& clock() override { return clock_; }
 
-  uint16_t Port() const { return socket_.Port(); }
-
  private:
   ReactorTimerSource clock_;
   UdpSocket socket_;

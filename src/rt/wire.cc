@@ -1,234 +1,228 @@
 #include "src/rt/wire.h"
 
 #include <charconv>
-#include <vector>
+#include <limits>
+#include <type_traits>
 
 namespace mfc {
 namespace {
 
-std::vector<std::string_view> SplitWords(std::string_view line) {
-  std::vector<std::string_view> words;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') {
-      ++pos;
+// ---- field lists -----------------------------------------------------------
+//
+// Each message has one field list naming its words in order with their
+// encodings. Driven by a Writer it appends the canonical words; driven by a
+// Reader it consumes exactly those words and fails on anything else, so a
+// decoder never accepts a datagram that would re-encode differently. Every
+// word after the first carries its one leading space. Each primitive returns
+// whether it succeeded, a Writer's always, so a field list is one && chain.
+
+class Writer {
+ public:
+  static constexpr bool kWrites = true;
+
+  explicit Writer(std::string& out) : out_(out) {}
+
+  bool Lit(std::string_view text) {
+    out_ += text;
+    return true;
+  }
+  bool Num(uint64_t v, uint64_t /*max*/ = 0) {
+    char buf[20];
+    out_ += ' ';
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    return true;
+  }
+  bool Bit(bool v) { return Lit(v ? " 1" : " 0"); }
+  bool Method(HttpMethod v) { return Lit(" ") && Lit(MethodName(v)); }
+  bool Target(std::string_view v) { return Lit(" ") && Lit(v); }
+  template <class... T>
+  bool OneOf(const std::variant<T...>& v) {
+    return std::visit([this](const auto& alt) { return Fields(*this, alt); }, v);
+  }
+
+ private:
+  std::string& out_;
+};
+
+class Reader {
+ public:
+  static constexpr bool kWrites = false;
+
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  bool Done() const { return pos_ == in_.size(); }
+
+  bool Lit(std::string_view text) {
+    if (in_.substr(pos_, text.size()) != text) {
+      return false;
     }
-    size_t end = pos;
-    while (end < line.size() && line[end] != ' ') {
+    pos_ += text.size();
+    return true;
+  }
+  // "0", or digits with no leading zero (from_chars takes no sign), at most
+  // |max|.
+  template <class T>
+  bool Num(T& v, T max = std::numeric_limits<T>::max()) {
+    if (!Lit(" ")) {
+      return false;
+    }
+    const char* first = in_.data() + pos_;
+    const char* last = in_.data() + in_.size();
+    uint64_t x = 0;
+    auto [end, ec] = std::from_chars(first, first != last && *first == '0' ? first + 1 : last, x);
+    if (ec != std::errc() || x > static_cast<uint64_t>(max)) {
+      return false;
+    }
+    pos_ += static_cast<size_t>(end - first);
+    v = static_cast<T>(x);
+    return true;
+  }
+  bool Bit(bool& v) { return (v = Lit(" 1")) || Lit(" 0"); }
+  bool Method(HttpMethod& v) {
+    const bool head = Lit(" HEAD");
+    v = head ? HttpMethod::kHead : HttpMethod::kGet;
+    return head || Lit(" GET");
+  }
+  // An origin-form path: '/' then printable bytes up to the next space.
+  bool Target(std::string& v) {
+    if (!Lit(" /")) {
+      return false;
+    }
+    size_t end = pos_;
+    while (end < in_.size() && in_[end] >= '!' && in_[end] <= '~') {
       ++end;
     }
-    if (end > pos) {
-      words.push_back(line.substr(pos, end - pos));
-    }
-    pos = end;
+    v.assign(in_.substr(pos_ - 1, end - pos_ + 1));
+    pos_ = end;
+    return true;
   }
-  return words;
+  // The one alternative whose field list accepts the input. Lists start with
+  // distinct verbs and a verb's next word starts with a space, so at most one
+  // alternative matches ("RTT" cannot read "RTTFAIL 9").
+  template <class... T>
+  bool OneOf(std::variant<T...>& v) {
+    const size_t start = pos_;
+    return ((pos_ = start, Fields(*this, v.template emplace<T>())) || ...);
+  }
+
+ private:
+  std::string_view in_;
+  size_t pos_ = 0;
+};
+
+// A field list's message: const when writing.
+template <class IO, class T>
+using Rec = std::conditional_t<IO::kWrites, const T, T>;
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, AgentStats>& s) {
+  return io.Num(s.inflight) && io.Num(s.fetch_errors) && io.Num(s.rtt_ewma_us) &&
+         io.Num(s.dedup_hits) && io.Num(s.fault_drops) && io.Num(s.requests_fired);
 }
 
-template <typename T>
-bool ParseNumber(std::string_view word, T& out) {
-  auto [ptr, ec] = std::from_chars(word.data(), word.data() + word.size(), out);
-  return ec == std::errc() && ptr == word.data() + word.size();
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgRegister>& m) {
+  return io.Lit("REGISTER") && io.Num(m.client_id);
 }
 
-bool ValidMethod(std::string_view method) { return method == "GET" || method == "HEAD"; }
-
-// The 6-word <stats> tail shared by PONG and SAMPLE.
-std::string EncodeStats(const AgentStats& s) {
-  return " " + std::to_string(s.inflight) + " " + std::to_string(s.fetch_errors) + " " +
-         std::to_string(s.rtt_ewma_us) + " " + std::to_string(s.dedup_hits) + " " +
-         std::to_string(s.fault_drops) + " " + std::to_string(s.requests_fired);
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgPing>& m) {
+  return io.Lit("PING") && io.Num(m.seq);
 }
 
-bool ParseStats(const std::vector<std::string_view>& words, size_t at, AgentStats& out) {
-  return ParseNumber(words[at], out.inflight) && ParseNumber(words[at + 1], out.fetch_errors) &&
-         ParseNumber(words[at + 2], out.rtt_ewma_us) &&
-         ParseNumber(words[at + 3], out.dedup_hits) &&
-         ParseNumber(words[at + 4], out.fault_drops) &&
-         ParseNumber(words[at + 5], out.requests_fired);
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgPong>& m) {
+  return io.Lit("PONG") && io.Num(m.seq) && Fields(io, m.stats);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgRttProbe>& m) {
+  return io.Lit("RTTPROBE") && io.Num(m.token) && io.Num(m.tcp_port);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgRtt>& m) {
+  return io.Lit("RTT") && io.Num(m.token) && io.Num(m.microseconds);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgRttFail>& m) {
+  return io.Lit("RTTFAIL") && io.Num(m.token);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgMeasure>& m) {
+  return io.Lit("MEASURE") && io.Num(m.token) && io.Method(m.method) && io.Num(m.tcp_port) &&
+         io.Target(m.target);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgFire>& m) {
+  return io.Lit("FIRE") && io.Num(m.token) && io.Num(m.connections) && io.Method(m.method) &&
+         io.Num(m.tcp_port) && io.Target(m.target) && io.Num(m.fire_at_micros);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, MsgSample>& m) {
+  return io.Lit("SAMPLE") && io.Num(m.token) && io.Num(m.http_code) && io.Num(m.bytes) &&
+         io.Num(m.rt_microseconds) && io.Bit(m.timed_out) && io.Num(m.sample_id) &&
+         Fields(io, m.stats);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, SessionFrame>& f) {
+  return io.Lit("S1") && io.Num(f.conn) && io.Num(f.seq) && io.Num(f.lane, kLaneBulk) &&
+         io.Lit(" ") && Fields(io, f.body);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, SessionAck>& a) {
+  return io.Lit("A1") && io.Num(a.conn) && io.Num(a.seq);
+}
+
+// A message, or a datagram, is the alternative whose field list matches.
+template <class IO>
+bool Fields(IO& io, Rec<IO, ControlMessage>& m) {
+  return io.OneOf(m);
+}
+
+template <class IO>
+bool Fields(IO& io, Rec<IO, SessionDatagram>& d) {
+  return io.OneOf(d);
+}
+
+template <class T>
+std::string Encode(const T& value) {
+  std::string out;
+  Writer writer(out);
+  Fields(writer, value);
+  return out;
+}
+
+template <class T>
+std::optional<T> Decode(std::string_view in) {
+  T value;
+  Reader reader(in);
+  if (!Fields(reader, value) || !reader.Done()) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace
 
-std::string EncodeMessage(const ControlMessage& message) {
-  struct Encoder {
-    std::string operator()(const MsgRegister& m) const {
-      return "REGISTER " + std::to_string(m.client_id);
-    }
-    std::string operator()(const MsgPing& m) const { return "PING " + std::to_string(m.seq); }
-    std::string operator()(const MsgPong& m) const {
-      return "PONG " + std::to_string(m.seq) + EncodeStats(m.stats);
-    }
-    std::string operator()(const MsgRttProbe& m) const {
-      return "RTTPROBE " + std::to_string(m.token) + " " + std::to_string(m.tcp_port);
-    }
-    std::string operator()(const MsgRtt& m) const {
-      return "RTT " + std::to_string(m.token) + " " + std::to_string(m.microseconds);
-    }
-    std::string operator()(const MsgMeasure& m) const {
-      return "MEASURE " + std::to_string(m.token) + " " + m.method + " " +
-             std::to_string(m.tcp_port) + " " + m.target;
-    }
-    std::string operator()(const MsgFire& m) const {
-      return "FIRE " + std::to_string(m.token) + " " + std::to_string(m.connections) + " " +
-             m.method + " " + std::to_string(m.tcp_port) + " " + m.target + " " +
-             std::to_string(m.fire_at_micros);
-    }
-    std::string operator()(const MsgSample& m) const {
-      return "SAMPLE " + std::to_string(m.token) + " " + std::to_string(m.http_code) + " " +
-             std::to_string(m.bytes) + " " + std::to_string(m.rt_microseconds) + " " +
-             (m.timed_out ? "1" : "0") + " " + std::to_string(m.sample_id) +
-             EncodeStats(m.stats);
-    }
-    std::string operator()(const MsgRttFail& m) const {
-      return "RTTFAIL " + std::to_string(m.token);
-    }
-  };
-  return std::visit(Encoder{}, message);
-}
+std::string EncodeMessage(const ControlMessage& message) { return Encode(message); }
 
 std::optional<ControlMessage> DecodeMessage(std::string_view line) {
-  auto words = SplitWords(line);
-  if (words.empty()) {
-    return std::nullopt;
-  }
-  std::string_view verb = words[0];
-  if (verb == "REGISTER" && words.size() == 2) {
-    MsgRegister m;
-    if (ParseNumber(words[1], m.client_id)) {
-      return m;
-    }
-  } else if (verb == "PING" && words.size() == 2) {
-    MsgPing m;
-    if (ParseNumber(words[1], m.seq)) {
-      return m;
-    }
-  } else if (verb == "PONG" && words.size() == 8) {
-    MsgPong m;
-    if (ParseNumber(words[1], m.seq) && ParseStats(words, 2, m.stats)) {
-      return m;
-    }
-  } else if (verb == "RTTPROBE" && words.size() == 3) {
-    MsgRttProbe m;
-    if (ParseNumber(words[1], m.token) && ParseNumber(words[2], m.tcp_port)) {
-      return m;
-    }
-  } else if (verb == "RTT" && words.size() == 3) {
-    MsgRtt m;
-    if (ParseNumber(words[1], m.token) && ParseNumber(words[2], m.microseconds)) {
-      return m;
-    }
-  } else if (verb == "MEASURE" && words.size() == 5) {
-    MsgMeasure m;
-    m.method = std::string(words[2]);
-    m.target = std::string(words[4]);
-    if (ParseNumber(words[1], m.token) && ValidMethod(m.method) &&
-        ParseNumber(words[3], m.tcp_port) && !m.target.empty() && m.target[0] == '/') {
-      return m;
-    }
-  } else if (verb == "FIRE" && words.size() == 7) {
-    MsgFire m;
-    m.method = std::string(words[3]);
-    m.target = std::string(words[5]);
-    if (ParseNumber(words[1], m.token) && ParseNumber(words[2], m.connections) &&
-        ValidMethod(m.method) && ParseNumber(words[4], m.tcp_port) && !m.target.empty() &&
-        m.target[0] == '/' && ParseNumber(words[6], m.fire_at_micros)) {
-      return m;
-    }
-  } else if (verb == "SAMPLE" && words.size() == 13) {
-    MsgSample m;
-    int timed_out = 0;
-    if (ParseNumber(words[1], m.token) && ParseNumber(words[2], m.http_code) &&
-        ParseNumber(words[3], m.bytes) && ParseNumber(words[4], m.rt_microseconds) &&
-        ParseNumber(words[5], timed_out) && ParseNumber(words[6], m.sample_id) &&
-        ParseStats(words, 7, m.stats)) {
-      m.timed_out = timed_out != 0;
-      return m;
-    }
-  } else if (verb == "RTTFAIL" && words.size() == 2) {
-    MsgRttFail m;
-    if (ParseNumber(words[1], m.token)) {
-      return m;
-    }
-  }
-  return std::nullopt;
+  return Decode<ControlMessage>(line);
 }
 
-std::string EncodeSessionFrame(const SessionFrame& frame) {
-  return "S1 " + std::to_string(frame.conn) + " " + std::to_string(frame.seq) + " " +
-         std::to_string(frame.lane) + " " + (frame.reliable ? "1" : "0") + " " +
-         EncodeMessage(frame.body);
-}
+std::string EncodeSessionFrame(const SessionFrame& frame) { return Encode(frame); }
 
-std::string EncodeSessionAck(const SessionAck& ack) {
-  return "A1 " + std::to_string(ack.conn) + " " + std::to_string(ack.seq);
-}
+std::string EncodeSessionAck(const SessionAck& ack) { return Encode(ack); }
 
-bool LooksLikeSessionDatagram(std::string_view datagram) {
-  return datagram.size() >= 3 && datagram[2] == ' ' && datagram[1] == '1' &&
-         (datagram[0] == 'S' || datagram[0] == 'A');
-}
-
-std::optional<SessionFrame> DecodeSessionFrame(std::string_view datagram) {
-  if (datagram.size() < 3 || datagram.substr(0, 3) != "S1 ") {
-    return std::nullopt;
-  }
-  // Header = 4 fixed words after the magic; the rest of the line is the
-  // inner message, decoded by the plain codec.
-  std::string_view rest = datagram.substr(3);
-  SessionFrame frame;
-  uint32_t lane = 0;
-  uint32_t rel = 0;
-  uint32_t* header_u32[] = {&lane, &rel};
-  uint64_t* header_u64[] = {&frame.conn, &frame.seq};
-  size_t word = 0;
-  size_t pos = 0;
-  while (word < 4) {
-    while (pos < rest.size() && rest[pos] == ' ') {
-      ++pos;
-    }
-    size_t end = pos;
-    while (end < rest.size() && rest[end] != ' ') {
-      ++end;
-    }
-    if (end == pos) {
-      return std::nullopt;  // ran out of header words
-    }
-    std::string_view token = rest.substr(pos, end - pos);
-    bool ok = word < 2 ? ParseNumber(token, *header_u64[word])
-                       : ParseNumber(token, *header_u32[word - 2]);
-    if (!ok) {
-      return std::nullopt;
-    }
-    pos = end;
-    ++word;
-  }
-  if (lane > kLaneBulk || rel > 1) {
-    return std::nullopt;
-  }
-  frame.lane = static_cast<uint8_t>(lane);
-  frame.reliable = rel == 1;
-  auto body = DecodeMessage(rest.substr(pos));
-  if (!body.has_value()) {
-    return std::nullopt;
-  }
-  frame.body = std::move(*body);
-  return frame;
-}
-
-std::optional<SessionAck> DecodeSessionAck(std::string_view datagram) {
-  if (datagram.size() < 3 || datagram.substr(0, 3) != "A1 ") {
-    return std::nullopt;
-  }
-  auto words = SplitWords(datagram.substr(3));
-  if (words.size() != 2) {
-    return std::nullopt;
-  }
-  SessionAck ack;
-  if (!ParseNumber(words[0], ack.conn) || !ParseNumber(words[1], ack.seq)) {
-    return std::nullopt;
-  }
-  return ack;
+std::optional<SessionDatagram> DecodeDatagram(std::string_view datagram) {
+  return Decode<SessionDatagram>(datagram);
 }
 
 }  // namespace mfc

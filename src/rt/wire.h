@@ -20,6 +20,10 @@
 // exposure):
 //
 //   <inflight> <fetch_errors> <rtt_ewma_us> <dedup_hits> <fault_drops> <requests_fired>
+//
+// Words are separated by exactly one space. Numbers are decimal with no sign
+// and no leading zero, <timed_out> is 0 or 1, <method> is GET or HEAD, and
+// <target> starts with '/' and holds only the bytes '!'..'~'.
 #ifndef MFC_SRC_RT_WIRE_H_
 #define MFC_SRC_RT_WIRE_H_
 
@@ -28,6 +32,8 @@
 #include <string>
 #include <string_view>
 #include <variant>
+
+#include "src/http/message.h"
 
 namespace mfc {
 
@@ -69,14 +75,14 @@ struct MsgRttFail {
 };
 struct MsgMeasure {
   uint64_t token = 0;
-  std::string method;  // "GET" | "HEAD"
+  HttpMethod method = HttpMethod::kGet;  // kGet or kHead
   uint16_t tcp_port = 0;
   std::string target;
 };
 struct MsgFire {
   uint64_t token = 0;
   uint32_t connections = 1;
-  std::string method;
+  HttpMethod method = HttpMethod::kGet;  // kGet or kHead
   uint16_t tcp_port = 0;
   std::string target;
   // Absolute reactor-clock instant (microseconds) at which the client must
@@ -100,9 +106,9 @@ struct MsgSample {
 using ControlMessage = std::variant<MsgRegister, MsgPing, MsgPong, MsgRttProbe, MsgRtt,
                                     MsgMeasure, MsgFire, MsgSample, MsgRttFail>;
 
+// Every codec below is canonical: a decoder accepts exactly the bytes its
+// encoder writes and returns nullopt on anything else.
 std::string EncodeMessage(const ControlMessage& message);
-
-// Returns nullopt on malformed input (wrong verb, missing/garbage fields).
 std::optional<ControlMessage> DecodeMessage(std::string_view line);
 
 // --- Session framing (DESIGN.md §13) ---------------------------------------
@@ -110,13 +116,13 @@ std::optional<ControlMessage> DecodeMessage(std::string_view line);
 // The session layer wraps control messages in a thin text frame so one
 // generic ack/retransmit/dedup mechanism covers every message type:
 //
-//   data  S1 <conn> <seq> <lane> <rel> <inner control message>
+//   data  S1 <conn> <seq> <lane> <inner control message>
 //   ack   A1 <conn> <seq>
 //
 // <conn> is the sender's connection id, <seq> a per-connection sequence
-// number, <lane> 0 = control / 1 = bulk, <rel> 1 if the sender retransmits
-// until acked (the receiver must reply A1). The session layer drops any
-// datagram that doesn't start with "S1 "/"A1 " as undecodable.
+// number, <lane> 0 = control / 1 = bulk. Every frame is retransmitted until
+// the receiver replies A1. The session layer drops any other datagram as
+// undecodable.
 
 inline constexpr uint8_t kLaneControl = 0;  // PING/RTT/MEASURE/FIRE/REGISTER/...
 inline constexpr uint8_t kLaneBulk = 1;     // SAMPLE
@@ -125,7 +131,6 @@ struct SessionFrame {
   uint64_t conn = 0;
   uint64_t seq = 0;
   uint8_t lane = kLaneControl;
-  bool reliable = false;
   ControlMessage body;
 };
 
@@ -134,16 +139,11 @@ struct SessionAck {
   uint64_t seq = 0;
 };
 
+using SessionDatagram = std::variant<SessionFrame, SessionAck>;
+
 std::string EncodeSessionFrame(const SessionFrame& frame);
 std::string EncodeSessionAck(const SessionAck& ack);
-
-// True if |datagram| carries a session prefix ("S1 "/"A1 ") — such datagrams
-// must never be fed to DecodeMessage directly.
-bool LooksLikeSessionDatagram(std::string_view datagram);
-
-// Returns nullopt on malformed framing or malformed inner message.
-std::optional<SessionFrame> DecodeSessionFrame(std::string_view datagram);
-std::optional<SessionAck> DecodeSessionAck(std::string_view datagram);
+std::optional<SessionDatagram> DecodeDatagram(std::string_view datagram);
 
 }  // namespace mfc
 

@@ -30,14 +30,6 @@ void ServerCluster::OnRequest(const HttpRequest& request, bool is_mfc,
   replicas_[PickReplica()]->OnRequest(request, is_mfc, std::move(transport));
 }
 
-size_t ServerCluster::TotalActiveThreads() const {
-  size_t total = 0;
-  for (const auto& replica : replicas_) {
-    total += replica->ActiveThreads();
-  }
-  return total;
-}
-
 std::vector<AccessLogEntry> ServerCluster::MergedAccessLog() const {
   std::vector<AccessLogEntry> merged;
   for (const auto& replica : replicas_) {

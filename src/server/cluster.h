@@ -27,8 +27,6 @@ class ServerCluster : public HttpTarget {
   size_t ReplicaCount() const { return replicas_.size(); }
   WebServer& Replica(size_t i) { return *replicas_[i]; }
 
-  // Cluster-wide aggregates.
-  size_t TotalActiveThreads() const;
   // Merged access log across replicas, sorted by arrival (the operators
   // collected logs "from all 16 servers").
   std::vector<AccessLogEntry> MergedAccessLog() const;

@@ -49,28 +49,20 @@ void SyntheticModelServer::OnRequest(const HttpRequest& request, bool is_mfc,
   entry.transport = std::move(transport);
   pending_.push_back(std::move(entry));
 
-  size_t concurrent = pending_.size();
-  if (queue_coupled_) {
-    // The whole queue slows to the new depth: push out any completion that
-    // the larger queue implies (delays are non-decreasing, so completions
-    // only ever move later).
-    SimDuration added = model_(concurrent);
-    for (Pending& p : pending_) {
-      SimTime completion = p.arrival + base_service_ + added;
-      if (p.event == 0 || completion > p.completion) {
-        if (p.event != 0) {
-          loop_.Cancel(p.event);
-        }
-        p.completion = completion;
-        uint64_t id = p.id;
-        p.event = loop_.ScheduleAt(completion, [this, id] { Complete(id); });
+  // The whole queue slows to the new depth: push out any completion that the
+  // larger queue implies (delays are non-decreasing, so completions only ever
+  // move later).
+  SimDuration added = model_(pending_.size());
+  for (Pending& p : pending_) {
+    SimTime completion = p.arrival + base_service_ + added;
+    if (p.event == 0 || completion > p.completion) {
+      if (p.event != 0) {
+        loop_.Cancel(p.event);
       }
+      p.completion = completion;
+      uint64_t id = p.id;
+      p.event = loop_.ScheduleAt(completion, [this, id] { Complete(id); });
     }
-  } else {
-    Pending& p = pending_.back();
-    p.completion = now + base_service_ + model_(concurrent);
-    uint64_t id = p.id;
-    p.event = loop_.ScheduleAt(p.completion, [this, id] { Complete(id); });
   }
 }
 

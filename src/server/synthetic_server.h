@@ -32,14 +32,11 @@ class SyntheticModelServer : public HttpTarget {
   SyntheticModelServer(EventLoop& loop, ResponseTimeModel model,
                        SimDuration base_service = 0.002, double response_bytes = 1024.0);
 
+  // Queue-coupled delays (the paper's instrumented server): each request's
+  // added delay is the model evaluated at the LARGEST pending-queue size
+  // observed while it was pending — a new arrival stretches everything
+  // already queued, the way a shared service queue behaves.
   void OnRequest(const HttpRequest& request, bool is_mfc, ResponseTransport transport) override;
-
-  // Queue-coupled delays (default, the paper's instrumented server): each
-  // request's added delay is the model evaluated at the LARGEST pending-queue
-  // size observed while it was pending — a new arrival stretches everything
-  // already queued, the way a shared service queue behaves. When false, the
-  // delay is fixed at arrival from the instantaneous concurrency.
-  void set_queue_coupled(bool coupled) { queue_coupled_ = coupled; }
 
   size_t Concurrent() const { return pending_.size(); }
   // Arrival timestamps of every request, for the Figure 3 analysis.
@@ -60,7 +57,6 @@ class SyntheticModelServer : public HttpTarget {
   ResponseTimeModel model_;
   SimDuration base_service_;
   double response_bytes_;
-  bool queue_coupled_ = true;
   uint64_t next_id_ = 1;
   std::vector<Pending> pending_;
   std::vector<SimTime> arrivals_;

@@ -116,10 +116,8 @@ class WebServer : public HttpTarget {
 
   CpuResource& Cpu() { return cpu_; }
   DiskResource& Disk() { return disk_; }
-  MemoryModel& Memory() { return memory_; }
   Database& Db() { return db_; }
   LruByteCache& PageCache() { return page_cache_; }
-  const WebServerConfig& Config() const { return config_; }
 
   // Access log (always on; tests and the bench harness read it). In-flight
   // requests keep indices into it, so it only grows.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
 
 namespace mfc {
 
@@ -67,19 +66,6 @@ double Max(std::span<const double> values) {
   return values.empty() ? 0.0 : *std::max_element(values.begin(), values.end());
 }
 
-double FractionAbove(std::span<const double> values, double threshold) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  size_t n = 0;
-  for (double v : values) {
-    if (v > threshold) {
-      ++n;
-    }
-  }
-  return static_cast<double>(n) / static_cast<double>(values.size());
-}
-
 void RunningStats::Add(double x) {
   if (count_ == 0) {
     min_ = x;
@@ -139,28 +125,6 @@ void Histogram::Merge(const Histogram& other) {
     counts_[i] += other.counts_[i];
   }
   total_ += other.total_;
-}
-
-double Histogram::BucketFraction(size_t i) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(counts_[i]) / static_cast<double>(total_);
-}
-
-std::string Histogram::BucketLabel(size_t i) const {
-  auto fmt = [](double v) {
-    char buf[32];
-    snprintf(buf, sizeof(buf), "%g", v);
-    return std::string(buf);
-  };
-  if (i == 0) {
-    return "(-inf, " + fmt(edges_.front()) + "]";
-  }
-  if (i == counts_.size() - 1) {
-    return "(" + fmt(edges_.back()) + ", +inf)";
-  }
-  return "(" + fmt(edges_[i - 1]) + ", " + fmt(edges_[i]) + "]";
 }
 
 }  // namespace mfc

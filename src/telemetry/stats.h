@@ -25,9 +25,6 @@ double StdDev(std::span<const double> values);
 double Min(std::span<const double> values);
 double Max(std::span<const double> values);
 
-// Fraction of values strictly greater than |threshold|. Empty input: 0.
-double FractionAbove(std::span<const double> values, double threshold);
-
 // Incremental accumulator for streaming summaries (Welford's algorithm).
 class RunningStats {
  public:
@@ -99,10 +96,6 @@ class Histogram {
   }
 
   bool operator==(const Histogram&) const = default;
-  // Fraction of all samples in bucket i. 0 if empty.
-  double BucketFraction(size_t i) const;
-  // Human-readable label like "[10, 20)".
-  std::string BucketLabel(size_t i) const;
 
  private:
   std::vector<double> edges_;

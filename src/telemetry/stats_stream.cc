@@ -229,19 +229,15 @@ std::string StatsStream::ToJsonLine(const StatsSnapshot& snapshot) {
 
 // --- ProgressLine -----------------------------------------------------------
 
-ProgressLine::ProgressLine(double min_interval_seconds, bool force)
-    : min_interval_(min_interval_seconds),
-      tty_(isatty(fileno(stderr)) != 0),
-      last_(std::chrono::steady_clock::now()) {
-  enabled_ = tty_ || force;
-}
+ProgressLine::ProgressLine()
+    : enabled_(isatty(fileno(stderr)) != 0), last_(std::chrono::steady_clock::now()) {}
 
 void ProgressLine::Report(const SurveyProgressSnapshot& progress) {
   if (!enabled_) {
     return;
   }
   auto now = std::chrono::steady_clock::now();
-  if (printed_ && std::chrono::duration<double>(now - last_).count() < min_interval_) {
+  if (printed_ && std::chrono::duration<double>(now - last_).count() < 1.0) {
     return;
   }
   last_ = now;
@@ -279,14 +275,10 @@ void ProgressLine::Print(const SurveyProgressSnapshot& progress, bool final) {
     snprintf(buf, sizeof(buf), " workers %zu/%zu", busy, progress.workers.size());
     line += buf;
   }
-  if (tty_) {
-    // Redraw in place; pad so a shrinking line leaves no stale tail.
-    fprintf(stderr, "\r%-78s", line.c_str());
-    if (final) {
-      fputc('\n', stderr);
-    }
-  } else {
-    fprintf(stderr, "%s\n", line.c_str());
+  // Redraw in place; pad so a shrinking line leaves no stale tail.
+  fprintf(stderr, "\r%-78s", line.c_str());
+  if (final) {
+    fputc('\n', stderr);
   }
   fflush(stderr);
   printed_ = true;

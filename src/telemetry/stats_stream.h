@@ -106,26 +106,23 @@ class StatsStream {
 };
 
 // Rate-limited single-line progress report on stderr: the replacement for
-// per-site print spam. Silent unless stderr is a terminal (so logs, tests
-// and pipelines stay clean) or |force| is set.
+// per-site print spam. Silent unless stderr is a terminal, so logs, tests and
+// pipelines stay clean.
 class ProgressLine {
  public:
-  explicit ProgressLine(double min_interval_seconds = 1.0, bool force = false);
+  ProgressLine();
 
   bool Enabled() const { return enabled_; }
 
-  // Throttled: prints at most once per interval. On a terminal the line
-  // redraws in place; when forced onto a pipe each report is its own line.
+  // Throttled: redraws the line in place at most once a second.
   void Report(const SurveyProgressSnapshot& progress);
-  // Always prints (when enabled) and terminates the in-place line.
+  // Always prints (when enabled) and terminates the line.
   void Finish(const SurveyProgressSnapshot& progress);
 
  private:
   void Print(const SurveyProgressSnapshot& progress, bool final);
 
-  double min_interval_;
   bool enabled_;
-  bool tty_;
   bool printed_ = false;
   std::chrono::steady_clock::time_point last_{};
 };

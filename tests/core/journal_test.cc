@@ -591,7 +591,7 @@ std::string ReencodeTail(const JournalFileData& data) {
   for (const auto& [key, site] : data.sites) {
     tail += FrameJournalRecord(EncodeSiteRecord(site));
   }
-  for (const JournalQuarantineRecord& q : data.quarantines) {
+  for (const auto& [key, q] : data.quarantines) {
     tail += FrameJournalRecord(EncodeQuarantineRecord(q));
   }
   return tail;

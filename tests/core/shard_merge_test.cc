@@ -456,7 +456,7 @@ TEST(ShardMergeTest, QuarantineRecordCorruptionRecovers) {
     ASSERT_NE(journal, nullptr) << error;
     EXPECT_FALSE(journal->Warning().empty());
     ASSERT_EQ(journal->Quarantines().size(), 1u);
-    EXPECT_EQ(journal->Quarantines()[0].site_index, 3u);
+    EXPECT_EQ(journal->Quarantines().begin()->second.site_index, 3u);
   }
 
   // Duplicate quarantine record: corruption from that record on.

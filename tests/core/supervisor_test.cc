@@ -100,7 +100,7 @@ TEST(NextPendingSiteTest, LowestUnjournaledUnquarantinedOfTheShard) {
   JournalQuarantineRecord q;
   q.cohort_ordinal = 0;
   q.site_index = 3;
-  data.quarantines.push_back(q);
+  data.quarantines[{0, 3}] = q;
   EXPECT_EQ(NextPendingSite(data), (std::pair<size_t, size_t>{0, 5}));
   data.sites[{0, 5}] = JournalSiteRecord{};
   EXPECT_EQ(NextPendingSite(data), std::nullopt);

@@ -136,10 +136,11 @@ class LiveFleetTest : public ::testing::Test {
   static constexpr size_t kFleet = 12;
 
   LiveFleetTest() : content_(TestSite()), server_(reactor_, &content_) {
-    harness_ = std::make_unique<LiveHarness>(reactor_, server_.Port());
+    harness_ = std::make_unique<LiveHarness>(reactor_, server_.Port(),
+                                             std::make_unique<UdpTransport>(reactor_, 0));
     for (size_t i = 0; i < kFleet; ++i) {
       agents_.push_back(std::make_unique<ClientAgent>(
-          reactor_, i, LoopbackEndpoint(harness_->ControlPort())));
+          reactor_, i, std::make_unique<UdpTransport>(reactor_, 0), harness_->ControlAddress()));
       agents_.back()->set_request_timeout(2.0);
       agents_.back()->Register();
     }

@@ -156,9 +156,9 @@ class FakeCoordinator {
     });
   }
 
-  uint16_t Port() const { return transport_.Port(); }
-  void Send(const ControlMessage& message, uint16_t agent_port) {
-    session_.SendReliable(message, TransportAddress::Udp(LoopbackEndpoint(agent_port)));
+  TransportAddress Address() const { return transport_.LocalAddress(); }
+  void Send(const ControlMessage& message, const TransportAddress& agent) {
+    session_.SendReliable(message, agent);
   }
 
   template <typename T>
@@ -192,9 +192,9 @@ TEST(ClientAgentFaultTest, DestroyWithInFlightRttProbeIsSafe) {
   LiveHttpServer server(reactor, &content);
   FakeCoordinator coordinator(reactor);
 
-  auto agent = std::make_unique<ClientAgent>(reactor, 1,
-                                             LoopbackEndpoint(coordinator.Port()));
-  coordinator.Send(MsgRttProbe{5, server.Port()}, agent->ControlPort());
+  auto agent = std::make_unique<ClientAgent>(
+      reactor, 1, std::make_unique<UdpTransport>(reactor, 0), coordinator.Address());
+  coordinator.Send(MsgRttProbe{5, server.Port()}, agent->ControlAddress());
   // Run until the agent's RTT reply lands: the probe's self-erase task is
   // scheduled around now and may still be queued.
   ASSERT_TRUE(reactor.RunUntil([&] { return coordinator.CountOf<MsgRtt>() > 0; },
@@ -209,9 +209,9 @@ TEST(ClientAgentFaultTest, DestroyImmediatelyAfterProbeIsSafe) {
   LiveHttpServer server(reactor, &content);
   FakeCoordinator coordinator(reactor);
 
-  auto agent = std::make_unique<ClientAgent>(reactor, 1,
-                                             LoopbackEndpoint(coordinator.Port()));
-  coordinator.Send(MsgRttProbe{5, server.Port()}, agent->ControlPort());
+  auto agent = std::make_unique<ClientAgent>(
+      reactor, 1, std::make_unique<UdpTransport>(reactor, 0), coordinator.Address());
+  coordinator.Send(MsgRttProbe{5, server.Port()}, agent->ControlAddress());
   // Run until the probe is delivered, so the agent really starts a connect.
   ASSERT_TRUE(reactor.RunUntil([&] { return agent->session_stats().delivered == 1; },
                                reactor.Now() + 2.0));
@@ -226,9 +226,10 @@ TEST(ClientAgentFaultTest, RttProbeConnectFailureGetsExplicitReply) {
   config.connect_failure_rate = 1.0;
   FaultInjector injector(config);
 
-  ClientAgent agent(reactor, 1, LoopbackEndpoint(coordinator.Port()));
+  ClientAgent agent(reactor, 1, std::make_unique<UdpTransport>(reactor, 0),
+                    coordinator.Address());
   agent.set_fault_injector(&injector);
-  coordinator.Send(MsgRttProbe{5, 9}, agent.ControlPort());
+  coordinator.Send(MsgRttProbe{5, 9}, agent.ControlAddress());
   ASSERT_TRUE(reactor.RunUntil([&] { return coordinator.CountOf<MsgRttFail>() > 0; },
                                reactor.Now() + 2.0));
   EXPECT_EQ(coordinator.CountOf<MsgRtt>(), 0u);
@@ -245,10 +246,9 @@ TEST(FaultedTransportFaultTest, DestroyWithDelayedSendsIsSafe) {
   FaultInjector injector(config);
 
   auto receiver = std::make_unique<UdpTransport>(reactor, 0);
-  uint16_t port = receiver->Port();
   {
     FaultedTransport sender(std::make_unique<UdpTransport>(reactor, 0), &injector);
-    sender.Send("PING 1", TransportAddress::Udp(LoopbackEndpoint(port)));
+    sender.Send("PING 1", receiver->LocalAddress());
     // sender destroyed here with the delayed datagram still scheduled
   }
   reactor.RunUntil([] { return false; }, reactor.Now() + 0.1);  // ASan verdict
@@ -262,7 +262,8 @@ class FaultFleetTest : public ::testing::Test {
 
   void StartFleet(size_t fleet, const FaultConfig& agent_faults,
                   const FaultConfig& coord_faults, const RetryPolicy& retry) {
-    harness_ = std::make_unique<LiveHarness>(reactor_, server_.Port());
+    harness_ = std::make_unique<LiveHarness>(reactor_, server_.Port(),
+                                             std::make_unique<UdpTransport>(reactor_, 0));
     harness_->set_request_timeout(2.0);
     harness_->set_retry_policy(retry);
     if (coord_faults.Enabled()) {
@@ -270,8 +271,8 @@ class FaultFleetTest : public ::testing::Test {
       harness_->set_fault_injector(coord_injector_.get());
     }
     for (size_t i = 0; i < fleet; ++i) {
-      auto agent = std::make_unique<ClientAgent>(reactor_, i,
-                                                 LoopbackEndpoint(harness_->ControlPort()));
+      auto agent = std::make_unique<ClientAgent>(
+          reactor_, i, std::make_unique<UdpTransport>(reactor_, 0), harness_->ControlAddress());
       agent->set_request_timeout(2.0);
       agent->set_retry_policy(retry);
       if (agent_faults.Enabled()) {

@@ -246,9 +246,10 @@ TEST(SessionTest, ControlLaneRetransmitsBeforeBulk) {
 
   ASSERT_EQ(blackhole.sent.size(), 4u);  // 2 first sends + 1 retransmit each
   auto lane_of = [](const std::string& datagram) {
-    auto frame = DecodeSessionFrame(datagram);
-    EXPECT_TRUE(frame.has_value()) << datagram;
-    return frame.has_value() ? frame->lane : uint8_t{255};
+    auto decoded = DecodeDatagram(datagram);
+    const auto* frame = decoded.has_value() ? std::get_if<SessionFrame>(&*decoded) : nullptr;
+    EXPECT_NE(frame, nullptr) << datagram;
+    return frame != nullptr ? frame->lane : uint8_t{255};
   };
   EXPECT_EQ(lane_of(blackhole.sent[0]), kLaneBulk);     // send order
   EXPECT_EQ(lane_of(blackhole.sent[1]), kLaneControl);

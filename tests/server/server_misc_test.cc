@@ -35,24 +35,6 @@ TEST(SyntheticServerTest, LinearModelDelaysScaleWithConcurrency) {
   EXPECT_EQ(server.Concurrent(), 0u);
 }
 
-TEST(SyntheticServerTest, UncoupledModeDelaysByArrivalConcurrency) {
-  EventLoop loop;
-  SyntheticModelServer server(loop, LinearModel(0.010), 0.001, 100.0);
-  server.set_queue_coupled(false);
-  std::vector<SimTime> done(5, 0.0);
-  for (int i = 0; i < 5; ++i) {
-    server.OnRequest(Get("/"), true,
-                     [&, i](HttpStatus, double, std::function<void()> on_sent) {
-                       done[static_cast<size_t>(i)] = loop.Now();
-                       on_sent();
-                     });
-  }
-  loop.RunUntilIdle();
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_NEAR(done[static_cast<size_t>(i)], 0.001 + 0.010 * (i + 1), 1e-9) << i;
-  }
-}
-
 TEST(SyntheticServerTest, RecordsArrivals) {
   EventLoop loop;
   SyntheticModelServer server(loop, ConstantModel(0.0));

@@ -416,15 +416,12 @@ int RunSurvey(const Options& options) {
   // too, in global index order — the same view --merge would build.
   std::vector<JournalQuarantineRecord> quarantined;
   if (journal != nullptr) {
-    for (const JournalQuarantineRecord& q : journal->Quarantines()) {
-      if (q.cohort_ordinal == journal->CurrentOrdinal()) {
-        quarantined.push_back(q);
-      }
+    const size_t ordinal = journal->CurrentOrdinal();
+    const auto& all = journal->Quarantines();
+    for (auto it = all.lower_bound({ordinal, 0}); it != all.end() && it->first.first == ordinal;
+         ++it) {
+      quarantined.push_back(it->second);
     }
-    std::sort(quarantined.begin(), quarantined.end(),
-              [](const JournalQuarantineRecord& a, const JournalQuarantineRecord& b2) {
-                return a.site_index < b2.site_index;
-              });
   }
   SurveyReportInput report;
   report.cohort_name = std::string(CohortName(*cohort));
