@@ -24,13 +24,13 @@ void RunRule(const char* label, double percentile) {
   spec.binary_size_max = 400 * 1024;
   ContentStore content = GenerateSite(rng, spec);
 
-  TestbedConfig testbed_config;
-  testbed_config.wan.server_access_bps = 2e9;  // the server link is not the problem
+  WideAreaConfig wan;
+  wan.server_access_bps = 2e9;  // the server link is not the problem
   // POP 0 is a congested shared bottleneck; POP 1 is clean.
-  testbed_config.wan.pop_bottleneck_bps = {3e6, 1e9};
+  wan.pop_bottleneck_bps = {3e6, 1e9};
 
   auto fleet = MakePlanetLabFleet(rng, 85, 2);  // alternating POP assignment
-  SimTestbed testbed(9, testbed_config, std::move(fleet), nullptr);
+  SimTestbed testbed(9, wan, std::move(fleet), nullptr);
   WebServerConfig server_config;
   server_config.cpu_cores = 8;
   WebServer server(testbed.Loop(), server_config, &content);

@@ -20,10 +20,10 @@ void Run() {
   PrintHeader("Request arrival synchronization, crowd of 45",
               "Figure 3 (Section 3.1): 70% within 5 ms, 90% within 30 ms");
 
-  TestbedConfig config;
-  config.wan.jitter_sigma = 0.03;
+  WideAreaConfig wan;
+  wan.jitter_sigma = 0.03;
   Rng fleet_rng(2008);
-  SimTestbed testbed(42, config, MakePlanetLabFleet(fleet_rng, 65, 0), nullptr);
+  SimTestbed testbed(42, wan, MakePlanetLabFleet(fleet_rng, 65, 0), nullptr);
   SyntheticModelServer server(testbed.Loop(), ConstantModel(0.0), 0.001, 200.0);
   testbed.SetTarget(&server);
 

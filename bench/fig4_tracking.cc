@@ -18,10 +18,10 @@ namespace {
 // and returns (crowd, median normalized ms) pairs.
 void RunModel(const std::string& name, ResponseTimeModel model,
               ResponseTimeModel ideal /* same shape, for the printed truth */) {
-  TestbedConfig config;
-  config.wan.jitter_sigma = 0.02;
+  WideAreaConfig wan;
+  wan.jitter_sigma = 0.02;
   Rng fleet_rng(7);
-  SimTestbed testbed(1234, config, MakePlanetLabFleet(fleet_rng, 65, 0), nullptr);
+  SimTestbed testbed(1234, wan, MakePlanetLabFleet(fleet_rng, 65, 0), nullptr);
   SyntheticModelServer server(testbed.Loop(), std::move(model), 0.002, 500.0);
   testbed.SetTarget(&server);
 

@@ -135,8 +135,8 @@ mfc::PerfScenario Measure(const char* name, size_t repeats, Fn fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  mfc::PerfArgs args = mfc::ParsePerfArgs(argc, argv, "BENCH_rt.json");
-  if (!args.ok) {
+  mfc::PerfArgs args{.out_path = "BENCH_rt.json"};
+  if (!args.Parse(argc, argv)) {
     return 2;
   }
   auto scaled = [&args](size_t n) {

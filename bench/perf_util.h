@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,44 +146,30 @@ class PerfReport {
   std::vector<PerfScenario> scenarios_;
 };
 
-// Common flag parsing for the perf binaries: --repeats=N --scale=X --out=PATH,
-// through the checked parsers of src/core/arg_parse.h. A malformed value, a
-// zero repeat count or a scale that is not positive clears |ok|, and main()
-// exits 2 rather than timing work nobody asked for.
+// The perf binaries' flags. Parse refuses a malformed value, a zero repeat
+// count or a scale that is not positive, and main() exits 2 rather than
+// timing work nobody asked for.
 struct PerfArgs {
   size_t repeats = 5;
   double scale = 1.0;
-  std::string out_path;
-  bool ok = true;
-};
+  std::string out_path;  // the BENCH record; empty = none
 
-inline PerfArgs ParsePerfArgs(int argc, char** argv, const char* default_out) {
-  PerfArgs args;
-  args.out_path = default_out;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) -> const char* {
-      size_t n = strlen(prefix);
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value_of("--repeats=")) {
-      args.ok &= ParseSizeFlag("--repeats", v, &args.repeats);
-    } else if (const char* v = value_of("--scale=")) {
-      args.ok &= ParseDoubleFlag("--scale", v, &args.scale);
-    } else if (const char* v = value_of("--out=")) {
-      args.out_path = v;
-    } else {
-      fprintf(stderr, "unknown flag '%s' (supported: --repeats=N --scale=X --out=PATH)\n",
-              arg.c_str());
-      args.ok = false;
+  bool Parse(int argc, char** argv) {
+    FlagTable table;
+    table.Add("--repeats=<N>", &repeats, "timed repeats per scenario (default 5)");
+    table.Add("--scale=<X>", &scale, "work per repeat, as a multiple of the default (default 1)");
+    table.Add("--out=<path>", &out_path, "where to write the BENCH record ('' = nowhere)");
+    bool ok = table.Parse(argc, argv);
+    if (ok && (repeats == 0 || scale <= 0.0)) {
+      fprintf(stderr, "--repeats must be at least 1 and --scale must be positive\n");
+      ok = false;
     }
+    if (!ok) {
+      table.PrintUsage(stderr, argv[0]);
+    }
+    return ok;
   }
-  if (args.repeats == 0 || args.scale <= 0.0) {
-    fprintf(stderr, "--repeats must be at least 1 and --scale must be positive\n");
-    args.ok = false;
-  }
-  return args;
-}
+};
 
 }  // namespace mfc
 

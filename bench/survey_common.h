@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/arg_parse.h"
 #include "src/core/survey_session.h"
 
 namespace mfc {
@@ -143,24 +142,11 @@ struct SurveyBench {
 inline int RunSurveyBench(int argc, char** argv, const SurveyBench& bench) {
   SurveyFlags flags;
   size_t servers_override = 0;
-  bool ok = true;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (ParseSurveyFlag(arg, &flags, &ok)) {
-      continue;
-    }
-    if (!arg.empty() && arg[0] != '-') {
-      ok &= ParseSizeFlag("<servers>", arg, &servers_override);
-      continue;
-    }
-    fprintf(stderr,
-            "unknown flag '%s' (supported: <servers> --jobs=N --shards=K --shard-index=J "
-            "--json=<path> --trace=<path> --metrics=<path> --journal=<path> --resume "
-            "--stats-stream=<path> --stats-interval=<S>)\n",
-            arg.c_str());
-    ok = false;
-  }
-  if (!ok || !ValidateSurveyFlags(flags)) {
+  FlagTable table;
+  table.Add("<servers>", &servers_override, "override every cohort's server count");
+  AddSurveyFlags(table, &flags);
+  if (!table.Parse(argc, argv) || !ValidateSurveyFlags(flags)) {
+    table.PrintUsage(stderr, bench.name);
     return kExitUsage;
   }
 

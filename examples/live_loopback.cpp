@@ -24,14 +24,9 @@
 //   RESULT transport=memory fleet=200 registered=200 stopped=1
 //          reason=ConstraintFound crowd=6 max_tested=8
 //
-//   $ ./live_loopback [fleet_size] [knee] [--transport=udp|memory]
-//                     [--crowd-step=N] [--drop=P] [--dup=P] [--delay=P]
-//                     [--connect-fail=P] [--fault-seed=N]
-//                     [--stats-stream=FILE|-] [--stats-interval=S]
-//                     [--metrics=FILE] [--unhealthy-after=N]
+//   $ ./live_loopback [fleet_size] [knee] [flags]   (--help lists the flags)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -49,30 +44,6 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/stats_stream.h"
 
-namespace {
-
-// True when |arg| is "--name=..." ; the text after '=' lands in |value|.
-bool MatchFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = strlen(name);
-  if (strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
-
-int Usage(const char* argv0) {
-  fprintf(stderr,
-          "usage: %s [fleet_size] [knee] [--transport=udp|memory] [--crowd-step=N]\n"
-          "          [--drop=P] [--dup=P] [--delay=P] [--connect-fail=P] [--fault-seed=N]\n"
-          "          [--stats-stream=FILE|-] [--stats-interval=S] [--metrics=FILE]\n"
-          "          [--unhealthy-after=N]\n",
-          argv0);
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   size_t fleet_size = 16;
   size_t knee = 8;
@@ -84,61 +55,45 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   double stats_interval = 0.5;
   size_t unhealthy_after = 0;
-  size_t positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    bool ok = true;
-    if (MatchFlag(arg, "--drop", &value)) {
-      ok = mfc::ParseDoubleFlag("--drop", value, &faults.drop_rate);
-    } else if (MatchFlag(arg, "--dup", &value)) {
-      ok = mfc::ParseDoubleFlag("--dup", value, &faults.duplicate_rate);
-    } else if (MatchFlag(arg, "--delay", &value)) {
-      ok = mfc::ParseDoubleFlag("--delay", value, &faults.delay_rate);
-    } else if (MatchFlag(arg, "--connect-fail", &value)) {
-      ok = mfc::ParseDoubleFlag("--connect-fail", value, &faults.connect_failure_rate);
-    } else if (MatchFlag(arg, "--fault-seed", &value)) {
-      ok = mfc::ParseU64Flag("--fault-seed", value, &fault_seed);
-    } else if (MatchFlag(arg, "--stats-interval", &value)) {
-      ok = mfc::ParseDoubleFlag("--stats-interval", value, &stats_interval) &&
-           stats_interval > 0;
-      if (!ok) {
-        fprintf(stderr, "--stats-interval must be a positive number of seconds\n");
-      }
-    } else if (MatchFlag(arg, "--unhealthy-after", &value)) {
-      ok = mfc::ParseSizeFlag("--unhealthy-after", value, &unhealthy_after);
-    } else if (MatchFlag(arg, "--crowd-step", &value)) {
-      ok = mfc::ParseSizeFlag("--crowd-step", value, &crowd_step) && crowd_step > 0;
-      if (!ok) {
-        fprintf(stderr, "--crowd-step must be a positive integer\n");
-      }
-    } else if (MatchFlag(arg, "--transport", &value)) {
-      transport_kind = value;
-      if (transport_kind != "udp" && transport_kind != "memory") {
-        fprintf(stderr, "invalid value for --transport: '%s' (expected udp or memory)\n",
-                value.c_str());
-        return Usage(argv[0]);
-      }
-    } else if (MatchFlag(arg, "--stats-stream", &value)) {
-      stats_path = value;
-    } else if (MatchFlag(arg, "--metrics", &value)) {
-      metrics_path = value;
-    } else if (strncmp(arg, "--", 2) == 0) {
-      fprintf(stderr, "unknown flag: %s\n", arg);
-      return Usage(argv[0]);
-    } else if (positional == 0) {
-      ok = mfc::ParseSizeFlag("fleet_size", arg, &fleet_size);
-      ++positional;
-    } else if (positional == 1) {
-      ok = mfc::ParseSizeFlag("knee", arg, &knee);
-      ++positional;
-    } else {
-      fprintf(stderr, "unexpected argument: %s\n", arg);
-      return Usage(argv[0]);
-    }
-    if (!ok) {
-      return Usage(argv[0]);
-    }
+  mfc::FlagTable flags;
+  flags.Add("<fleet_size>", &fleet_size, "client agents (default 16)");
+  flags.Add("<knee>", &knee, "concurrent requests past which the server slows (default 8)");
+  flags.Add(
+      "--transport=<udp|memory>",
+      [&transport_kind](const std::string& value) {
+        if (value != "udp" && value != "memory") {
+          fprintf(stderr, "invalid value for --transport: '%s' (expected udp or memory)\n",
+                  value.c_str());
+          return false;
+        }
+        transport_kind = value;
+        return true;
+      },
+      "control-plane transport (default udp)");
+  flags.Add("--crowd-step=<N>", &crowd_step, "crowd-size increment (default 2)");
+  flags.Add("--drop=<P>", &faults.drop_rate, "control datagram drop probability");
+  flags.Add("--dup=<P>", &faults.duplicate_rate, "control datagram duplication probability");
+  flags.Add("--delay=<P>", &faults.delay_rate, "control datagram delay probability");
+  flags.Add("--connect-fail=<P>", &faults.connect_failure_rate,
+            "HTTP connect failure probability");
+  flags.Add("--fault-seed=<N>", &fault_seed, "fault schedule seed (default 11)");
+  flags.Add("--stats-stream=<path>", &stats_path, "per-agent health rows as JSONL ('-' = stdout)");
+  flags.Add("--stats-interval=<S>", &stats_interval, "health row cadence in seconds (default 0.5)");
+  flags.Add("--metrics=<path>", &metrics_path, "write the live.* counters as CSV");
+  flags.Add("--unhealthy-after=<N>", &unhealthy_after,
+            "unanswered probe rounds before an agent reads unhealthy (0 = never)");
+  bool ok = flags.Parse(argc, argv);
+  if (ok && crowd_step == 0) {
+    fprintf(stderr, "--crowd-step must be a positive integer\n");
+    ok = false;
+  }
+  if (ok && stats_interval <= 0) {
+    fprintf(stderr, "--stats-interval must be a positive number of seconds\n");
+    ok = false;
+  }
+  if (!ok) {
+    flags.PrintUsage(stderr, argv[0]);
+    return 2;
   }
   faults.seed = fault_seed;
 

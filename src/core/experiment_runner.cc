@@ -9,18 +9,17 @@ Deployment::Deployment(const SiteInstance& instance, const DeploymentOptions& op
   Rng rng(options.seed);
   content_ = GenerateSite(rng, instance.site);
 
-  TestbedConfig testbed_config;
-  testbed_config.wan.server_access_bps = instance.server_access_bps;
-  testbed_config.wan.jitter_sigma = options.jitter_sigma;
-  testbed_config.wan.control_loss_rate = options.control_loss_rate;
+  WideAreaConfig wan;
+  wan.server_access_bps = instance.server_access_bps;
+  wan.jitter_sigma = options.jitter_sigma;
+  wan.control_loss_rate = options.control_loss_rate;
 
   auto fleet = options.lan_clients ? MakeLanFleet(options.fleet_size)
                                    : MakePlanetLabFleet(rng, options.fleet_size);
 
   // The testbed owns the event loop the server runs on, so the server is
   // built after it and bound as its target.
-  testbed_ = std::make_unique<SimTestbed>(rng.NextU64(), testbed_config, std::move(fleet),
-                                          nullptr);
+  testbed_ = std::make_unique<SimTestbed>(rng.NextU64(), wan, std::move(fleet), nullptr);
   if (instance.replicas > 1) {
     cluster_ = std::make_unique<ServerCluster>(testbed_->Loop(), instance.server,
                                                instance.replicas, &content_);

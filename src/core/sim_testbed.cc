@@ -8,20 +8,30 @@
 #include "src/http/parser.h"
 
 namespace mfc {
+namespace {
 
-SimTestbed::SimTestbed(uint64_t seed, TestbedConfig config, std::vector<ClientNetProfile> fleet,
+// The coordinator's own connectivity, for its crawl fetches: a
+// well-connected university host.
+constexpr ClientNetProfile kCoordinatorNet{Millis(40), Millis(1), 125e6, 0};
+
+}  // namespace
+
+SimTestbed::SimTestbed(uint64_t seed, WideAreaConfig wan, std::vector<ClientNetProfile> fleet,
                        HttpTarget* target)
-    : rng_(seed), config_(std::move(config)), fleet_size_(fleet.size()), target_(target) {
+    : rng_(seed),
+      control_loss_rate_(wan.control_loss_rate),
+      fleet_size_(fleet.size()),
+      target_(target) {
   // The coordinator participates in the network as one extra host (for its
   // crawl fetches); it is not part of the probe fleet.
   coordinator_index_ = fleet.size();
-  fleet.push_back(config_.coordinator_net);
-  wan_ = std::make_unique<WideAreaNetwork>(loop_, rng_, config_.wan, std::move(fleet));
+  fleet.push_back(kCoordinatorNet);
+  wan_ = std::make_unique<WideAreaNetwork>(loop_, rng_, std::move(wan), std::move(fleet));
 }
 
 std::vector<size_t> SimTestbed::ProbeClients(SimDuration timeout) {
   std::vector<size_t> responsive;
-  double loss = config_.wan.control_loss_rate;
+  double loss = control_loss_rate_;
   for (size_t i = 0; i < fleet_size_; ++i) {
     // Probe and reply each cross the control channel once.
     if (loss > 0.0 && (rng_.Chance(loss) || rng_.Chance(loss))) {

@@ -29,18 +29,11 @@
 
 namespace mfc {
 
-struct TestbedConfig {
-  WideAreaConfig wan;
-  // The coordinator's own connectivity (used for crawling). Defaults to a
-  // well-connected university host.
-  ClientNetProfile coordinator_net{Millis(40), Millis(1), 125e6, 0};
-};
-
 class SimTestbed : public ClientHarness, public Fetcher {
  public:
   // A null |target| must be bound with SetTarget before the first request:
   // a server built on this testbed's own loop exists only after it.
-  SimTestbed(uint64_t seed, TestbedConfig config, std::vector<ClientNetProfile> fleet,
+  SimTestbed(uint64_t seed, WideAreaConfig wan, std::vector<ClientNetProfile> fleet,
              HttpTarget* target);
   void SetTarget(HttpTarget* target) { target_ = target; }
 
@@ -102,7 +95,7 @@ class SimTestbed : public ClientHarness, public Fetcher {
 
   EventLoop loop_;
   Rng rng_;
-  TestbedConfig config_;
+  double control_loss_rate_ = 0.0;
   size_t fleet_size_ = 0;
   size_t coordinator_index_ = 0;  // appended pseudo-client for crawl fetches
   std::unique_ptr<WideAreaNetwork> wan_;

@@ -1,49 +1,37 @@
 #include "src/core/survey_session.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
-#include "src/core/arg_parse.h"
 #include "src/core/export.h"
 #include "src/core/journal/shutdown.h"
 #include "src/core/parallel_runner.h"
 
 namespace mfc {
 
-bool ParseSurveyFlag(const std::string& arg, SurveyFlags* flags, bool* ok) {
-  auto value_of = [&arg](const char* prefix, std::string* value) {
-    if (arg.rfind(prefix, 0) != 0) {
-      return false;
-    }
-    *value = arg.substr(strlen(prefix));
-    return true;
-  };
-  std::string v;
-  if (value_of("--jobs=", &v)) {
-    *ok &= ParseSizeFlag("--jobs", v, &flags->jobs);
-  } else if (value_of("--shards=", &v)) {
-    *ok &= ParseSizeFlag("--shards", v, &flags->shards);
-  } else if (value_of("--shard-index=", &v)) {
-    *ok &= ParseSizeFlag("--shard-index", v, &flags->shard_index);
-  } else if (value_of("--json=", &v)) {
-    flags->json_path = v;
-  } else if (value_of("--trace=", &v)) {
-    flags->trace_path = v;
-  } else if (value_of("--metrics=", &v)) {
-    flags->metrics_path = v;
-  } else if (value_of("--journal=", &v)) {
-    flags->journal_path = v;
-  } else if (arg == "--resume") {
-    flags->resume = true;
-  } else if (value_of("--stats-stream=", &v)) {
-    flags->stats_stream_path = v;
-  } else if (value_of("--stats-interval=", &v)) {
-    *ok &= ParseDoubleFlag("--stats-interval", v, &flags->stats_interval);
-  } else {
-    return false;
-  }
-  return true;
+void AddSurveyFlags(FlagTable& table, SurveyFlags* flags) {
+  constexpr FlagTable::Modes kRuns = kSingleMode | kSurveyMode | kSuperviseMode;
+  constexpr FlagTable::Modes kShards = kSurveyMode | kSampleMode;
+  table.Add("--jobs=<N>", &flags->jobs, "worker threads (default: MFC_JOBS env, then cores)",
+            kSurveyMode | kSuperviseMode);
+  table.Add("--shards=<K>", &flags->shards,
+            "split the survey K ways by site index (a run needs --journal)",
+            kShards | kSuperviseMode);
+  table.Add("--shard-index=<J>", &flags->shard_index,
+            "run the sites with index % K == J (default 0)", kShards);
+  table.Add("--json=<path>", &flags->json_path, "write the report as JSON", kRuns | kMergeMode);
+  table.Add("--trace=<path>", &flags->trace_path,
+            "write request/coordinator spans as Chrome trace JSON", kRuns | kMergeMode);
+  table.Add("--metrics=<path>", &flags->metrics_path, "write the merged metrics registry as CSV",
+            kRuns | kMergeMode);
+  table.Add("--journal=<path>", &flags->journal_path,
+            "write-ahead journal of finished experiments; SIGINT/SIGTERM drain", kRuns);
+  table.Add("--resume", &flags->resume, "replay the experiments --journal already holds",
+            kSingleMode | kSurveyMode);
+  table.Add("--stats-stream=<path>", &flags->stats_stream_path,
+            "stream runtime health snapshots as JSONL ('-' = stdout)", kRuns);
+  table.Add("--stats-interval=<S>", &flags->stats_interval,
+            "snapshot cadence in seconds (default 1)", kRuns);
 }
 
 bool ValidateSurveyFlags(const SurveyFlags& flags) {

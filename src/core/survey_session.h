@@ -3,21 +3,7 @@
 // cohort and bucket the stopping crowd sizes. The survey benches and
 // `mfc_profile --survey` differ only in their cohort lists and output
 // formats; everything between "parse the command line" and "exit" lives
-// here once:
-//
-//   --jobs=N          worker threads (default: MFC_JOBS env, then hardware)
-//   --shards=K        split every cohort K ways by interleaved site index;
-//   --shard-index=J   this process runs the global sites i % K == J
-//   --json=<path>     the tool's machine-readable report (tool-specific)
-//   --trace=<path>    merged Chrome trace of every site's spans
-//   --metrics=<path>  merged metrics CSV
-//   --journal=<path>  write-ahead journal (DESIGN.md §9): every completed
-//                     site is appended at once and fsynced in groups;
-//                     SIGINT/SIGTERM drain the in-flight sites and exit 130
-//                     with a resume hint
-//   --resume          replay journaled sites, execute only the remainder
-//   --stats-stream=<path>  runtime health snapshots as JSONL ('-' = stdout)
-//   --stats-interval=<S>   snapshot cadence in wall-clock seconds
+// here once, the shared flags (AddSurveyFlags) included.
 //
 // Exit codes (the README table): 0 success, 1 aborted run or output write
 // failure, 2 usage error, 3 journal or merge error, 130 interrupted. The
@@ -33,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/arg_parse.h"
 #include "src/core/journal/journal.h"
 #include "src/core/survey.h"
 #include "src/telemetry/stats_stream.h"
@@ -60,10 +47,19 @@ struct SurveyFlags {
   double stats_interval = 1.0;
 };
 
-// Consumes |arg| when it is one of the shared flags above and returns true;
-// returns false for any other argument. A value that does not parse prints
-// an error and clears |*ok|.
-bool ParseSurveyFlag(const std::string& arg, SurveyFlags* flags, bool* ok);
+// The modes a survey front end runs in, as FlagTable mode bits. The survey
+// benches run kSurveyMode only; mfc_profile runs all five.
+enum SurveyMode : FlagTable::Modes {
+  kSingleMode = 1,      // one experiment on a named profile or a sampled site
+  kSurveyMode = 2,      // --survey
+  kSampleMode = 4,      // --sample-only
+  kMergeMode = 8,       // --merge
+  kSuperviseMode = 16,  // --supervise
+};
+
+// Declares every SurveyFlags field in |table| as a flag, with the modes that
+// read it.
+void AddSurveyFlags(FlagTable& table, SurveyFlags* flags);
 
 // The rule set for runs that execute experiments: --resume needs --journal,
 // --shard-index must be below --shards, and a sharded run needs --journal

@@ -10,8 +10,7 @@ namespace mfc {
 LiveHarness::LiveHarness(Reactor& reactor, uint16_t target_port,
                          std::unique_ptr<Transport> transport)
     : reactor_(reactor), target_port_(target_port),
-      transport_(std::make_unique<FaultedTransport>(std::move(transport))),
-      alive_(std::make_shared<bool>(true)) {
+      transport_(std::make_unique<FaultedTransport>(std::move(transport))) {
   SessionConfig config;
   config.conn = kCoordinatorConn;
   config.retry = retry_;
@@ -21,8 +20,6 @@ LiveHarness::LiveHarness(Reactor& reactor, uint16_t target_port,
         OnDeliver(message, from);
       });
 }
-
-LiveHarness::~LiveHarness() { *alive_ = false; }
 
 void LiveHarness::set_retry_policy(const RetryPolicy& policy) {
   retry_ = policy;
@@ -331,7 +328,6 @@ RequestSample LiveHarness::FetchOnce(size_t client, const HttpRequest& request) 
 
 std::vector<RequestSample> LiveHarness::ExecuteCrowd(const std::vector<CrowdRequestPlan>& plans,
                                                      SimTime poll_time) {
-  uint64_t generation = ++crowd_generation_;
   crowd_ = PendingCrowd{};
   crowd_transfers_.clear();
   size_t expected = 0;
@@ -349,33 +345,16 @@ std::vector<RequestSample> LiveHarness::ExecuteCrowd(const std::vector<CrowdRequ
     fire.target = plan.request->target;
     // Ship the burst instant with the command and transmit right away: the
     // agent holds fire until the instant, so the whole schedule lead becomes
-    // headroom for retransmitting lost commands instead of dead air. Plans
-    // without an arrival time keep send-time pacing (the agent fires on
-    // receipt).
-    double send_at = std::max(plan.command_send_time, reactor_.Now());
-    if (plan.intended_arrival > 0.0) {
-      fire.fire_at_micros = static_cast<uint64_t>(plan.intended_arrival * 1e6);
-      send_at = reactor_.Now();
-    }
-    size_t client = plan.client_id;
-    if (send_at <= reactor_.Now()) {
-      crowd_transfers_.push_back(SendTo(client, fire));
-      continue;
-    }
-    reactor_.ScheduleAt(send_at, [this, alive = alive_, generation, client, fire] {
-      if (!*alive || crowd_generation_ != generation) {
-        return;
-      }
-      crowd_transfers_.push_back(SendTo(client, fire));
-    });
+    // headroom for retransmitting lost commands instead of dead air.
+    fire.fire_at_micros = static_cast<uint64_t>(plan.intended_arrival * 1e6);
+    crowd_transfers_.push_back(SendTo(plan.client_id, fire));
   }
   reactor_.RunUntil([this, expected] { return crowd_->samples.size() >= expected; },
                     poll_time);
   std::vector<RequestSample> samples = std::move(crowd_->samples);
   crowd_.reset();
-  // Invalidate any still-queued FIRE sends and stop retransmitting to agents
-  // that never acked: tokens are never reused, so leftovers are pure leak.
-  ++crowd_generation_;
+  // Stop retransmitting to agents that never acked: tokens are never
+  // reused, so leftovers are pure leak.
   CancelTransfers(crowd_transfers_);
   crowd_transfers_.clear();
   return samples;

@@ -49,7 +49,6 @@ class LiveHarness : public ClientHarness {
   // path; the harness owns the endpoint). Control datagrams ride |transport|
   // (a UdpTransport or a MemoryHub endpoint).
   LiveHarness(Reactor& reactor, uint16_t target_port, std::unique_ptr<Transport> transport);
-  ~LiveHarness() override;
 
   // Where agents send their control datagrams: the transport's own address.
   TransportAddress ControlAddress() const { return transport_->LocalAddress(); }
@@ -157,12 +156,6 @@ class LiveHarness : public ClientHarness {
   // Reliable transfers the current crowd minted; cancelled when it ends so
   // FIREs to dead agents stop retransmitting into the next stage.
   std::vector<Session::TransferId> crowd_transfers_;
-  // Bumped at crowd start AND end so scheduled FIRE sends from any earlier
-  // crowd turn into no-ops.
-  uint64_t crowd_generation_ = 0;
-  // Guards reactor tasks that capture |this| (deferred FIRE sends) against
-  // the harness being destroyed first.
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace mfc

@@ -267,7 +267,6 @@ void UdpSocket::SendTo(std::string_view payload, const sockaddr_in& to) {
 }
 
 void UdpSocket::OnReadable() {
-#ifdef __linux__
   // Batched drain: one recvmmsg syscall pulls up to a batch of datagrams.
   constexpr unsigned kBatch = 32;
   constexpr size_t kDatagramMax = 8192;
@@ -300,24 +299,6 @@ void UdpSocket::OnReadable() {
       return;  // short batch: the queue is drained
     }
   }
-#else
-  char buf[8192];
-  for (;;) {
-    sockaddr_in from{};
-    socklen_t len = sizeof(from);
-    ssize_t n = recvfrom(fd_.Get(), buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&from),
-                         &len);
-    if (n < 0) {
-      return;
-    }
-    if (on_datagram_) {
-      on_datagram_(std::string_view(buf, static_cast<size_t>(n)), from);
-    }
-    if (!fd_.Valid()) {
-      return;
-    }
-  }
-#endif
 }
 
 }  // namespace mfc

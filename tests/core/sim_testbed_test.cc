@@ -24,11 +24,11 @@ std::shared_ptr<const HttpRequest> HeadRoot() {
   return request;
 }
 
-TestbedConfig QuietConfig() {
-  TestbedConfig config;
-  config.wan.jitter_sigma = 0.0;
-  config.wan.control_loss_rate = 0.0;
-  config.wan.server_access_bps = 12.5e6;
+WideAreaConfig QuietConfig() {
+  WideAreaConfig config;
+  config.jitter_sigma = 0.0;
+  config.control_loss_rate = 0.0;
+  config.server_access_bps = 12.5e6;
   return config;
 }
 
@@ -73,7 +73,7 @@ TEST(SimTestbedTest, FetchOnceMeasuresHandshakePlusServiceTime) {
 }
 
 TEST(SimTestbedTest, SlowServerTriggersClientKillTimer) {
-  TestbedConfig config = QuietConfig();
+  WideAreaConfig config = QuietConfig();
   class BlackHole : public HttpTarget {
    public:
     void OnRequest(const HttpRequest&, bool, ResponseTransport) override {
@@ -94,7 +94,7 @@ TEST(SimTestbedTest, SlowServerTriggersClientKillTimer) {
 }
 
 TEST(SimTestbedTest, ProbeClientsFindsWholeQuietFleet) {
-  TestbedConfig config = QuietConfig();
+  WideAreaConfig config = QuietConfig();
   class Null : public HttpTarget {
    public:
     void OnRequest(const HttpRequest&, bool, ResponseTransport t) override {
@@ -107,8 +107,8 @@ TEST(SimTestbedTest, ProbeClientsFindsWholeQuietFleet) {
 }
 
 TEST(SimTestbedTest, ControlLossShrinksProbeResponses) {
-  TestbedConfig config = QuietConfig();
-  config.wan.control_loss_rate = 0.4;
+  WideAreaConfig config = QuietConfig();
+  config.control_loss_rate = 0.4;
   class Null : public HttpTarget {
    public:
     void OnRequest(const HttpRequest&, bool, ResponseTransport t) override {
@@ -123,8 +123,8 @@ TEST(SimTestbedTest, ControlLossShrinksProbeResponses) {
 }
 
 TEST(SimTestbedTest, ExecuteCrowdSynchronizesArrivals) {
-  TestbedConfig config = QuietConfig();
-  config.wan.jitter_sigma = 0.03;  // realistic jitter
+  WideAreaConfig config = QuietConfig();
+  config.jitter_sigma = 0.03;  // realistic jitter
   Rng fleet_rng(77);
   SimTestbed testbed(5, config, MakePlanetLabFleet(fleet_rng, 45, 0), nullptr);
   SyntheticModelServer server(testbed.Loop(), ConstantModel(0.0), 0.001, 200.0);
@@ -158,7 +158,7 @@ TEST(SimTestbedTest, ExecuteCrowdSynchronizesArrivals) {
 }
 
 TEST(SimTestbedTest, CrawlFetchReturnsRealPageBodies) {
-  TestbedConfig config = QuietConfig();
+  WideAreaConfig config = QuietConfig();
   ContentStore content = LabSite();
   SimTestbed testbed(6, config, UniformFleet(3), nullptr);
   WebServerConfig server_config;

@@ -25,37 +25,36 @@ constexpr uint64_t kSeed = 901;
 
 std::string TempPath(const std::string& name) { return testing::TempDir() + name; }
 
+// Reads |args| through a table holding only the shared flags.
+bool ParsesSurveyFlags(std::vector<std::string> args, SurveyFlags* flags) {
+  FlagTable table;
+  AddSurveyFlags(table, flags);
+  std::vector<char*> argv = {const_cast<char*>("tool")};
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  return table.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
 // Parses |args| as a survey tool would and applies the shared rule set.
 bool ParsesAndValidates(const std::vector<std::string>& args) {
   SurveyFlags flags;
-  bool ok = true;
-  for (const std::string& arg : args) {
-    EXPECT_TRUE(ParseSurveyFlag(arg, &flags, &ok)) << arg;
-  }
-  return ok && ValidateSurveyFlags(flags);
+  return ParsesSurveyFlags(args, &flags) && ValidateSurveyFlags(flags);
 }
 
 TEST(SurveySessionTest, ParsesOnlyTheSharedFlagsInEqualsForm) {
   SurveyFlags flags;
-  bool ok = true;
-  EXPECT_TRUE(ParseSurveyFlag("--jobs=3", &flags, &ok));
-  EXPECT_TRUE(ParseSurveyFlag("--journal=j.wal", &flags, &ok));
-  EXPECT_TRUE(ParseSurveyFlag("--resume", &flags, &ok));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(ParsesSurveyFlags({"--jobs=3", "--journal=j.wal", "--resume"}, &flags));
   EXPECT_EQ(flags.jobs, 3u);
   EXPECT_EQ(flags.journal_path, "j.wal");
   EXPECT_TRUE(flags.resume);
   // Space-separated values and tool-specific flags are not the session's.
-  EXPECT_FALSE(ParseSurveyFlag("--jobs", &flags, &ok));
-  EXPECT_FALSE(ParseSurveyFlag("--survey=4", &flags, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_TRUE(ParseSurveyFlag("--jobs=four", &flags, &ok));
-  EXPECT_FALSE(ok);
+  EXPECT_FALSE(ParsesSurveyFlags({"--jobs", "3"}, &flags));
+  EXPECT_FALSE(ParsesSurveyFlags({"--survey=4"}, &flags));
+  EXPECT_FALSE(ParsesSurveyFlags({"--jobs=four"}, &flags));
   // strtod reads these, but no sampling period is NaN or infinite.
   for (const char* arg : {"--stats-interval=nan", "--stats-interval=inf"}) {
-    ok = true;
-    EXPECT_TRUE(ParseSurveyFlag(arg, &flags, &ok)) << arg;
-    EXPECT_FALSE(ok) << arg;
+    EXPECT_FALSE(ParsesSurveyFlags({arg}, &flags)) << arg;
   }
 }
 

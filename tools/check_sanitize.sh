@@ -58,11 +58,18 @@ run_one() {
   # A bare -j lets make start unlimited compiles, enough to exhaust memory or
   # process ids on a small machine before any test runs.
   cmake --build --preset "${preset}" -j "$(nproc)" --target "${TARGETS[@]}" >/dev/null
-  echo "=== [${preset}] test (-R '${FILTER}') ==="
+  # The flow-network differential suite starts no threads, so TSan has no
+  # race to find in it, yet it ran for 189-544 s of the 600 s timeout there.
+  # The ASan leg and tier-1 still run it.
+  local exclude=()
+  if [ "${preset}" = "tsan" ]; then
+    exclude=(-E FlowNetworkDifferentialTest)
+  fi
+  echo "=== [${preset}] test (-R '${FILTER}' ${exclude[*]}) ==="
   # Reactor tests race real deadlines; oversubscribing cores under a
   # sanitizer's slowdown turns those deadlines into flakes, so parallelism
   # follows the core count instead of a fixed fan-out.
-  ctest --preset "${preset}" -R "${FILTER}" --timeout "${TIMEOUT}" -j "$(nproc)"
+  ctest --preset "${preset}" -R "${FILTER}" "${exclude[@]}" --timeout "${TIMEOUT}" -j "$(nproc)"
   if [ "${preset}" = "asan" ]; then
     # The journal's signal/drain/fsync path only shows its lifetime bugs
     # under a real SIGINT; run the kill/resume harness against the ASan

@@ -6,12 +6,14 @@
 //   mfc_profile --profile=qtnp --theta-ms=100 --max-crowd=55
 //   mfc_profile --cohort=startup --seed=9 --stages=base,query
 //   mfc_profile --profile=univ3 --background-rps=20 --mr=2 --theta-ms=250
-//   mfc_profile --cohort=rank3 --stagger-ms=20 --report
+//   mfc_profile --cohort=rank3 --stagger-ms=20
 //   mfc_profile --cohort=rank4 --survey=100 --jobs=8
 //
 // Prints per-epoch progress and the operator inference report; --survey=N
 // instead profiles N sites sampled from the cohort in parallel and prints
-// the stopping-crowd-size breakdown.
+// the stopping-crowd-size breakdown. Each of the five modes (a single
+// experiment, --survey, --sample-only, --merge, --supervise) reads some of
+// the flags, and a flag the mode does not read exits 2; --help lists them.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -54,7 +56,7 @@ struct Options {
   size_t survey = 0;            // when > 0: survey this many cohort sites
   // --jobs, --shards, --json, --trace, --metrics, --journal, --resume,
   // --stats-stream/-interval: shared with the survey benches
-  // (survey_session.h); the single-experiment mode reads the same flags.
+  // (survey_session.h); the single-experiment mode reads some of them too.
   SurveyFlags flags;
   std::vector<std::string> merge_paths;  // --merge: shard journals to fold
   bool supervise = false;       // fork/monitor shard workers, then auto-merge
@@ -62,221 +64,159 @@ struct Options {
   size_t quarantine_after = 3;  // supervise: same-site crashes before quarantine
   bool sample_only = false;     // stream/sample survey sites, run nothing
   bool crawl = false;           // profile via crawling instead of operator input
-  bool verbose_epochs = true;
+  bool quiet = false;           // no per-epoch lines
   std::string csv_path;         // write per-epoch CSV here
   std::vector<StageKind> stages = {StageKind::kBase, StageKind::kSmallQuery,
                                    StageKind::kLargeObject};
 };
 
-void Usage() {
-  printf(
-      "usage: mfc_profile [flags]\n"
-      "  --profile=<lab|qtnp|qtp|univ1|univ2|univ3>   named case-study deployment\n"
-      "  --cohort=<rank1|rank2|rank3|rank4|startup|phishing|longtail>  survey cohort\n"
-      "  --theta-ms=<N>        degradation threshold (default 100)\n"
-      "  --step=<N>            crowd-size increment (default 5)\n"
-      "  --max-crowd=<N>       request ceiling (default 85)\n"
-      "  --fleet=<N>           available clients (default 85)\n"
-      "  --mr=<N>              MFC-mr connections per client (default 1)\n"
-      "  --stagger-ms=<N>      staggered arrivals, spacing in ms (default 0)\n"
-      "  --background-rps=<N>  Poisson background request rate (default 0)\n"
-      "  --stages=<list>       comma list of base,query,large (default all)\n"
-      "  --survey=<N>          run N sampled cohort sites and print the breakdown\n"
-      "  --jobs=<N>            survey worker threads (default: MFC_JOBS env, then cores)\n"
-      "  --shards=<K>          split the survey across K cooperating processes; this one\n"
-      "                        runs sites with index %% K == --shard-index (needs --journal)\n"
-      "  --shard-index=<J>     this process's shard (default 0)\n"
-      "  --merge=<p1,p2,...>   fold K shard journals into the single-run report/outputs\n"
-      "  --supervise           run the whole sharded survey unattended: fork one worker\n"
-      "                        per shard (journals at <--journal>.shard<j>), restart\n"
-      "                        crashes with backoff, kill+restart hung workers,\n"
-      "                        quarantine poisoned sites, then merge automatically\n"
-      "  --hang-timeout=<S>    supervise: seconds without journal/stats growth before\n"
-      "                        a live worker is declared hung (default 30)\n"
-      "  --quarantine-after=<K> supervise: consecutive no-progress crashes of a --jobs=1\n"
-      "                        worker on the same site before it is quarantined\n"
-      "                        (default 3)\n"
-      "  --sample-only         stream-sample the survey sites (no experiments); prints a\n"
-      "                        digest\n"
-      "  --crawl               discover probe objects by crawling\n"
-      "  --csv=<path>          write per-epoch CSV\n"
-      "  --json=<path>         write the result as JSON\n"
-      "  --trace=<path>        write request/coordinator spans as Chrome trace JSON\n"
-      "  --metrics=<path>      write the (merged) metrics registry as CSV\n"
-      "  --journal=<path>      write-ahead journal: completed experiments are appended\n"
-      "                        (fsynced in groups); surveys drain on SIGINT/SIGTERM\n"
-      "  --resume              replay already-journaled experiments from --journal\n"
-      "  --stats-stream=<path> stream runtime health snapshots as JSONL ('-' = stdout)\n"
-      "  --stats-interval=<S>  snapshot cadence in seconds (wall-clock for surveys,\n"
-      "                        simulated time for single experiments; default 1)\n"
-      "  --seed=<N>            RNG seed\n"
-      "  --quiet               suppress per-epoch output\n");
+// "a,b" -> {"a", "b"}; "" -> {""}.
+std::vector<std::string> SplitCommas(const std::string& list) {
+  std::vector<std::string> items;
+  size_t start = 0;
+  for (size_t comma; (comma = list.find(',', start)) != std::string::npos; start = comma + 1) {
+    items.push_back(list.substr(start, comma - start));
+  }
+  items.push_back(list.substr(start));
+  return items;
 }
 
-std::optional<Options> ParseArgs(int argc, char** argv) {
-  Options options;
-  if (argc > 0 && argv[0] != nullptr && argv[0][0] != '\0') {
-    options.argv0 = argv[0];
+// Every flag, once, with the modes that read it (survey_session.h).
+void AddFlags(FlagTable& table, Options* o) {
+  constexpr FlagTable::Modes kSurveys = kSurveyMode | kSampleMode | kSuperviseMode;
+  constexpr FlagTable::Modes kRuns = kSingleMode | kSurveyMode | kSuperviseMode;
+  table.Add("--profile=<name>", &o->profile,
+            "named case-study deployment: lab, qtnp, qtp, univ1, univ2 or univ3", kSingleMode);
+  table.Add("--cohort=<name>", &o->cohort,
+            "cohort to sample sites from: rank1-rank4, startup, phishing or longtail "
+            "(default rank3)",
+            kSingleMode | kSurveys);
+  table.Add("--seed=<N>", &o->seed, "RNG seed (default 1)", kSingleMode | kSurveys);
+  table.Add("--theta-ms=<N>", &o->theta_ms, "degradation threshold (default 100)", kSingleMode);
+  table.Add("--step=<N>", &o->step, "crowd-size increment (default 5)", kSingleMode);
+  table.Add("--max-crowd=<N>", &o->max_crowd, "request ceiling (default 85)", kRuns);
+  table.Add("--fleet=<N>", &o->fleet, "available clients (default 85)", kSingleMode);
+  table.Add("--mr=<N>", &o->mr, "MFC-mr connections per client (default 1)", kSingleMode);
+  table.Add("--stagger-ms=<N>", &o->stagger_ms, "staggered arrivals, spacing in ms (default 0)",
+            kSingleMode);
+  table.Add("--background-rps=<N>", &o->background_rps,
+            "Poisson background request rate (default 0)", kSingleMode);
+  table.Add(
+      "--stages=<list>",
+      [o](const std::string& list) {
+        static const std::map<std::string, StageKind> kStages = {
+            {"base", StageKind::kBase},
+            {"query", StageKind::kSmallQuery},
+            {"large", StageKind::kLargeObject},
+        };
+        o->stages.clear();
+        for (const std::string& name : SplitCommas(list)) {
+          auto it = kStages.find(name);
+          if (it == kStages.end()) {
+            fprintf(stderr, "unknown stage '%s'\n", name.c_str());
+            return false;
+          }
+          o->stages.push_back(it->second);
+        }
+        return true;
+      },
+      "comma list of base,query,large (default all; a survey runs one)", kRuns);
+  table.Add("--crawl", &o->crawl, "discover probe objects by crawling", kSingleMode);
+  table.Add("--csv=<path>", &o->csv_path, "write per-epoch CSV", kSingleMode);
+  table.Add("--quiet", &o->quiet, "suppress per-epoch output");
+  table.Add("--survey=<N>", &o->survey, "run N sampled cohort sites and print the breakdown",
+            kSurveys);
+  table.Add("--sample-only", &o->sample_only,
+            "sample the survey's sites without running them; print a digest", kSampleMode);
+  table.Add(
+      "--merge=<p1,p2,...>",
+      [o](const std::string& list) {
+        for (std::string& path : SplitCommas(list)) {
+          if (!path.empty()) {
+            o->merge_paths.push_back(std::move(path));
+          }
+        }
+        return true;
+      },
+      "fold shard journals into the single-run report and outputs", kMergeMode);
+  table.Add("--supervise", &o->supervise,
+            "run the sharded survey unattended, one restarted worker per shard, then merge",
+            kSuperviseMode);
+  table.Add("--hang-timeout=<S>", &o->hang_timeout,
+            "seconds without worker progress before a hang kill (default 30)", kSuperviseMode);
+  table.Add("--quarantine-after=<K>", &o->quarantine_after,
+            "sequential crashes on one site before it is quarantined (default 3)",
+            kSuperviseMode);
+  AddSurveyFlags(table, &o->flags);
+}
+
+SurveyMode ModeOf(const Options& options, const FlagTable& table) {
+  if (options.supervise) {
+    return kSuperviseMode;
   }
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    bool ok = true;
-    if (ParseSurveyFlag(arg, &options.flags, &ok)) {
-      if (!ok) return std::nullopt;
-      continue;
-    }
-    auto value_of = [&arg](const char* prefix) -> std::optional<std::string> {
-      size_t n = strlen(prefix);
-      if (arg.rfind(prefix, 0) == 0) {
-        return arg.substr(n);
-      }
-      return std::nullopt;
-    };
-    if (arg == "--help" || arg == "-h") {
-      return std::nullopt;
-    } else if (auto v = value_of("--profile=")) {
-      options.profile = *v;
-    } else if (auto v = value_of("--cohort=")) {
-      options.cohort = *v;
-    } else if (auto v = value_of("--theta-ms=")) {
-      if (!ParseDoubleFlag("--theta-ms", *v, &options.theta_ms)) return std::nullopt;
-    } else if (auto v = value_of("--step=")) {
-      if (!ParseSizeFlag("--step", *v, &options.step)) return std::nullopt;
-    } else if (auto v = value_of("--max-crowd=")) {
-      if (!ParseSizeFlag("--max-crowd", *v, &options.max_crowd)) return std::nullopt;
-    } else if (auto v = value_of("--fleet=")) {
-      if (!ParseSizeFlag("--fleet", *v, &options.fleet)) return std::nullopt;
-    } else if (auto v = value_of("--mr=")) {
-      if (!ParseSizeFlag("--mr", *v, &options.mr)) return std::nullopt;
-    } else if (auto v = value_of("--stagger-ms=")) {
-      if (!ParseDoubleFlag("--stagger-ms", *v, &options.stagger_ms)) return std::nullopt;
-    } else if (auto v = value_of("--background-rps=")) {
-      if (!ParseDoubleFlag("--background-rps", *v, &options.background_rps)) return std::nullopt;
-    } else if (auto v = value_of("--seed=")) {
-      if (!ParseU64Flag("--seed", *v, &options.seed)) return std::nullopt;
-    } else if (auto v = value_of("--survey=")) {
-      if (!ParseSizeFlag("--survey", *v, &options.survey)) return std::nullopt;
-    } else if (auto v = value_of("--merge=")) {
-      std::string list = *v;
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string path = list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                                       : comma - pos);
-        if (!path.empty()) {
-          options.merge_paths.push_back(path);
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        pos = comma + 1;
-      }
-    } else if (arg == "--supervise") {
-      options.supervise = true;
-    } else if (auto v = value_of("--hang-timeout=")) {
-      if (!ParseDoubleFlag("--hang-timeout", *v, &options.hang_timeout)) return std::nullopt;
-    } else if (auto v = value_of("--quarantine-after=")) {
-      if (!ParseSizeFlag("--quarantine-after", *v, &options.quarantine_after))
-        return std::nullopt;
-    } else if (arg == "--sample-only") {
-      options.sample_only = true;
-    } else if (auto v = value_of("--csv=")) {
-      options.csv_path = *v;
-    } else if (arg == "--crawl") {
-      options.crawl = true;
-    } else if (arg == "--quiet") {
-      options.verbose_epochs = false;
-    } else if (auto v = value_of("--stages=")) {
-      options.stages.clear();
-      std::string list = *v;
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string stage = list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                                        : comma - pos);
-        if (stage == "base") {
-          options.stages.push_back(StageKind::kBase);
-        } else if (stage == "query") {
-          options.stages.push_back(StageKind::kSmallQuery);
-        } else if (stage == "large") {
-          options.stages.push_back(StageKind::kLargeObject);
-        } else {
-          fprintf(stderr, "unknown stage '%s'\n", stage.c_str());
-          return std::nullopt;
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        pos = comma + 1;
-      }
-    } else {
-      fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return std::nullopt;
-    }
+  if (table.Given("--merge")) {
+    return kMergeMode;
+  }
+  if (options.sample_only) {
+    return kSampleMode;
+  }
+  return options.survey > 0 ? kSurveyMode : kSingleMode;
+}
+
+// The rules that tie flags together, after the mode has refused every flag
+// it does not read. Prints the violation; true when there is none.
+bool Validate(const FlagTable& table, const Options& options) {
+  const SurveyMode mode = ModeOf(options, table);
+  if (table.Unread(mode)) {
+    return false;
+  }
+  if (table.Given("--profile") && table.Given("--cohort")) {
+    fprintf(stderr, "--cohort has no effect with --profile\n");
+    return false;
+  }
+  if (mode != kSingleMode && table.Given("--stages") && options.stages.size() > 1) {
+    fprintf(stderr, "--survey runs one stage; --stages names %zu\n", options.stages.size());
+    return false;
   }
   const SurveyFlags& flags = options.flags;
-  if (options.survey > 0 && !options.supervise && !options.sample_only &&
-      options.merge_paths.empty()) {
-    // A survey that executes experiments: the rule set every survey tool
-    // shares.
-    if (!ValidateSurveyFlags(flags)) {
-      return std::nullopt;
-    }
-  } else {
-    if (flags.resume && flags.journal_path.empty()) {
-      fprintf(stderr, "--resume requires --journal=<path>\n");
-      return std::nullopt;
-    }
-    if (flags.shard_index >= flags.shards) {
-      fprintf(stderr, "--shard-index=%zu out of range for --shards=%zu\n", flags.shard_index,
-              flags.shards);
-      return std::nullopt;
-    }
-    if (flags.shards > 1 && options.survey == 0) {
-      fprintf(stderr, "--shards requires --survey=<N>\n");
-      return std::nullopt;
-    }
+  if (mode == kSurveyMode) {
+    return ValidateSurveyFlags(flags);
   }
-  if (options.supervise) {
-    // Supervised runs drive full shard workers and merge their journals, so
-    // --json/--trace/--metrics are fine at any shard count — the supervisor
-    // writes them from the merged view, never a partial one.
-    if (options.survey == 0) {
-      fprintf(stderr, "--supervise requires --survey=<N>\n");
-      return std::nullopt;
-    }
-    if (flags.journal_path.empty()) {
-      fprintf(stderr,
-              "--supervise requires --journal=<prefix> (shard journals land at "
-              "<prefix>.shard<j>)\n");
-      return std::nullopt;
-    }
-    if (!options.merge_paths.empty()) {
-      fprintf(stderr, "--supervise merges automatically; drop --merge\n");
-      return std::nullopt;
-    }
-    if (options.sample_only) {
-      fprintf(stderr, "--supervise cannot be combined with --sample-only\n");
-      return std::nullopt;
-    }
-    if (flags.shard_index != 0) {
-      fprintf(stderr, "--shard-index is assigned by the supervisor; drop it\n");
-      return std::nullopt;
-    }
-    if (options.hang_timeout <= 0.0) {
-      fprintf(stderr, "--hang-timeout must be > 0\n");
-      return std::nullopt;
-    }
-    if (options.quarantine_after == 0) {
-      fprintf(stderr, "--quarantine-after must be >= 1\n");
-      return std::nullopt;
-    }
+  if (flags.resume && flags.journal_path.empty()) {
+    fprintf(stderr, "--resume requires --journal=<path>\n");
+    return false;
   }
-  if (options.sample_only && options.survey == 0) {
-    fprintf(stderr, "--sample-only requires --survey=<N>\n");
-    return std::nullopt;
+  if (flags.shard_index >= flags.shards) {
+    fprintf(stderr, "--shard-index=%zu out of range for --shards=%zu\n", flags.shard_index,
+            flags.shards);
+    return false;
   }
-  return options;
+  if ((mode == kSampleMode || mode == kSuperviseMode) && options.survey == 0) {
+    fprintf(stderr, "%s requires --survey=<N>\n",
+            mode == kSampleMode ? "--sample-only" : "--supervise");
+    return false;
+  }
+  if (mode != kSuperviseMode) {
+    return true;
+  }
+  // Supervised runs drive full shard workers and merge their journals, so
+  // --json/--trace/--metrics are fine at any shard count — the supervisor
+  // writes them from the merged view, never a partial one.
+  if (flags.journal_path.empty()) {
+    fprintf(stderr,
+            "--supervise requires --journal=<prefix> (shard journals land at "
+            "<prefix>.shard<j>)\n");
+    return false;
+  }
+  if (options.hang_timeout <= 0.0) {
+    fprintf(stderr, "--hang-timeout must be > 0\n");
+    return false;
+  }
+  if (options.quarantine_after == 0) {
+    fprintf(stderr, "--quarantine-after must be >= 1\n");
+    return false;
+  }
+  return true;
 }
 
 std::optional<Cohort> ResolveCohort(const Options& options) {
@@ -368,10 +308,6 @@ int RunSampleOnly(const Options& options, Cohort cohort) {
 // --survey=N: profile N cohort sites across the worker pool and print the
 // paper-style stopping breakdown.
 int RunSurvey(const Options& options) {
-  if (!options.profile.empty()) {
-    fprintf(stderr, "--survey requires a cohort, not a named profile\n");
-    return kExitUsage;
-  }
   auto cohort = ResolveCohort(options);
   if (!cohort.has_value()) {
     return kExitUsage;
@@ -491,20 +427,6 @@ int MergeAndWrite(const Options& options, const std::vector<std::string>& paths)
   return kExitOk;
 }
 
-int RunMerge(const Options& options) { return MergeAndWrite(options, options.merge_paths); }
-
-const char* StageFlagName(StageKind kind) {
-  switch (kind) {
-    case StageKind::kBase:
-      return "base";
-    case StageKind::kSmallQuery:
-      return "query";
-    case StageKind::kLargeObject:
-      return "large";
-  }
-  return "base";
-}
-
 // The path workers are exec'd from: this very binary, so supervisor and
 // worker can never skew versions. argv[0] is the fallback off-proc.
 std::string SelfExePath(const std::string& fallback) {
@@ -522,7 +444,7 @@ std::string SelfExePath(const std::string& fallback) {
 // from --journal, restarts crashes from their journals, SIGKILLs hung
 // workers, quarantines poisoned sites, and on success merges everything into
 // the same report/trace/metrics files an unsharded run would have written.
-int RunSupervise(const Options& options) {
+int RunSupervise(const Options& options, const FlagTable& table) {
   auto cohort = ResolveCohort(options);
   if (!cohort.has_value()) {
     return kExitUsage;
@@ -557,22 +479,12 @@ int RunSupervise(const Options& options) {
   sup.hang_timeout = options.hang_timeout;
   sup.quarantine_after = options.quarantine_after;
   sup.seed = options.seed;
+  // The survey's own flags reach every worker exactly as they were typed.
+  const std::vector<std::string> survey_args =
+      table.Spelled({"--cohort", "--survey", "--max-crowd", "--seed", "--stages"});
   sup.command = [&](size_t shard, bool sequential) {
     std::vector<std::string> argv = {exe};
-    if (!options.cohort.empty()) {
-      argv.push_back("--cohort=" + options.cohort);
-    }
-    argv.push_back("--survey=" + std::to_string(options.survey));
-    argv.push_back("--max-crowd=" + std::to_string(options.max_crowd));
-    argv.push_back("--seed=" + std::to_string(options.seed));
-    std::string stages = "--stages=";
-    for (size_t i = 0; i < options.stages.size(); ++i) {
-      if (i > 0) {
-        stages += ',';
-      }
-      stages += StageFlagName(options.stages[i]);
-    }
-    argv.push_back(stages);
+    argv.insert(argv.end(), survey_args.begin(), survey_args.end());
     argv.push_back("--jobs=" + std::to_string(sequential ? 1 : worker_jobs));
     argv.push_back("--shards=" + std::to_string(shards));
     argv.push_back("--shard-index=" + std::to_string(shard));
@@ -633,15 +545,17 @@ int RunSupervise(const Options& options) {
   return MergeAndWrite(options, journal_paths);
 }
 
-int Run(const Options& options) {
-  if (options.supervise) {
-    return RunSupervise(options);
-  }
-  if (!options.merge_paths.empty()) {
-    return RunMerge(options);
-  }
-  if (options.survey > 0) {
-    return RunSurvey(options);
+int Run(const Options& options, const FlagTable& table) {
+  switch (ModeOf(options, table)) {
+    case kSuperviseMode:
+      return RunSupervise(options, table);
+    case kMergeMode:
+      return MergeAndWrite(options, options.merge_paths);
+    case kSampleMode:
+    case kSurveyMode:
+      return RunSurvey(options);
+    case kSingleMode:
+      break;
   }
   auto site = ResolveSite(options);
   if (!site.has_value()) {
@@ -779,7 +693,7 @@ int Run(const Options& options) {
   }
   for (const StageResult& stage : result.stages) {
     printf("[%s]\n", std::string(StageName(stage.kind)).c_str());
-    if (options.verbose_epochs) {
+    if (!options.quiet) {
       for (const EpochResult& epoch : stage.epochs) {
         printf("  crowd=%-4zu samples=%-4zu metric=%7.1f ms%s%s\n", epoch.crowd_size,
                epoch.samples_received, ToMillis(epoch.metric),
@@ -814,10 +728,17 @@ int Run(const Options& options) {
 }  // namespace mfc
 
 int main(int argc, char** argv) {
-  auto options = mfc::ParseArgs(argc, argv);
-  if (!options.has_value()) {
-    mfc::Usage();
+  mfc::Options options;
+  if (argc > 0 && argv[0] != nullptr && argv[0][0] != '\0') {
+    options.argv0 = argv[0];
+  }
+  // Named in SurveyMode bit order.
+  mfc::FlagTable table(
+      {"a single experiment", "--survey", "--sample-only", "--merge", "--supervise"});
+  mfc::AddFlags(table, &options);
+  if (!table.Parse(argc, argv) || !mfc::Validate(table, options)) {
+    table.PrintUsage(stdout, "mfc_profile");
     return mfc::kExitUsage;
   }
-  return mfc::Run(*options);
+  return mfc::Run(options, table);
 }
